@@ -20,9 +20,11 @@ with an exact spectral phase shift for transport, explicit midpoint for
 the field/force stage, and implicit trapezoid for the collision substep.
 The trapezoid system (I + dt/2 L) f' = (I - dt/2 L) f is solved either by
 preconditioned conjugate gradients (matrix-free, any resolution) or by a
-cached dense propagator (small velocity grids); since L is symmetric
-positive semidefinite the trapezoid update never increases ||f||^2, which
-is what the per-step Lyapunov monitor leans on.
+cached dense propagator (small velocity grids).  Since L is symmetric
+positive semidefinite, M = I + dt/2 L is symmetric positive definite: the
+dense propagator is P = M^-1 (I - dt/2 L) = 2 M^-1 - I, with M^-1 from a
+Cholesky factorization, and the trapezoid update never increases ||f||^2,
+which is what the per-step Lyapunov monitor leans on.
 
 The species sum s = f_+ + f_- and difference d = f_+ - f_- diagonalize L
 (L s = 2(A+K)s, L d = 2A d), so the collision solve runs on two decoupled
@@ -37,7 +39,7 @@ import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 
 from . import landau, macro_micro, maxwell
 from .phase_grid import (
@@ -302,7 +304,15 @@ def initial_state(config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid) ->
 
 
 class CollisionStepper:
-    """Implicit-trapezoid collision substep in species sum/difference form."""
+    """Implicit-trapezoid collision substep in species sum/difference form.
+
+    ``method="direct"`` caches, per species combination, the dense
+    propagator P = 2 (I + dt/2 L)^-1 - I with L_s = 2(A + K) and L_d = 2A.
+    Both operators are symmetric positive semidefinite, so I + dt/2 L is
+    inverted by Cholesky (LAPACK potrf + potri); a failed factorization
+    raises ValueError.  ``method="cg"`` solves the same trapezoid systems
+    matrix-free by preconditioned conjugate gradients.
+    """
 
     def __init__(self, tables: landau.CollisionTables, dt: float,
                  method: str = "auto", cg_tol: float = 1e-12,
@@ -326,13 +336,28 @@ class CollisionStepper:
     def _build_propagators(self, limit: int) -> None:
         a = landau.dense_A(self.tables, limit=limit)
         k = landau.dense_K(self.tables, limit=limit)
+        k += a
         n3 = self.tables.n ** 3
-        eye = np.eye(n3)
         props = []
-        for op in (2.0 * (a + k), 2.0 * a):
-            m_plus = eye + 0.5 * self.dt * op
-            m_minus = eye - 0.5 * self.dt * op
-            props.append(sla.solve(m_plus, m_minus, assume_a="sym"))
+        for m in (k, a):          # L_s / 2 = A + K, L_d / 2 = A
+            m *= self.dt
+            m.flat[:: n3 + 1] += 1.0          # M = I + dt/2 L, in place
+            # m is symmetric, so its transpose is the same matrix in the
+            # Fortran order LAPACK factors in place
+            fac, info = lapack.dpotrf(m.T, overwrite_a=True)
+            if info == 0:
+                inv, info = lapack.dpotri(fac, overwrite_c=True)
+            if info != 0:
+                raise ValueError(
+                    f"collision propagator: I + dt/2 L is not positive definite "
+                    f"(n_v={self.tables.n}, gamma={self.tables.gamma}, "
+                    f"dt={self.dt}; LAPACK info {info})")
+            # potri fills one triangle of M^-1 and potrf zeroed the other
+            inv.flat[:: n3 + 1] *= 0.5
+            landau._add_transpose(inv)
+            inv *= 2.0
+            inv.flat[:: n3 + 1] -= 1.0        # P = 2 M^-1 - I = M^-1 (I - dt/2 L)
+            props.append(inv)
         self._prop = props
 
     # matrix-free operator applications ----------------------------------------

@@ -17,6 +17,12 @@ def tables8(vgrid8):
 
 
 @pytest.fixture(scope="session")
+def tables9_soft():
+    """Odd grid, non-Coulomb gamma: off the n_v = 8, gamma = -3 defaults."""
+    return landau.build_collision_tables(VelocityGrid(v_max=6.0, n_v=9), -2.5)
+
+
+@pytest.fixture(scope="session")
 def proj8(vgrid8):
     return MacroProjector(vgrid8)
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ class TestCollisionTables:
                                              cache_dir=str(tmp_path))
         assert tab3.sigma.shape == (3, 3, 10, 10, 10)
 
+    def test_truncated_cache_rebuilt(self, tmp_path, vgrid8):
+        fresh = landau.build_collision_tables(vgrid8, -3.0, cache_dir=str(tmp_path))
+        path = landau._cache_path(str(tmp_path), vgrid8, -3.0)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        rebuilt = landau.build_collision_tables(vgrid8, -3.0, cache_dir=str(tmp_path))
+        assert np.array_equal(rebuilt.sigma, fresh.sigma)
+        # rewritten whole, with no temp file left beside it
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+        assert os.path.getsize(path) == len(data)
+
 
 class TestApplyQ:
     def test_mass_always_zero(self, tables8, vgrid8):
@@ -180,6 +194,11 @@ class TestApplyQ:
         assert abs(vgrid8.integrate(vsq * qs)) < 1e-10 * scale
 
 
+@pytest.fixture(params=["tables8", "tables9_soft"])
+def dense_tables(request):
+    return request.getfixturevalue(request.param)
+
+
 class TestApplyL:
     def test_null_space_annihilated(self, tables12, vgrid12):
         for e in null_basis(vgrid12):
@@ -202,12 +221,13 @@ class TestApplyL:
             quad = landau.pair_inner(tables12, lf, f)
             assert quad >= -1e-8 * landau.sigma_norm(f, tables12) ** 2
 
-    def test_dense_assembly_matches_matrix_free(self, tables8):
-        dense = landau.dense_L(tables8)
+    def test_dense_assembly_matches_matrix_free(self, dense_tables):
+        dense = landau.dense_L(dense_tables)
         rng = np.random.default_rng(6)
-        f = rng.standard_normal((2, 8, 8, 8))
-        mf = landau.apply_L(tables8, f)
-        dv = (dense @ f.reshape(-1)).reshape(2, 8, 8, 8)
+        shape = (2,) + dense_tables.grid.shape
+        f = rng.standard_normal(shape)
+        mf = landau.apply_L(dense_tables, f)
+        dv = (dense @ f.reshape(-1)).reshape(shape)
         assert np.abs(mf - dv).max() <= 1e-10 * np.abs(mf).max()
 
     def test_dense_null_space_dimension(self, tables8):
