@@ -14,7 +14,6 @@ from vmlkit.phase_grid import (
     WeightParams,
     maxwellian,
     sobolev_norms,
-    weight_w,
 )
 
 print("== velocity grid and Maxwellian quadrature ==")
@@ -32,9 +31,10 @@ print(f"fourth moment <|v|^4> = {vgrid.integrate(vsq**2 * vgrid.mu()):.7f} (exac
 
 print("\n== time-velocity weight ==")
 p = WeightParams(gamma=-3.0, ell=2.0, q=0.01, theta=0.25)
-v = np.array([2.0, 0.0, 0.0])
+i2, i0 = np.searchsorted(vgrid.nodes_1d, [2.0, 0.0])  # grid nodes v = 2, v = 0
 for t in (0.0, 1.0, 10.0):
-    print(f"w_ell(t={t:4.1f}, v=(2,0,0)) = {weight_w(p, t, v):.6f}")
+    w = vgrid.weight_field(p, t)[i2, i0, i0]
+    print(f"w_ell(t={t:4.1f}, v=(2,0,0)) = {w:.6f}")
 print("the exponential factor relaxes as t grows; the polynomial part stays")
 
 print("\n== spatial transforms ==")

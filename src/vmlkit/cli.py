@@ -5,8 +5,8 @@ onto a RunConfig field.  A run directory always contains exactly one
 ``manifest.cfg`` holding the fully resolved configuration, and re-running
 with the manifest as the config reproduces the outputs byte for byte.
 
-Exit codes: 0 clean, 1 verification failure, 2 invalid configuration,
-3 non-finite state abort (last good checkpoint dumped).
+Exit codes: 0 clean, 1 verification failure, 2 invalid configuration or
+resume checkpoint, 3 non-finite state abort (last good checkpoint dumped).
 """
 
 from __future__ import annotations
@@ -185,10 +185,17 @@ def cmd_simulate(args) -> int:
     initial = None
     resume_step = 0
     if args.resume:
-        initial, resume_step = evolve.load_checkpoint(args.resume)
+        try:
+            initial, resume_step = evolve.load_checkpoint(args.resume)
+        except evolve.StateError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         result = evolve.run(cfg, initial=initial, resume_step=resume_step,
                             checkpoint_dir=ckpt_dir)
+    except evolve.StateError as exc:
+        print(f"error: cannot resume from {args.resume}: {exc}", file=sys.stderr)
+        return 2
     except evolve.NanAbort as exc:
         os.makedirs(ckpt_dir, exist_ok=True)
         evolve.save_checkpoint(os.path.join(ckpt_dir, "last_good.bin"),

@@ -6,6 +6,18 @@ equivalences are fixed to one.  Conventions:
 
 * x-derivatives are spectral multipliers, v-derivatives second-order
   finite differences up to the configured depth (default |beta| <= 2).
+* every functional is an x-multiplier m(xi) times a quadratic form q_v
+  local in v, so by Plancherel it equals sum_xi m(xi) q_v(f_hat(xi)).  A
+  ``SpectralSnapshot`` takes one forward transform f_hat of the state and
+  reduces it to per-mode powers and x-reduced velocity densities; each
+  functional is then a multiplier or weight dot product.  P is local in
+  x, so the macro coefficients and the micro part come from f_hat.
+* the mixed-derivative terms ||w d^alpha_beta f||^2 measure the real field
+  Re d^alpha f.  At a mode whose orders alpha_i, summed over the axes that
+  sit at the Nyquist index, are odd, (i xi)^alpha f_hat has no Hermitian
+  partner and the real part drops it: the multiplier is zero there and
+  xi^(2 alpha) elsewhere.  The unweighted bands |xi|^(2j) of E^k, D^k and
+  the field terms keep the Nyquist mode at every order.
 * every negative-order norm excludes the xi = 0 mode, whose content is
   reported separately (torus surrogate of the whole-space theory).
 * the per-step Lyapunov check pairs the energy drop against the measured
@@ -28,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau, macro_micro, maxwell
-from .phase_grid import (SpatialGrid, VelocityGrid, WeightParams,
-                         fd_gradient_matrix, sobolev_norms)
+from .phase_grid import SpatialGrid, VelocityGrid, WeightParams, fd_gradient_matrix
 
 TORUS_CAVEAT = (
     "torus caveat: algebraic decay rates -(k+s) are whole-space statements; "
@@ -103,19 +114,8 @@ class DiagContext:
                 yield tuple(beta)
 
 
-def spec_sobolev(ctx: DiagContext, comp: np.ndarray, s_exp: float, n: int):
-    """(H^-s, H^n) of a scalar x-field (physical input)."""
-    return sobolev_norms(ctx.sgrid, comp, s_exp, n)
-
-
-def f_sobolev(ctx: DiagContext, f: np.ndarray, s_exp: float, n: int):
-    """(H^-s, H^n) of a species pair with the velocity measure."""
-    return sobolev_norms(ctx.sgrid, f, s_exp, n, x_axes=ctx.x_axes,
-                         cell_measure=ctx.vgrid.cell_volume)
-
-
 # ---------------------------------------------------------------------------
-# snapshot cache: derivative fields and x-reduced velocity densities
+# one spectral pass per snapshot
 # ---------------------------------------------------------------------------
 
 
@@ -127,99 +127,115 @@ def _fd_beta(fd: np.ndarray, arr: np.ndarray, beta: tuple) -> np.ndarray:
     return out
 
 
-class SnapshotCache:
-    """Per-snapshot derivative fields and x-reduced v-densities.
+def _alpha_multipliers(sgrid: SpatialGrid, alphas: list) -> np.ndarray:
+    """Plancherel weight of Re d^alpha per alpha, shape (len(alphas), modes).
 
-    Velocity densities carry the full x and species reduction, so adding a
-    weight level to the functional family costs one velocity-space dot
-    product instead of a fresh pass over phase space.
+    xi^(2 alpha), zeroed where the orders on the Nyquist axes sum to an odd
+    number (see the module docstring).
+    """
+    xi = sgrid.xi_mesh()
+    nyq = 2 * sgrid.mode_numbers() == -sgrid.n_x
+    out = np.empty((len(alphas), math.prod(sgrid.shape)))
+    for row, alpha in enumerate(alphas):
+        mult = np.ones(sgrid.shape)
+        odd = np.zeros(sgrid.shape, dtype=bool)
+        for i, a in enumerate(alpha):
+            mult = mult * xi[i] ** (2 * a)
+            if a % 2:
+                odd = odd ^ nyq.reshape(xi[i].shape)
+        out[row] = np.where(odd, 0.0, mult).ravel()
+    return out
+
+
+def _contract(mult: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Species-summed per-mode densities (2, *x, n, n, n) against mode multipliers."""
+    per_mode = dens.sum(axis=0).reshape(mult.shape[1], -1)
+    return (mult @ per_mode).reshape((len(mult),) + dens.shape[-3:])
+
+
+class SpectralSnapshot:
+    """Per-mode powers and (alpha, beta) velocity densities of one state.
+
+    Built from one forward transform f_hat of f.  ``power[name]`` holds, per
+    xi mode, the summed |.|^2 of f ("f", with the velocity cell volume),
+    E ("e") and B ("b"), and with ``ctx.projector`` set, of the charge
+    a_+ - a_- ("charge"), the six macro coefficients ("macro") and P f in
+    the Gram form of its coefficients ("pf").
+
+    ``pairs`` lists the (alpha, beta) with |alpha| + |beta| <= max(n_max, n0)
+    and |beta| <= ``beta_max``.  Per pair, ``dens[name]`` holds the x- and
+    species-reduced velocity density of |d^alpha_beta f|^2 ("f") and, with
+    a projector, of <v>^2 |d^alpha_beta {I-P} f|^2 ("extra") and the sigma
+    bracket of d^alpha_beta {I-P} f ("sigma").  Each beta's complex fields
+    are dropped once their densities are formed.
     """
 
-    def __init__(self, ctx: DiagContext, f: np.ndarray):
-        self.ctx = ctx
-        self.f = f
-        self.f_spec = ctx.sgrid.forward(f, ctx.x_axes)
+    def __init__(self, ctx: DiagContext, state, beta_max: int):
+        sgrid, vgrid = ctx.sgrid, ctx.vgrid
+        abs2 = landau._abs2
+        self.vol = vgrid.cell_volume
+        self.f_spec = sgrid.forward(state.f, ctx.x_axes)
+        self.power = {"f": self.vol * np.sum(abs2(self.f_spec), axis=(0, -3, -2, -1)),
+                      "e": np.sum(abs2(state.em.e_spec), axis=0),
+                      "b": np.sum(abs2(state.em.b_spec), axis=0)}
+        micro = None
         if ctx.projector is not None:
-            self.micro = ctx.projector.micro_part(f)
-            self.micro_spec = ctx.sgrid.forward(self.micro, ctx.x_axes)
-            beta0 = ctx.projector.coefficients(f)
-            self.macro_spec = np.stack(
-                [ctx.sgrid.forward(beta0[i]) for i in range(6)])
-        self._alpha_phys = {}
-        self._alpha_micro_phys = {}
-        self._dens = {}
+            coef = ctx.projector.coefficients(self.f_spec)
+            micro = self.f_spec - ctx.projector.assemble(coef)
+            self.power["charge"] = abs2(coef[0] - coef[1])
+            self.power["macro"] = np.sum(abs2(coef), axis=0)
+            self.power["pf"] = np.einsum("ij,i...,j...->...", ctx.projector.gram,
+                                         coef.conj(), coef).real
 
-    def _alpha_field(self, cache: dict, spec: np.ndarray, alpha: tuple) -> np.ndarray:
-        if alpha not in cache:
-            ctx = self.ctx
-            mult = np.ones(ctx.sgrid.shape, dtype=complex)
-            for i, a in enumerate(alpha):
-                if a:
-                    xi = ctx.sgrid.xi_mesh()[i]
-                    mult = mult * (1j * np.broadcast_to(xi, ctx.sgrid.shape)) ** a
-            out = ctx.sgrid.apply_multiplier(spec, mult, ctx.x_axes)
-            cache[alpha] = ctx.sgrid.inverse(out, ctx.x_axes).real
-        return cache[alpha]
+        depth = max(ctx.n_max, ctx.n0)
+        alphas = list(ctx.alphas(depth))
+        mults = _alpha_multipliers(sgrid, alphas)
+        fd = fd_gradient_matrix(vgrid.nodes_1d)
+        br2 = 1.0 + vgrid.vsq()
+        dens = {name: [] for name in (("f",) if micro is None else ("f", "extra", "sigma"))}
+        self.pairs = []
+        for beta in ctx.betas(min(beta_max, depth)):
+            rows = [i for i, a in enumerate(alphas) if sum(a) + sum(beta) <= depth]
+            self.pairs += [(alphas[i], beta) for i in rows]
+            mult = mults[rows]
+            dens["f"].append(_contract(mult, abs2(_fd_beta(fd, self.f_spec, beta))))
+            if micro is not None:
+                mb = _fd_beta(fd, micro, beta)
+                dens["extra"].append(br2 * _contract(mult, abs2(mb)))
+                dens["sigma"].append(_contract(mult, landau.sigma_density(ctx.tables, mb)))
+        self.dens = {name: np.concatenate(d) for name, d in dens.items()}
+        self.a_ord = np.array([sum(a) for a, _ in self.pairs])
+        self.b_ord = np.array([sum(b) for _, b in self.pairs])
 
-    def alpha_f(self, alpha: tuple) -> np.ndarray:
-        return self._alpha_field(self._alpha_phys, self.f_spec, alpha)
+    def norm2(self, mult, *names: str) -> float:
+        """sum over modes of ``mult`` times each named power."""
+        return sum(float(np.sum(mult * self.power[name])) for name in names)
 
-    def alpha_micro(self, alpha: tuple) -> np.ndarray:
-        return self._alpha_field(self._alpha_micro_phys, self.micro_spec, alpha)
+    def select(self, k: int, depth: int) -> np.ndarray:
+        """Mask of the pairs with k <= |alpha| and |alpha| + |beta| <= depth."""
+        return (self.a_ord >= k) & (self.a_ord + self.b_ord <= depth)
 
-    def densities(self, alpha: tuple, beta: tuple):
-        """x-reduced velocity densities of d^alpha_beta f and its micro part.
+    def band(self, terms: np.ndarray, k: int, depth: int) -> float:
+        """Sum of per-pair ``terms`` over ``select(k, depth)``."""
+        return float(np.sum(terms[self.select(k, depth)]))
 
-        Returns (plain |d f|^2, plain |d micro|^2, sigma bracket of micro),
-        each shaped (n, n, n); integrating any of them against a squared
-        weight gives the corresponding functional term.
-        """
-        key = (alpha, beta)
-        if key not in self._dens:
-            ctx = self.ctx
-            tab = ctx.tables
-            xm = ctx.sgrid.cell_measure
-            da = self.alpha_f(alpha)
-            dab = _fd_beta(tab.fd, da, beta)
-            red_axes = (0,) + ctx.x_axes
-            dens_f = xm * np.sum(dab ** 2, axis=red_axes)
+    def weighted(self, ctx: DiagContext, ell: float, t: float) -> dict:
+        """Per-pair integrals of every density against w_{ell-|beta|}(t, v)^2."""
+        vgrid = ctx.vgrid
+        wsq = np.stack([vgrid.weight_field(ctx.weight(ell - b), t) ** 2
+                        for b in range(int(self.b_ord.max()) + 1)])[self.b_ord]
+        return {name: self.vol * np.sum(d * wsq, axis=(1, 2, 3))
+                for name, d in self.dens.items()}
 
-            ma = self.alpha_micro(alpha)
-            mab = _fd_beta(tab.fd, ma, beta)
-            dens_m = xm * np.sum(mab ** 2, axis=red_axes)
-
-            grad = [landau._apply_axis(tab.fd, mab, j - 3) for j in range(3)]
-            grid = ctx.vgrid
-            v1, v2, v3 = grid.axes()
-            vn = grid.vnorm()
-            origin = vn == 0.0
-            vns = np.where(origin, 1.0, vn)
-            gpar = (grad[0] * v1 + grad[1] * v2 + grad[2] * v3) / vns
-            gpar = np.where(origin, 0.0, gpar)
-            gsq = grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2
-            gperp = np.maximum(gsq - gpar ** 2, 0.0)
-            gperp = np.where(origin, gsq, gperp)
-            bracket = (tab.bracket_perp ** 2 * (mab ** 2 + gperp)
-                       + tab.bracket_par ** 2 * gpar ** 2)
-            dens_sig = xm * np.sum(bracket, axis=red_axes)
-            self._dens[key] = (dens_f, dens_m, dens_sig)
-        return self._dens[key]
-
-
-def _vdot(vgrid: VelocityGrid, dens: np.ndarray, weight_sq: np.ndarray) -> float:
-    return float(vgrid.cell_volume * np.sum(dens * weight_sq))
+    def sigma_band(self, k: int, top: int) -> float:
+        """sum_{k <= |alpha| <= top} ||d^alpha {I-P} f||_sigma^2, unweighted."""
+        keep = (self.b_ord == 0) & (self.a_ord >= k) & (self.a_ord <= top)
+        return self.vol * float(np.sum(self.dens["sigma"][keep]))
 
 
 # ---------------------------------------------------------------------------
 # the functional family
 # ---------------------------------------------------------------------------
-
-
-def _field_mult_norm2(ctx: DiagContext, spec_vec: np.ndarray, mult: np.ndarray) -> float:
-    total = 0.0
-    for comp in spec_vec:
-        total += ctx.sgrid.spec_weighted_norm2(comp, mult)
-    return total
 
 
 def _grad_band_mult(ctx: DiagContext, jmin: int, jmax: int,
@@ -241,166 +257,49 @@ def _grad_band_mult(ctx: DiagContext, jmin: int, jmax: int,
     return out
 
 
-def _f_mult_norm2(ctx: DiagContext, f_spec: np.ndarray, mult: np.ndarray) -> float:
-    return ctx.sgrid.spec_weighted_norm2(
-        f_spec, mult, ctx.x_axes, ctx.vgrid.cell_volume)
+def band_energy(ctx: DiagContext, snap: SpectralSnapshot, jmin: int, jmax: int) -> float:
+    """sum_{jmin <= |a| <= jmax} ||d^a (f, E, B)||^2: E^k is (k, n0), E_N is (0, N)."""
+    return snap.norm2(_grad_band_mult(ctx, jmin, jmax), "f", "e", "b")
 
 
-def energy_unweighted(ctx: DiagContext, cache: SnapshotCache,
-                      em: maxwell.EMField, n: int) -> float:
-    """E_N: sum_{|a|<=n} ||d^a (f, E, B)||^2 (spectral x-derivatives)."""
-    if n > max(ctx.n_max, ctx.n0) + 4:
-        raise ValueError("derivative order exceeds configured bounds")
-    mult = _grad_band_mult(ctx, 0, n)
-    return (_f_mult_norm2(ctx, cache.f_spec, mult)
-            + _field_mult_norm2(ctx, em.e_spec, mult)
-            + _field_mult_norm2(ctx, em.b_spec, mult))
+def dissipation_k(ctx: DiagContext, snap: SpectralSnapshot, k: int, top: int,
+                  micro: float) -> float:
+    """D^k: grad^k (E, charge) + mid-band (Pf, E, B) + top-order Pf + ``micro``.
+
+    ``micro`` is the micro sigma term: ``snap.sigma_band(k, top)`` for D^k
+    and D_N (= D^0 with top N), the weighted sigma band plus the extra
+    dissipation term for the weighted D^k.
+    """
+    return (snap.norm2(_grad_band_mult(ctx, k, k), "charge", "e")
+            + snap.norm2(_grad_band_mult(ctx, k + 1, top - 1), "pf", "e", "b")
+            + snap.norm2(_grad_band_mult(ctx, top, top), "pf") + micro)
 
 
-def energy_k(ctx: DiagContext, cache: SnapshotCache, em: maxwell.EMField,
-             k: int, n0: int) -> float:
-    """E^k: the |a| = k..n0 band of the unweighted energy."""
-    if k > n0:
-        raise ValueError("band start k exceeds n0")
-    mult = _grad_band_mult(ctx, k, n0)
-    return (_f_mult_norm2(ctx, cache.f_spec, mult)
-            + _field_mult_norm2(ctx, em.e_spec, mult)
-            + _field_mult_norm2(ctx, em.b_spec, mult))
+def dissipation_weighted(ctx: DiagContext, snap: SpectralSnapshot, terms: dict,
+                         n: int, t: float) -> float:
+    """D_{N,ell} from one weight level's ``terms`` (``snap.weighted``).
+
+    Macro derivatives, the charge, field terms, weighted micro sigma norms,
+    and the (1+t)^(-1-theta) extra-dissipation term.
+    """
+    return (snap.norm2(_grad_band_mult(ctx, 1, n), "macro")
+            + snap.band(terms["sigma"], 0, n) + snap.norm2(1.0, "charge")
+            + snap.norm2(_grad_band_mult(ctx, 0, n - 1), "e")
+            + snap.norm2(_grad_band_mult(ctx, 1, max(n - 1, 1)), "b")
+            + (1.0 + t) ** (-1.0 - ctx.theta) * snap.band(terms["extra"], 0, n))
 
 
-def _weight_sq_table(ctx: DiagContext, ell: float, t: float, depth: int) -> dict:
-    """w_{ell-|beta|}(t, v)^2 for |beta| = 0..depth, plus <v>^2-augmented copies."""
-    grid = ctx.vgrid
-    br2 = 1.0 + grid.vsq()
-    out = {}
-    for b in range(depth + 1):
-        w = grid.weight_field(ctx.weight(ell - b), t)
-        out[b] = w * w
-    return out, br2
-
-
-def weighted_mixed_norm2_terms(ctx: DiagContext, f: np.ndarray, t: float,
-                               n_total: int, ell_base: float):
-    """Yield ||w_{ell-|b|} d^a_b f||^2 over |a|+|b| <= n_total (configured depths)."""
-    sgrid, vgrid = ctx.sgrid, ctx.vgrid
-    fd = (ctx.tables.fd if ctx.tables is not None
-          else fd_gradient_matrix(vgrid.nodes_1d))
-    wsq, _ = _weight_sq_table(ctx, ell_base, t, min(n_total, ctx.beta_max))
-    f_spec = sgrid.forward(f, ctx.x_axes)
-    for alpha in ctx.alphas(n_total):
-        a_tot = sum(alpha)
-        mult = np.ones(sgrid.shape, dtype=complex)
-        for i, a in enumerate(alpha):
-            if a:
-                mult = mult * (1j * np.broadcast_to(sgrid.xi_mesh()[i],
-                                                    sgrid.shape)) ** a
-        da = sgrid.inverse(sgrid.apply_multiplier(f_spec, mult, ctx.x_axes),
-                           ctx.x_axes).real
-        for beta in ctx.betas(n_total - a_tot):
-            b_tot = sum(beta)
-            dab = _fd_beta(fd, da, beta)
-            dens = sgrid.cell_measure * np.sum(
-                dab ** 2, axis=(0,) + ctx.x_axes)
-            yield _vdot(vgrid, dens, wsq[b_tot])
-
-
-@dataclass
-class WeightedFamily:
-    """One weight level's energy/dissipation pieces assembled from densities."""
-
-    energy_f: dict          # (k cutoff) -> weighted mixed-derivative f sums
-    sigma_micro: dict       # (k cutoff) -> weighted micro sigma sums
-    extra_micro: dict       # (k cutoff) -> <v>-weighted micro L2 sums
-
-
-def _assemble_weight_level(ctx: DiagContext, cache: SnapshotCache, ell: float,
-                           t: float, depth: int, k_cuts: tuple) -> WeightedFamily:
-    wsq, br2 = _weight_sq_table(ctx, ell, t, depth)
-    energy_f = {k: 0.0 for k in k_cuts}
-    sig = {k: 0.0 for k in k_cuts}
-    extra = {k: 0.0 for k in k_cuts}
-    for alpha in ctx.alphas(depth):
-        a_tot = sum(alpha)
-        for beta in ctx.betas(depth - a_tot):
-            b_tot = sum(beta)
-            dens_f, dens_m, dens_sig = cache.densities(alpha, beta)
-            w2 = wsq[b_tot]
-            ef = _vdot(ctx.vgrid, dens_f, w2)
-            sg = _vdot(ctx.vgrid, dens_sig, w2)
-            ex = _vdot(ctx.vgrid, dens_m, w2 * br2)
-            for k in k_cuts:
-                if a_tot >= k:
-                    energy_f[k] += ef
-                    sig[k] += sg
-                    extra[k] += ex
-    return WeightedFamily(energy_f, sig, extra)
-
-
-def _macro_band_norm2(ctx: DiagContext, cache: SnapshotCache, jmin: int,
-                      jmax: int, which=range(6)) -> float:
-    """sum_{jmin<=|a|<=jmax} ||d^a (selected macro fields)||^2."""
-    if jmax < jmin:
-        return 0.0
-    mult = _grad_band_mult(ctx, jmin, jmax)
-    total = 0.0
-    for i in which:
-        total += ctx.sgrid.spec_weighted_norm2(cache.macro_spec[i], mult)
-    return total
-
-
-def _pf_band_norm2(ctx: DiagContext, cache: SnapshotCache, jmin: int, jmax: int) -> float:
-    """sum_{band} ||d^a P f||^2 via the coefficient Gram form."""
-    if jmax < jmin:
-        return 0.0
-    mult = _grad_band_mult(ctx, jmin, jmax)
-    gram = ctx.projector.gram
-    total = 0.0
-    flat = [cache.macro_spec[i].reshape(-1) for i in range(6)]
-    m = mult.reshape(-1)
-    for i in range(6):
-        for j in range(6):
-            if abs(gram[i, j]) > 0:
-                total += gram[i, j] * float(
-                    np.sum(m * (np.conj(flat[i]) * flat[j]).real))
-    return total
-
-
-def _lambda_norm2_fields(ctx: DiagContext, comps, s_exp: float) -> float:
-    mult = ctx.sgrid.lambda_multiplier(s_exp) ** 2
-    total = 0.0
-    for comp in comps:
-        total += ctx.sgrid.spec_weighted_norm2(comp, mult)
-    return total
-
-
-def energy_weighted(ctx: DiagContext, cache: SnapshotCache, em: maxwell.EMField,
-                    n: int, ell: float, t: float) -> float:
-    """E_{N,ell}: weighted mixed-derivative f sums plus the field H^N energy."""
-    fam = _assemble_weight_level(ctx, cache, ell, t, n, (0,))
-    mult = _grad_band_mult(ctx, 0, n)
-    return (fam.energy_f[0] + _field_mult_norm2(ctx, em.e_spec, mult)
-            + _field_mult_norm2(ctx, em.b_spec, mult))
-
-
-def dissipation_weighted(ctx: DiagContext, cache: SnapshotCache,
-                         em: maxwell.EMField, n: int, ell: float, t: float) -> float:
-    """D_{N,ell}: macro derivatives, weighted micro sigma norms, field terms,
-    and the (1+t)^(-1-theta) extra-dissipation term."""
-    fam = _assemble_weight_level(ctx, cache, ell, t, n, (0,))
-    macro = _macro_band_norm2(ctx, cache, 1, n)
-    charge = _charge_norm2(ctx, cache)
-    mult_e = _grad_band_mult(ctx, 0, n - 1)
-    mult_b = _grad_band_mult(ctx, 1, max(n - 1, 1))
-    out = (macro + fam.sigma_micro[0] + charge
-           + _field_mult_norm2(ctx, em.e_spec, mult_e)
-           + _field_mult_norm2(ctx, em.b_spec, mult_b)
-           + (1.0 + t) ** (-1.0 - ctx.theta) * fam.extra_micro[0])
+def _collision_proxy(ctx: DiagContext, snap: SpectralSnapshot,
+                     lf: np.ndarray) -> np.ndarray:
+    """2 <L d^a f, d^a f> summed over bands k..n0, for all k at once."""
+    lf_spec = ctx.sgrid.forward(lf, ctx.x_axes)
+    per_mode = (np.sum((np.conj(snap.f_spec) * lf_spec).real,
+                       axis=(0, -3, -2, -1)) * ctx.vgrid.cell_volume)
+    out = np.empty(ctx.k_max + 1)
+    for k in range(ctx.k_max + 1):
+        mult = _grad_band_mult(ctx, k, ctx.n0)
+        out[k] = 2.0 * float(np.sum(mult * per_mode))
     return out
-
-
-def _charge_norm2(ctx: DiagContext, cache: SnapshotCache) -> float:
-    diff = cache.macro_spec[0] - cache.macro_spec[1]
-    return float(np.sum(np.abs(diff) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -475,226 +374,107 @@ class FunctionalReport:
         return vals
 
 
-def _collision_proxy(ctx: DiagContext, cache: SnapshotCache,
-                     lf: np.ndarray) -> np.ndarray:
-    """2 <L d^a f, d^a f> summed over bands k..n0, for all k at once."""
-    lf_spec = ctx.sgrid.forward(lf, ctx.x_axes)
-    per_mode = (np.sum((np.conj(cache.f_spec) * lf_spec).real,
-                       axis=(0, -3, -2, -1)) * ctx.vgrid.cell_volume)
-    out = np.empty(ctx.k_max + 1)
-    for k in range(ctx.k_max + 1):
-        mult = _grad_band_mult(ctx, k, ctx.n0)
-        out[k] = 2.0 * float(np.sum(mult * per_mode))
-    return out
-
-
-def _d_k_literal(ctx: DiagContext, cache: SnapshotCache, em: maxwell.EMField,
-                 k: int) -> float:
-    """D^k: grad^k (E, charge) + mid-band (Pf, E, B) + top Pf + micro sigma band."""
-    n0 = ctx.n0
-    mult_k = _grad_band_mult(ctx, k, k)
-    charge_spec = cache.macro_spec[0] - cache.macro_spec[1]
-    out = ctx.sgrid.spec_weighted_norm2(charge_spec, mult_k)
-    out += _field_mult_norm2(ctx, em.e_spec, mult_k)
-    out += _pf_band_norm2(ctx, cache, k + 1, n0 - 1)
-    mult_mid = _grad_band_mult(ctx, k + 1, n0 - 1)
-    out += _field_mult_norm2(ctx, em.e_spec, mult_mid)
-    out += _field_mult_norm2(ctx, em.b_spec, mult_mid)
-    out += _pf_band_norm2(ctx, cache, n0, n0)
-    for a in range(k, n0 + 1):
-        out += _sigma_band(ctx, cache, a)
-    return out
-
-
-_SIGMA_BAND_CACHE_KEY = "_sigma_band"
-
-
-def _sigma_band(ctx: DiagContext, cache: SnapshotCache, a: int) -> float:
-    """sum_{|alpha|=a} ||d^alpha {I-P} f||_sigma^2 (unweighted)."""
-    store = cache.__dict__.setdefault(_SIGMA_BAND_CACHE_KEY, {})
-    if a not in store:
-        total = 0.0
-        for alpha in ctx.alphas(a):
-            if sum(alpha) != a:
-                continue
-            _, _, dens_sig = cache.densities(alpha, (0, 0, 0))
-            total += _vdot(ctx.vgrid, dens_sig, np.ones(ctx.vgrid.shape))
-        store[a] = total
-    return store[a]
-
-
-def _d_n_literal(ctx: DiagContext, cache: SnapshotCache, em: maxwell.EMField) -> float:
-    n = ctx.n_max
-    out = _charge_norm2(ctx, cache)
-    out += float(np.sum(np.abs(em.e_spec) ** 2))
-    out += _pf_band_norm2(ctx, cache, 1, n - 1)
-    mult_mid = _grad_band_mult(ctx, 1, n - 1)
-    out += _field_mult_norm2(ctx, em.e_spec, mult_mid)
-    out += _field_mult_norm2(ctx, em.b_spec, mult_mid)
-    out += _pf_band_norm2(ctx, cache, n, n)
-    for a in range(0, n + 1):
-        out += _sigma_band(ctx, cache, a)
-    return out
+def _band_rows(ctx: DiagContext, snap: SpectralSnapshot, lf: np.ndarray):
+    """E^k, literal D^k and the collision proxy for k = 0..k_max."""
+    ks = range(ctx.k_max + 1)
+    e_k = np.array([band_energy(ctx, snap, k, ctx.n0) for k in ks])
+    d_k = np.array([dissipation_k(ctx, snap, k, ctx.n0, snap.sigma_band(k, ctx.n0))
+                    for k in ks])
+    return e_k, d_k, _collision_proxy(ctx, snap, lf)
 
 
 def monitor_row(ctx: DiagContext, state):
     """Lightweight per-step row: E^k band energies, literal D^k, collision proxy."""
-    cache = SnapshotCache(ctx, state.f)
-    ek = np.array([energy_k(ctx, cache, state.em, k, ctx.n0)
-                   for k in range(ctx.k_max + 1)])
-    dk = np.array([_d_k_literal(ctx, cache, state.em, k)
-                   for k in range(ctx.k_max + 1)])
-    lf = landau.apply_L(ctx.tables, state.f)
-    dpk = _collision_proxy(ctx, cache, lf)
-    return ek, dk, dpk
+    snap = SpectralSnapshot(ctx, state, beta_max=0)
+    return _band_rows(ctx, snap, landau.apply_L(ctx.tables, state.f))
 
 
 def build_report(ctx: DiagContext, state) -> FunctionalReport:
-    rep, _ = snapshot(ctx, state, with_macro=False)
-    return rep
+    """The full functional family of one state (one CSV row)."""
+    t, em = state.t, state.em
+    sgrid = ctx.sgrid
+    n0, n_max, s = ctx.n0, ctx.n_max, ctx.s_exp
+    snap = SpectralSnapshot(ctx, state, ctx.beta_max)
+    e_k, d_k, d_proxy = _band_rows(ctx, snap, landau.apply_L(ctx.tables, state.f))
+    e_n = band_energy(ctx, snap, 0, n_max)
+    d_n = dissipation_k(ctx, snap, 0, n_max, snap.sigma_band(0, n_max))
+
+    def lam2(s_exp: float) -> np.ndarray:
+        return sgrid.lambda_multiplier(s_exp) ** 2
+
+    # weighted families at the configured weight levels
+    big = snap.weighted(ctx, ctx.ell, t)
+    e_w = (snap.band(big["f"], 0, n_max)
+           + snap.norm2(_grad_band_mult(ctx, 0, n_max), "e", "b"))
+    d_w = dissipation_weighted(ctx, snap, big, n_max, t)
+
+    hneg_f, hneg_e, hneg_b = (math.sqrt(snap.norm2(lam2(-s), name))
+                              for name in ("f", "e", "b"))
+    neg2 = hneg_f ** 2 + hneg_e ** 2 + hneg_b ** 2
+    em_n0 = snap.norm2(_grad_band_mult(ctx, 0, n0), "e", "b")
+    top = snap.weighted(ctx, ctx.ell0 + ctx.lstar, t)
+    ebar_top = snap.band(top["f"], 0, n0) + em_n0 + neg2
+    dbar_top = (dissipation_weighted(ctx, snap, top, n0, t)
+                + snap.norm2(lam2(1.0 - s), "e", "b", "macro")
+                + snap.norm2(lam2(-s), "charge", "e"))
+
+    low = snap.weighted(ctx, ctx.ell0, t)
+    decay = (1.0 + t) ** (-1.0 - ctx.theta)
+    e_k_w = np.empty(ctx.k_max + 1)
+    d_k_w = np.empty(ctx.k_max + 1)
+    cap_k = np.empty(ctx.k_max + 1)
+    for k in range(ctx.k_max + 1):
+        e_k_w[k] = (snap.band(low["f"], k, n0)
+                    + snap.norm2(_grad_band_mult(ctx, k, n0), "e", "b"))
+        d_k_w[k] = dissipation_k(ctx, snap, k, n0, snap.band(low["sigma"], k, n0)
+                                 + decay * snap.band(low["extra"], k, n0))
+        # interpolation cap: max of the half-weighted family and the
+        # fractional-order unweighted energy at N0 + k + s
+        half = snap.weighted(ctx, 0.5 * (k + s), t)
+        m_frac = _grad_band_mult(ctx, 0, n0 + k, frac_top=n0 + k + s)
+        cap_k[k] = max(snap.band(half["f"], 0, n0) + em_n0 + neg2,
+                       snap.norm2(m_frac, "f", "e", "b"))
+
+    zero_idx = (0,) * sgrid.n_active
+    zmode_f, zmode_e, zmode_b = (math.sqrt(snap.power[name][zero_idx])
+                                 for name in ("f", "e", "b"))
+    rho_spec = sgrid.forward(maxwell.charge_density(ctx.vgrid, state.f))
+
+    return FunctionalReport(
+        t=t, norm_f_sq=snap.norm2(1.0, "f"), field_energy=maxwell.field_energy(em),
+        e_n=e_n, e_k=e_k, d_n=d_n, d_k=d_k, d_proxy_k=d_proxy, e_w=e_w, d_w=d_w,
+        ebar_top=ebar_top, dbar_top=dbar_top, e_k_w=e_k_w, d_k_w=d_k_w, cap_k=cap_k,
+        hneg_f=hneg_f, hneg_e=hneg_e, hneg_b=hneg_b, zmode_f=zmode_f,
+        zmode_e=zmode_e, zmode_b=zmode_b,
+        gauss_residual=maxwell.gauss_residual(sgrid, em, rho_spec),
+        div_b=maxwell.div_b_norm(sgrid, em),
+        x_instant=ebar_top + e_n + (1.0 + t) ** (-0.5 * (1.0 + ctx.eps0)) * e_w,
+    )
 
 
 def macro_snapshot(ctx: DiagContext, state) -> macro_micro.MacroSnapshot:
-    _, snap = snapshot(ctx, state, with_report=False)
-    return snap
+    """Macro fields, moments and the B-moment balance terms of one state."""
+    f, vgrid, proj = state.f, ctx.vgrid, ctx.projector
+    lf = landau.apply_L(ctx.tables, f)
+    beta = proj.coefficients(f)
+    micro = f - proj.assemble(beta)
+    micro_s = micro[0] + micro[1]
+    source_s = -(lf[0] + lf[1])
+    if ctx.mode == "nonlinear":
+        from . import evolve as _ev
 
-
-def snapshot(ctx: DiagContext, state, with_report: bool = True,
-             with_macro: bool = True):
-    """Build the functional report and the macro history record together."""
-    t = state.t
-    f = state.f
-    em = state.em
-    cache = SnapshotCache(ctx, f)
-    vgrid, sgrid = ctx.vgrid, ctx.sgrid
-
-    rep = None
-    if with_report:
-        lf = landau.apply_L(ctx.tables, f)
-        nf2 = sgrid.cell_measure * vgrid.cell_volume * float(np.sum(f ** 2))
-        fen = maxwell.field_energy(em)
-        e_n = energy_unweighted(ctx, cache, em, ctx.n_max)
-        e_k = np.array([energy_k(ctx, cache, em, k, ctx.n0)
-                        for k in range(ctx.k_max + 1)])
-        d_k = np.array([_d_k_literal(ctx, cache, em, k)
-                        for k in range(ctx.k_max + 1)])
-        d_n = _d_n_literal(ctx, cache, em)
-        d_proxy = _collision_proxy(ctx, cache, lf)
-
-        # weighted families at the configured weight levels
-        fam_big = _assemble_weight_level(ctx, cache, ctx.ell, t, ctx.n_max, (0,))
-        mult_n = _grad_band_mult(ctx, 0, ctx.n_max)
-        em_n2 = (_field_mult_norm2(ctx, em.e_spec, mult_n)
-                 + _field_mult_norm2(ctx, em.b_spec, mult_n))
-        e_w = fam_big.energy_f[0] + em_n2
-        d_w = dissipation_weighted(ctx, cache, em, ctx.n_max, ctx.ell, t)
-
-        ell_top = ctx.ell0 + ctx.lstar
-        k_cuts = tuple(range(ctx.k_max + 1))
-        fam_top = _assemble_weight_level(ctx, cache, ell_top, t, ctx.n0, k_cuts)
-        fam_l0 = _assemble_weight_level(ctx, cache, ctx.ell0, t, ctx.n0, k_cuts)
-
-        hneg_f, _ = f_sobolev(ctx, f, ctx.s_exp, 0)
-        hneg_e = math.sqrt(_lambda_norm2_fields(ctx, em.e_spec, -ctx.s_exp))
-        hneg_b = math.sqrt(_lambda_norm2_fields(ctx, em.b_spec, -ctx.s_exp))
-        lam2 = (hneg_f ** 2 + hneg_e ** 2 + hneg_b ** 2)
-
-        mult_n0 = _grad_band_mult(ctx, 0, ctx.n0)
-        em_n02 = (_field_mult_norm2(ctx, em.e_spec, mult_n0)
-                  + _field_mult_norm2(ctx, em.b_spec, mult_n0))
-        ebar_top = fam_top.energy_f[0] + em_n02 + lam2
-
-        d_top = (dissipation_weighted(ctx, cache, em, ctx.n0, ell_top, t)
-                 + _lambda_norm2_fields(ctx, list(em.e_spec) + list(em.b_spec),
-                                        1.0 - ctx.s_exp)
-                 + sum(ctx.sgrid.spec_weighted_norm2(
-                       cache.macro_spec[i],
-                       ctx.sgrid.lambda_multiplier(1.0 - ctx.s_exp) ** 2)
-                       for i in range(6))
-                 + _lambda_norm2_fields(
-                       ctx, [cache.macro_spec[0] - cache.macro_spec[1]],
-                       -ctx.s_exp)
-                 + _lambda_norm2_fields(ctx, em.e_spec, -ctx.s_exp))
-
-        e_k_w = np.empty(ctx.k_max + 1)
-        d_k_w = np.empty(ctx.k_max + 1)
-        cap_k = np.empty(ctx.k_max + 1)
-        for k in range(ctx.k_max + 1):
-            mult_band = _grad_band_mult(ctx, k, ctx.n0)
-            em_band = (_field_mult_norm2(ctx, em.e_spec, mult_band)
-                       + _field_mult_norm2(ctx, em.b_spec, mult_band))
-            e_k_w[k] = fam_l0.energy_f[k] + em_band
-            mult_kk = _grad_band_mult(ctx, k, k)
-            d_k_w[k] = (ctx.sgrid.spec_weighted_norm2(
-                            cache.macro_spec[0] - cache.macro_spec[1], mult_kk)
-                        + _field_mult_norm2(ctx, em.e_spec, mult_kk)
-                        + _pf_band_norm2(ctx, cache, k + 1, ctx.n0 - 1)
-                        + _field_mult_norm2(ctx, em.e_spec,
-                                            _grad_band_mult(ctx, k + 1, ctx.n0 - 1))
-                        + _field_mult_norm2(ctx, em.b_spec,
-                                            _grad_band_mult(ctx, k + 1, ctx.n0 - 1))
-                        + _pf_band_norm2(ctx, cache, ctx.n0, ctx.n0)
-                        + fam_l0.sigma_micro[k]
-                        + (1.0 + t) ** (-1.0 - ctx.theta) * fam_l0.extra_micro[k])
-            # interpolation cap: max of the half-weighted family and the
-            # fractional-order unweighted energy at N0 + k + s
-            fam_half = _assemble_weight_level(ctx, cache,
-                                              0.5 * (k + ctx.s_exp), t,
-                                              ctx.n0, (0,))
-            ebar_half = fam_half.energy_f[0] + em_n02 + lam2
-            m_frac = _grad_band_mult(ctx, 0, ctx.n0 + k,
-                                     frac_top=ctx.n0 + k + ctx.s_exp)
-            e_frac = (_f_mult_norm2(ctx, cache.f_spec, m_frac)
-                      + _field_mult_norm2(ctx, em.e_spec, m_frac)
-                      + _field_mult_norm2(ctx, em.b_spec, m_frac))
-            cap_k[k] = max(ebar_half, e_frac)
-
-        zero_idx = (0,) * sgrid.n_active
-        zmode_f = math.sqrt(vgrid.cell_volume * float(
-            np.sum(np.abs(cache.f_spec[(slice(None),) + zero_idx]) ** 2)))
-        zmode_e = float(np.sqrt(np.sum(np.abs(em.e_spec[(slice(None),) + zero_idx]) ** 2)))
-        zmode_b = float(np.sqrt(np.sum(np.abs(em.b_spec[(slice(None),) + zero_idx]) ** 2)))
-
-        rho_spec = sgrid.forward(maxwell.charge_density(vgrid, f))
-        gauss = maxwell.gauss_residual(sgrid, em, rho_spec)
-        divb = maxwell.div_b_norm(sgrid, em)
-
-        x_inst = ebar_top + e_n + (1.0 + t) ** (-0.5 * (1.0 + ctx.eps0)) * e_w
-
-        rep = FunctionalReport(
-            t=t, norm_f_sq=nf2, field_energy=fen, e_n=e_n, e_k=e_k, d_n=d_n,
-            d_k=d_k, d_proxy_k=d_proxy, e_w=e_w, d_w=d_w, ebar_top=ebar_top,
-            dbar_top=d_top, e_k_w=e_k_w, d_k_w=d_k_w, cap_k=cap_k,
-            hneg_f=hneg_f, hneg_e=hneg_e, hneg_b=hneg_b, zmode_f=zmode_f,
-            zmode_e=zmode_e, zmode_b=zmode_b, gauss_residual=gauss,
-            div_b=divb, x_instant=x_inst,
-        )
-
-    snap = None
-    if with_macro:
-        if not with_report:
-            lf = landau.apply_L(ctx.tables, f)
-        beta = ctx.projector.coefficients(f)
-        macro = ctx.projector.macro_fields(beta)
-        mom = macro_micro.moments(f, ctx.projector)
-        micro = cache.micro
-        micro_s = micro[0] + micro[1]
-        b_micro = _b_moment(vgrid, micro_s)
-        vdotgrad = _transport_term(ctx, micro_s)
-        source_s = -vdotgrad - (lf[0] + lf[1])
-        if ctx.mode == "nonlinear":
-            from . import evolve as _ev
-
-            e_phys = em.e_phys(sgrid)
-            b_phys = em.b_phys(sgrid)
-            fd4 = _ev.fd_gradient_matrix_o4(vgrid.nodes_1d)
-            force = _ev._lorentz_force_terms(sgrid, vgrid, f, e_phys, b_phys, fd4)
-            gam = landau.apply_Gamma(ctx.tables, f, f)
-            source_s = source_s + force[0] + force[1] + gam[0] + gam[1]
-        b_source = _b_moment(vgrid, source_s)
-        snap = macro_micro.MacroSnapshot(t=t, macro=macro, mom=mom,
-                                         b_micro=b_micro, b_source=b_source)
-    return rep, snap
+        sgrid = ctx.sgrid
+        e_phys = state.em.e_phys(sgrid)
+        b_phys = state.em.b_phys(sgrid)
+        fd4 = _ev.fd_gradient_matrix_o4(vgrid.nodes_1d)
+        force = _ev._lorentz_force_terms(sgrid, vgrid, f, e_phys, b_phys, fd4)
+        gam = landau.apply_Gamma(ctx.tables, f, f)
+        source_s = source_s + force[0] + force[1] + gam[0] + gam[1]
+    # the source is -v . grad_x micro_s - (L f)_s (+ force and Gamma terms)
+    b_source = _b_moment(vgrid, source_s) - _b_transport(ctx, micro_s)
+    return macro_micro.MacroSnapshot(t=state.t, macro=proj.macro_fields(beta),
+                                     mom=macro_micro.moments(f, proj),
+                                     b_micro=_b_moment(vgrid, micro_s), b_source=b_source)
 
 
 def _b_moment(vgrid: VelocityGrid, h: np.ndarray) -> np.ndarray:
@@ -709,19 +489,14 @@ def _b_moment(vgrid: VelocityGrid, h: np.ndarray) -> np.ndarray:
     return np.stack(out)
 
 
-def _transport_term(ctx: DiagContext, h: np.ndarray) -> np.ndarray:
-    """v . grad_x h for a scalar (x, v) field."""
+def _b_transport(ctx: DiagContext, h: np.ndarray) -> np.ndarray:
+    """B_j(v . grad_x h) for a scalar (x, v) field, from B-moments of its spectrum."""
     sgrid, vgrid = ctx.sgrid, ctx.vgrid
-    x_axes = tuple(range(sgrid.n_active))
-    spec = sgrid.forward(h, x_axes)
-    out = np.zeros_like(spec)
-    v = vgrid.axes()
-    for i, axis in enumerate(sgrid.active_axes):
-        xi = sgrid.xi_1d()
-        sh = [1] * spec.ndim
-        sh[i] = sgrid.n_x
-        out = out + (1j * xi.reshape(sh)) * spec * v[axis]
-    return sgrid.inverse(out, x_axes).real
+    spec = sgrid.forward(h, tuple(range(sgrid.n_active)))
+    v, xi = vgrid.axes(), sgrid.xi_mesh()
+    out = sum(1j * xi[i] * _b_moment(vgrid, spec * v[axis])
+              for i, axis in enumerate(sgrid.active_axes))
+    return sgrid.inverse(out).real
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import lapack
@@ -47,6 +47,7 @@ from .phase_grid import (
     VelocityGrid,
     WeightParams,
     fd_gradient_matrix_o4,
+    sobolev_norms,
 )
 
 CKPT_MAGIC = b"VMLCKPT1"
@@ -56,6 +57,10 @@ LINEARIZED = "linearized"
 NONLINEAR = "nonlinear"
 
 PRESETS = ("zero", "relaxation", "vacuum-maxwell", "broadband")
+
+
+class StateError(ValueError):
+    """A checkpoint that cannot be read, or a state that does not fit the grids."""
 
 
 class NanAbort(RuntimeError):
@@ -153,43 +158,30 @@ class RunConfig:
         return d
 
 
-_CONFIG_TYPES = None
-
-
-def _config_types() -> dict:
-    global _CONFIG_TYPES
-    if _CONFIG_TYPES is None:
-        import dataclasses
-
-        _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    return _CONFIG_TYPES
-
-
 def config_from_mapping(mapping: dict) -> RunConfig:
     """Build a RunConfig from string-or-typed values, rejecting unknown keys."""
-    types = _config_types()
+    types = {f.name: f.type for f in fields(RunConfig)}
     kwargs = {}
     for key, raw in mapping.items():
         if key not in types:
             raise KeyError(key)
         kind = types[key]
         if isinstance(raw, str):
-            if key == "active_axes":
-                val = tuple(int(tok) for tok in raw.replace(",", " ").split())
-            elif kind in ("bool", bool):
-                low = raw.strip().lower()
-                if low in ("true", "1", "yes", "on"):
-                    val = True
-                elif low in ("false", "0", "no", "off"):
-                    val = False
+            try:
+                if key == "active_axes":
+                    val = tuple(int(tok) for tok in raw.replace(",", " ").split())
+                elif kind in ("bool", bool):
+                    val = {"true": True, "1": True, "yes": True, "on": True,
+                           "false": False, "0": False, "no": False,
+                           "off": False}[raw.strip().lower()]
+                elif kind in ("int", int):
+                    val = int(raw)
+                elif kind in ("float", float):
+                    val = float(raw)
                 else:
-                    raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-            elif kind in ("int", int):
-                val = int(raw)
-            elif kind in ("float", float):
-                val = float(raw)
-            else:
-                val = raw
+                    val = raw
+            except (KeyError, ValueError):
+                raise ValueError(f"{key}: cannot read {raw!r} as {kind}") from None
         else:
             val = tuple(raw) if key == "active_axes" else raw
         kwargs[key] = val
@@ -589,11 +581,6 @@ class Stepper:
         return PhaseState(f=f, em=maxwell.EMField(e, b), t=state.t + self.config.dt)
 
 
-def step(state: PhaseState, stepper: Stepper) -> PhaseState:
-    """Advance one Strang step (wrapper around Stepper.step)."""
-    return stepper.step(state)
-
-
 # ---------------------------------------------------------------------------
 # smallness functional of the initial data
 # ---------------------------------------------------------------------------
@@ -615,19 +602,17 @@ def y0_functional(state: PhaseState, config: RunConfig, sgrid: SpatialGrid,
 
     ctx = diag.DiagContext.from_config(config, sgrid, vgrid, tables=None,
                                        projector=None)
+    snap = diag.SpectralSnapshot(ctx, state, config.beta_max)
     total = 0.0
     for depth, ell_base in ((config.n0, config.ell0 + config.lstar),
                             (config.n_max, config.ell)):
-        for norm2 in diag.weighted_mixed_norm2_terms(ctx, state.f, t=0.0,
-                                                     n_total=depth,
-                                                     ell_base=ell_base):
-            total += math.sqrt(norm2)
-    e_spec, b_spec = state.em.e_spec, state.em.b_spec
-    hneg_f, _ = diag.f_sobolev(ctx, state.f, config.s_exp, 0)
+        terms = snap.weighted(ctx, ell_base, 0.0)["f"]
+        total += float(np.sum(np.sqrt(terms[snap.select(0, depth)])))
+    hneg_f = math.sqrt(snap.norm2(sgrid.lambda_multiplier(-config.s_exp) ** 2, "f"))
     hn = 0.0
     hneg_em = 0.0
-    for comp in list(e_spec) + list(b_spec):
-        hneg_c, hn_c = diag.spec_sobolev(ctx, comp, config.s_exp, config.n_max)
+    for comp in list(state.em.e_spec) + list(state.em.b_spec):
+        hneg_c, hn_c = sobolev_norms(sgrid, comp, config.s_exp, config.n_max)
         hn += hn_c ** 2
         hneg_em += hneg_c ** 2
     total += math.sqrt(hn) + math.sqrt(hneg_em) + hneg_f
@@ -640,7 +625,10 @@ def y0_functional(state: PhaseState, config: RunConfig, sgrid: SpatialGrid,
 
 
 def save_checkpoint(path: str, state: PhaseState, step_index: int = 0) -> None:
-    """Binary snapshot: 64-byte descriptor + little-endian float64 payload."""
+    """Binary snapshot: 64-byte descriptor + little-endian float64 payload.
+
+    Written to a temp file next to ``path``, then renamed into place.
+    """
     f = np.ascontiguousarray(state.f, dtype="<f8")
     e = np.ascontiguousarray(state.em.e_spec, dtype="<c16")
     b = np.ascontiguousarray(state.em.b_spec, dtype="<c16")
@@ -649,31 +637,48 @@ def save_checkpoint(path: str, state: PhaseState, step_index: int = 0) -> None:
     head = struct.pack("<8sIIIIQd", CKPT_MAGIC, CKPT_VERSION, n_active,
                        n_x, f.shape[-1], step_index, state.t).ljust(64, b"\0")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(f.tobytes())
-        fh.write(e.tobytes())
-        fh.write(b.tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            fh.write(f.tobytes())
+            fh.write(e.tobytes())
+            fh.write(b.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path: str):
-    """Returns (state, step_index); shapes recovered from the descriptor."""
-    with open(path, "rb") as fh:
-        head = fh.read(64)
-        magic, version, n_active, n_x, n_v, step_index, t = struct.unpack(
-            "<8sIIIIQd", head[:40])
-        if magic != CKPT_MAGIC or version != CKPT_VERSION:
-            raise ValueError(f"{path} is not a recognized checkpoint")
-        x_shape = (n_x,) * n_active
-        f_count = 2 * (n_x ** n_active) * n_v ** 3
-        em_count = 3 * (n_x ** n_active)
-        f = np.frombuffer(fh.read(8 * f_count), dtype="<f8").reshape(
-            (2,) + x_shape + (n_v,) * 3).copy()
-        e = np.frombuffer(fh.read(16 * em_count), dtype="<c16").reshape(
-            (3,) + x_shape).copy()
-        b = np.frombuffer(fh.read(16 * em_count), dtype="<c16").reshape(
-            (3,) + x_shape).copy()
-    return PhaseState(f=f, em=maxwell.EMField(e, b), t=t), step_index
+    """Returns (state, step_index); shapes recovered from the descriptor.
+
+    Raises StateError, naming the path, for a file that cannot be read, is
+    not a checkpoint, or whose payload length differs from its descriptor's.
+    """
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(64)
+            payload = fh.read()
+    except OSError as exc:
+        raise StateError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+    if len(head) != 64 or head[:8] != CKPT_MAGIC:
+        raise StateError(f"{path} is not a recognized checkpoint")
+    _, version, n_active, n_x, n_v, step_index, t = struct.unpack("<8sIIIIQd", head[:40])
+    if version != CKPT_VERSION:
+        raise StateError(f"{path}: checkpoint version {version}, expected {CKPT_VERSION}")
+    x_shape = (n_x,) * n_active
+    f_count = 2 * (n_x ** n_active) * n_v ** 3
+    em_count = 3 * (n_x ** n_active)
+    need = 8 * f_count + 2 * 16 * em_count
+    if len(payload) != need:
+        raise StateError(
+            f"checkpoint {path} is truncated or padded: {len(payload)} payload bytes, "
+            f"its descriptor (n_x={n_x}, {n_active} active axes, n_v={n_v}) needs {need}")
+    f = np.frombuffer(payload, "<f8", f_count).reshape((2,) + x_shape + (n_v,) * 3)
+    e, b = np.frombuffer(payload, "<c16", 2 * em_count, 8 * f_count).reshape(
+        (2, 3) + x_shape)
+    return PhaseState(f=f.copy(), em=maxwell.EMField(e.copy(), b.copy()), t=t), step_index
 
 
 # ---------------------------------------------------------------------------
@@ -707,20 +712,33 @@ class RunResult:
     abort_step: int = -1
 
 
+def _finite(state: PhaseState) -> bool:
+    return bool(np.all(np.isfinite(state.f)) and np.all(np.isfinite(state.em.e_spec))
+                and np.all(np.isfinite(state.em.b_spec)))
+
+
 def run(config: RunConfig, initial: PhaseState | None = None,
         resume_step: int = 0, tables: landau.CollisionTables | None = None,
         checkpoint_dir: str | None = None) -> RunResult:
     """Integrate to t_end, emitting functional reports at the configured cadence.
 
     Deterministic for a fixed config: identical seeds and parameters give
-    bit-identical trajectories and reports.  Non-finite values abort with
-    the last good state attached to the NanAbort exception (and dumped as a
-    checkpoint when ``checkpoint_dir`` is given).
+    bit-identical trajectories and reports.  An ``initial`` state whose
+    f, E or B shape differs from the config's grids raises StateError.
+    Non-finite f, E or B aborts with the last good state attached to the
+    NanAbort exception (and dumped as a checkpoint when ``checkpoint_dir``
+    is given).
     """
     from . import diagnostics as diag
 
     config.validate()
     sgrid, vgrid = config.grids()
+    if initial is not None:
+        want = ((2,) + sgrid.shape + vgrid.shape, (3,) + sgrid.shape, (3,) + sgrid.shape)
+        got = (initial.f.shape, initial.em.e_spec.shape, initial.em.b_spec.shape)
+        if got != want:
+            raise StateError(f"initial state has f/E/B shapes {got}, but the config's "
+                             f"grids need {want}")
     if tables is None:
         tables = landau.build_collision_tables(vgrid, config.gamma)
     projector = macro_micro.MacroProjector(vgrid)
@@ -728,8 +746,7 @@ def run(config: RunConfig, initial: PhaseState | None = None,
     stepper = Stepper(config, sgrid, vgrid, tables)
 
     state = initial.copy() if initial is not None else initial_state(config, sgrid, vgrid)
-    if not (np.all(np.isfinite(state.f)) and np.all(np.isfinite(state.em.e_spec))
-            and np.all(np.isfinite(state.em.b_spec))):
+    if not _finite(state):
         raise NanAbort(0, state.t, state)
     n_steps = int(round(config.t_end / config.dt))
 
@@ -769,7 +786,7 @@ def run(config: RunConfig, initial: PhaseState | None = None,
     prev_norm2 = float(np.sum(state.f ** 2))
     for k in range(resume_step, n_steps):
         new_state = stepper.step(state)
-        if not np.all(np.isfinite(new_state.f)):
+        if not _finite(new_state):
             if checkpoint_dir:
                 save_checkpoint(os.path.join(checkpoint_dir, "last_good.bin"),
                                 state, k)

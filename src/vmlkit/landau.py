@@ -83,19 +83,6 @@ def phi_kernel(v: np.ndarray, gamma: float) -> np.ndarray:
     return scale[..., None, None] * proj
 
 
-@dataclass(frozen=True)
-class KernelSample:
-    """A kernel evaluation bundled with its argument (test/report convenience)."""
-
-    at: np.ndarray
-    matrix: np.ndarray
-
-
-def kernel_sample(v, gamma: float) -> KernelSample:
-    v = np.asarray(v, dtype=float)
-    return KernelSample(at=v, matrix=phi_kernel(v, gamma))
-
-
 def _phi_regularized(u1, u2, u3, gamma: float, h: float) -> np.ndarray:
     """Pointwise kernel table Phi^ij(u) with the self-cell ball average at u = 0.
 
@@ -382,6 +369,33 @@ class SigmaNormSpec:
     t: float = 0.0
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise, without a square root for complex input."""
+    return z.real ** 2 + z.imag ** 2 if np.iscomplexobj(z) else z * z
+
+
+def sigma_density(tables: CollisionTables, h: np.ndarray,
+                  grad: list | None = None) -> np.ndarray:
+    """Pointwise integrand of the unweighted anisotropic norm of h.
+
+        <v>^(gamma+2) (|h|^2 + |g_perp|^2) + <v>^gamma |g_par|^2
+
+    with g = grad_v h split as g_par = g . v_hat and g_perp = g - g_par v_hat,
+    v_hat = v/|v| and v_hat = 0 at the v = 0 node (where the whole gradient
+    counts as transverse).  Complex h (a Fourier spectrum in x) gives the
+    per-mode density.  ``grad`` overrides the finite-difference gradient.
+    """
+    grid = tables.grid
+    if grad is None:
+        grad = [_apply_axis(tables.fd, h, j - 3) for j in range(3)]
+    vn = grid.vnorm()
+    vhat = [np.divide(v, vn, out=np.zeros_like(vn), where=vn > 0.0) for v in grid.axes()]
+    gpar = grad[0] * vhat[0] + grad[1] * vhat[1] + grad[2] * vhat[2]
+    gperp_sq = sum(_abs2(g - gpar * u) for g, u in zip(grad, vhat))
+    return (tables.bracket_perp ** 2 * (_abs2(h) + gperp_sq)
+            + tables.bracket_par ** 2 * _abs2(gpar))
+
+
 def sigma_norm_sq(f: np.ndarray, tables: CollisionTables,
                   spec: SigmaNormSpec | None = None,
                   grad: list | None = None) -> np.ndarray:
@@ -390,30 +404,14 @@ def sigma_norm_sq(f: np.ndarray, tables: CollisionTables,
     |f|^2 = int w^2 [ <v>^(gamma+2) f^2 + <v>^gamma (par grad)^2
                       + <v>^(gamma+2) |perp grad|^2 ] dv
 
-    with the gradient split parallel/transverse to v.  At the v = 0 node the
-    split is undefined and the full gradient is weighted transversally
-    (single node, bounded weights).  ``grad`` overrides the finite-difference
-    gradient with analytically supplied components for quadrature-only tests.
+    the integral of ``sigma_density`` against the squared weight.  ``grad``
+    overrides the finite-difference gradient with analytically supplied
+    components for quadrature-only tests.
     """
     grid = tables.grid
-    if grad is None:
-        grad = [_apply_axis(tables.fd, f, j - 3) for j in range(3)]
-    v1, v2, v3 = grid.axes()
-    vn = grid.vnorm()
-    origin = vn == 0.0
-    vn_safe = np.where(origin, 1.0, vn)
-    gpar = (grad[0] * v1 + grad[1] * v2 + grad[2] * v3) / vn_safe
-    gpar = np.where(origin, 0.0, gpar)
-    gsq = grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2
-    gperp_sq = np.maximum(gsq - gpar ** 2, 0.0)
-    gperp_sq = np.where(origin, gsq, gperp_sq)
-
-    wsq = 1.0
+    dens = sigma_density(tables, f, grad)
     if spec is not None:
-        wsq = grid.weight_field(spec.weight, spec.t) ** 2
-    par_w = tables.bracket_par ** 2
-    perp_w = tables.bracket_perp ** 2
-    dens = wsq * (perp_w * f ** 2 + par_w * gpar ** 2 + perp_w * gperp_sq)
+        dens = dens * grid.weight_field(spec.weight, spec.t) ** 2
     return grid.integrate(dens)
 
 
@@ -469,7 +467,7 @@ def coercivity_gap(tables: CollisionTables, projector, n_samples: int = 100,
     """Sampled spectral gap min <L f, f> / |{I-P} f|_sigma^2 over random micro f.
 
     ``projector`` maps a species pair to its microscopic part (see
-    macro_micro.micro_part).  Standard-normal coefficient vectors over the
+    MacroProjector.micro_part).  Standard-normal coefficient vectors over the
     smooth polynomial-Maxwellian basis are drawn with a fixed seed,
     projected to the microscopic subspace, and the Rayleigh-type ratio is
     recorded; a nonpositive minimum raises CoercivityFailure carrying the

@@ -117,14 +117,6 @@ class MacroProjector:
         return f - pf
 
 
-def project_P(f: np.ndarray, projector: MacroProjector):
-    return projector.project(f)
-
-
-def micro_part(f: np.ndarray, projector: MacroProjector) -> np.ndarray:
-    return projector.micro_part(f)
-
-
 def moments(f: np.ndarray, projector: MacroProjector) -> MomentSet:
     """A, B moments of the species sum and the microscopic current G."""
     grid = projector.grid

@@ -22,7 +22,7 @@ the diagnostics layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -80,18 +80,6 @@ class WeightParams:
 
     def with_ell(self, ell: float) -> "WeightParams":
         return replace(self, ell=ell)
-
-
-def weight_w(params: WeightParams, t: float, v: np.ndarray) -> np.ndarray:
-    """Time-velocity weight w_ell(t, v) for velocity vectors v (shape (..., 3))."""
-    if t < 0:
-        raise ValueError("weight_w requires t >= 0")
-    v = np.asarray(v, dtype=float)
-    bsq = 1.0 + np.sum(v * v, axis=-1)  # <v>^2
-    poly = bsq ** (-0.5 * (params.gamma + 2.0) * params.ell)
-    if params.q == 0.0:
-        return poly
-    return poly * np.exp(params.q * bsq / (1.0 + t) ** params.theta)
 
 
 @dataclass(frozen=True)
@@ -164,6 +152,9 @@ class VelocityGrid:
         return self.cell_volume * np.sum(f, axis=tuple(axes))
 
     def weight_field(self, params: WeightParams, t: float) -> np.ndarray:
+        """Time-velocity weight w_ell(t, v) on the grid; t must be nonnegative."""
+        if t < 0:
+            raise ValueError("the weight requires t >= 0")
         bsq = 1.0 + self.vsq()
         poly = bsq ** (-0.5 * (params.gamma + 2.0) * params.ell)
         if params.q == 0.0:
@@ -310,9 +301,6 @@ class SpatialGrid:
         scale = (self.n_x / np.sqrt(self.box_length)) ** len(axes)
         return np.fft.ifftn(arr, axes=axes) * scale
 
-    def inverse_real(self, arr: np.ndarray, x_axes=None) -> np.ndarray:
-        return self.inverse(arr, x_axes).real
-
     def _mult_view(self, mult: np.ndarray, arr_ndim: int, axes: tuple) -> np.ndarray:
         """Reshape an x-shaped multiplier to broadcast against ``arr``."""
         sh = [1] * arr_ndim
@@ -373,22 +361,6 @@ class SpatialGrid:
         return float(np.sum(np.abs(arr) ** 2)) * self.cell_measure * cell_measure
 
 
-def fourier_forward(grid: SpatialGrid, f: np.ndarray, x_axes=None) -> np.ndarray:
-    """Unitary forward transform over the grid's spatial axes."""
-    return grid.forward(f, x_axes)
-
-
-def fourier_inverse(grid: SpatialGrid, spec: np.ndarray, x_axes=None) -> np.ndarray:
-    """Inverse of ``fourier_forward``; real part is the physical field."""
-    return grid.inverse(spec, x_axes)
-
-
-def lambda_s_apply(grid: SpatialGrid, f: np.ndarray, s_exp: float,
-                   x_axes=None) -> np.ndarray:
-    """Fractional multiplier |xi|^s applied in physical space."""
-    return grid.lambda_s_apply(f, s_exp, x_axes)
-
-
 def sobolev_norms(grid: SpatialGrid, f: np.ndarray, s_exp: float, n: int,
                   x_axes=None, cell_measure: float = 1.0) -> tuple:
     """(homogeneous H^{-s} norm, full H^n norm) of a field.
@@ -411,51 +383,3 @@ def sobolev_norms(grid: SpatialGrid, f: np.ndarray, s_exp: float, n: int,
         m_n = m_n + acc
     hn = np.sqrt(grid.spec_weighted_norm2(spec, m_n, x_axes, cell_measure))
     return hneg, hn
-
-
-# ---------------------------------------------------------------------------
-# distribution pairs
-# ---------------------------------------------------------------------------
-
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
-
-@dataclass
-class DistributionPair:
-    """Two-species perturbation f = [f_plus, f_minus] on the x*v grid.
-
-    values has shape (2, *x_shape, n_v, n_v, n_v); ``rep`` records whether
-    the x axes are in physical or Fourier representation.
-    """
-
-    values: np.ndarray
-    rep: str = PHYSICAL
-
-    def __post_init__(self):
-        if self.values.shape[0] != 2:
-            raise ValueError("DistributionPair expects a leading species axis of size 2")
-        if self.rep not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation {self.rep!r}")
-
-    def x_axes(self, grid: SpatialGrid) -> tuple:
-        return tuple(range(1, 1 + grid.n_active))
-
-    def to_spectral(self, grid: SpatialGrid) -> "DistributionPair":
-        if self.rep == SPECTRAL:
-            return self
-        return DistributionPair(grid.forward(self.values, self.x_axes(grid)), SPECTRAL)
-
-    def to_physical(self, grid: SpatialGrid) -> "DistributionPair":
-        if self.rep == PHYSICAL:
-            return self
-        vals = grid.inverse(self.values, self.x_axes(grid))
-        return DistributionPair(vals.real, PHYSICAL)
-
-    def copy(self) -> "DistributionPair":
-        return DistributionPair(self.values.copy(), self.rep)
-
-
-def check_finite(arr: np.ndarray, label: str = "field") -> None:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite entries detected in {label}")

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from vmlkit import cli
+from vmlkit import cli, evolve
 
 FAST_OVERRIDES = [
     "--set", "n_x=8", "--set", "n_v=8", "--set", "t_end=0.3",
@@ -29,10 +29,12 @@ class TestConfigHandling:
         assert "n_elephants" in err
         assert ":3:" in err  # line-precise message
 
-    def test_bad_value_rejected(self, capsys):
-        rc = run_cli("simulate", "--set", "dt=banana", "--out", "/tmp/x")
+    def test_bad_value_rejected(self, tmp_path, capsys):
+        rc = run_cli("simulate", "--set", "dt=banana", "--out", str(tmp_path))
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "banana" in capsys.readouterr().err or True
+        assert "dt" in err
+        assert "banana" in err
 
     def test_invalid_physics_rejected(self, capsys):
         rc = run_cli("simulate", "--set", "s_exp=2.0", "--out", "/tmp/x")
@@ -108,6 +110,59 @@ class TestSimulate:
         f1 = (full / "checkpoints" / "final.bin").read_bytes()
         f2 = (resumed / "checkpoints" / "final.bin").read_bytes()
         assert f1 == f2
+
+
+class TestResumeFailsFast:
+    """A checkpoint that cannot seed the run exits 2 with a message."""
+
+    def test_missing_checkpoint(self, tmp_path, capsys):
+        missing = tmp_path / "nope.bin"
+        rc = run_cli("simulate", "--out", str(tmp_path / "run"), "--resume",
+                     str(missing), *FAST_OVERRIDES)
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_truncated_checkpoint(self, tmp_path, capsys):
+        full = tmp_path / "full"
+        assert run_cli("simulate", "--out", str(full), *FAST_OVERRIDES) == 0
+        ck = tmp_path / "cut.bin"
+        ck.write_bytes((full / "checkpoints" / "final.bin").read_bytes()[:5000])
+        rc = run_cli("simulate", "--out", str(tmp_path / "run"), "--resume",
+                     str(ck), *FAST_OVERRIDES)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(ck) in err and "truncated" in err
+
+    def test_grid_mismatch(self, tmp_path, capsys):
+        small = tmp_path / "small"
+        assert run_cli("simulate", "--out", str(small), *FAST_OVERRIDES) == 0
+        ck = small / "checkpoints" / "final.bin"
+        rc = run_cli("simulate", "--out", str(tmp_path / "run"), "--resume",
+                     str(ck), *FAST_OVERRIDES, "--set", "n_x=16")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(ck) in err
+        assert "(2, 8, 8, 8, 8)" in err and "(2, 16, 8, 8, 8)" in err
+
+
+def test_nonfinite_field_aborts(tmp_path, monkeypatch, capsys):
+    # a step that keeps f finite but puts a NaN in E must still abort
+    good_step = evolve.Stepper.step
+
+    def bad_step(self, state):
+        new = good_step(self, state)
+        new.em.e_spec[0, 1] = np.nan
+        return new
+
+    monkeypatch.setattr(evolve.Stepper, "step", bad_step)
+    rc = run_cli("simulate", "--out", str(tmp_path), *FAST_OVERRIDES)
+    assert rc == 3
+    # caught at the step that made it, before it reaches f one step later
+    assert "non-finite state detected at step 1," in capsys.readouterr().err
+    last_good, step = evolve.load_checkpoint(
+        str(tmp_path / "checkpoints" / "last_good.bin"))
+    assert step == 0
+    assert np.all(np.isfinite(last_good.em.e_spec))
 
 
 class TestVerify:

@@ -26,22 +26,26 @@ def single_mode_state(sg, vg, k=2):
     return PhaseState(f=f, em=maxwell.EMField(e, np.zeros_like(e)), t=0.0)
 
 
+def snapshot(ctx, st):
+    return diag.SpectralSnapshot(ctx, st, ctx.beta_max)
+
+
 class TestEnergyFamilies:
     def test_zero_state(self, ctx8):
         cfg, ctx = ctx8
         st = PhaseState(np.zeros((2,) + ctx.sgrid.shape + ctx.vgrid.shape),
                         maxwell.EMField.zero(ctx.sgrid), 0.0)
-        cache = diag.SnapshotCache(ctx, st.f)
-        assert diag.energy_unweighted(ctx, cache, st.em, 2) == 0.0
-        assert diag.energy_k(ctx, cache, st.em, 1, 3) == 0.0
+        snap = snapshot(ctx, st)
+        assert diag.band_energy(ctx, snap, 0, 2) == 0.0
+        assert diag.band_energy(ctx, snap, 1, 3) == 0.0
 
     def test_single_field_mode_multiplier_arithmetic(self, ctx8):
         cfg, ctx = ctx8
         st = single_mode_state(ctx.sgrid, ctx.vgrid, k=2)
-        cache = diag.SnapshotCache(ctx, st.f)
+        snap = snapshot(ctx, st)
         xi = ctx.sgrid.xi_1d()[2]
-        e0 = diag.energy_unweighted(ctx, cache, st.em, 0)
-        e1 = diag.energy_unweighted(ctx, cache, st.em, 1)
+        e0 = diag.band_energy(ctx, snap, 0, 0)
+        e1 = diag.band_energy(ctx, snap, 0, 1)
         assert e0 == pytest.approx(1.0, rel=1e-12)
         assert e1 == pytest.approx(1.0 + xi ** 2, rel=1e-12)
 
@@ -51,10 +55,11 @@ class TestEnergyFamilies:
         f = rng.standard_normal((2,) + ctx.sgrid.shape + ctx.vgrid.shape)
         e = rng.standard_normal((3,) + ctx.sgrid.shape) + 0j
         st = PhaseState(f, maxwell.EMField(e, e.copy()), 0.0)
-        cache = diag.SnapshotCache(ctx, st.f)
-        vals = [diag.energy_k(ctx, cache, st.em, k, 3) for k in range(4)]
+        snap = snapshot(ctx, st)
+        vals = [diag.band_energy(ctx, snap, k, 3) for k in range(4)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
-        full = diag.energy_unweighted(ctx, cache, st.em, 3)
+        # E^0 at n0 = 3 is E_N at N = 3, summed order by order
+        full = sum(diag.band_energy(ctx, snap, j, j) for j in range(4))
         assert vals[0] == pytest.approx(full, rel=1e-12)
 
     def test_k_band_of_homogeneous_state_vanishes(self, ctx8):
@@ -62,12 +67,13 @@ class TestEnergyFamilies:
         fv = np.ones((2,) + ctx.vgrid.shape)
         f = np.broadcast_to(fv[:, None], (2,) + ctx.sgrid.shape + ctx.vgrid.shape).copy()
         st = PhaseState(f, maxwell.EMField.zero(ctx.sgrid), 0.0)
-        cache = diag.SnapshotCache(ctx, st.f)
-        assert diag.energy_k(ctx, cache, st.em, 1, 3) < 1e-20
+        snap = snapshot(ctx, st)
+        assert diag.band_energy(ctx, snap, 1, 3) < 1e-20
 
     def test_weighted_collapse_to_unweighted(self):
         # ell = 0, q = 0 removes the weight; with no velocity derivatives the
-        # weighted energy equals the unweighted one exactly
+        # weighted f energy equals the unweighted one exactly (the broadband
+        # state has no Nyquist content, where the two conventions differ)
         cfg = RunConfig(n_x=16, n_v=8, collision_solver="direct",
                         direct_max_nv=8, q=0.0, beta_max=0)
         sg, vg = cfg.grids()
@@ -75,9 +81,9 @@ class TestEnergyFamilies:
         proj = MacroProjector(vg)
         ctx = diag.DiagContext.from_config(cfg, sg, vg, tab, proj)
         st = initial_state(cfg, sg, vg)
-        cache = diag.SnapshotCache(ctx, st.f)
-        ew = diag.energy_weighted(ctx, cache, st.em, cfg.n_max, 0.0, t=1.3)
-        en = diag.energy_unweighted(ctx, cache, st.em, cfg.n_max)
+        snap = snapshot(ctx, st)
+        ew = snap.band(snap.weighted(ctx, 0.0, t=1.3)["f"], 0, cfg.n_max)
+        en = snap.norm2(diag._grad_band_mult(ctx, 0, cfg.n_max), "f")
         assert ew == pytest.approx(en, rel=1e-12)
 
     def test_dissipation_micro_terms_vanish_on_pure_macro(self, ctx8):
@@ -88,11 +94,11 @@ class TestEnergyFamilies:
         f = np.zeros((2,) + ctx.sgrid.shape + ctx.vgrid.shape)
         f[0] = gx[:, None, None, None] * mu_half
         f[1] = f[0]
-        cache = diag.SnapshotCache(ctx, f)
-        fam = diag._assemble_weight_level(ctx, cache, 0.0, 0.0, 2, (0,))
-        scale = fam.energy_f[0]
-        assert fam.sigma_micro[0] < 1e-12 * scale
-        assert fam.extra_micro[0] < 1e-12 * scale
+        snap = snapshot(ctx, PhaseState(f, maxwell.EMField.zero(ctx.sgrid), 0.0))
+        terms = snap.weighted(ctx, 0.0, 0.0)
+        scale = snap.band(terms["f"], 0, 2)
+        assert snap.band(terms["sigma"], 0, 2) < 1e-12 * scale
+        assert snap.band(terms["extra"], 0, 2) < 1e-12 * scale
 
     def test_extra_dissipation_prefactor_scales_exactly(self):
         # q = 0 freezes the weight itself, so on a frozen state only the
@@ -103,13 +109,79 @@ class TestEnergyFamilies:
         tab = landau.build_collision_tables(vg, cfg.gamma)
         ctx = diag.DiagContext.from_config(cfg, sg, vg, tab, MacroProjector(vg))
         st = initial_state(cfg, sg, vg)
-        cache = diag.SnapshotCache(ctx, st.f)
-        em0 = maxwell.EMField.zero(sg)
-        base = diag.dissipation_weighted(ctx, cache, em0, 2, 0.0, t=0.0)
-        later = diag.dissipation_weighted(ctx, cache, em0, 2, 0.0, t=3.0)
-        fam = diag._assemble_weight_level(ctx, cache, 0.0, 0.0, 2, (0,))
-        expect = base - fam.extra_micro[0] * (1.0 - 4.0 ** (-1.0 - ctx.theta))
+        snap = snapshot(ctx, PhaseState(st.f, maxwell.EMField.zero(sg), 0.0))
+        terms = snap.weighted(ctx, 0.0, 0.0)
+        base = diag.dissipation_weighted(ctx, snap, terms, 2, t=0.0)
+        later = diag.dissipation_weighted(ctx, snap, terms, 2, t=3.0)
+        extra = snap.band(terms["extra"], 0, 2)
+        expect = base - extra * (1.0 - 4.0 ** (-1.0 - ctx.theta))
         assert later == pytest.approx(expect, rel=1e-10)
+
+
+def reference_densities(ctx, f, alpha, beta):
+    """Physical-space (|d f|^2, <v>^2 |d micro|^2, sigma bracket of d micro).
+
+    Inverse transform of (i xi)^alpha f_hat, real part, v-differences,
+    pointwise square, sum over species and x: the route the spectral
+    densities replace.
+    """
+    sg, vg, tab = ctx.sgrid, ctx.vgrid, ctx.tables
+
+    def d_alpha_beta(g):
+        mult = np.ones(sg.shape, dtype=complex)
+        for i, a in enumerate(alpha):
+            mult = mult * (1j * np.broadcast_to(sg.xi_mesh()[i], sg.shape)) ** a
+        spec = sg.apply_multiplier(sg.forward(g, ctx.x_axes), mult, ctx.x_axes)
+        out = sg.inverse(spec, ctx.x_axes).real
+        for j, order in enumerate(beta):
+            for _ in range(order):
+                out = landau._apply_axis(tab.fd, out, j - 3)
+        return out
+
+    def reduce(dens):
+        return sg.cell_measure * np.sum(dens, axis=(0,) + ctx.x_axes)
+
+    dab = d_alpha_beta(f)
+    mab = d_alpha_beta(ctx.projector.micro_part(f))
+    grad = [landau._apply_axis(tab.fd, mab, j - 3) for j in range(3)]
+    v1, v2, v3 = vg.axes()
+    vn = vg.vnorm()
+    origin = vn == 0.0
+    gpar = np.where(origin, 0.0,
+                    (grad[0] * v1 + grad[1] * v2 + grad[2] * v3) / np.where(origin, 1.0, vn))
+    gsq = grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2
+    gperp = np.where(origin, gsq, np.maximum(gsq - gpar ** 2, 0.0))
+    sigma = tab.bracket_perp ** 2 * (mab ** 2 + gperp) + tab.bracket_par ** 2 * gpar ** 2
+    return reduce(dab ** 2), (1.0 + vg.vsq()) * reduce(mab ** 2), reduce(sigma)
+
+
+class TestSpectralSnapshot:
+    @pytest.mark.parametrize("axes,n_x", [((0,), 16), ((0, 2), 6)])
+    def test_densities_match_physical_space_reference(self, axes, n_x):
+        # noise fills every mode, the Nyquist ones included, where the
+        # multiplier must drop odd total orders to reproduce the real part
+        cfg = RunConfig(n_x=n_x, n_v=8, active_axes=axes)
+        sg, vg = cfg.grids()
+        tab = landau.build_collision_tables(vg, cfg.gamma)
+        ctx = diag.DiagContext.from_config(cfg, sg, vg, tab, MacroProjector(vg))
+        rng = np.random.default_rng(sum(axes) + n_x)
+        f = rng.standard_normal((2,) + sg.shape + vg.shape) * vg.mu_half()
+        snap = snapshot(ctx, PhaseState(f, maxwell.EMField.zero(sg), 0.0))
+        assert len(snap.pairs) == len(set(snap.pairs)) > 0
+        for i, (alpha, beta) in enumerate(snap.pairs):
+            ref = reference_densities(ctx, f, alpha, beta)
+            for name, r in zip(("f", "extra", "sigma"), ref):
+                err = np.abs(snap.dens[name][i] - r).max() / np.abs(r).max()
+                assert err <= 1e-13, (alpha, beta, name, err)
+
+    def test_monitor_builds_only_beta_zero(self, ctx8):
+        cfg, ctx = ctx8
+        st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
+        full = snapshot(ctx, st)
+        lean = diag.SpectralSnapshot(ctx, st, beta_max=0)
+        assert all(sum(b) == 0 for _, b in lean.pairs)
+        for k in range(cfg.n0 + 1):
+            assert lean.sigma_band(k, cfg.n0) == full.sigma_band(k, cfg.n0)
 
 
 class TestXFunctional:
@@ -268,3 +340,23 @@ class TestReport:
         assert np.all(rep.d_k >= 0.0)
         # nesting of the unweighted band family
         assert rep.e_k[1] <= rep.e_k[0] * (1 + 1e-12)
+
+    def test_weighted_columns_pinned(self, ctx8):
+        # recorded at commit 4e7ce82 (physical-space densities) with numpy
+        # 2.4.6 and scipy 1.17.1; the spectral densities agree to round-off
+        cfg, ctx = ctx8
+        st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
+        rep = diag.build_report(ctx, st)
+        pinned = {
+            "e_w": 9141.176357851535,
+            "d_w": 35025.171701669686,
+            "dbar_top": 1541.272476564805,
+            "d_k_w_0": 4.184069584035507,
+            "d_k_w_1": 0.003731530770182298,
+            "cap_0": 26.346357969441915,
+            "cap_1": 26.407517492967234,
+            "d_n": 0.30173187657963463,
+        }
+        row = dict(zip(diag.FunctionalReport.header(cfg.k_max), rep.row(cfg.k_max)))
+        for name, value in pinned.items():
+            assert row[name] == pytest.approx(value, rel=1e-12), name

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vmlkit.phase_grid import (
-    DistributionPair,
     SpatialGrid,
     VelocityGrid,
     WeightParams,
@@ -12,7 +11,6 @@ from vmlkit.phase_grid import (
     fd_gradient_matrix_o4,
     maxwellian,
     sobolev_norms,
-    weight_w,
 )
 
 
@@ -63,40 +61,40 @@ class TestMaxwellian:
 
 
 class TestWeight:
+    # n_v = 12 on [-6, 6) puts a node at v = 0 (index 6) and spans |v| up
+    # to 6 sqrt(3)
+    grid = VelocityGrid(6.0, 12)
+
     def test_degenerate_parameters_give_one(self):
         p = WeightParams(gamma=-3.0, ell=0.0, q=0.0)
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal((20, 3))
-        assert np.allclose(weight_w(p, 0.0, v), 1.0)
-        assert np.allclose(weight_w(p, 7.3, v), 1.0)
+        assert np.allclose(self.grid.weight_field(p, 0.0), 1.0)
+        assert np.allclose(self.grid.weight_field(p, 7.3), 1.0)
 
     def test_origin_value(self):
         p = WeightParams(gamma=-3.0, ell=0.0, q=0.05, theta=0.25)
+        assert self.grid.nodes_1d[6] == 0.0
         for t in (0.0, 1.0, 9.0):
             expect = math.exp(0.05 / (1 + t) ** 0.25)
-            assert weight_w(p, t, np.zeros(3)) == pytest.approx(expect)
+            assert self.grid.weight_field(p, t)[6, 6, 6] == pytest.approx(expect)
 
     def test_strictly_decreasing_in_time(self):
         p = WeightParams(gamma=-2.5, ell=1.0, q=0.05, theta=0.25)
-        v = np.array([1.0, -2.0, 0.5])
         ts = np.linspace(0.0, 10.0, 30)
-        vals = np.array([weight_w(p, t, v) for t in ts])
-        assert np.all(np.diff(vals) < 0)
+        vals = np.array([self.grid.weight_field(p, t) for t in ts])
+        assert np.all(np.diff(vals, axis=0) < 0)
 
     def test_at_least_one_for_nonnegative_ell(self):
         # gamma + 2 < 0 makes the polynomial factor <v>^{-(gamma+2) ell}
         # grow with <v> exactly when ell >= 0 (the range the weighted
         # energy family uses)
-        rng = np.random.default_rng(2)
-        v = 3.0 * rng.standard_normal((100, 3))
         for ell in (0.0, 1.0, 3.5):
             p = WeightParams(gamma=-3.0, ell=ell, q=0.02, theta=0.2)
             for t in (0.0, 2.0, 50.0):
-                assert np.all(weight_w(p, t, v) >= 1.0)
+                assert np.all(self.grid.weight_field(p, t) >= 1.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            weight_w(WeightParams(), -1.0, np.zeros(3))
+            self.grid.weight_field(WeightParams(), -1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -263,18 +261,3 @@ class TestStencils:
         e2 = np.abs((m2 @ f - df)[inner]).max()
         e4 = np.abs((m4 @ f - df)[inner]).max()
         assert e4 < e2 / 5.0
-
-
-class TestDistributionPair:
-    def test_round_trip_reality(self, sgrid32):
-        rng = np.random.default_rng(10)
-        vals = rng.standard_normal((2,) + sgrid32.shape + (3, 3, 3))
-        pair = DistributionPair(vals)
-        back = pair.to_spectral(sgrid32).to_physical(sgrid32)
-        assert np.abs(back.values - vals).max() < 1e-12
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            DistributionPair(np.zeros((3, 4, 2, 2, 2)))
-        with pytest.raises(ValueError):
-            DistributionPair(np.zeros((2, 4, 2, 2, 2)), rep="weird")
