@@ -58,7 +58,12 @@ TORUS_CAVEAT = (
 
 @dataclass
 class DiagContext:
-    """Grids, tables, and functional parameters shared by all diagnostics."""
+    """Grids, tables, and functional parameters shared by all diagnostics.
+
+    ``collision`` is the run's ``evolve.CollisionStepper``: with it, L f
+    comes from its ``apply_L`` (the dense A + K in direct mode); without
+    it, from the matrix-free ``landau.apply_L``.
+    """
 
     sgrid: SpatialGrid
     vgrid: VelocityGrid
@@ -77,16 +82,24 @@ class DiagContext:
     lstar: float = 2.0
     eps0: float = 0.1
     mode: str = "linearized"
+    collision: object = None
 
     @classmethod
-    def from_config(cls, config, sgrid, vgrid, tables, projector):
+    def from_config(cls, config, sgrid, vgrid, tables, projector, collision=None):
         return cls(
             sgrid=sgrid, vgrid=vgrid, tables=tables, projector=projector,
             s_exp=config.s_exp, n_max=config.n_max, n0=config.n0,
             k_max=config.k_max, beta_max=config.beta_max, gamma=config.gamma,
             q=config.q, theta=config.theta, ell=config.ell, ell0=config.ell0,
             lstar=config.lstar, eps0=config.eps0, mode=config.mode,
+            collision=collision,
         )
+
+    def apply_L(self, f: np.ndarray) -> np.ndarray:
+        """Linearized collision operator on a species pair."""
+        if self.collision is None:
+            return landau.apply_L(self.tables, f)
+        return self.collision.apply_L(f)
 
     def weight(self, ell: float) -> WeightParams:
         return WeightParams(gamma=self.gamma, ell=ell, q=self.q, theta=self.theta)
@@ -386,7 +399,7 @@ def _band_rows(ctx: DiagContext, snap: SpectralSnapshot, lf: np.ndarray):
 def monitor_row(ctx: DiagContext, state):
     """Lightweight per-step row: E^k band energies, literal D^k, collision proxy."""
     snap = SpectralSnapshot(ctx, state, beta_max=0)
-    return _band_rows(ctx, snap, landau.apply_L(ctx.tables, state.f))
+    return _band_rows(ctx, snap, ctx.apply_L(state.f))
 
 
 def build_report(ctx: DiagContext, state) -> FunctionalReport:
@@ -395,7 +408,7 @@ def build_report(ctx: DiagContext, state) -> FunctionalReport:
     sgrid = ctx.sgrid
     n0, n_max, s = ctx.n0, ctx.n_max, ctx.s_exp
     snap = SpectralSnapshot(ctx, state, ctx.beta_max)
-    e_k, d_k, d_proxy = _band_rows(ctx, snap, landau.apply_L(ctx.tables, state.f))
+    e_k, d_k, d_proxy = _band_rows(ctx, snap, ctx.apply_L(state.f))
     e_n = band_energy(ctx, snap, 0, n_max)
     d_n = dissipation_k(ctx, snap, 0, n_max, snap.sigma_band(0, n_max))
 
@@ -455,7 +468,7 @@ def build_report(ctx: DiagContext, state) -> FunctionalReport:
 def macro_snapshot(ctx: DiagContext, state) -> macro_micro.MacroSnapshot:
     """Macro fields, moments and the B-moment balance terms of one state."""
     f, vgrid, proj = state.f, ctx.vgrid, ctx.projector
-    lf = landau.apply_L(ctx.tables, f)
+    lf = ctx.apply_L(f)
     beta = proj.coefficients(f)
     micro = f - proj.assemble(beta)
     micro_s = micro[0] + micro[1]

@@ -26,6 +26,12 @@ dense propagator is P = M^-1 (I - dt/2 L) = 2 M^-1 - I, with M^-1 from a
 Cholesky factorization, and the trapezoid update never increases ||f||^2,
 which is what the per-step Lyapunov monitor leans on.
 
+The direct solver also keeps one dense copy of A + K (8 n_v^6 bytes: 8 MB
+at n_v = 10, 134 MB at n_v = 16), and ``run`` hands its ``apply_L`` to the
+diagnostics, so every L f of the run loop (the monitor's collision proxy,
+the report's, the macro snapshot's B-moment source) is one GEMM plus the
+sparse stencil A instead of the padded-FFT convolutions of K.
+
 The species sum s = f_+ + f_- and difference d = f_+ - f_- diagonalize L
 (L s = 2(A+K)s, L d = 2A d), so the collision solve runs on two decoupled
 scalar systems batched over space.
@@ -47,7 +53,6 @@ from .phase_grid import (
     VelocityGrid,
     WeightParams,
     fd_gradient_matrix_o4,
-    sobolev_norms,
 )
 
 CKPT_MAGIC = b"VMLCKPT1"
@@ -130,6 +135,12 @@ class RunConfig:
                             q=self.q, theta=self.theta)
 
     def validate(self) -> None:
+        # the grid, collision-table and direct-solver checks, here so that
+        # a bad value is a configuration error, not a failure deep in set-up
+        self.grids()
+        landau.check_quadrature(self.n_v)
+        if self.collision_solver == "direct":
+            _check_direct_limit(self.n_v, self.direct_max_nv)
         if self.mode not in (LINEARIZED, NONLINEAR):
             raise ValueError(f"mode must be linearized or nonlinear, got {self.mode!r}")
         if self.preset not in PRESETS:
@@ -295,6 +306,12 @@ def initial_state(config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid) ->
 # ---------------------------------------------------------------------------
 
 
+def _check_direct_limit(n_v: int, limit: int) -> None:
+    """Reject a dense collision propagator past its velocity-grid limit."""
+    if n_v > limit:
+        raise ValueError(f"direct collision solver limited to n_v <= {limit}")
+
+
 class CollisionStepper:
     """Implicit-trapezoid collision substep in species sum/difference form.
 
@@ -302,8 +319,14 @@ class CollisionStepper:
     propagator P = 2 (I + dt/2 L)^-1 - I with L_s = 2(A + K) and L_d = 2A.
     Both operators are symmetric positive semidefinite, so I + dt/2 L is
     inverted by Cholesky (LAPACK potrf + potri); a failed factorization
-    raises ValueError.  ``method="cg"`` solves the same trapezoid systems
-    matrix-free by preconditioned conjugate gradients.
+    raises ValueError.  It also keeps the dense A + K (8 n_v^6 bytes: 8 MB
+    at n_v = 10, 134 MB at n_v = 16), from which ``apply_L`` serves every
+    L f of the run loop.  ``method="cg"`` solves the same trapezoid systems
+    matrix-free by preconditioned conjugate gradients, and its ``apply_L``
+    is the matrix-free ``landau.apply_L``.
+
+    ``last_iterations`` holds the CG iteration counts (sum, difference) of
+    the last ``advance``; (0, 0) for the direct solver.
     """
 
     def __init__(self, tables: landau.CollisionTables, dt: float,
@@ -314,13 +337,13 @@ class CollisionStepper:
         self.cg_tol = cg_tol
         if method == "auto":
             method = "direct" if tables.n <= direct_max_nv else "cg"
-        if method == "direct" and tables.n > direct_max_nv:
-            raise ValueError(
-                f"direct collision solver limited to n_v <= {direct_max_nv}")
+        if method == "direct":
+            _check_direct_limit(tables.n, direct_max_nv)
         self.method = method
         self._prop = None
+        self._a_plus_k = None
         self._precond = None
-        self.last_iterations = 0
+        self.last_iterations = (0, 0)
         if method == "direct":
             self._build_propagators(direct_max_nv)
 
@@ -329,6 +352,7 @@ class CollisionStepper:
         a = landau.dense_A(self.tables, limit=limit)
         k = landau.dense_K(self.tables, limit=limit)
         k += a
+        self._a_plus_k = k.copy()
         n3 = self.tables.n ** 3
         props = []
         for m in (k, a):          # L_s / 2 = A + K, L_d / 2 = A
@@ -352,6 +376,20 @@ class CollisionStepper:
             props.append(inv)
         self._prop = props
 
+    def apply_L(self, f: np.ndarray) -> np.ndarray:
+        """L f on a species pair (2, ..., n, n, n), as ``landau.apply_L``.
+
+        Direct mode: L f = [(A+K) s + A d, (A+K) s - A d] with s = f_+ + f_-
+        and d = f_+ - f_-; (A+K) s is one GEMM over all leading points (A+K
+        is symmetric) and A d the sparse stencil.
+        """
+        if self._a_plus_k is None:
+            return landau.apply_L(self.tables, f)
+        s = f[0] + f[1]
+        bs = (s.reshape(-1, self._a_plus_k.shape[0]) @ self._a_plus_k).reshape(s.shape)
+        ad = landau.apply_A(self.tables, f[0] - f[1])
+        return np.stack([bs + ad, bs - ad])
+
     # matrix-free operator applications ----------------------------------------
     def _op_s(self, x: np.ndarray) -> np.ndarray:
         return x + self.dt * (landau.apply_A(self.tables, x) + landau.apply_K(self.tables, x))
@@ -365,8 +403,11 @@ class CollisionStepper:
     def _rhs_d(self, x: np.ndarray) -> np.ndarray:
         return x - self.dt * landau.apply_A(self.tables, x)
 
-    def _pcg(self, op, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """Batched preconditioned CG over all leading axes at once."""
+    def _pcg(self, op, rhs: np.ndarray, x0: np.ndarray) -> tuple:
+        """Batched preconditioned CG over all leading axes at once.
+
+        Returns the solution and the number of iterations taken.
+        """
         if self._precond is None:
             grid = self.tables.grid
             scale = 4.0 * float(np.max(self.tables.sigma)) / grid.spacing ** 2
@@ -388,8 +429,7 @@ class CollisionStepper:
         for it in range(500):
             res2 = float(np.sum(r * r))
             if res2 <= tol2:
-                self.last_iterations = it
-                return x
+                return x, it
             ap = op(p)
             alpha = rz / np.maximum(dots(p, ap), 1e-300)
             x = x + alpha * p
@@ -415,8 +455,9 @@ class CollisionStepper:
             s, d = s2.reshape(lead + self.tables.grid.shape), d2.reshape(
                 lead + self.tables.grid.shape)
         else:
-            s = self._pcg(self._op_s, self._rhs_s(s), s)
-            d = self._pcg(self._op_d, self._rhs_d(d), d)
+            s, iters_s = self._pcg(self._op_s, self._rhs_s(s), s)
+            d, iters_d = self._pcg(self._op_d, self._rhs_d(d), d)
+            self.last_iterations = (iters_s, iters_d)
         return np.stack([0.5 * (s + d), 0.5 * (s - d)])
 
 
@@ -608,14 +649,10 @@ def y0_functional(state: PhaseState, config: RunConfig, sgrid: SpatialGrid,
                             (config.n_max, config.ell)):
         terms = snap.weighted(ctx, ell_base, 0.0)["f"]
         total += float(np.sum(np.sqrt(terms[snap.select(0, depth)])))
-    hneg_f = math.sqrt(snap.norm2(sgrid.lambda_multiplier(-config.s_exp) ** 2, "f"))
-    hn = 0.0
-    hneg_em = 0.0
-    for comp in list(state.em.e_spec) + list(state.em.b_spec):
-        hneg_c, hn_c = sobolev_norms(sgrid, comp, config.s_exp, config.n_max)
-        hn += hn_c ** 2
-        hneg_em += hneg_c ** 2
-    total += math.sqrt(hn) + math.sqrt(hneg_em) + hneg_f
+    m_neg = sgrid.lambda_multiplier(-config.s_exp) ** 2
+    total += (math.sqrt(snap.norm2(diag._grad_band_mult(ctx, 0, config.n_max), "e", "b"))
+              + math.sqrt(snap.norm2(m_neg, "e", "b"))
+              + math.sqrt(snap.norm2(m_neg, "f")))
     return total
 
 
@@ -742,8 +779,9 @@ def run(config: RunConfig, initial: PhaseState | None = None,
     if tables is None:
         tables = landau.build_collision_tables(vgrid, config.gamma)
     projector = macro_micro.MacroProjector(vgrid)
-    ctx = diag.DiagContext.from_config(config, sgrid, vgrid, tables, projector)
     stepper = Stepper(config, sgrid, vgrid, tables)
+    ctx = diag.DiagContext.from_config(config, sgrid, vgrid, tables, projector,
+                                       collision=stepper.collision)
 
     state = initial.copy() if initial is not None else initial_state(config, sgrid, vgrid)
     if not _finite(state):

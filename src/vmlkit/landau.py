@@ -145,6 +145,14 @@ def _pad_offsets(n: int) -> np.ndarray:
     return off
 
 
+def check_quadrature(n_v: int) -> None:
+    """Reject a velocity grid too coarse for the collision quadrature."""
+    if n_v < 8:
+        raise ValueError(
+            f"n_v = {n_v} is too coarse for the collision quadrature (need >= 8)"
+        )
+
+
 def build_collision_tables(grid: VelocityGrid, gamma: float,
                            cache_dir: str | None = None) -> CollisionTables:
     """Assemble kernel FFT tables, collision frequency fields, and stencils.
@@ -154,10 +162,7 @@ def build_collision_tables(grid: VelocityGrid, gamma: float,
     cancellation between the diffusion and convolution halves exact on the
     collision invariants.
     """
-    if grid.n_v < 8:
-        raise ValueError(
-            f"n_v = {grid.n_v} is too coarse for the collision quadrature (need >= 8)"
-        )
+    check_quadrature(grid.n_v)
     if not (-3.0 <= gamma < -2.0):
         raise ValueError(f"gamma must lie in [-3, -2), got {gamma}")
 

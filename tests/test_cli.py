@@ -36,6 +36,22 @@ class TestConfigHandling:
         assert "dt" in err
         assert "banana" in err
 
+    @pytest.mark.parametrize("settings, key", [
+        (["n_v=6"], "n_v"),
+        (["n_x=0"], "n_x"),
+        (["v_max=-1"], "v_max"),
+        (["collision_solver=direct", "n_v=20"], "n_v"),
+    ], ids=["coarse_n_v", "n_x", "v_max", "direct_past_limit"])
+    def test_bad_grid_rejected(self, tmp_path, capsys, settings, key):
+        argv = ["simulate", "--out", str(tmp_path)]
+        for item in settings:
+            argv += ["--set", item]
+        rc = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert key in err
+
     def test_invalid_physics_rejected(self, capsys):
         rc = run_cli("simulate", "--set", "s_exp=2.0", "--out", "/tmp/x")
         assert rc == 2

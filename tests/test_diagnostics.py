@@ -319,6 +319,28 @@ class TestRieszChecks:
             diag.riesz_checks(2.0)
 
 
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_stepper_L_matches_matrix_free_diagnostics(ctx8, method):
+    # a context carrying the run's collision stepper takes L f from it
+    cfg, ctx = ctx8
+    stepper = evolve.CollisionStepper(ctx.tables, cfg.dt, method=method,
+                                      direct_max_nv=8)
+    ctx_s = diag.DiagContext.from_config(cfg, ctx.sgrid, ctx.vgrid, ctx.tables,
+                                         ctx.projector, collision=stepper)
+    st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
+
+    def close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    for got, ref in zip(diag.monitor_row(ctx_s, st), diag.monitor_row(ctx, st)):
+        assert close(got, ref)
+    assert close(diag.build_report(ctx_s, st).d_proxy_k,
+                 diag.build_report(ctx, st).d_proxy_k)
+    assert close(diag.macro_snapshot(ctx_s, st).b_source,
+                 diag.macro_snapshot(ctx, st).b_source)
+
+
 class TestReport:
     def test_header_row_alignment(self, ctx8):
         cfg, ctx = ctx8

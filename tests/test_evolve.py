@@ -157,6 +157,26 @@ class TestStep:
         st_c = Stepper(replace(cfg, collision_solver="cg"), sg, vg, tab).step(st)
         assert np.abs(st_d.f - st_c.f).max() < 1e-10 * np.abs(st_d.f).max()
 
+    @pytest.mark.parametrize("x_shape", [(), (4, 3)], ids=["1d", "two_axes"])
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    def test_stepper_apply_L_matches_matrix_free(self, setup8, method, x_shape):
+        # direct mode serves L f from the kept dense A + K and the stencil A
+        cfg, sg, vg, tab = setup8
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method=method, direct_max_nv=8)
+        f = np.random.default_rng(9).standard_normal((2,) + x_shape + vg.shape)
+        ref = landau.apply_L(tab, f)
+        out = stepper.apply_L(f)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_cg_iterations_of_both_solves(self, setup8):
+        cfg, sg, vg, tab = setup8
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg", direct_max_nv=8)
+        f = np.random.default_rng(5).standard_normal((2, 3) + vg.shape)
+        stepper.advance(f)
+        iters_s, iters_d = stepper.last_iterations
+        assert iters_s > 0 and iters_d > 0
+
     @pytest.mark.parametrize("method", ["cg", "direct"])
     def test_cg_trapezoid_residual_below_tolerance(self, setup8, method):
         cfg, sg, vg, tab = setup8
@@ -252,10 +272,27 @@ class TestY0:
         cfg, sg, vg, _ = setup8
         st = initial_state(cfg, sg, vg)
         y = y0_functional(st, cfg, sg, vg)
-        # recorded at commit b8a8451 with numpy 2.4.6, scipy 1.17.1
-        ref = 273.83473761042035
+        # recorded with numpy 2.4.6 and scipy 1.17.1 by the change that made
+        # the (E, B) terms read the field spectra without a second transform
+        ref = 254.44874349759544
         assert y == pytest.approx(ref, rel=1e-10)
         assert 0.0 < y < 1e4
+
+    def test_fields_only_is_the_field_sobolev_sum(self):
+        # f = 0: Y0 is ||(E,B)||_{H^N} + ||(E,B)||_{H^-s} of the spectra
+        cfg = small_cfg(preset="vacuum-maxwell", couple_fields=False,
+                        box_length=2.0 * math.pi * 10.0)
+        sg, vg = cfg.grids()
+        st = initial_state(cfg, sg, vg)
+        assert not np.any(st.f)
+        power = (np.sum(np.abs(st.em.e_spec) ** 2, axis=0)
+                 + np.sum(np.abs(st.em.b_spec) ** 2, axis=0))
+        xin2 = sg.xi_norm() ** 2
+        m_n = sum(xin2 ** j for j in range(cfg.n_max + 1))
+        m_neg = np.zeros(sg.shape)
+        m_neg[xin2 > 0] = xin2[xin2 > 0] ** -cfg.s_exp
+        expect = math.sqrt(np.sum(m_n * power)) + math.sqrt(np.sum(m_neg * power))
+        assert y0_functional(st, cfg, sg, vg) == pytest.approx(expect, rel=1e-12)
 
 
 class TestCheckpoints:
