@@ -13,7 +13,6 @@ from vmlkit.phase_grid import (
     VelocityGrid,
     WeightParams,
     maxwellian,
-    sobolev_norms,
 )
 
 print("== velocity grid and Maxwellian quadrature ==")
@@ -52,7 +51,9 @@ g = f - f.mean()
 comp = sgrid.lambda_s_apply(sgrid.lambda_s_apply(g, -0.5), 0.5)
 print(f"Lambda^s Lambda^-s = identity on zero-mean fields: "
       f"max error {np.abs(comp - g).max():.3e}")
-hneg, hn = sobolev_norms(sgrid, g, 0.5, 2)
+spec_g = sgrid.forward(g)
+hneg = np.sqrt(sgrid.spec_weighted_norm2(spec_g, sgrid.lambda_multiplier(-0.5) ** 2))
+hn = np.sqrt(sgrid.spec_weighted_norm2(spec_g, sgrid.band_multiplier(0, 2)))
 print(f"H^-1/2 norm {hneg:.6f}, H^2 norm {hn:.6f}")
 print("(the xi = 0 mode is excluded from the negative norm on the torus)")
 

@@ -197,10 +197,8 @@ def cmd_simulate(args) -> int:
         print(f"error: cannot resume from {args.resume}: {exc}", file=sys.stderr)
         return 2
     except evolve.NanAbort as exc:
-        os.makedirs(ckpt_dir, exist_ok=True)
-        evolve.save_checkpoint(os.path.join(ckpt_dir, "last_good.bin"),
-                               exc.last_good, exc.step - 1)
-        print(f"error: {exc}; last good state checkpointed", file=sys.stderr)
+        print(f"error: {exc}; last good state (step {exc.good_step}) checkpointed "
+              f"to {os.path.join(ckpt_dir, 'last_good.bin')}", file=sys.stderr)
         return 3
     write_csv(os.path.join(out, "diagnostics.csv"), result.reports, cfg.k_max)
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -468,8 +466,8 @@ def cmd_norms(args) -> int:
     y0 = evolve.y0_functional(state, cfg, sgrid, vgrid)
     tables = landau.build_collision_tables(vgrid, cfg.gamma)
     proj = macro_micro.MacroProjector(vgrid)
-    ctx = diag.DiagContext.from_config(cfg, sgrid, vgrid, tables, proj)
-    rep = diag.build_report(ctx, state)
+    ctx = diag.DiagContext(sgrid, vgrid, tables, proj, cfg)
+    rep = diag.build_report(ctx, diag.SpectralSnapshot(ctx, state, report=True))
     print(f"preset {cfg.preset!r} initial data:")
     print(f"  Y0 smallness functional   {y0:.10e}")
     print(f"  ||f||^2                   {rep.norm_f_sq:.10e}")

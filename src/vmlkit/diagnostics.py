@@ -7,11 +7,15 @@ equivalences are fixed to one.  Conventions:
 * x-derivatives are spectral multipliers, v-derivatives second-order
   finite differences up to the configured depth (default |beta| <= 2).
 * every functional is an x-multiplier m(xi) times a quadratic form q_v
-  local in v, so by Plancherel it equals sum_xi m(xi) q_v(f_hat(xi)).  A
-  ``SpectralSnapshot`` takes one forward transform f_hat of the state and
-  reduces it to per-mode powers and x-reduced velocity densities; each
-  functional is then a multiplier or weight dot product.  P is local in
-  x, so the macro coefficients and the micro part come from f_hat.
+  local in v, so by Plancherel it equals sum_xi m(xi) q_v(f_hat(xi)).  The
+  run builds one ``SpectralSnapshot`` per recorded state: one forward
+  transform f_hat, reduced to per-mode powers and x-reduced velocity
+  densities, and the one L f of that state, reduced to the per-mode
+  collision power Re conj(f_hat) (L f)^.  The monitor row, the report and
+  the macro snapshot all read that snapshot; each functional is a
+  multiplier or weight dot product.  P and the moment functions are local
+  in x, so the macro coefficients, the micro part and the moments behind
+  the fluid residuals come from f_hat too.
 * the mixed-derivative terms ||w d^alpha_beta f||^2 measure the real field
   Re d^alpha f.  At a mode whose orders alpha_i, summed over the axes that
   sit at the Nyquist index, are odd, (i xi)^alpha f_hat has no Hermitian
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau, macro_micro, maxwell
-from .phase_grid import SpatialGrid, VelocityGrid, WeightParams, fd_gradient_matrix
+from .phase_grid import SpatialGrid, VelocityGrid, fd_gradient_matrix
 
 TORUS_CAVEAT = (
     "torus caveat: algebraic decay rates -(k+s) are whole-space statements; "
@@ -58,51 +62,22 @@ TORUS_CAVEAT = (
 
 @dataclass
 class DiagContext:
-    """Grids, tables, and functional parameters shared by all diagnostics.
+    """Grids, tables and the run configuration shared by all diagnostics.
 
-    ``collision`` is the run's ``evolve.CollisionStepper``: with it, L f
-    comes from its ``apply_L`` (the dense A + K in direct mode); without
-    it, from the matrix-free ``landau.apply_L``.
+    ``config`` is the ``evolve.RunConfig`` whose functional parameters
+    (n_max, n0, k_max, beta_max, the weight orders, s, theta, eps0, mode)
+    the functionals read.  ``collision`` is the run's
+    ``evolve.CollisionStepper``: with it, a snapshot's L f comes from its
+    ``apply_L`` (the dense A + K in direct mode); without it, from the
+    matrix-free ``landau.apply_L``.
     """
 
     sgrid: SpatialGrid
     vgrid: VelocityGrid
     tables: landau.CollisionTables | None
     projector: macro_micro.MacroProjector | None
-    s_exp: float = 0.5
-    n_max: int = 3
-    n0: int = 3
-    k_max: int = 1
-    beta_max: int = 2
-    gamma: float = -3.0
-    q: float = 0.01
-    theta: float = 0.25
-    ell: float = 5.0
-    ell0: float = 2.0
-    lstar: float = 2.0
-    eps0: float = 0.1
-    mode: str = "linearized"
+    config: object
     collision: object = None
-
-    @classmethod
-    def from_config(cls, config, sgrid, vgrid, tables, projector, collision=None):
-        return cls(
-            sgrid=sgrid, vgrid=vgrid, tables=tables, projector=projector,
-            s_exp=config.s_exp, n_max=config.n_max, n0=config.n0,
-            k_max=config.k_max, beta_max=config.beta_max, gamma=config.gamma,
-            q=config.q, theta=config.theta, ell=config.ell, ell0=config.ell0,
-            lstar=config.lstar, eps0=config.eps0, mode=config.mode,
-            collision=collision,
-        )
-
-    def apply_L(self, f: np.ndarray) -> np.ndarray:
-        """Linearized collision operator on a species pair."""
-        if self.collision is None:
-            return landau.apply_L(self.tables, f)
-        return self.collision.apply_L(f)
-
-    def weight(self, ell: float) -> WeightParams:
-        return WeightParams(gamma=self.gamma, ell=ell, q=self.q, theta=self.theta)
 
     @property
     def x_axes(self) -> tuple:
@@ -119,7 +94,7 @@ class DiagContext:
                 yield tuple(alpha)
 
     def betas(self, max_order: int):
-        for total in range(min(max_order, self.beta_max) + 1):
+        for total in range(min(max_order, self.config.beta_max) + 1):
             for combo in itertools.combinations_with_replacement(range(3), total):
                 beta = [0, 0, 0]
                 for c in combo:
@@ -128,7 +103,7 @@ class DiagContext:
 
 
 # ---------------------------------------------------------------------------
-# one spectral pass per snapshot
+# one spectral pass per recorded state
 # ---------------------------------------------------------------------------
 
 
@@ -166,52 +141,121 @@ def _contract(mult: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return (mult @ per_mode).reshape((len(mult),) + dens.shape[-3:])
 
 
-class SpectralSnapshot:
-    """Per-mode powers and (alpha, beta) velocity densities of one state.
+def _moment_weights(vgrid: VelocityGrid) -> dict:
+    """Velocity weights of the moment functions, one row per component.
 
-    Built from one forward transform f_hat of f.  ``power[name]`` holds, per
-    xi mode, the summed |.|^2 of f ("f", with the velocity cell volume),
-    E ("e") and B ("b"), and with ``ctx.projector`` set, of the charge
-    a_+ - a_- ("charge"), the six macro coefficients ("macro") and P f in
-    the Gram form of its coefficients ("pf").
+    "A": (v_m v_j - 1) mu^(1/2), row 3m + j; "B": 1/10 (|v|^2 - 5) v_j
+    mu^(1/2); "G": v_j mu^(1/2).
+    """
+    mu_half, vsq = vgrid.mu_half(), vgrid.vsq()
+    v = [c + 0 * vsq for c in vgrid.axes()]
+    return {"A": np.stack([(v[m] * v[j] - 1.0) * mu_half
+                           for m in range(3) for j in range(3)]),
+            "B": np.stack([0.1 * (vsq - 5.0) * vj * mu_half for vj in v]),
+            "G": np.stack([vj * mu_half for vj in v])}
+
+
+def _pair_moments(vgrid: VelocityGrid, h: np.ndarray, wgt: np.ndarray,
+                  sign: float = 1.0) -> np.ndarray:
+    """int w_r (h_+ + sign h_-) dv for each row w_r of ``wgt``; shape (rows, *x)."""
+    rows = wgt.reshape(len(wgt), -1)
+    per = (h.reshape(-1, rows.shape[1]) @ rows.T).reshape((2, -1, len(wgt)))
+    out = vgrid.cell_volume * (per[0] + sign * per[1])
+    return out.T.reshape((len(wgt),) + h.shape[1:-3])
+
+
+class SpectralSnapshot:
+    """Per-mode powers, velocity densities and moment spectra of one state.
+
+    Built from one forward transform f_hat of ``state.f``; neither f_hat,
+    L f nor any per-beta field outlives the constructor.  ``power[name]``
+    holds, per xi mode, the summed |.|^2 of f ("f", with the velocity cell
+    volume), E ("e") and B ("b").  With ``ctx.projector`` set it also holds
+    the charge a_+ - a_- ("charge"), the six macro coefficients ("macro"),
+    P f in the Gram form of its coefficients ("pf") and the collision power
+    vol Re sum conj(f_hat) (L f)^ ("lf"): this is the one place the
+    diagnostics apply L.
+
+    ``report`` selects what a report reads: velocity derivatives up to
+    ``beta_max`` and, with a projector, ``moments``, the spectra of the
+    (rows, *x) fields of ``macro_snapshot``: the macro coefficients
+    ("coef"), A and B of the species sum ("A", 9 rows, and "Bv"), the micro
+    current G ("G"), B of the micro species sum ("b_micro") and the
+    B-moment source ("b_source"), -B((L f)_s) - B(v . grad_x {I-P} f_s),
+    plus B of the force and Gamma terms in nonlinear mode.  Without it
+    (a monitor row) only beta = 0 is formed.
 
     ``pairs`` lists the (alpha, beta) with |alpha| + |beta| <= max(n_max, n0)
-    and |beta| <= ``beta_max``.  Per pair, ``dens[name]`` holds the x- and
+    and |beta| within that depth.  Per pair, ``dens[name]`` holds the x- and
     species-reduced velocity density of |d^alpha_beta f|^2 ("f") and, with
     a projector, of <v>^2 |d^alpha_beta {I-P} f|^2 ("extra") and the sigma
-    bracket of d^alpha_beta {I-P} f ("sigma").  Each beta's complex fields
-    are dropped once their densities are formed.
+    bracket of d^alpha_beta {I-P} f ("sigma").
     """
 
-    def __init__(self, ctx: DiagContext, state, beta_max: int):
-        sgrid, vgrid = ctx.sgrid, ctx.vgrid
+    def __init__(self, ctx: DiagContext, state, report: bool):
+        sgrid, vgrid, proj, cfg = ctx.sgrid, ctx.vgrid, ctx.projector, ctx.config
         abs2 = landau._abs2
+        self.state = state
         self.vol = vgrid.cell_volume
-        self.f_spec = sgrid.forward(state.f, ctx.x_axes)
-        self.power = {"f": self.vol * np.sum(abs2(self.f_spec), axis=(0, -3, -2, -1)),
+        with_moments = report and proj is not None
+        if with_moments:
+            w = _moment_weights(vgrid)
+            b_source = 0.0
+            if cfg.mode == "nonlinear":
+                # physical-space terms first, while no spectrum is alive
+                from . import evolve as _ev
+
+                f, em = state.f, state.em
+                src = _ev._lorentz_force_terms(sgrid, vgrid, f, em.e_phys(sgrid),
+                                               em.b_phys(sgrid),
+                                               _ev.fd_gradient_matrix_o4(vgrid.nodes_1d))
+                src += landau.apply_Gamma(ctx.tables, f, f)
+                b_source = sgrid.forward(_pair_moments(vgrid, src, w["B"]))
+                del src
+        f_spec = sgrid.forward(state.f, ctx.x_axes)
+        self.power = {"f": self.vol * np.sum(abs2(f_spec), axis=(0, -3, -2, -1)),
                       "e": np.sum(abs2(state.em.e_spec), axis=0),
                       "b": np.sum(abs2(state.em.b_spec), axis=0)}
         micro = None
-        if ctx.projector is not None:
-            coef = ctx.projector.coefficients(self.f_spec)
-            micro = self.f_spec - ctx.projector.assemble(coef)
+        if proj is not None:
+            lf_spec = sgrid.forward(landau.apply_L(ctx.tables, state.f)
+                                    if ctx.collision is None
+                                    else ctx.collision.apply_L(state.f), ctx.x_axes)
+            self.power["lf"] = self.vol * np.sum((np.conj(f_spec) * lf_spec).real,
+                                                 axis=(0, -3, -2, -1))
+            if with_moments:
+                b_source = b_source - _pair_moments(vgrid, lf_spec, w["B"])
+            del lf_spec
+            coef = proj.coefficients(f_spec)
+            micro = f_spec - proj.assemble(coef)
             self.power["charge"] = abs2(coef[0] - coef[1])
             self.power["macro"] = np.sum(abs2(coef), axis=0)
-            self.power["pf"] = np.einsum("ij,i...,j...->...", ctx.projector.gram,
+            self.power["pf"] = np.einsum("ij,i...,j...->...", proj.gram,
                                          coef.conj(), coef).real
+        if with_moments:
+            v, xi = vgrid.axes(), sgrid.xi_mesh()
+            for i, axis in enumerate(sgrid.active_axes):
+                b_source = b_source - 1j * xi[i] * _pair_moments(vgrid, micro,
+                                                                 w["B"] * v[axis])
+            self.moments = {"coef": coef,
+                            "A": _pair_moments(vgrid, f_spec, w["A"]),
+                            "Bv": _pair_moments(vgrid, f_spec, w["B"]),
+                            "G": _pair_moments(vgrid, micro, w["G"], sign=-1.0),
+                            "b_micro": _pair_moments(vgrid, micro, w["B"]),
+                            "b_source": b_source}
 
-        depth = max(ctx.n_max, ctx.n0)
+        depth = max(cfg.n_max, cfg.n0)
         alphas = list(ctx.alphas(depth))
         mults = _alpha_multipliers(sgrid, alphas)
         fd = fd_gradient_matrix(vgrid.nodes_1d)
         br2 = 1.0 + vgrid.vsq()
         dens = {name: [] for name in (("f",) if micro is None else ("f", "extra", "sigma"))}
         self.pairs = []
-        for beta in ctx.betas(min(beta_max, depth)):
+        for beta in ctx.betas(depth if report else 0):
             rows = [i for i, a in enumerate(alphas) if sum(a) + sum(beta) <= depth]
             self.pairs += [(alphas[i], beta) for i in rows]
             mult = mults[rows]
-            dens["f"].append(_contract(mult, abs2(_fd_beta(fd, self.f_spec, beta))))
+            dens["f"].append(_contract(mult, abs2(_fd_beta(fd, f_spec, beta))))
             if micro is not None:
                 mb = _fd_beta(fd, micro, beta)
                 dens["extra"].append(br2 * _contract(mult, abs2(mb)))
@@ -234,8 +278,8 @@ class SpectralSnapshot:
 
     def weighted(self, ctx: DiagContext, ell: float, t: float) -> dict:
         """Per-pair integrals of every density against w_{ell-|beta|}(t, v)^2."""
-        vgrid = ctx.vgrid
-        wsq = np.stack([vgrid.weight_field(ctx.weight(ell - b), t) ** 2
+        vgrid, cfg = ctx.vgrid, ctx.config
+        wsq = np.stack([vgrid.weight_field(cfg.weight_params(ell - b), t) ** 2
                         for b in range(int(self.b_ord.max()) + 1)])[self.b_ord]
         return {name: self.vol * np.sum(d * wsq, axis=(1, 2, 3))
                 for name, d in self.dens.items()}
@@ -251,28 +295,9 @@ class SpectralSnapshot:
 # ---------------------------------------------------------------------------
 
 
-def _grad_band_mult(ctx: DiagContext, jmin: int, jmax: int,
-                    frac_top: float | None = None) -> np.ndarray:
-    """Multiplier sum_{j=jmin..jmax} |xi|^{2j} (+|xi|^{2*frac_top})."""
-    xin2 = ctx.sgrid.xi_norm() ** 2
-    out = np.zeros(ctx.sgrid.shape)
-    acc = np.ones(ctx.sgrid.shape)
-    for j in range(0, jmax + 1):
-        if j >= jmin:
-            out = out + acc
-        acc = acc * xin2
-    if frac_top is not None and frac_top > jmax:
-        xin = ctx.sgrid.xi_norm()
-        nz = xin > 0
-        top = np.zeros(ctx.sgrid.shape)
-        top[nz] = xin[nz] ** (2.0 * frac_top)
-        out = out + top
-    return out
-
-
 def band_energy(ctx: DiagContext, snap: SpectralSnapshot, jmin: int, jmax: int) -> float:
     """sum_{jmin <= |a| <= jmax} ||d^a (f, E, B)||^2: E^k is (k, n0), E_N is (0, N)."""
-    return snap.norm2(_grad_band_mult(ctx, jmin, jmax), "f", "e", "b")
+    return snap.norm2(ctx.sgrid.band_multiplier(jmin, jmax), "f", "e", "b")
 
 
 def dissipation_k(ctx: DiagContext, snap: SpectralSnapshot, k: int, top: int,
@@ -283,9 +308,10 @@ def dissipation_k(ctx: DiagContext, snap: SpectralSnapshot, k: int, top: int,
     and D_N (= D^0 with top N), the weighted sigma band plus the extra
     dissipation term for the weighted D^k.
     """
-    return (snap.norm2(_grad_band_mult(ctx, k, k), "charge", "e")
-            + snap.norm2(_grad_band_mult(ctx, k + 1, top - 1), "pf", "e", "b")
-            + snap.norm2(_grad_band_mult(ctx, top, top), "pf") + micro)
+    band = ctx.sgrid.band_multiplier
+    return (snap.norm2(band(k, k), "charge", "e")
+            + snap.norm2(band(k + 1, top - 1), "pf", "e", "b")
+            + snap.norm2(band(top, top), "pf") + micro)
 
 
 def dissipation_weighted(ctx: DiagContext, snap: SpectralSnapshot, terms: dict,
@@ -295,24 +321,12 @@ def dissipation_weighted(ctx: DiagContext, snap: SpectralSnapshot, terms: dict,
     Macro derivatives, the charge, field terms, weighted micro sigma norms,
     and the (1+t)^(-1-theta) extra-dissipation term.
     """
-    return (snap.norm2(_grad_band_mult(ctx, 1, n), "macro")
+    band = ctx.sgrid.band_multiplier
+    return (snap.norm2(band(1, n), "macro")
             + snap.band(terms["sigma"], 0, n) + snap.norm2(1.0, "charge")
-            + snap.norm2(_grad_band_mult(ctx, 0, n - 1), "e")
-            + snap.norm2(_grad_band_mult(ctx, 1, max(n - 1, 1)), "b")
-            + (1.0 + t) ** (-1.0 - ctx.theta) * snap.band(terms["extra"], 0, n))
-
-
-def _collision_proxy(ctx: DiagContext, snap: SpectralSnapshot,
-                     lf: np.ndarray) -> np.ndarray:
-    """2 <L d^a f, d^a f> summed over bands k..n0, for all k at once."""
-    lf_spec = ctx.sgrid.forward(lf, ctx.x_axes)
-    per_mode = (np.sum((np.conj(snap.f_spec) * lf_spec).real,
-                       axis=(0, -3, -2, -1)) * ctx.vgrid.cell_volume)
-    out = np.empty(ctx.k_max + 1)
-    for k in range(ctx.k_max + 1):
-        mult = _grad_band_mult(ctx, k, ctx.n0)
-        out[k] = 2.0 * float(np.sum(mult * per_mode))
-    return out
+            + snap.norm2(band(0, n - 1), "e")
+            + snap.norm2(band(1, max(n - 1, 1)), "b")
+            + (1.0 + t) ** (-1.0 - ctx.config.theta) * snap.band(terms["extra"], 0, n))
 
 
 # ---------------------------------------------------------------------------
@@ -387,28 +401,28 @@ class FunctionalReport:
         return vals
 
 
-def _band_rows(ctx: DiagContext, snap: SpectralSnapshot, lf: np.ndarray):
-    """E^k, literal D^k and the collision proxy for k = 0..k_max."""
-    ks = range(ctx.k_max + 1)
-    e_k = np.array([band_energy(ctx, snap, k, ctx.n0) for k in ks])
-    d_k = np.array([dissipation_k(ctx, snap, k, ctx.n0, snap.sigma_band(k, ctx.n0))
-                    for k in ks])
-    return e_k, d_k, _collision_proxy(ctx, snap, lf)
+def monitor_row(ctx: DiagContext, snap: SpectralSnapshot):
+    """Per-step Lyapunov row: E^k band energies, literal D^k, collision proxy.
+
+    The proxy is 2 <L d^a f, d^a f> summed over the bands k..n0.  Every
+    term reads only the beta = 0 densities, so any snapshot of the state
+    gives the same row.
+    """
+    band, n0 = ctx.sgrid.band_multiplier, ctx.config.n0
+    ks = range(ctx.config.k_max + 1)
+    e_k = np.array([band_energy(ctx, snap, k, n0) for k in ks])
+    d_k = np.array([dissipation_k(ctx, snap, k, n0, snap.sigma_band(k, n0)) for k in ks])
+    d_proxy = np.array([2.0 * snap.norm2(band(k, n0), "lf") for k in ks])
+    return e_k, d_k, d_proxy
 
 
-def monitor_row(ctx: DiagContext, state):
-    """Lightweight per-step row: E^k band energies, literal D^k, collision proxy."""
-    snap = SpectralSnapshot(ctx, state, beta_max=0)
-    return _band_rows(ctx, snap, ctx.apply_L(state.f))
-
-
-def build_report(ctx: DiagContext, state) -> FunctionalReport:
-    """The full functional family of one state (one CSV row)."""
-    t, em = state.t, state.em
-    sgrid = ctx.sgrid
-    n0, n_max, s = ctx.n0, ctx.n_max, ctx.s_exp
-    snap = SpectralSnapshot(ctx, state, ctx.beta_max)
-    e_k, d_k, d_proxy = _band_rows(ctx, snap, ctx.apply_L(state.f))
+def build_report(ctx: DiagContext, snap: SpectralSnapshot) -> FunctionalReport:
+    """The full functional family of one snapshot's state (one CSV row)."""
+    cfg, sgrid = ctx.config, ctx.sgrid
+    t, em = snap.state.t, snap.state.em
+    n0, n_max, s = cfg.n0, cfg.n_max, cfg.s_exp
+    band = sgrid.band_multiplier
+    e_k, d_k, d_proxy = monitor_row(ctx, snap)
     e_n = band_energy(ctx, snap, 0, n_max)
     d_n = dissipation_k(ctx, snap, 0, n_max, snap.sigma_band(0, n_max))
 
@@ -416,42 +430,40 @@ def build_report(ctx: DiagContext, state) -> FunctionalReport:
         return sgrid.lambda_multiplier(s_exp) ** 2
 
     # weighted families at the configured weight levels
-    big = snap.weighted(ctx, ctx.ell, t)
-    e_w = (snap.band(big["f"], 0, n_max)
-           + snap.norm2(_grad_band_mult(ctx, 0, n_max), "e", "b"))
+    big = snap.weighted(ctx, cfg.ell, t)
+    e_w = snap.band(big["f"], 0, n_max) + snap.norm2(band(0, n_max), "e", "b")
     d_w = dissipation_weighted(ctx, snap, big, n_max, t)
 
     hneg_f, hneg_e, hneg_b = (math.sqrt(snap.norm2(lam2(-s), name))
                               for name in ("f", "e", "b"))
     neg2 = hneg_f ** 2 + hneg_e ** 2 + hneg_b ** 2
-    em_n0 = snap.norm2(_grad_band_mult(ctx, 0, n0), "e", "b")
-    top = snap.weighted(ctx, ctx.ell0 + ctx.lstar, t)
+    em_n0 = snap.norm2(band(0, n0), "e", "b")
+    top = snap.weighted(ctx, cfg.ell0 + cfg.lstar, t)
     ebar_top = snap.band(top["f"], 0, n0) + em_n0 + neg2
     dbar_top = (dissipation_weighted(ctx, snap, top, n0, t)
                 + snap.norm2(lam2(1.0 - s), "e", "b", "macro")
                 + snap.norm2(lam2(-s), "charge", "e"))
 
-    low = snap.weighted(ctx, ctx.ell0, t)
-    decay = (1.0 + t) ** (-1.0 - ctx.theta)
-    e_k_w = np.empty(ctx.k_max + 1)
-    d_k_w = np.empty(ctx.k_max + 1)
-    cap_k = np.empty(ctx.k_max + 1)
-    for k in range(ctx.k_max + 1):
-        e_k_w[k] = (snap.band(low["f"], k, n0)
-                    + snap.norm2(_grad_band_mult(ctx, k, n0), "e", "b"))
+    low = snap.weighted(ctx, cfg.ell0, t)
+    decay = (1.0 + t) ** (-1.0 - cfg.theta)
+    e_k_w = np.empty(cfg.k_max + 1)
+    d_k_w = np.empty(cfg.k_max + 1)
+    cap_k = np.empty(cfg.k_max + 1)
+    for k in range(cfg.k_max + 1):
+        e_k_w[k] = snap.band(low["f"], k, n0) + snap.norm2(band(k, n0), "e", "b")
         d_k_w[k] = dissipation_k(ctx, snap, k, n0, snap.band(low["sigma"], k, n0)
                                  + decay * snap.band(low["extra"], k, n0))
         # interpolation cap: max of the half-weighted family and the
         # fractional-order unweighted energy at N0 + k + s
         half = snap.weighted(ctx, 0.5 * (k + s), t)
-        m_frac = _grad_band_mult(ctx, 0, n0 + k, frac_top=n0 + k + s)
+        m_frac = band(0, n0 + k, frac_top=n0 + k + s)
         cap_k[k] = max(snap.band(half["f"], 0, n0) + em_n0 + neg2,
                        snap.norm2(m_frac, "f", "e", "b"))
 
     zero_idx = (0,) * sgrid.n_active
     zmode_f, zmode_e, zmode_b = (math.sqrt(snap.power[name][zero_idx])
                                  for name in ("f", "e", "b"))
-    rho_spec = sgrid.forward(maxwell.charge_density(ctx.vgrid, state.f))
+    rho_spec = sgrid.forward(maxwell.charge_density(ctx.vgrid, snap.state.f))
 
     return FunctionalReport(
         t=t, norm_f_sq=snap.norm2(1.0, "f"), field_energy=maxwell.field_energy(em),
@@ -461,55 +473,22 @@ def build_report(ctx: DiagContext, state) -> FunctionalReport:
         zmode_e=zmode_e, zmode_b=zmode_b,
         gauss_residual=maxwell.gauss_residual(sgrid, em, rho_spec),
         div_b=maxwell.div_b_norm(sgrid, em),
-        x_instant=ebar_top + e_n + (1.0 + t) ** (-0.5 * (1.0 + ctx.eps0)) * e_w,
+        x_instant=ebar_top + e_n + (1.0 + t) ** (-0.5 * (1.0 + cfg.eps0)) * e_w,
     )
 
 
-def macro_snapshot(ctx: DiagContext, state) -> macro_micro.MacroSnapshot:
-    """Macro fields, moments and the B-moment balance terms of one state."""
-    f, vgrid, proj = state.f, ctx.vgrid, ctx.projector
-    lf = ctx.apply_L(f)
-    beta = proj.coefficients(f)
-    micro = f - proj.assemble(beta)
-    micro_s = micro[0] + micro[1]
-    source_s = -(lf[0] + lf[1])
-    if ctx.mode == "nonlinear":
-        from . import evolve as _ev
+def macro_snapshot(ctx: DiagContext, snap: SpectralSnapshot) -> macro_micro.MacroSnapshot:
+    """Macro fields, moments and the B-moment balance terms of a report snapshot.
 
-        sgrid = ctx.sgrid
-        e_phys = state.em.e_phys(sgrid)
-        b_phys = state.em.b_phys(sgrid)
-        fd4 = _ev.fd_gradient_matrix_o4(vgrid.nodes_1d)
-        force = _ev._lorentz_force_terms(sgrid, vgrid, f, e_phys, b_phys, fd4)
-        gam = landau.apply_Gamma(ctx.tables, f, f)
-        source_s = source_s + force[0] + force[1] + gam[0] + gam[1]
-    # the source is -v . grad_x micro_s - (L f)_s (+ force and Gamma terms)
-    b_source = _b_moment(vgrid, source_s) - _b_transport(ctx, micro_s)
-    return macro_micro.MacroSnapshot(t=state.t, macro=proj.macro_fields(beta),
-                                     mom=macro_micro.moments(f, proj),
-                                     b_micro=_b_moment(vgrid, micro_s), b_source=b_source)
-
-
-def _b_moment(vgrid: VelocityGrid, h: np.ndarray) -> np.ndarray:
-    """B_j(h) = 1/10 int (|v|^2 - 5) v_j mu^(1/2) h dv, for scalar v-fields."""
-    mu_half = vgrid.mu_half()
-    vsq = vgrid.vsq()
-    v = vgrid.axes()
-    out = []
-    for j in range(3):
-        wgt = 0.1 * (vsq - 5.0) * (v[j] + 0 * vsq) * mu_half
-        out.append(vgrid.integrate(h * wgt))
-    return np.stack(out)
-
-
-def _b_transport(ctx: DiagContext, h: np.ndarray) -> np.ndarray:
-    """B_j(v . grad_x h) for a scalar (x, v) field, from B-moments of its spectrum."""
-    sgrid, vgrid = ctx.sgrid, ctx.vgrid
-    spec = sgrid.forward(h, tuple(range(sgrid.n_active)))
-    v, xi = vgrid.axes(), sgrid.xi_mesh()
-    out = sum(1j * xi[i] * _b_moment(vgrid, spec * v[axis])
-              for i, axis in enumerate(sgrid.active_axes))
-    return sgrid.inverse(out).real
+    The inverse transforms of the snapshot's (rows, *x) moment spectra.
+    """
+    phys = {name: ctx.sgrid.inverse(spec).real for name, spec in snap.moments.items()}
+    mom = macro_micro.MomentSet(A=phys["A"].reshape((3, 3) + ctx.sgrid.shape),
+                                Bv=phys["Bv"], G=phys["G"])
+    return macro_micro.MacroSnapshot(t=snap.state.t,
+                                     macro=ctx.projector.macro_fields(phys["coef"]),
+                                     mom=mom, b_micro=phys["b_micro"],
+                                     b_source=phys["b_source"])
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ which is what the per-step Lyapunov monitor leans on.
 
 The direct solver also keeps one dense copy of A + K (8 n_v^6 bytes: 8 MB
 at n_v = 10, 134 MB at n_v = 16), and ``run`` hands its ``apply_L`` to the
-diagnostics, so every L f of the run loop (the monitor's collision proxy,
-the report's, the macro snapshot's B-moment source) is one GEMM plus the
-sparse stencil A instead of the padded-FFT convolutions of K.
+diagnostics, so the one L f of each recorded state (its snapshot's
+collision power and B-moment source) is one GEMM plus the sparse stencil A
+instead of the padded-FFT convolutions of K.
 
 The species sum s = f_+ + f_- and difference d = f_+ - f_- diagonalize L
 (L s = 2(A+K)s, L d = 2A d), so the collision solve runs on two decoupled
@@ -69,13 +69,18 @@ class StateError(ValueError):
 
 
 class NanAbort(RuntimeError):
-    """Raised when non-finite values appear; carries the last good state."""
+    """Raised when non-finite values appear at ``step`` (time ``t``).
 
-    def __init__(self, step: int, t: float, last_good):
+    Carries the last good state and its step index ``good_step``; for a
+    non-finite initial state, that is the initial state itself.
+    """
+
+    def __init__(self, step: int, t: float, last_good, good_step: int):
         super().__init__(f"non-finite state detected at step {step}, t = {t:.6g}")
         self.step = step
         self.t = t
         self.last_good = last_good
+        self.good_step = good_step
 
 
 @dataclass
@@ -135,6 +140,10 @@ class RunConfig:
                             q=self.q, theta=self.theta)
 
     def validate(self) -> None:
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{item.name} must be finite, got {value}")
         # the grid, collision-table and direct-solver checks, here so that
         # a bad value is a configuration error, not a failure deep in set-up
         self.grids()
@@ -155,6 +164,11 @@ class RunConfig:
                 "indexes E^k only up to N0-2")
         if self.collision_solver not in ("auto", "direct", "cg"):
             raise ValueError(f"unknown collision solver {self.collision_solver!r}")
+        if self.report_every < 1:
+            raise ValueError(f"report_every must be at least 1, got {self.report_every}")
+        for key in ("monitor_every", "checkpoint_every", "n_max", "k_max", "beta_max"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be nonnegative, got {getattr(self, key)}")
         self.weight_params().validate_for_s(self.s_exp)
 
     def grids(self):
@@ -641,16 +655,15 @@ def y0_functional(state: PhaseState, config: RunConfig, sgrid: SpatialGrid,
     """
     from . import diagnostics as diag
 
-    ctx = diag.DiagContext.from_config(config, sgrid, vgrid, tables=None,
-                                       projector=None)
-    snap = diag.SpectralSnapshot(ctx, state, config.beta_max)
+    ctx = diag.DiagContext(sgrid, vgrid, tables=None, projector=None, config=config)
+    snap = diag.SpectralSnapshot(ctx, state, report=True)
     total = 0.0
     for depth, ell_base in ((config.n0, config.ell0 + config.lstar),
                             (config.n_max, config.ell)):
         terms = snap.weighted(ctx, ell_base, 0.0)["f"]
         total += float(np.sum(np.sqrt(terms[snap.select(0, depth)])))
     m_neg = sgrid.lambda_multiplier(-config.s_exp) ** 2
-    total += (math.sqrt(snap.norm2(diag._grad_band_mult(ctx, 0, config.n_max), "e", "b"))
+    total += (math.sqrt(snap.norm2(sgrid.band_multiplier(0, config.n_max), "e", "b"))
               + math.sqrt(snap.norm2(m_neg, "e", "b"))
               + math.sqrt(snap.norm2(m_neg, "f")))
     return total
@@ -762,9 +775,14 @@ def run(config: RunConfig, initial: PhaseState | None = None,
     Deterministic for a fixed config: identical seeds and parameters give
     bit-identical trajectories and reports.  An ``initial`` state whose
     f, E or B shape differs from the config's grids raises StateError.
-    Non-finite f, E or B aborts with the last good state attached to the
-    NanAbort exception (and dumped as a checkpoint when ``checkpoint_dir``
-    is given).
+    Non-finite f, E or B aborts with NanAbort, which carries the last good
+    state; with ``checkpoint_dir`` that state is also written there as
+    ``last_good.bin``.  A non-finite initial state aborts at
+    ``resume_step`` with itself as the last good state.
+
+    Each recorded state (a monitor step, a report step, or both) is reduced
+    once, by one ``diagnostics.SpectralSnapshot``: at ``beta_max`` on a
+    report step, at beta = 0 on a monitor-only step.
     """
     from . import diagnostics as diag
 
@@ -780,12 +798,17 @@ def run(config: RunConfig, initial: PhaseState | None = None,
         tables = landau.build_collision_tables(vgrid, config.gamma)
     projector = macro_micro.MacroProjector(vgrid)
     stepper = Stepper(config, sgrid, vgrid, tables)
-    ctx = diag.DiagContext.from_config(config, sgrid, vgrid, tables, projector,
-                                       collision=stepper.collision)
+    ctx = diag.DiagContext(sgrid, vgrid, tables, projector, config,
+                           collision=stepper.collision)
+
+    def abort(step: int, t: float, good: PhaseState, good_step: int):
+        if checkpoint_dir:
+            save_checkpoint(os.path.join(checkpoint_dir, "last_good.bin"), good, good_step)
+        raise NanAbort(step, t, good, good_step)
 
     state = initial.copy() if initial is not None else initial_state(config, sgrid, vgrid)
     if not _finite(state):
-        raise NanAbort(0, state.t, state)
+        abort(resume_step, state.t, state, resume_step)
     n_steps = int(round(config.t_end / config.dt))
 
     reports: list = []
@@ -795,40 +818,35 @@ def run(config: RunConfig, initial: PhaseState | None = None,
 
     check_contraction = (config.preset == "relaxation" and config.mode == LINEARIZED)
 
-    def record_monitor(st: PhaseState):
-        ek, dk, dpk = diag.monitor_row(ctx, st)
-        monitor.t.append(st.t)
-        monitor.e_k.append(ek)
-        monitor.d_k.append(dk)
-        monitor.d_proxy_k.append(dpk)
+    def record(st: PhaseState, with_monitor: bool, with_report: bool):
+        if not (with_monitor or with_report):
+            return
+        snap = diag.SpectralSnapshot(ctx, st, report=with_report)
+        if with_monitor:
+            ek, dk, dpk = diag.monitor_row(ctx, snap)
+            monitor.t.append(st.t)
+            monitor.e_k.append(ek)
+            monitor.d_k.append(dk)
+            monitor.d_proxy_k.append(dpk)
+        if with_report:
+            rep = diag.build_report(ctx, snap)
+            rep.x_t = max(reports[-1].x_t, rep.x_instant) if reports else rep.x_instant
+            if len(monitor.t) >= 2:
+                dtm = monitor.t[-1] - monitor.t[-2]
+                de = (np.asarray(monitor.e_k[-1]) - np.asarray(monitor.e_k[-2])) / dtm
+                dp = 0.5 * (np.asarray(monitor.d_proxy_k[-1]) +
+                            np.asarray(monitor.d_proxy_k[-2]))
+                rep.lyap_delta = de + dp
+            reports.append(rep)
+            macro_history.append(diag.macro_snapshot(ctx, snap))
 
-    def record_report(st: PhaseState):
-        rep = diag.build_report(ctx, st)
-        if reports:
-            rep.x_t = max(reports[-1].x_t, rep.x_instant)
-        else:
-            rep.x_t = rep.x_instant
-        if len(monitor.t) >= 2:
-            dtm = monitor.t[-1] - monitor.t[-2]
-            de = (np.asarray(monitor.e_k[-1]) - np.asarray(monitor.e_k[-2])) / dtm
-            dp = 0.5 * (np.asarray(monitor.d_proxy_k[-1]) +
-                        np.asarray(monitor.d_proxy_k[-2]))
-            rep.lyap_delta = de + dp
-        reports.append(rep)
-        macro_history.append(diag.macro_snapshot(ctx, st))
-
-    if config.monitor_every:
-        record_monitor(state)
-    record_report(state)
+    record(state, bool(config.monitor_every), True)
 
     prev_norm2 = float(np.sum(state.f ** 2))
     for k in range(resume_step, n_steps):
         new_state = stepper.step(state)
         if not _finite(new_state):
-            if checkpoint_dir:
-                save_checkpoint(os.path.join(checkpoint_dir, "last_good.bin"),
-                                state, k)
-            raise NanAbort(k + 1, new_state.t, state)
+            abort(k + 1, new_state.t, state, k)
         if check_contraction:
             norm2 = float(np.sum(new_state.f ** 2))
             if norm2 > prev_norm2 * (1.0 + 1e-10) + 1e-300:
@@ -836,10 +854,8 @@ def run(config: RunConfig, initial: PhaseState | None = None,
             prev_norm2 = norm2
         state = new_state
         step_no = k + 1
-        if config.monitor_every and step_no % config.monitor_every == 0:
-            record_monitor(state)
-        if step_no % config.report_every == 0 or step_no == n_steps:
-            record_report(state)
+        record(state, bool(config.monitor_every) and step_no % config.monitor_every == 0,
+               step_no % config.report_every == 0 or step_no == n_steps)
         if checkpoint_dir and config.checkpoint_every and \
                 step_no % config.checkpoint_every == 0:
             save_checkpoint(os.path.join(checkpoint_dir, f"step{step_no:08d}.bin"),

@@ -221,6 +221,8 @@ class SpatialGrid:
     def __post_init__(self):
         if self.n_x < 2:
             raise ValueError("n_x must be at least 2")
+        if not self.box_length > 0:
+            raise ValueError("box_length must be positive")
         if len(self.active_axes) < 1 or any(a not in (0, 1, 2) for a in self.active_axes):
             raise ValueError("active_axes must be a nonempty subset of (0, 1, 2)")
         if len(set(self.active_axes)) != len(self.active_axes):
@@ -336,6 +338,24 @@ class SpatialGrid:
             mult[~nz] = 1.0  # identity passes the mean through
         return mult
 
+    def band_multiplier(self, jmin: int, jmax: int,
+                        frac_top: float | None = None) -> np.ndarray:
+        """Multiplier sum_{j=jmin..jmax} |xi|^{2j} (+|xi|^{2*frac_top})."""
+        xin2 = self.xi_norm() ** 2
+        out = np.zeros(self.shape)
+        acc = np.ones(self.shape)
+        for j in range(0, jmax + 1):
+            if j >= jmin:
+                out = out + acc
+            acc = acc * xin2
+        if frac_top is not None and frac_top > jmax:
+            xin = self.xi_norm()
+            nz = xin > 0
+            top = np.zeros(self.shape)
+            top[nz] = xin[nz] ** (2.0 * frac_top)
+            out = out + top
+        return out
+
     def lambda_s_apply(self, f: np.ndarray, s_exp: float, x_axes=None,
                        spectral_in=False, spectral_out=False) -> np.ndarray:
         """Apply the fractional operator |xi|^s as a Fourier multiplier."""
@@ -360,26 +380,3 @@ class SpatialGrid:
         """Physical-space L^2 squared norm with the dx (and optional extra) measure."""
         return float(np.sum(np.abs(arr) ** 2)) * self.cell_measure * cell_measure
 
-
-def sobolev_norms(grid: SpatialGrid, f: np.ndarray, s_exp: float, n: int,
-                  x_axes=None, cell_measure: float = 1.0) -> tuple:
-    """(homogeneous H^{-s} norm, full H^n norm) of a field.
-
-    The H^{-s} part excludes the xi = 0 mode (torus convention); the H^n
-    part is the multiplier sum_{j<=n} |xi|^{2j}.  Non-spatial axes are
-    summed with ``cell_measure`` (the velocity cell volume for
-    distributions, 1 for electromagnetic fields).
-    """
-    if n < 0:
-        raise ValueError("derivative order n must be nonnegative")
-    spec = grid.forward(f, x_axes)
-    m_neg = grid.lambda_multiplier(-s_exp) ** 2
-    hneg = np.sqrt(grid.spec_weighted_norm2(spec, m_neg, x_axes, cell_measure))
-    xin2 = grid.xi_norm() ** 2
-    m_n = np.ones(grid.shape)
-    acc = np.ones(grid.shape)
-    for _ in range(n):
-        acc = acc * xin2
-        m_n = m_n + acc
-    hn = np.sqrt(grid.spec_weighted_norm2(spec, m_n, x_axes, cell_measure))
-    return hneg, hn

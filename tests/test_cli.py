@@ -41,7 +41,15 @@ class TestConfigHandling:
         (["n_x=0"], "n_x"),
         (["v_max=-1"], "v_max"),
         (["collision_solver=direct", "n_v=20"], "n_v"),
-    ], ids=["coarse_n_v", "n_x", "v_max", "direct_past_limit"])
+        (["report_every=0"], "report_every"),
+        (["box_length=-1"], "box_length"),
+        (["amplitude=nan"], "amplitude"),
+        (["monitor_every=-1"], "monitor_every"),
+        (["checkpoint_every=-2"], "checkpoint_every"),
+        (["beta_max=-1"], "beta_max"),
+    ], ids=["coarse_n_v", "n_x", "v_max", "direct_past_limit", "report_every",
+            "box_length", "amplitude", "monitor_every", "checkpoint_every",
+            "beta_max"])
     def test_bad_grid_rejected(self, tmp_path, capsys, settings, key):
         argv = ["simulate", "--out", str(tmp_path)]
         for item in settings:
@@ -179,6 +187,27 @@ def test_nonfinite_field_aborts(tmp_path, monkeypatch, capsys):
         str(tmp_path / "checkpoints" / "last_good.bin"))
     assert step == 0
     assert np.all(np.isfinite(last_good.em.e_spec))
+
+
+def test_nonfinite_resume_exits_3(tmp_path, capsys):
+    # a non-finite initial state aborts at the resume step, and the state
+    # is written as last_good.bin under that step index
+    first = tmp_path / "first"
+    assert run_cli("simulate", "--out", str(first), *FAST_OVERRIDES) == 0
+    state, step = evolve.load_checkpoint(str(first / "checkpoints" / "final.bin"))
+    state.f[0, 1, 2, 3, 4] = np.nan
+    bad = tmp_path / "bad.bin"
+    evolve.save_checkpoint(str(bad), state, step)
+    capsys.readouterr()
+    rc = run_cli("simulate", "--out", str(tmp_path / "run"), "--resume", str(bad),
+                 *FAST_OVERRIDES)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err and "non-finite" in err
+    dumped, dumped_step = evolve.load_checkpoint(
+        str(tmp_path / "run" / "checkpoints" / "last_good.bin"))
+    assert dumped_step == step == 3
+    assert np.isnan(dumped.f[0, 1, 2, 3, 4])
 
 
 class TestVerify:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vmlkit import diagnostics as diag
-from vmlkit import evolve, landau, maxwell
+from vmlkit import evolve, landau, macro_micro, maxwell
 from vmlkit.evolve import PhaseState, RunConfig, initial_state
 from vmlkit.macro_micro import MacroProjector
 
@@ -15,7 +15,7 @@ def ctx8():
     sg, vg = cfg.grids()
     tab = landau.build_collision_tables(vg, cfg.gamma)
     proj = MacroProjector(vg)
-    return cfg, diag.DiagContext.from_config(cfg, sg, vg, tab, proj)
+    return cfg, diag.DiagContext(sg, vg, tab, proj, cfg)
 
 
 def single_mode_state(sg, vg, k=2):
@@ -27,7 +27,7 @@ def single_mode_state(sg, vg, k=2):
 
 
 def snapshot(ctx, st):
-    return diag.SpectralSnapshot(ctx, st, ctx.beta_max)
+    return diag.SpectralSnapshot(ctx, st, report=True)
 
 
 class TestEnergyFamilies:
@@ -79,11 +79,11 @@ class TestEnergyFamilies:
         sg, vg = cfg.grids()
         tab = landau.build_collision_tables(vg, cfg.gamma)
         proj = MacroProjector(vg)
-        ctx = diag.DiagContext.from_config(cfg, sg, vg, tab, proj)
+        ctx = diag.DiagContext(sg, vg, tab, proj, cfg)
         st = initial_state(cfg, sg, vg)
         snap = snapshot(ctx, st)
         ew = snap.band(snap.weighted(ctx, 0.0, t=1.3)["f"], 0, cfg.n_max)
-        en = snap.norm2(diag._grad_band_mult(ctx, 0, cfg.n_max), "f")
+        en = snap.norm2(sg.band_multiplier(0, cfg.n_max), "f")
         assert ew == pytest.approx(en, rel=1e-12)
 
     def test_dissipation_micro_terms_vanish_on_pure_macro(self, ctx8):
@@ -107,14 +107,14 @@ class TestEnergyFamilies:
                         direct_max_nv=8, q=0.0)
         sg, vg = cfg.grids()
         tab = landau.build_collision_tables(vg, cfg.gamma)
-        ctx = diag.DiagContext.from_config(cfg, sg, vg, tab, MacroProjector(vg))
+        ctx = diag.DiagContext(sg, vg, tab, MacroProjector(vg), cfg)
         st = initial_state(cfg, sg, vg)
         snap = snapshot(ctx, PhaseState(st.f, maxwell.EMField.zero(sg), 0.0))
         terms = snap.weighted(ctx, 0.0, 0.0)
         base = diag.dissipation_weighted(ctx, snap, terms, 2, t=0.0)
         later = diag.dissipation_weighted(ctx, snap, terms, 2, t=3.0)
         extra = snap.band(terms["extra"], 0, 2)
-        expect = base - extra * (1.0 - 4.0 ** (-1.0 - ctx.theta))
+        expect = base - extra * (1.0 - 4.0 ** (-1.0 - cfg.theta))
         assert later == pytest.approx(expect, rel=1e-10)
 
 
@@ -163,7 +163,7 @@ class TestSpectralSnapshot:
         cfg = RunConfig(n_x=n_x, n_v=8, active_axes=axes)
         sg, vg = cfg.grids()
         tab = landau.build_collision_tables(vg, cfg.gamma)
-        ctx = diag.DiagContext.from_config(cfg, sg, vg, tab, MacroProjector(vg))
+        ctx = diag.DiagContext(sg, vg, tab, MacroProjector(vg), cfg)
         rng = np.random.default_rng(sum(axes) + n_x)
         f = rng.standard_normal((2,) + sg.shape + vg.shape) * vg.mu_half()
         snap = snapshot(ctx, PhaseState(f, maxwell.EMField.zero(sg), 0.0))
@@ -178,7 +178,7 @@ class TestSpectralSnapshot:
         cfg, ctx = ctx8
         st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
         full = snapshot(ctx, st)
-        lean = diag.SpectralSnapshot(ctx, st, beta_max=0)
+        lean = diag.SpectralSnapshot(ctx, st, report=False)
         assert all(sum(b) == 0 for _, b in lean.pairs)
         for k in range(cfg.n0 + 1):
             assert lean.sigma_band(k, cfg.n0) == full.sigma_band(k, cfg.n0)
@@ -325,27 +325,114 @@ def test_stepper_L_matches_matrix_free_diagnostics(ctx8, method):
     cfg, ctx = ctx8
     stepper = evolve.CollisionStepper(ctx.tables, cfg.dt, method=method,
                                       direct_max_nv=8)
-    ctx_s = diag.DiagContext.from_config(cfg, ctx.sgrid, ctx.vgrid, ctx.tables,
-                                         ctx.projector, collision=stepper)
+    ctx_s = diag.DiagContext(ctx.sgrid, ctx.vgrid, ctx.tables, ctx.projector, cfg,
+                             collision=stepper)
     st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
 
     def close(a, b):
         a, b = np.asarray(a), np.asarray(b)
         return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
-    for got, ref in zip(diag.monitor_row(ctx_s, st), diag.monitor_row(ctx, st)):
+    lean_s, lean = (diag.SpectralSnapshot(c, st, report=False) for c in (ctx_s, ctx))
+    for got, ref in zip(diag.monitor_row(ctx_s, lean_s), diag.monitor_row(ctx, lean)):
         assert close(got, ref)
-    assert close(diag.build_report(ctx_s, st).d_proxy_k,
-                 diag.build_report(ctx, st).d_proxy_k)
-    assert close(diag.macro_snapshot(ctx_s, st).b_source,
-                 diag.macro_snapshot(ctx, st).b_source)
+    full_s, full = snapshot(ctx_s, st), snapshot(ctx, st)
+    assert close(diag.build_report(ctx_s, full_s).d_proxy_k,
+                 diag.build_report(ctx, full).d_proxy_k)
+    assert close(diag.macro_snapshot(ctx_s, full_s).b_source,
+                 diag.macro_snapshot(ctx, full).b_source)
+
+
+def reference_macro_snapshot(ctx, st):
+    """The macro snapshot in physical space: P f, moments, v . grad_x, matrix-free L."""
+    f, sg, vg, proj = st.f, ctx.sgrid, ctx.vgrid, ctx.projector
+    pf, macro = proj.project(f)
+    micro_s = (f - pf)[0] + (f - pf)[1]
+    lf = landau.apply_L(ctx.tables, f)
+    source = -(lf[0] + lf[1])
+    if ctx.config.mode == "nonlinear":
+        force = evolve._lorentz_force_terms(sg, vg, f, st.em.e_phys(sg), st.em.b_phys(sg),
+                                            evolve.fd_gradient_matrix_o4(vg.nodes_1d))
+        gam = landau.apply_Gamma(ctx.tables, f, f)
+        source = source + force[0] + force[1] + gam[0] + gam[1]
+    v, x_axes = vg.axes(), tuple(range(sg.n_active))
+    transport = sum(v[axis] * sg.derivative(micro_s, axis, x_axes)
+                    for axis in sg.active_axes)
+    wgt = [0.1 * (vg.vsq() - 5.0) * vj * vg.mu_half() for vj in v]
+
+    def b_moment(h):
+        return np.stack([vg.integrate(h * w) for w in wgt])
+
+    mom = macro_micro.moments(f, proj)
+    return {"a+": macro.a_plus, "a-": macro.a_minus, "b": macro.b, "c": macro.c,
+            "A": mom.A, "Bv": mom.Bv, "G": mom.G, "b_micro": b_moment(micro_s),
+            "b_source": b_moment(source) - b_moment(transport)}
+
+
+@pytest.mark.parametrize("mode", ["linearized", "nonlinear"])
+@pytest.mark.parametrize("axes,n_x", [((0,), 16), ((0, 2), 6)])
+def test_macro_snapshot_matches_physical_space_reference(axes, n_x, mode):
+    cfg = RunConfig(n_x=n_x, n_v=8, active_axes=axes, mode=mode)
+    sg, vg = cfg.grids()
+    tab = landau.build_collision_tables(vg, cfg.gamma)
+    ctx = diag.DiagContext(sg, vg, tab, MacroProjector(vg), cfg)
+    rng = np.random.default_rng(n_x + len(mode))
+    # noise in every mode, the Nyquist ones included, on top of the preset
+    st = initial_state(cfg, sg, vg)
+    f = st.f + 1e-3 * rng.standard_normal(st.f.shape) * vg.mu_half()
+    e, b = (sg.forward(1e-3 * rng.standard_normal((3,) + sg.shape)) for _ in range(2))
+    st = PhaseState(f, maxwell.EMField(e, b), 0.7)
+    got = diag.macro_snapshot(ctx, diag.SpectralSnapshot(ctx, st, report=True))
+    fields = {"a+": got.macro.a_plus, "a-": got.macro.a_minus, "b": got.macro.b,
+              "c": got.macro.c, "A": got.mom.A, "Bv": got.mom.Bv, "G": got.mom.G,
+              "b_micro": got.b_micro, "b_source": got.b_source}
+    assert got.t == 0.7
+    for name, ref in reference_macro_snapshot(ctx, st).items():
+        assert fields[name].shape == ref.shape, name
+        err = np.abs(fields[name] - ref).max() / np.abs(ref).max()
+        assert err <= 1e-12, (name, err)
+
+
+def test_one_L_application_per_recorded_state(monkeypatch):
+    # monitor rows at steps 0..4 and reports at 0, 2, 4: five recorded
+    # states, so five L f (eleven when each consumer applied its own)
+    calls = []
+    apply_L = landau.apply_L
+
+    def counted(tables, f):
+        calls.append(f.shape)
+        return apply_L(tables, f)
+
+    monkeypatch.setattr(landau, "apply_L", counted)
+    cfg = RunConfig(n_x=8, n_v=8, dt=0.1, t_end=0.4, collision_solver="cg",
+                    monitor_every=1, report_every=2)
+    res = evolve.run(cfg)
+    assert len(res.monitor.t) == 5 and len(res.reports) == 3
+    assert len(calls) == 5
+
+
+def test_report_step_monitor_row_is_the_beta_zero_row():
+    # at a report step the monitor row comes from the report's snapshot;
+    # it must equal the row of a beta = 0 snapshot of the same state
+    cfg = RunConfig(n_x=8, n_v=8, dt=0.1, t_end=0.2, collision_solver="direct",
+                    direct_max_nv=8, monitor_every=1, report_every=2)
+    res = evolve.run(cfg)
+    sg, vg = cfg.grids()
+    tab = landau.build_collision_tables(vg, cfg.gamma)
+    stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct", direct_max_nv=8)
+    ctx = diag.DiagContext(sg, vg, tab, MacroProjector(vg), cfg, collision=stepper)
+    row = diag.monitor_row(ctx, diag.SpectralSnapshot(ctx, res.final_state, report=False))
+    recorded = (res.monitor.e_k[-1], res.monitor.d_k[-1], res.monitor.d_proxy_k[-1])
+    assert res.monitor.t[-1] == res.reports[-1].t == res.final_state.t
+    for got, ref in zip(recorded, row):
+        assert np.array_equal(got, ref)
 
 
 class TestReport:
     def test_header_row_alignment(self, ctx8):
         cfg, ctx = ctx8
         st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
-        rep = diag.build_report(ctx, st)
+        rep = diag.build_report(ctx, snapshot(ctx, st))
         cols = diag.FunctionalReport.header(cfg.k_max)
         row = rep.row(cfg.k_max)
         assert len(cols) == len(row)
@@ -354,7 +441,7 @@ class TestReport:
     def test_report_nonnegative_entries(self, ctx8):
         cfg, ctx = ctx8
         st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
-        rep = diag.build_report(ctx, st)
+        rep = diag.build_report(ctx, snapshot(ctx, st))
         for name in ("e_n", "d_n", "e_w", "d_w", "ebar_top", "dbar_top",
                      "hneg_f", "gauss_residual", "div_b"):
             assert getattr(rep, name) >= 0.0
@@ -368,7 +455,7 @@ class TestReport:
         # 2.4.6 and scipy 1.17.1; the spectral densities agree to round-off
         cfg, ctx = ctx8
         st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
-        rep = diag.build_report(ctx, st)
+        rep = diag.build_report(ctx, snapshot(ctx, st))
         pinned = {
             "e_w": 9141.176357851535,
             "d_w": 35025.171701669686,

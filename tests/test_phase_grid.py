@@ -10,7 +10,6 @@ from vmlkit.phase_grid import (
     fd_gradient_matrix,
     fd_gradient_matrix_o4,
     maxwellian,
-    sobolev_norms,
 )
 
 
@@ -210,6 +209,13 @@ class TestLambda:
         assert np.abs(a - b).max() < 1e-12 * max(np.abs(a).max(), 1.0)
 
 
+def sobolev_norms(grid, f, s_exp, n):
+    """(homogeneous H^-s norm, full H^n norm) of a field, from its spectrum."""
+    spec = grid.forward(f)
+    return (math.sqrt(grid.spec_weighted_norm2(spec, grid.lambda_multiplier(-s_exp) ** 2)),
+            math.sqrt(grid.spec_weighted_norm2(spec, grid.band_multiplier(0, n))))
+
+
 class TestSobolevNorms:
     def test_zero_field(self, sgrid32):
         hneg, hn = sobolev_norms(sgrid32, np.zeros(sgrid32.shape), 0.5, 2)
@@ -223,6 +229,13 @@ class TestSobolevNorms:
         hneg, hn = sobolev_norms(sgrid32, f, 0.5, 1)
         assert hneg == pytest.approx(abs(xi) ** -0.5 * norm, rel=1e-12)
         assert hn == pytest.approx(math.sqrt(1 + xi ** 2) * norm, rel=1e-12)
+
+    def test_band_multiplier_terms(self, sgrid32):
+        xin = sgrid32.xi_norm()
+        mult = sgrid32.band_multiplier(1, 2, frac_top=2.5)
+        assert np.allclose(mult, xin ** 2 + xin ** 4 + xin ** 5, rtol=1e-14, atol=0.0)
+        assert mult[0] == 0.0
+        assert np.array_equal(sgrid32.band_multiplier(0, 0), np.ones(sgrid32.shape))
 
     def test_interpolation_inequality_on_bump(self):
         # || grad^k u || <= ||Lambda^{-s} u||^(1/(k+s+1)) ||grad^{k+1} u||^((k+s)/(k+s+1))
