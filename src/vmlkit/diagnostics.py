@@ -11,11 +11,15 @@ equivalences are fixed to one.  Conventions:
   run builds one ``SpectralSnapshot`` per recorded state: one forward
   transform f_hat, reduced to per-mode powers and x-reduced velocity
   densities, and the one L f of that state, reduced to the per-mode
-  collision power Re conj(f_hat) (L f)^.  The monitor row, the report and
-  the macro snapshot all read that snapshot; each functional is a
-  multiplier or weight dot product.  P and the moment functions are local
-  in x, so the macro coefficients, the micro part and the moments behind
-  the fluid residuals come from f_hat too.
+  collision power Re conj(f_hat) (L f)^.  The velocity densities come from
+  a derivative tree over blocks of xi-modes: every d_beta field is formed
+  once per block, one stencil pass from its parent, and feeds the sigma
+  bracket of its parent (``landau.sigma_density``, the one sigma split).
+  The monitor row, the report and the macro snapshot all read that
+  snapshot; each functional is a multiplier or weight dot product.  P and
+  the moment functions are local in x, so the macro coefficients, the
+  micro part and the moments behind the fluid residuals come from f_hat
+  too.
 * the mixed-derivative terms ||w d^alpha_beta f||^2 measure the real field
   Re d^alpha f.  At a mode whose orders alpha_i, summed over the axes that
   sit at the Nyquist index, are odd, (i xi)^alpha f_hat has no Hermitian
@@ -45,6 +49,10 @@ import numpy as np
 
 from . import landau, macro_micro, maxwell
 from .phase_grid import SpatialGrid, VelocityGrid, fd_gradient_matrix
+
+# bytes of one complex field of a block of xi-modes in the snapshot's
+# derivative tree: a block's fields stay in cache while the tree is walked
+BLOCK_BYTES = 256 * 1024
 
 TORUS_CAVEAT = (
     "torus caveat: algebraic decay rates -(k+s) are whole-space statements; "
@@ -93,26 +101,10 @@ class DiagContext:
                     alpha[c] += 1
                 yield tuple(alpha)
 
-    def betas(self, max_order: int):
-        for total in range(min(max_order, self.config.beta_max) + 1):
-            for combo in itertools.combinations_with_replacement(range(3), total):
-                beta = [0, 0, 0]
-                for c in combo:
-                    beta[c] += 1
-                yield tuple(beta)
-
 
 # ---------------------------------------------------------------------------
 # one spectral pass per recorded state
 # ---------------------------------------------------------------------------
-
-
-def _fd_beta(fd: np.ndarray, arr: np.ndarray, beta: tuple) -> np.ndarray:
-    out = arr
-    for j, order in enumerate(beta):
-        for _ in range(order):
-            out = landau._apply_axis(fd, out, j - 3)
-    return out
 
 
 def _alpha_multipliers(sgrid: SpatialGrid, alphas: list) -> np.ndarray:
@@ -136,7 +128,7 @@ def _alpha_multipliers(sgrid: SpatialGrid, alphas: list) -> np.ndarray:
 
 
 def _contract(mult: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Species-summed per-mode densities (2, *x, n, n, n) against mode multipliers."""
+    """Species-summed per-mode densities (2, modes, n, n, n) against mode multipliers."""
     per_mode = dens.sum(axis=0).reshape(mult.shape[1], -1)
     return (mult @ per_mode).reshape((len(mult),) + dens.shape[-3:])
 
@@ -190,6 +182,16 @@ class SpectralSnapshot:
     species-reduced velocity density of |d^alpha_beta f|^2 ("f") and, with
     a projector, of <v>^2 |d^alpha_beta {I-P} f|^2 ("extra") and the sigma
     bracket of d^alpha_beta {I-P} f ("sigma").
+
+    The densities come from a derivative tree walked over blocks of xi-modes
+    (``BLOCK_BYTES`` per complex field, so a block's fields stay in cache).
+    Within a block each d_beta f_hat (|beta| up to the depth above) and
+    d_beta micro (one order deeper) is formed once, by one stencil pass
+    along its highest axis from its parent, and each |.|^2 once: the sigma
+    bracket of d_beta micro takes its gradient and squares from the
+    children d_(beta+e_j) micro.  At beta_max = 2 that is 28 passes per
+    block, 3 for a monitor snapshot.  The per-block densities are summed
+    into ``dens``.
     """
 
     def __init__(self, ctx: DiagContext, state, report: bool):
@@ -245,22 +247,59 @@ class SpectralSnapshot:
                             "b_source": b_source}
 
         depth = max(cfg.n_max, cfg.n0)
+        top = min(depth, cfg.beta_max) if report else 0
         alphas = list(ctx.alphas(depth))
         mults = _alpha_multipliers(sgrid, alphas)
-        fd = fd_gradient_matrix(vgrid.nodes_1d)
-        br2 = 1.0 + vgrid.vsq()
-        dens = {name: [] for name in (("f",) if micro is None else ("f", "extra", "sigma"))}
-        self.pairs = []
-        for beta in ctx.betas(depth if report else 0):
-            rows = [i for i, a in enumerate(alphas) if sum(a) + sum(beta) <= depth]
-            self.pairs += [(alphas[i], beta) for i in rows]
-            mult = mults[rows]
-            dens["f"].append(_contract(mult, abs2(_fd_beta(fd, f_spec, beta))))
-            if micro is not None:
-                mb = _fd_beta(fd, micro, beta)
-                dens["extra"].append(br2 * _contract(mult, abs2(mb)))
-                dens["sigma"].append(_contract(mult, landau.sigma_density(ctx.tables, mb)))
-        self.dens = {name: np.concatenate(d) for name, d in dens.items()}
+        # beta as its sorted tuple of axes, by order; dropping the last
+        # (highest) axis gives the parent, one stencil pass away
+        levels = [list(itertools.combinations_with_replacement(range(3), k))
+                  for k in range(top + 2)]
+        self.pairs, rows = [], {}
+        for c in itertools.chain(*levels[:top + 1]):
+            keep = [i for i, a in enumerate(alphas) if sum(a) + len(c) <= depth]
+            rows[c] = (len(self.pairs), mults[keep])
+            beta = tuple(c.count(j) for j in range(3))
+            self.pairs += [(alphas[i], beta) for i in keep]
+        names = ("f",) if micro is None else ("f", "extra", "sigma")
+        self.dens = {name: np.zeros((len(self.pairs),) + vgrid.shape) for name in names}
+
+        def add(name, c, sl, dens):
+            lo, mult = rows[c]
+            self.dens[name][lo:lo + len(mult)] += _contract(mult[:, sl], dens)
+
+        # the derivative tree, level by level within one block of xi-modes:
+        # d_beta is one stencil pass from its parent, and |.|^2 of each micro
+        # field feeds its own "extra" term and the sigma terms of its parents
+        apply_axis, fd = landau._apply_axis, fd_gradient_matrix(vgrid.nodes_1d)
+        n_modes = mults.shape[1]
+        fv = f_spec.reshape((2, n_modes) + vgrid.shape)
+        mv = None if micro is None else micro.reshape(fv.shape)
+        block = max(1, BLOCK_BYTES // fv[:, :1].nbytes)
+        for start in range(0, n_modes, block):
+            sl = slice(start, start + block)
+            f_lvl = {(): fv[:, sl]}
+            if mv is not None:
+                m_lvl = {(): mv[:, sl]}
+                m_sq = {(): abs2(m_lvl[()])}
+            for level in range(top + 1):
+                for c, fc in f_lvl.items():
+                    add("f", c, sl, abs2(fc))
+                if mv is not None:
+                    kids = {c: apply_axis(fd, m_lvl[c[:-1]], c[-1] - 3)
+                            for c in levels[level + 1]}
+                    kid_sq = {c: abs2(k) for c, k in kids.items()}
+                    for c, mc in m_lvl.items():
+                        below = [tuple(sorted(c + (j,))) for j in range(3)]
+                        add("extra", c, sl, m_sq[c])
+                        add("sigma", c, sl, landau.sigma_density(
+                            ctx.tables, mc, [kids[k] for k in below],
+                            [m_sq[c]] + [kid_sq[k] for k in below]))
+                    m_lvl, m_sq = kids, kid_sq
+                if level < top:
+                    f_lvl = {c: apply_axis(fd, f_lvl[c[:-1]], c[-1] - 3)
+                             for c in levels[level + 1]}
+        if micro is not None:
+            self.dens["extra"] *= 1.0 + vgrid.vsq()
         self.a_ord = np.array([sum(a) for a, _ in self.pairs])
         self.b_ord = np.array([sum(b) for _, b in self.pairs])
 

@@ -166,6 +166,10 @@ class RunConfig:
             raise ValueError(f"unknown collision solver {self.collision_solver!r}")
         if self.report_every < 1:
             raise ValueError(f"report_every must be at least 1, got {self.report_every}")
+        if self.n_modes < 1:
+            raise ValueError(f"n_modes must be at least 1, got {self.n_modes}")
+        if self.cg_tol <= 0:
+            raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
         for key in ("monitor_every", "checkpoint_every", "n_max", "k_max", "beta_max"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative, got {getattr(self, key)}")
@@ -758,8 +762,6 @@ class RunResult:
     macro_history: list
     final_state: PhaseState
     contraction_violations: int = 0
-    aborted: bool = False
-    abort_step: int = -1
 
 
 def _finite(state: PhaseState) -> bool:

@@ -36,6 +36,7 @@ the angular mean (2/3) I of the projector.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -131,6 +132,7 @@ class CollisionTables:
     mu_half: np.ndarray = field(repr=False, default=None)
     bracket_par: np.ndarray = field(repr=False, default=None)   # <v>^(gamma/2)
     bracket_perp: np.ndarray = field(repr=False, default=None)  # <v>^((gamma+2)/2)
+    vhat: tuple = field(repr=False, default=None)               # v/|v|, 0 at v = 0
     pad: int = 0
 
     @property
@@ -212,6 +214,9 @@ def build_collision_tables(grid: VelocityGrid, gamma: float,
     tables.mu_half = grid.mu_half()
     tables.bracket_par = grid.bracket(0.5 * gamma)
     tables.bracket_perp = grid.bracket(0.5 * (gamma + 2.0))
+    vn = grid.vnorm()
+    tables.vhat = tuple(np.divide(v, vn, out=np.zeros_like(vn), where=vn > 0.0)
+                        for v in grid.axes())
     return tables
 
 
@@ -221,7 +226,19 @@ def build_collision_tables(grid: VelocityGrid, gamma: float,
 
 
 def _apply_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Contract a stencil matrix along one of the last three (velocity) axes."""
+    """Contract a stencil matrix along one of the last three (velocity) axes.
+
+    A complex spectrum is contracted as one GEMM along the last axis, and
+    through its real view, one real GEMM per leading index, along the other
+    two; numpy would otherwise run one complex GEMM per stencil row.
+    """
+    if np.iscomplexobj(arr):
+        a = np.ascontiguousarray(arr)
+        n = a.shape[axis]
+        if axis == -1:
+            return (a.reshape(-1, n) @ mat.T).reshape(a.shape)
+        rows = a.reshape((-1, n, math.prod(a.shape[axis + 1:]))).view(np.float64)
+        return np.matmul(mat, rows).view(a.dtype).reshape(a.shape)
     moved = np.moveaxis(arr, axis, -1)
     out = moved @ mat.T
     return np.moveaxis(out, -1, axis)
@@ -380,25 +397,32 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 
 def sigma_density(tables: CollisionTables, h: np.ndarray,
-                  grad: list | None = None) -> np.ndarray:
+                  grad: list | None = None, sq: list | None = None) -> np.ndarray:
     """Pointwise integrand of the unweighted anisotropic norm of h.
 
         <v>^(gamma+2) (|h|^2 + |g_perp|^2) + <v>^gamma |g_par|^2
 
     with g = grad_v h split as g_par = g . v_hat and g_perp = g - g_par v_hat,
     v_hat = v/|v| and v_hat = 0 at the v = 0 node (where the whole gradient
-    counts as transverse).  Complex h (a Fourier spectrum in x) gives the
-    per-mode density.  ``grad`` overrides the finite-difference gradient.
+    counts as transverse).  |g_perp|^2 = |g|^2 - |g_par|^2 wherever
+    |v_hat| = 1, and g_par = 0 at the origin, so the density is exactly
+
+        b_perp^2 (|h|^2 + sum_j |g_j|^2) + (b_par^2 - b_perp^2) |g . v_hat|^2
+
+    with b_perp = <v>^((gamma+2)/2) and b_par = <v>^(gamma/2), which is how
+    it is evaluated.  Complex h (a Fourier spectrum in x) gives the per-mode
+    density.  ``grad`` overrides the finite-difference gradient, and ``sq``
+    supplies [|h|^2, |g_0|^2, |g_1|^2, |g_2|^2] when the caller holds them.
     """
-    grid = tables.grid
     if grad is None:
         grad = [_apply_axis(tables.fd, h, j - 3) for j in range(3)]
-    vn = grid.vnorm()
-    vhat = [np.divide(v, vn, out=np.zeros_like(vn), where=vn > 0.0) for v in grid.axes()]
+    if sq is None:
+        sq = [_abs2(h)] + [_abs2(g) for g in grad]
+    vhat = tables.vhat
     gpar = grad[0] * vhat[0] + grad[1] * vhat[1] + grad[2] * vhat[2]
-    gperp_sq = sum(_abs2(g - gpar * u) for g, u in zip(grad, vhat))
-    return (tables.bracket_perp ** 2 * (_abs2(h) + gperp_sq)
-            + tables.bracket_par ** 2 * _abs2(gpar))
+    bperp2 = tables.bracket_perp ** 2
+    return (bperp2 * (sq[0] + sq[1] + sq[2] + sq[3])
+            + (tables.bracket_par ** 2 - bperp2) * _abs2(gpar))
 
 
 def sigma_norm_sq(f: np.ndarray, tables: CollisionTables,

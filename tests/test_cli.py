@@ -47,9 +47,11 @@ class TestConfigHandling:
         (["monitor_every=-1"], "monitor_every"),
         (["checkpoint_every=-2"], "checkpoint_every"),
         (["beta_max=-1"], "beta_max"),
+        (["collision_solver=cg", "cg_tol=0"], "cg_tol"),
+        (["n_modes=0"], "n_modes"),
     ], ids=["coarse_n_v", "n_x", "v_max", "direct_past_limit", "report_every",
             "box_length", "amplitude", "monitor_every", "checkpoint_every",
-            "beta_max"])
+            "beta_max", "cg_tol", "n_modes"])
     def test_bad_grid_rejected(self, tmp_path, capsys, settings, key):
         argv = ["simulate", "--out", str(tmp_path)]
         for item in settings:

@@ -183,6 +183,44 @@ class TestSpectralSnapshot:
         for k in range(cfg.n0 + 1):
             assert lean.sigma_band(k, cfg.n0) == full.sigma_band(k, cfg.n0)
 
+    def test_ragged_mode_blocks_match_one_block(self, ctx8, monkeypatch):
+        # 16 modes in blocks of 5: three full blocks and a ragged one
+        cfg, ctx = ctx8
+        st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
+        mode_bytes = 2 * 16 * ctx.vgrid.n_v ** 3
+        monkeypatch.setattr(diag, "BLOCK_BYTES", 16 * mode_bytes)
+        whole = snapshot(ctx, st)
+        monkeypatch.setattr(diag, "BLOCK_BYTES", 5 * mode_bytes)
+        ragged = snapshot(ctx, st)
+        assert ragged.pairs == whole.pairs
+        for name in ("f", "extra", "sigma"):
+            ref = whole.dens[name]
+            err = np.abs(ragged.dens[name] - ref).max() / np.abs(ref).max()
+            assert err <= 1e-14, (name, err)
+
+    @pytest.mark.parametrize("report,passes", [(True, 28), (False, 3)])
+    def test_stencil_passes_per_mode_block(self, ctx8, monkeypatch, report, passes):
+        # beta_max = 2: the tree forms each of the 9 d_beta f_hat (|beta| in
+        # 1..2) and the 19 d_beta micro (|beta| in 1..3) once per block; a
+        # monitor snapshot forms only the 3 first-order micro fields
+        cfg, ctx = ctx8
+        assert cfg.beta_max == 2
+        st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
+        monkeypatch.setattr(diag, "BLOCK_BYTES", 5 * 2 * 16 * ctx.vgrid.n_v ** 3)
+        calls = []
+        apply_axis = landau._apply_axis
+
+        def counted(mat, arr, axis):
+            # the passes over spectra; L f applies its stencils to the real f
+            if np.iscomplexobj(arr):
+                calls.append(arr.shape[1])
+            return apply_axis(mat, arr, axis)
+
+        monkeypatch.setattr(landau, "_apply_axis", counted)
+        diag.SpectralSnapshot(ctx, st, report=report)
+        assert len(calls) == 4 * passes
+        assert sorted(set(calls)) == [1, 5]
+
 
 class TestXFunctional:
     def test_running_sup_monotone_and_left_endpoint(self):

@@ -347,6 +347,26 @@ class TestSigmaNorm:
         f = rng.standard_normal(tables8.grid.shape)
         assert landau.sigma_norm(f, tables8) > 0.0
 
+    def test_density_identity_matches_vector_split(self, tables8, vgrid8):
+        # b_perp^2 (|h|^2 + |g|^2) + (b_par^2 - b_perp^2)|g.v_hat|^2 against
+        # the split g_perp = g - (g.v_hat) v_hat, on complex per-mode fields
+        rng = np.random.default_rng(12)
+        shape = (2, 3) + vgrid8.shape
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grad = [landau._apply_axis(tables8.fd, h, j - 3) for j in range(3)]
+        vn = vgrid8.vnorm()
+        vhat = [np.divide(v, vn, out=np.zeros_like(vn), where=vn > 0.0)
+                for v in vgrid8.axes()]
+        gpar = sum(g * u for g, u in zip(grad, vhat))
+        gperp_sq = sum(np.abs(g - gpar * u) ** 2 for g, u in zip(grad, vhat))
+        ref = (tables8.bracket_perp ** 2 * (np.abs(h) ** 2 + gperp_sq)
+               + tables8.bracket_par ** 2 * np.abs(gpar) ** 2)
+        got = landau.sigma_density(tables8, h)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # fields and squares supplied by the caller give the same density
+        sq = [landau._abs2(a) for a in [h] + grad]
+        assert np.array_equal(landau.sigma_density(tables8, h, grad, sq), got)
+
 
 class TestCoercivity:
     def test_gap_positive_and_stable(self):
