@@ -196,7 +196,7 @@ def cmd_simulate(args) -> int:
     except evolve.StateError as exc:
         print(f"error: cannot resume from {args.resume}: {exc}", file=sys.stderr)
         return 2
-    except evolve.NanAbort as exc:
+    except evolve.RunAbort as exc:
         print(f"error: {exc}; last good state (step {exc.good_step}) checkpointed "
               f"to {os.path.join(ckpt_dir, 'last_good.bin')}", file=sys.stderr)
         return 3

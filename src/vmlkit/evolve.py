@@ -68,19 +68,30 @@ class StateError(ValueError):
     """A checkpoint that cannot be read, or a state that does not fit the grids."""
 
 
-class NanAbort(RuntimeError):
-    """Raised when non-finite values appear at ``step`` (time ``t``).
+class RunAbort(RuntimeError):
+    """A run stopped at ``step`` (time ``t``) before reaching t_end.
 
-    Carries the last good state and its step index ``good_step``; for a
-    non-finite initial state, that is the initial state itself.
+    Carries the last good state and its step index ``good_step``.
     """
 
-    def __init__(self, step: int, t: float, last_good, good_step: int):
-        super().__init__(f"non-finite state detected at step {step}, t = {t:.6g}")
+    def __init__(self, reason: str, step: int, t: float, last_good, good_step: int):
+        super().__init__(f"{reason} at step {step}, t = {t:.6g}")
         self.step = step
         self.t = t
         self.last_good = last_good
         self.good_step = good_step
+
+
+class NanAbort(RunAbort):
+    """Non-finite values appeared; for a non-finite initial state, the last
+    good state is the initial state itself."""
+
+    def __init__(self, step: int, t: float, last_good, good_step: int):
+        super().__init__("non-finite state detected", step, t, last_good, good_step)
+
+
+class CGNotConverged(RuntimeError):
+    """The collision CG did not reach ``cg_tol`` within its iteration cap."""
 
 
 @dataclass
@@ -415,16 +426,12 @@ class CollisionStepper:
     def _op_d(self, x: np.ndarray) -> np.ndarray:
         return x + self.dt * landau.apply_A(self.tables, x)
 
-    def _rhs_s(self, x: np.ndarray) -> np.ndarray:
-        return x - self.dt * (landau.apply_A(self.tables, x) + landau.apply_K(self.tables, x))
-
-    def _rhs_d(self, x: np.ndarray) -> np.ndarray:
-        return x - self.dt * landau.apply_A(self.tables, x)
-
-    def _pcg(self, op, rhs: np.ndarray, x0: np.ndarray) -> tuple:
+    def _pcg(self, op, rhs: np.ndarray, x0: np.ndarray, op_x0: np.ndarray) -> tuple:
         """Batched preconditioned CG over all leading axes at once.
 
-        Returns the solution and the number of iterations taken.
+        ``op_x0`` is op(x0), which the caller already holds.  Returns the
+        solution and the number of iterations taken; raises CGNotConverged
+        when the relative residual stays above ``cg_tol``.
         """
         if self._precond is None:
             grid = self.tables.grid
@@ -432,13 +439,12 @@ class CollisionStepper:
             self._precond = 1.0 / (1.0 + self.dt * scale *
                                    grid.bracket(self.tables.gamma + 2.0))
         m_inv = self._precond
-        bdims = tuple(range(rhs.ndim - 3))
 
         def dots(a, b):
             return np.sum(a * b, axis=(-3, -2, -1), keepdims=True)
 
         x = x0.copy()
-        r = rhs - op(x)
+        r = rhs - op_x0
         z = m_inv * r
         p = z.copy()
         rz = dots(r, z)
@@ -457,9 +463,9 @@ class CollisionStepper:
             beta = rz_new / np.maximum(rz, 1e-300)
             p = z + beta * p
             rz = rz_new
-        raise RuntimeError(
-            f"collision CG did not reach residual {self.cg_tol:g} in 500 iterations "
-            f"(batch {bdims}, final residual {math.sqrt(res2):.3e})")
+        raise CGNotConverged(
+            f"collision CG did not reach cg_tol = {self.cg_tol:g} in 500 iterations "
+            f"(relative residual {math.sqrt(res2) / max(rhs_norm, 1e-300):.3e})")
 
     def advance(self, f: np.ndarray) -> np.ndarray:
         """One trapezoid collision step on the species pair (batched over x)."""
@@ -473,8 +479,12 @@ class CollisionStepper:
             s, d = s2.reshape(lead + self.tables.grid.shape), d2.reshape(
                 lead + self.tables.grid.shape)
         else:
-            s, iters_s = self._pcg(self._op_s, self._rhs_s(s), s)
-            d, iters_d = self._pcg(self._op_d, self._rhs_d(d), d)
+            # the right-hand side (I - dt B) x0 and the initial residual's
+            # (I + dt B) x0 share one B x0, with B = A + K or A
+            bs = landau.apply_A(self.tables, s) + landau.apply_K(self.tables, s)
+            ad = landau.apply_A(self.tables, d)
+            s, iters_s = self._pcg(self._op_s, s - self.dt * bs, s, s + self.dt * bs)
+            d, iters_d = self._pcg(self._op_d, d - self.dt * ad, d, d + self.dt * ad)
             self.last_iterations = (iters_s, iters_d)
         return np.stack([0.5 * (s + d), 0.5 * (s - d)])
 
@@ -777,8 +787,9 @@ def run(config: RunConfig, initial: PhaseState | None = None,
     Deterministic for a fixed config: identical seeds and parameters give
     bit-identical trajectories and reports.  An ``initial`` state whose
     f, E or B shape differs from the config's grids raises StateError.
-    Non-finite f, E or B aborts with NanAbort, which carries the last good
-    state; with ``checkpoint_dir`` that state is also written there as
+    Non-finite f, E or B aborts with NanAbort, and a collision CG that does
+    not reach ``cg_tol`` with RunAbort; both carry the last good state, and
+    with ``checkpoint_dir`` that state is also written there as
     ``last_good.bin``.  A non-finite initial state aborts at
     ``resume_step`` with itself as the last good state.
 
@@ -803,14 +814,15 @@ def run(config: RunConfig, initial: PhaseState | None = None,
     ctx = diag.DiagContext(sgrid, vgrid, tables, projector, config,
                            collision=stepper.collision)
 
-    def abort(step: int, t: float, good: PhaseState, good_step: int):
+    def abort(exc: RunAbort):
         if checkpoint_dir:
-            save_checkpoint(os.path.join(checkpoint_dir, "last_good.bin"), good, good_step)
-        raise NanAbort(step, t, good, good_step)
+            save_checkpoint(os.path.join(checkpoint_dir, "last_good.bin"),
+                            exc.last_good, exc.good_step)
+        raise exc
 
     state = initial.copy() if initial is not None else initial_state(config, sgrid, vgrid)
     if not _finite(state):
-        abort(resume_step, state.t, state, resume_step)
+        abort(NanAbort(resume_step, state.t, state, resume_step))
     n_steps = int(round(config.t_end / config.dt))
 
     reports: list = []
@@ -846,9 +858,12 @@ def run(config: RunConfig, initial: PhaseState | None = None,
 
     prev_norm2 = float(np.sum(state.f ** 2))
     for k in range(resume_step, n_steps):
-        new_state = stepper.step(state)
+        try:
+            new_state = stepper.step(state)
+        except CGNotConverged as exc:
+            abort(RunAbort(str(exc), k + 1, state.t + config.dt, state, k))
         if not _finite(new_state):
-            abort(k + 1, new_state.t, state, k)
+            abort(NanAbort(k + 1, new_state.t, state, k))
         if check_contraction:
             norm2 = float(np.sum(new_state.f ** 2))
             if norm2 > prev_norm2 * (1.0 + 1e-10) + 1e-300:

@@ -31,7 +31,12 @@ not merely to truncation order.
 
 Convolutions are evaluated by zero-padded real FFTs with the singular
 self-cell replaced by the analytic ball average of |u|^(gamma+2) times
-the angular mean (2/3) I of the projector.
+the angular mean (2/3) I of the projector.  A batch of x points is cut
+into ``_WORKERS`` contiguous chunks, each padded, transformed, multiplied
+and cropped on a thread of a pool built on first use; a single field (the
+sigma table) is one call with ``_WORKERS`` FFT threads instead.  Pocketfft
+transforms every line the same way whatever the batch or thread count, so
+the chunked results are bit-identical to one call over all points.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +56,8 @@ from .phase_grid import (
     fd_gradient_matrix,
 )
 
+# the one worker count: FFT threads of a single-field convolution, chunks and
+# pool threads of a batched one (read at call time, so it may be lowered)
 _WORKERS = min(4, os.cpu_count() or 1)
 
 CACHE_MAGIC = b"VMLSIGC1"
@@ -250,33 +258,82 @@ def _pad_v(arr: np.ndarray, n: int, p: int) -> np.ndarray:
     return out
 
 
-def _convolve_components(tables: CollisionTables, w: np.ndarray) -> np.ndarray:
-    """All components Phi^ij * w for a scalar field w; returns (3, 3, ...)."""
+def _components_kernel(tables: CollisionTables, w: list, out: np.ndarray,
+                       workers: int) -> None:
+    """out[i, j] = Phi^ij * w[0]; ``out`` is (3, 3, *lead, n, n, n)."""
     n, p = tables.n, tables.pad
-    what = sfft.rfftn(_pad_v(w, n, p), axes=(-3, -2, -1), workers=_WORKERS)
-    out = np.empty((3, 3) + w.shape)
+    what = sfft.rfftn(_pad_v(w[0], n, p), axes=(-3, -2, -1), workers=workers)
     for i in range(3):
         for j in range(i, 3):
             conv = sfft.irfftn(tables.kernel_hat[i][j] * what, s=(p, p, p),
-                               axes=(-3, -2, -1), workers=_WORKERS)
+                               axes=(-3, -2, -1), workers=workers)
             out[i, j] = conv[..., :n, :n, :n]
             out[j, i] = out[i, j]
-    return out
 
 
-def _convolve_contracted(tables: CollisionTables, w: list) -> list:
-    """S_i = sum_j Phi^ij * w_j for a triple of fields (batched over leads)."""
+def _contracted_kernel(tables: CollisionTables, w: list, out: np.ndarray,
+                       workers: int) -> None:
+    """out[i] = sum_j Phi^ij * w[j]; ``out`` is (3, *lead, n, n, n)."""
     n, p = tables.n, tables.pad
-    what = [sfft.rfftn(_pad_v(wj, n, p), axes=(-3, -2, -1), workers=_WORKERS)
+    what = [sfft.rfftn(_pad_v(wj, n, p), axes=(-3, -2, -1), workers=workers)
             for wj in w]
-    out = []
     for i in range(3):
         acc = tables.kernel_hat[i][0] * what[0]
         acc += tables.kernel_hat[i][1] * what[1]
         acc += tables.kernel_hat[i][2] * what[2]
-        conv = sfft.irfftn(acc, s=(p, p, p), axes=(-3, -2, -1), workers=_WORKERS)
-        out.append(conv[..., :n, :n, :n])
+        conv = sfft.irfftn(acc, s=(p, p, p), axes=(-3, -2, -1), workers=workers)
+        out[i] = conv[..., :n, :n, :n]
+
+
+_POOLS: dict = {}
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The convolution thread pool of ``_WORKERS`` threads, built on first use."""
+    pool = _POOLS.get(_WORKERS)
+    if pool is None:
+        pool = _POOLS[_WORKERS] = ThreadPoolExecutor(
+            _WORKERS, thread_name_prefix="vmlkit-conv")
+    return pool
+
+
+def _by_points(kernel, tables: CollisionTables, w: list, out: np.ndarray) -> np.ndarray:
+    """Run ``kernel`` over the leading (x) points of w, in chunks on the pool.
+
+    The points are flattened and cut into ``_WORKERS`` contiguous slices;
+    each slice runs the kernel with one FFT thread and writes its own slice
+    of ``out``.  Pocketfft transforms every line the same way whatever the
+    batch or thread count, so the result is bit-identical to one call over
+    all points, which is what runs for fewer than two points or one worker.
+    """
+    lead = w[0].shape[:-3]
+    m = math.prod(lead)
+    if _WORKERS < 2 or m < 2:
+        kernel(tables, w, out, _WORKERS)
+        return out
+    vshape = w[0].shape[-3:]
+    flat_w = [wj.reshape((m,) + vshape) for wj in w]
+    flat_out = out.reshape(out.shape[:out.ndim - len(lead) - 3] + (m,) + vshape)
+    chunks = min(_WORKERS, m)
+    edges = [c * m // chunks for c in range(chunks + 1)]
+    pool = _pool()
+    jobs = [pool.submit(kernel, tables, [wj[a:b] for wj in flat_w],
+                           flat_out[..., a:b, :, :, :], 1)
+            for a, b in zip(edges[:-1], edges[1:])]
+    for job in jobs:
+        job.result()
     return out
+
+
+def _convolve_components(tables: CollisionTables, w: np.ndarray) -> np.ndarray:
+    """All components Phi^ij * w for a scalar field w; returns (3, 3, ...)."""
+    return _by_points(_components_kernel, tables, [w], np.empty((3, 3) + w.shape))
+
+
+def _convolve_contracted(tables: CollisionTables, w: list) -> list:
+    """S_i = sum_j Phi^ij * w_j for a triple of fields of one shape."""
+    return list(_by_points(_contracted_kernel, tables, w,
+                           np.empty((3,) + w[0].shape)))
 
 
 def apply_D(tables: CollisionTables, h: np.ndarray, j: int) -> np.ndarray:

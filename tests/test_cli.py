@@ -212,6 +212,23 @@ def test_nonfinite_resume_exits_3(tmp_path, capsys):
     assert np.isnan(dumped.f[0, 1, 2, 3, 4])
 
 
+def test_cg_not_converged_exits_3(tmp_path, capsys):
+    # a cg_tol no CG can reach aborts the run like a non-finite state: one
+    # line naming cg_tol, and the state before the failed step is written
+    out = tmp_path / "run"
+    rc = run_cli("simulate", "--out", str(out), "--set", "n_x=8", "--set", "n_v=8",
+                 "--set", "t_end=0.1", "--set", "dt=0.1",
+                 "--set", "collision_solver=cg", "--set", "cg_tol=1e-300")
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err and "cg_tol" in err
+    assert len(err.strip().splitlines()) == 1
+    dumped, dumped_step = evolve.load_checkpoint(
+        str(out / "checkpoints" / "last_good.bin"))
+    assert dumped_step == 0 and dumped.t == 0.0
+    assert not (out / "diagnostics.csv").exists()
+
+
 class TestVerify:
     def test_single_suite_report(self, tmp_path, capsys):
         rc = run_cli("verify", "projection", "--out", str(tmp_path))

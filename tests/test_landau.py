@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -291,6 +292,59 @@ class TestApplyGamma:
             rhs = -landau.apply_Gamma(tab, m, f) - landau.apply_Gamma(tab, f, m)
             errs[n] = landau.sigma_norm(lhs - rhs, tab) / landau.sigma_norm(lhs, tab)
         assert errs[24] < errs[16] / 1.7  # ~ (16/24)^2 = 0.44
+
+
+class TestConvolutionPool:
+    """The x-chunked convolutions against one call over all points."""
+
+    @staticmethod
+    def _ops(tables, lead):
+        rng = np.random.default_rng(31)
+        shape = lead + tables.grid.shape
+        w = [rng.standard_normal(shape) for _ in range(3)]
+        f = rng.standard_normal((2,) + shape)
+        g = rng.standard_normal((2,) + shape)
+        return {
+            "contracted": np.stack(landau._convolve_contracted(tables, w)),
+            "components": landau._convolve_components(tables, w[0]),
+            "K": landau.apply_K(tables, w[1]),
+            "Gamma": landau.apply_Gamma(tables, f, g),
+            "Q": landau.apply_Q(w[1], w[2], tables),
+        }
+
+    @pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
+    def test_bit_identical_to_one_worker(self, tables8, lead, monkeypatch):
+        monkeypatch.setattr(landau, "_WORKERS", 1)
+        serial = self._ops(tables8, lead)
+        monkeypatch.setattr(landau, "_WORKERS", 2)
+        pooled = self._ops(tables8, lead)
+        for name, value in serial.items():
+            assert np.array_equal(value, pooled[name]), name
+
+    def test_uneven_lead_runs_as_two_pool_chunks(self, tables8, monkeypatch):
+        calls = []
+        for name in ("_contracted_kernel", "_components_kernel"):
+            kernel = getattr(landau, name)
+
+            def counted(tables, w, out, workers, kernel=kernel, name=name):
+                calls.append((name, w[0].shape[:-3], workers,
+                              threading.current_thread().name))
+                kernel(tables, w, out, workers)
+
+            monkeypatch.setattr(landau, name, counted)
+        monkeypatch.setattr(landau, "_WORKERS", 2)
+        rng = np.random.default_rng(32)
+        w = [rng.standard_normal((5,) + tables8.grid.shape) for _ in range(3)]
+        landau._convolve_contracted(tables8, w)
+        landau._convolve_components(tables8, w[0])
+        for name in ("_contracted_kernel", "_components_kernel"):
+            chunks = [c for c in calls if c[0] == name]
+            assert sorted(c[1] for c in chunks) == [(2,), (3,)]
+            assert all(c[2] == 1 and c[3].startswith("vmlkit-conv") for c in chunks)
+        # a single point is one call over the whole lead with every worker
+        calls.clear()
+        landau._convolve_components(tables8, w[0][0])
+        assert calls == [("_components_kernel", (), 2, threading.current_thread().name)]
 
 
 class TestSigmaNorm:
