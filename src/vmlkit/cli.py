@@ -160,9 +160,24 @@ def write_csv(path: str, reports, k_max: int) -> None:
 
 
 def read_csv(path: str):
+    """Header names and (rows, columns) values of a diagnostics CSV.
+
+    Raises OSError if the file cannot be read and ValueError, naming the
+    file, if a cell is not a number, a row's width differs from the
+    header's, or there is no data row.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        lines = [line for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no data rows below the header")
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: {data.shape[1]} columns per row, "
+                         f"{len(header)} in the header")
     return header, data
 
 
@@ -419,13 +434,14 @@ def cmd_verify(args) -> int:
 def cmd_fit_decay(args) -> int:
     try:
         header, data = read_csv(args.csv)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.column not in header:
-        print(f"error: column {args.column!r} not in CSV "
-              f"(available: {', '.join(header[:8])}, ...)", file=sys.stderr)
-        return 2
+    for column in ("t", args.column):
+        if column not in header:
+            print(f"error: column {column!r} not in CSV "
+                  f"(available: {', '.join(header[:8])}, ...)", file=sys.stderr)
+            return 2
     times = data[:, header.index("t")]
     values = data[:, header.index(args.column)]
     try:

@@ -15,6 +15,12 @@ equivalences are fixed to one.  Conventions:
   a derivative tree over blocks of xi-modes: every d_beta field is formed
   once per block, one stencil pass from its parent, and feeds the sigma
   bracket of its parent (``landau.sigma_density``, the one sigma split).
+  f is real, so f_hat(-xi) = conj f_hat(xi) and every density of a mode
+  equals that of its partner: the tree walks only the half spectrum, the
+  modes whose last active index is <= n_x / 2, and the multipliers carry
+  the orbit weight, 2 on interior modes and 1 at last index 0 and n_x / 2.
+  The per-mode powers (f, E, B, L f) and the report moments stay sums over
+  the full spectrum.
   The monitor row, the report and the macro snapshot all read that
   snapshot; each functional is a multiplier or weight dot product.  P and
   the moment functions are local in x, so the macro coefficients, the
@@ -108,21 +114,28 @@ class DiagContext:
 
 
 def _alpha_multipliers(sgrid: SpatialGrid, alphas: list) -> np.ndarray:
-    """Plancherel weight of Re d^alpha per alpha, shape (len(alphas), modes).
+    """Plancherel weight of Re d^alpha on the half spectrum, (len(alphas), modes).
 
-    xi^(2 alpha), zeroed where the orders on the Nyquist axes sum to an odd
-    number (see the module docstring).
+    The modes are those whose last active index is <= n_x // 2, in C order.
+    Each row is xi^(2 alpha), zeroed where the orders on the Nyquist axes
+    sum to an odd number (see the module docstring), times the Hermitian
+    orbit weight: 2 on interior modes, whose partner -xi lies outside the
+    half, and 1 at last index 0 and, for even n_x, n_x / 2.
     """
-    xi = sgrid.xi_mesh()
+    half = sgrid.n_x // 2 + 1
+    shape = sgrid.shape[:-1] + (half,)
+    mesh = sgrid.xi_mesh()
     nyq = 2 * sgrid.mode_numbers() == -sgrid.n_x
-    out = np.empty((len(alphas), math.prod(sgrid.shape)))
+    last = np.arange(half)
+    orbit = np.where((last == 0) | (2 * last == sgrid.n_x), 1.0, 2.0)
+    out = np.empty((len(alphas), math.prod(shape)))
     for row, alpha in enumerate(alphas):
-        mult = np.ones(sgrid.shape)
-        odd = np.zeros(sgrid.shape, dtype=bool)
-        for i, a in enumerate(alpha):
-            mult = mult * xi[i] ** (2 * a)
+        mult = np.broadcast_to(orbit, shape)
+        odd = np.zeros(shape, dtype=bool)
+        for xi, a in zip(mesh, alpha):
+            mult = mult * xi[..., :half] ** (2 * a)
             if a % 2:
-                odd = odd ^ nyq.reshape(xi[i].shape)
+                odd = odd ^ nyq.reshape(xi.shape)[..., :half]
         out[row] = np.where(odd, 0.0, mult).ravel()
     return out
 
@@ -181,17 +194,22 @@ class SpectralSnapshot:
     and |beta| within that depth.  Per pair, ``dens[name]`` holds the x- and
     species-reduced velocity density of |d^alpha_beta f|^2 ("f") and, with
     a projector, of <v>^2 |d^alpha_beta {I-P} f|^2 ("extra") and the sigma
-    bracket of d^alpha_beta {I-P} f ("sigma").
+    bracket of d^alpha_beta {I-P} f ("sigma").  A monitor snapshot with a
+    projector forms only "sigma", the one density ``monitor_row`` reads.
 
-    The densities come from a derivative tree walked over blocks of xi-modes
-    (``BLOCK_BYTES`` per complex field, so a block's fields stay in cache).
-    Within a block each d_beta f_hat (|beta| up to the depth above) and
-    d_beta micro (one order deeper) is formed once, by one stencil pass
-    along its highest axis from its parent, and each |.|^2 once: the sigma
-    bracket of d_beta micro takes its gradient and squares from the
-    children d_(beta+e_j) micro.  At beta_max = 2 that is 28 passes per
-    block, 3 for a monitor snapshot.  The per-block densities are summed
-    into ``dens``.
+    The densities come from a derivative tree walked over blocks of the half
+    spectrum: the xi-modes whose last active index is <= n_x // 2, with the
+    Hermitian orbit weight (2 on interior modes, 1 at last index 0 and, for
+    even n_x, n_x / 2) folded into the alpha multipliers, so each density
+    is still the full-spectrum sum.  With one active axis the half is a
+    view of f_hat and micro.  A block holds ``BLOCK_BYTES`` per complex
+    field, so its fields stay in cache.  Within a block each d_beta f_hat
+    (|beta| up to the depth above) and d_beta micro (one order deeper) is
+    formed once, by one stencil pass along its highest axis from its
+    parent, and each |.|^2 once: the sigma bracket of d_beta micro takes
+    its gradient and squares from the children d_(beta+e_j) micro.  At
+    beta_max = 2 that is 28 passes per block, 3 for a monitor snapshot.
+    The per-block densities are summed into ``dens``.
     """
 
     def __init__(self, ctx: DiagContext, state, report: bool):
@@ -260,7 +278,9 @@ class SpectralSnapshot:
             rows[c] = (len(self.pairs), mults[keep])
             beta = tuple(c.count(j) for j in range(3))
             self.pairs += [(alphas[i], beta) for i in keep]
-        names = ("f",) if micro is None else ("f", "extra", "sigma")
+        # a monitor row reads only the sigma band
+        names = (("f",) if micro is None else
+                 ("f", "extra", "sigma") if report else ("sigma",))
         self.dens = {name: np.zeros((len(self.pairs),) + vgrid.shape) for name in names}
 
         def add(name, c, sl, dens):
@@ -269,11 +289,15 @@ class SpectralSnapshot:
 
         # the derivative tree, level by level within one block of xi-modes:
         # d_beta is one stencil pass from its parent, and |.|^2 of each micro
-        # field feeds its own "extra" term and the sigma terms of its parents
+        # field feeds its own "extra" term and the sigma terms of its parents.
+        # The tree walks the half spectrum of ``mults``: a view of f_hat and
+        # micro when one x axis is active, a copy of that half otherwise
         apply_axis, fd = landau._apply_axis, fd_gradient_matrix(vgrid.nodes_1d)
         n_modes = mults.shape[1]
-        fv = f_spec.reshape((2, n_modes) + vgrid.shape)
-        mv = None if micro is None else micro.reshape(fv.shape)
+        half = (slice(None),) * sgrid.n_active + (slice(sgrid.n_x // 2 + 1),)
+        fv = f_spec[half].reshape((2, n_modes) + vgrid.shape)
+        mv = None if micro is None else micro[half].reshape(fv.shape)
+        with_f, with_extra = "f" in self.dens, "extra" in self.dens
         block = max(1, BLOCK_BYTES // fv[:, :1].nbytes)
         for start in range(0, n_modes, block):
             sl = slice(start, start + block)
@@ -282,7 +306,7 @@ class SpectralSnapshot:
                 m_lvl = {(): mv[:, sl]}
                 m_sq = {(): abs2(m_lvl[()])}
             for level in range(top + 1):
-                for c, fc in f_lvl.items():
+                for c, fc in f_lvl.items() if with_f else ():
                     add("f", c, sl, abs2(fc))
                 if mv is not None:
                     kids = {c: apply_axis(fd, m_lvl[c[:-1]], c[-1] - 3)
@@ -290,7 +314,8 @@ class SpectralSnapshot:
                     kid_sq = {c: abs2(k) for c, k in kids.items()}
                     for c, mc in m_lvl.items():
                         below = [tuple(sorted(c + (j,))) for j in range(3)]
-                        add("extra", c, sl, m_sq[c])
+                        if with_extra:
+                            add("extra", c, sl, m_sq[c])
                         add("sigma", c, sl, landau.sigma_density(
                             ctx.tables, mc, [kids[k] for k in below],
                             [m_sq[c]] + [kid_sq[k] for k in below]))
@@ -298,7 +323,7 @@ class SpectralSnapshot:
                 if level < top:
                     f_lvl = {c: apply_axis(fd, f_lvl[c[:-1]], c[-1] - 3)
                              for c in levels[level + 1]}
-        if micro is not None:
+        if with_extra:
             self.dens["extra"] *= 1.0 + vgrid.vsq()
         self.a_ord = np.array([sum(a) for a, _ in self.pairs])
         self.b_ord = np.array([sum(b) for _, b in self.pairs])

@@ -70,37 +70,27 @@ class MacroProjector:
         v1, v2, v3 = grid.axes()
         zero = np.zeros_like(mu_half)
         en = (grid.vsq() - 3.0) * mu_half
-
-        def pair(plus, minus):
-            return np.stack([plus, minus])
-
-        self.basis = np.stack([
-            pair(mu_half, zero),
-            pair(zero, mu_half),
-            pair((v1 + zero) * mu_half, (v1 + zero) * mu_half),
-            pair((v2 + zero) * mu_half, (v2 + zero) * mu_half),
-            pair((v3 + zero) * mu_half, (v3 + zero) * mu_half),
-            pair(en, en),
-        ])  # (6, 2, n, n, n)
-        flat = self.basis.reshape(6, -1)
-        self.gram = grid.cell_volume * (flat @ flat.T)
+        v_mu = [(v + zero) * mu_half for v in (v1, v2, v3)]
+        # basis rows per species (2, 6, n^3): ``coefficients`` and
+        # ``assemble`` are one batched GEMM each against them
+        self._rows = np.stack([np.stack([mu_half, zero, *v_mu, en]),
+                               np.stack([zero, mu_half, *v_mu, en])]).reshape(2, 6, -1)
+        self.gram = grid.cell_volume * np.sum(self._rows @ self._rows.transpose(0, 2, 1),
+                                              axis=0)
         self._gram_cho = sla.cho_factor(self.gram)
 
     def coefficients(self, f: np.ndarray) -> np.ndarray:
         """Gram-corrected basis coefficients; shape (6, *batch)."""
-        n3 = self.grid.n_v ** 3
         batch_shape = f.shape[1:-3]
-        flat = f.reshape(2, -1, n3)
-        bflat = self.basis.reshape(6, 2, n3)
-        mom = self.grid.cell_volume * np.einsum("kcv,cbv->kb", bflat, flat)
+        flat = f.reshape(2, -1, self.grid.n_v ** 3)
+        mom = self.grid.cell_volume * (self._rows @ flat.transpose(0, 2, 1)).sum(axis=0)
         beta = sla.cho_solve(self._gram_cho, mom)
         return beta.reshape((6,) + batch_shape)
 
     def assemble(self, beta: np.ndarray) -> np.ndarray:
         """Pair field from basis coefficients (inverse of ``coefficients`` on range P)."""
         batch_shape = beta.shape[1:]
-        n3 = self.grid.n_v ** 3
-        flat = np.einsum("kb,kcv->cbv", beta.reshape(6, -1), self.basis.reshape(6, 2, n3))
+        flat = beta.reshape(6, -1).T @ self._rows
         return flat.reshape((2,) + batch_shape + self.grid.shape)
 
     def macro_fields(self, beta: np.ndarray) -> MacroFields:

@@ -288,6 +288,20 @@ class TestFitDecay:
                      "--window", "1:1.5")
         assert rc == 2
 
+    @pytest.mark.parametrize("body", ["t,e_k_0\n0.0,1.0\n1.0,abc\n", "t,e_k_0\n",
+                                      "t,e_k_0\n0.0\n1.0\n", None],
+                             ids=["non_numeric_cell", "header_only", "short_rows",
+                                  "missing_file"])
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, body):
+        # exit 1 means a verification failure: a bad file is a usage error
+        path = tmp_path / "series.csv"
+        if body is not None:
+            path.write_text(body)
+        rc = run_cli("fit-decay", str(path), "e_k_0")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
 
 class TestNormsAndTables:
     def test_norms_prints_y0(self, capsys):

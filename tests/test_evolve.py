@@ -169,6 +169,21 @@ class TestStep:
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("dt", [0.05, 1.0])
+    def test_direct_propagator_spectra(self, setup8, dt):
+        # P = (I + dt B)^-1 (I - dt B) with B = A + K (sum) and B = A
+        # (difference), both symmetric positive semidefinite: P is symmetric,
+        # its eigenvalues (1 - dt lam) / (1 + dt lam) lie in (-1, 1], and the
+        # eigenvalue 1 is the null space of B, the collision invariants
+        # (mass, momentum and energy of the sum; the charge of the difference)
+        cfg, sg, vg, tab = setup8
+        stepper = evolve.CollisionStepper(tab, dt, method="direct", direct_max_nv=8)
+        for prop, invariants in zip(stepper._prop, (5, 1)):
+            assert np.array_equal(prop, prop.T)
+            lam = np.linalg.eigvalsh(prop)
+            assert -1.0 < lam.min() and lam.max() <= 1.0 + 1e-12
+            assert np.sum(np.abs(lam - 1.0) <= 1e-10) == invariants
+
     def test_cg_iterations_of_both_solves(self, setup8):
         cfg, sg, vg, tab = setup8
         stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg", direct_max_nv=8)
