@@ -129,18 +129,10 @@ def resolve_config(args) -> RunConfig:
 def write_manifest(path: str, cfg: RunConfig) -> None:
     parser = configparser.ConfigParser()
     flat = cfg.as_flat_dict()
-    placed = set()
     for section, keys in SECTIONS.items():
         parser.add_section(section)
         for key in keys:
-            if key in flat:
-                parser.set(section, key, str(flat[key]))
-                placed.add(key)
-    rest = [k for k in flat if k not in placed]
-    if rest:
-        parser.add_section("other")
-        for key in rest:
-            parser.set("other", key, str(flat[key]))
+            parser.set(section, key, str(flat[key]))
     with open(path, "w") as fh:
         parser.write(fh)
 
@@ -263,16 +255,12 @@ def _suite_operator(n_v: int = 12) -> list:
     tables = landau.build_collision_tables(vgrid, -3.0)
     proj = macro_micro.MacroProjector(vgrid)
     mu_half = vgrid.mu_half()
-    v1, v2, v3 = vgrid.axes()
-    vsq = vgrid.vsq()
     zero = np.zeros_like(mu_half)
     basis = [
         np.stack([mu_half, zero]),
         np.stack([zero, mu_half]),
-        np.stack([(v1 + zero) * mu_half, (v1 + zero) * mu_half]),
-        np.stack([(v2 + zero) * mu_half, (v2 + zero) * mu_half]),
-        np.stack([(v3 + zero) * mu_half, (v3 + zero) * mu_half]),
-        np.stack([vsq * mu_half, vsq * mu_half]),
+        *(np.stack([row, row]) for row in vgrid.v_mu_half()),
+        np.stack([vgrid.vsq() * mu_half] * 2),
     ]
     worst = 0.0
     for e in basis:
@@ -479,11 +467,11 @@ def cmd_norms(args) -> int:
         return 2
     sgrid, vgrid = cfg.grids()
     state = evolve.initial_state(cfg, sgrid, vgrid)
-    y0 = evolve.y0_functional(state, cfg, sgrid, vgrid)
     tables = landau.build_collision_tables(vgrid, cfg.gamma)
-    proj = macro_micro.MacroProjector(vgrid)
-    ctx = diag.DiagContext(sgrid, vgrid, tables, proj, cfg)
-    rep = diag.build_report(ctx, diag.SpectralSnapshot(ctx, state, report=True))
+    ctx = diag.DiagContext(sgrid, vgrid, tables, macro_micro.MacroProjector(vgrid), cfg)
+    snap = diag.SpectralSnapshot(ctx, state, report=True)
+    y0 = diag.y0_functional(ctx, snap)
+    rep = diag.build_report(ctx, snap)
     print(f"preset {cfg.preset!r} initial data:")
     print(f"  Y0 smallness functional   {y0:.10e}")
     print(f"  ||f||^2                   {rep.norm_f_sq:.10e}")

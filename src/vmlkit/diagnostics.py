@@ -34,6 +34,8 @@ equivalences are fixed to one.  Conventions:
   the field terms keep the Nyquist mode at every order.
 * every negative-order norm excludes the xi = 0 mode, whose content is
   reported separately (torus surrogate of the whole-space theory).
+* the smallness functional Y_0 of the initial data (``y0_functional``) is
+  read from a report snapshot, like the report itself.
 * the per-step Lyapunov check pairs the energy drop against the measured
   collisional quadratic form 2<L d^a f, d^a f> (the dissipation the
   trapezoid substep provably extracts); the literal dissipation
@@ -54,7 +56,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau, macro_micro, maxwell
-from .phase_grid import SpatialGrid, VelocityGrid, fd_gradient_matrix
+from .phase_grid import (
+    SpatialGrid,
+    VelocityGrid,
+    fd_gradient_matrix,
+    fd_gradient_matrix_o4,
+)
 
 # bytes of one complex field of a block of xi-modes in the snapshot's
 # derivative tree: a block's fields stay in cache while the tree is walked
@@ -76,20 +83,19 @@ TORUS_CAVEAT = (
 
 @dataclass
 class DiagContext:
-    """Grids, tables and the run configuration shared by all diagnostics.
+    """Grids, tables, projector and the run configuration shared by all diagnostics.
 
-    ``config`` is the ``evolve.RunConfig`` whose functional parameters
+    ``config`` is the run's ``RunConfig``, whose functional parameters
     (n_max, n0, k_max, beta_max, the weight orders, s, theta, eps0, mode)
-    the functionals read.  ``collision`` is the run's
-    ``evolve.CollisionStepper``: with it, a snapshot's L f comes from its
-    ``apply_L`` (the dense A + K in direct mode); without it, from the
-    matrix-free ``landau.apply_L``.
+    the functionals read.  ``collision`` is the run's ``CollisionStepper``:
+    with it, a snapshot's L f comes from its ``apply_L`` (the dense A + K in
+    direct mode); without it, from the matrix-free ``landau.apply_L``.
     """
 
     sgrid: SpatialGrid
     vgrid: VelocityGrid
-    tables: landau.CollisionTables | None
-    projector: macro_micro.MacroProjector | None
+    tables: landau.CollisionTables
+    projector: macro_micro.MacroProjector
     config: object
     collision: object = None
 
@@ -157,7 +163,7 @@ def _moment_weights(vgrid: VelocityGrid) -> dict:
     return {"A": np.stack([(v[m] * v[j] - 1.0) * mu_half
                            for m in range(3) for j in range(3)]),
             "B": np.stack([0.1 * (vsq - 5.0) * vj * mu_half for vj in v]),
-            "G": np.stack([vj * mu_half for vj in v])}
+            "G": vgrid.v_mu_half()}
 
 
 def _pair_moments(vgrid: VelocityGrid, h: np.ndarray, wgt: np.ndarray,
@@ -175,14 +181,13 @@ class SpectralSnapshot:
     Built from one forward transform f_hat of ``state.f``; neither f_hat,
     L f nor any per-beta field outlives the constructor.  ``power[name]``
     holds, per xi mode, the summed |.|^2 of f ("f", with the velocity cell
-    volume), E ("e") and B ("b").  With ``ctx.projector`` set it also holds
-    the charge a_+ - a_- ("charge"), the six macro coefficients ("macro"),
-    P f in the Gram form of its coefficients ("pf") and the collision power
-    vol Re sum conj(f_hat) (L f)^ ("lf"): this is the one place the
-    diagnostics apply L.
+    volume), E ("e"), B ("b"), the charge a_+ - a_- ("charge"), the six
+    macro coefficients ("macro"), P f in the Gram form of its coefficients
+    ("pf") and the collision power vol Re sum conj(f_hat) (L f)^ ("lf"):
+    this is the one place the diagnostics apply L.
 
     ``report`` selects what a report reads: velocity derivatives up to
-    ``beta_max`` and, with a projector, ``moments``, the spectra of the
+    ``beta_max`` and ``moments``, the spectra of the
     (rows, *x) fields of ``macro_snapshot``: the macro coefficients
     ("coef"), A and B of the species sum ("A", 9 rows, and "Bv"), the micro
     current G ("G"), B of the micro species sum ("b_micro") and the
@@ -192,10 +197,10 @@ class SpectralSnapshot:
 
     ``pairs`` lists the (alpha, beta) with |alpha| + |beta| <= max(n_max, n0)
     and |beta| within that depth.  Per pair, ``dens[name]`` holds the x- and
-    species-reduced velocity density of |d^alpha_beta f|^2 ("f") and, with
-    a projector, of <v>^2 |d^alpha_beta {I-P} f|^2 ("extra") and the sigma
-    bracket of d^alpha_beta {I-P} f ("sigma").  A monitor snapshot with a
-    projector forms only "sigma", the one density ``monitor_row`` reads.
+    species-reduced velocity density of |d^alpha_beta f|^2 ("f"), of
+    <v>^2 |d^alpha_beta {I-P} f|^2 ("extra") and the sigma bracket of
+    d^alpha_beta {I-P} f ("sigma").  A monitor snapshot forms only "sigma",
+    the one density ``monitor_row`` reads.
 
     The densities come from a derivative tree walked over blocks of the half
     spectrum: the xi-modes whose last active index is <= n_x // 2, with the
@@ -217,18 +222,15 @@ class SpectralSnapshot:
         abs2 = landau._abs2
         self.state = state
         self.vol = vgrid.cell_volume
-        with_moments = report and proj is not None
-        if with_moments:
+        if report:
             w = _moment_weights(vgrid)
             b_source = 0.0
             if cfg.mode == "nonlinear":
                 # physical-space terms first, while no spectrum is alive
-                from . import evolve as _ev
-
                 f, em = state.f, state.em
-                src = _ev._lorentz_force_terms(sgrid, vgrid, f, em.e_phys(sgrid),
-                                               em.b_phys(sgrid),
-                                               _ev.fd_gradient_matrix_o4(vgrid.nodes_1d))
+                src = maxwell.lorentz_force_terms(vgrid, f, em.e_phys(sgrid),
+                                                  em.b_phys(sgrid),
+                                                  fd_gradient_matrix_o4(vgrid.nodes_1d))
                 src += landau.apply_Gamma(ctx.tables, f, f)
                 b_source = sgrid.forward(_pair_moments(vgrid, src, w["B"]))
                 del src
@@ -236,23 +238,21 @@ class SpectralSnapshot:
         self.power = {"f": self.vol * np.sum(abs2(f_spec), axis=(0, -3, -2, -1)),
                       "e": np.sum(abs2(state.em.e_spec), axis=0),
                       "b": np.sum(abs2(state.em.b_spec), axis=0)}
-        micro = None
-        if proj is not None:
-            lf_spec = sgrid.forward(landau.apply_L(ctx.tables, state.f)
-                                    if ctx.collision is None
-                                    else ctx.collision.apply_L(state.f), ctx.x_axes)
-            self.power["lf"] = self.vol * np.sum((np.conj(f_spec) * lf_spec).real,
-                                                 axis=(0, -3, -2, -1))
-            if with_moments:
-                b_source = b_source - _pair_moments(vgrid, lf_spec, w["B"])
-            del lf_spec
-            coef = proj.coefficients(f_spec)
-            micro = f_spec - proj.assemble(coef)
-            self.power["charge"] = abs2(coef[0] - coef[1])
-            self.power["macro"] = np.sum(abs2(coef), axis=0)
-            self.power["pf"] = np.einsum("ij,i...,j...->...", proj.gram,
-                                         coef.conj(), coef).real
-        if with_moments:
+        lf_spec = sgrid.forward(landau.apply_L(ctx.tables, state.f)
+                                if ctx.collision is None
+                                else ctx.collision.apply_L(state.f), ctx.x_axes)
+        self.power["lf"] = self.vol * np.sum((np.conj(f_spec) * lf_spec).real,
+                                             axis=(0, -3, -2, -1))
+        if report:
+            b_source = b_source - _pair_moments(vgrid, lf_spec, w["B"])
+        del lf_spec
+        coef = proj.coefficients(f_spec)
+        micro = f_spec - proj.assemble(coef)
+        self.power["charge"] = abs2(coef[0] - coef[1])
+        self.power["macro"] = np.sum(abs2(coef), axis=0)
+        self.power["pf"] = np.einsum("ij,i...,j...->...", proj.gram,
+                                     coef.conj(), coef).real
+        if report:
             v, xi = vgrid.axes(), sgrid.xi_mesh()
             for i, axis in enumerate(sgrid.active_axes):
                 b_source = b_source - 1j * xi[i] * _pair_moments(vgrid, micro,
@@ -279,8 +279,7 @@ class SpectralSnapshot:
             beta = tuple(c.count(j) for j in range(3))
             self.pairs += [(alphas[i], beta) for i in keep]
         # a monitor row reads only the sigma band
-        names = (("f",) if micro is None else
-                 ("f", "extra", "sigma") if report else ("sigma",))
+        names = ("f", "extra", "sigma") if report else ("sigma",)
         self.dens = {name: np.zeros((len(self.pairs),) + vgrid.shape) for name in names}
 
         def add(name, c, sl, dens):
@@ -296,34 +295,31 @@ class SpectralSnapshot:
         n_modes = mults.shape[1]
         half = (slice(None),) * sgrid.n_active + (slice(sgrid.n_x // 2 + 1),)
         fv = f_spec[half].reshape((2, n_modes) + vgrid.shape)
-        mv = None if micro is None else micro[half].reshape(fv.shape)
-        with_f, with_extra = "f" in self.dens, "extra" in self.dens
+        mv = micro[half].reshape(fv.shape)
         block = max(1, BLOCK_BYTES // fv[:, :1].nbytes)
         for start in range(0, n_modes, block):
             sl = slice(start, start + block)
             f_lvl = {(): fv[:, sl]}
-            if mv is not None:
-                m_lvl = {(): mv[:, sl]}
-                m_sq = {(): abs2(m_lvl[()])}
+            m_lvl = {(): mv[:, sl]}
+            m_sq = {(): abs2(m_lvl[()])}
             for level in range(top + 1):
-                for c, fc in f_lvl.items() if with_f else ():
+                for c, fc in f_lvl.items() if report else ():
                     add("f", c, sl, abs2(fc))
-                if mv is not None:
-                    kids = {c: apply_axis(fd, m_lvl[c[:-1]], c[-1] - 3)
-                            for c in levels[level + 1]}
-                    kid_sq = {c: abs2(k) for c, k in kids.items()}
-                    for c, mc in m_lvl.items():
-                        below = [tuple(sorted(c + (j,))) for j in range(3)]
-                        if with_extra:
-                            add("extra", c, sl, m_sq[c])
-                        add("sigma", c, sl, landau.sigma_density(
-                            ctx.tables, mc, [kids[k] for k in below],
-                            [m_sq[c]] + [kid_sq[k] for k in below]))
-                    m_lvl, m_sq = kids, kid_sq
+                kids = {c: apply_axis(fd, m_lvl[c[:-1]], c[-1] - 3)
+                        for c in levels[level + 1]}
+                kid_sq = {c: abs2(k) for c, k in kids.items()}
+                for c, mc in m_lvl.items():
+                    below = [tuple(sorted(c + (j,))) for j in range(3)]
+                    if report:
+                        add("extra", c, sl, m_sq[c])
+                    add("sigma", c, sl, landau.sigma_density(
+                        ctx.tables, mc, [kids[k] for k in below],
+                        [m_sq[c]] + [kid_sq[k] for k in below]))
+                m_lvl, m_sq = kids, kid_sq
                 if level < top:
                     f_lvl = {c: apply_axis(fd, f_lvl[c[:-1]], c[-1] - 3)
                              for c in levels[level + 1]}
-        if with_extra:
+        if report:
             self.dens["extra"] *= 1.0 + vgrid.vsq()
         self.a_ord = np.array([sum(a) for a, _ in self.pairs])
         self.b_ord = np.array([sum(b) for _, b in self.pairs])
@@ -555,6 +551,29 @@ def macro_snapshot(ctx: DiagContext, snap: SpectralSnapshot) -> macro_micro.Macr
                                      b_source=phys["b_source"])
 
 
+def y0_functional(ctx: DiagContext, snap: SpectralSnapshot) -> float:
+    """Discrete smallness functional of the initial data, from a report snapshot.
+
+    Sum (not sum of squares) of the weighted mixed-derivative norms at the
+    two index depths, the field Sobolev and negative-order norms, and the
+    negative-order norm of f itself:
+
+        sum_{|a|+|b| <= n0} ||w_{l0+l*-|b|} d^a_b f|| +
+        sum_{|a|+|b| <= N}  ||w_{l-|b|}     d^a_b f|| +
+        ||(E,B)||_{H^N} + ||(E,B)||_{H^-s} + ||f||_{H^-s}
+    """
+    cfg, sgrid = ctx.config, ctx.sgrid
+    total = 0.0
+    for depth, ell_base in ((cfg.n0, cfg.ell0 + cfg.lstar), (cfg.n_max, cfg.ell)):
+        terms = snap.weighted(ctx, ell_base, 0.0)["f"]
+        total += float(np.sum(np.sqrt(terms[snap.select(0, depth)])))
+    m_neg = sgrid.lambda_multiplier(-cfg.s_exp) ** 2
+    total += (math.sqrt(snap.norm2(sgrid.band_multiplier(0, cfg.n_max), "e", "b"))
+              + math.sqrt(snap.norm2(m_neg, "e", "b"))
+              + math.sqrt(snap.norm2(m_neg, "f")))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # a priori functional, decay fits, monitors
 # ---------------------------------------------------------------------------
@@ -781,21 +800,18 @@ def riesz_checks(s_exp: float, n_points: int = 64,
         top = _grad_norm(grid, f, k + 1)
         return lam ** a * top ** (1.0 - a)
 
+    # ||f||_{L^p} against ||Lambda^{-s} f||^a ||grad^{k+1} f||^{1-a}
     cases = [
-        ("interp_L6_j0_k1", 6.0, 0, 1, lambda j, k: (k - j) / (k + 1 + s_exp)),
-        ("interp_L3_j0_k0", 3.0, 0, 0,
-         lambda j, k: (2 * k - 2 * j + 1) / (2 * k + 2 + 2 * s_exp)),
-        ("interp_Linf_k1", math.inf, 0, 1,
-         lambda j, k: (2 * k - 1) / (2 * (k + 1 + s_exp))),
+        ("interp_L6_j0_k1", 6.0, 1, 1 / (2 + s_exp)),
+        ("interp_L3_j0_k0", 3.0, 0, 1 / (2 + 2 * s_exp)),
+        ("interp_Linf_k1", math.inf, 1, 1 / (2 * (2 + s_exp))),
     ]
-    for name, pnorm, j, k, a_of in cases:
-        a = a_of(j, k)
+    for name, pnorm, k, a in cases:
         lhs, rhs = [], []
         for sig in sigmas:
             f = bump(sig)
             f = f - f.mean()
-            g = f if j == 0 else None
-            lhs.append(_lp_norm(grid, g, pnorm) if j == 0 else None)
+            lhs.append(_lp_norm(grid, f, pnorm))
             rhs.append(rhs_product(f, a, k))
         mism = abs(slope(lhs) - slope(rhs))
         checks.append(CheckItem(

@@ -26,6 +26,9 @@ dense propagator is P = M^-1 (I - dt/2 L) = 2 M^-1 - I, with M^-1 from a
 Cholesky factorization, and the trapezoid update never increases ||f||^2,
 which is what the per-step Lyapunov monitor leans on.
 
+The field/force stage takes its coupling terms (the source E . v mu^(1/2)
+q1, the Lorentz force and the current) and dE/dt, dB/dt from ``maxwell``.
+
 The direct solver also keeps one dense copy of A + K (8 n_v^6 bytes: 8 MB
 at n_v = 10, 134 MB at n_v = 16), and ``run`` hands its ``apply_L`` to the
 diagnostics, so the one L f of each recorded state (its snapshot's
@@ -47,6 +50,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 from scipy.linalg import lapack
 
+from . import diagnostics as diag
 from . import landau, macro_micro, maxwell
 from .phase_grid import (
     SpatialGrid,
@@ -253,7 +257,7 @@ def _v_profiles(vgrid: VelocityGrid):
     zero = np.zeros_like(mu_half)
     return [
         mu_half,
-        (v1 + zero) * mu_half,
+        vgrid.v_mu_half()[0],
         (vgrid.vsq() - 3.0) * mu_half,
         (v1 * v2 + zero) * mu_half,          # microscopic shape
         (v3 + zero) * (vgrid.vsq() - 5.0) * mu_half,  # microscopic shape
@@ -490,46 +494,12 @@ class CollisionStepper:
 
 
 # ---------------------------------------------------------------------------
-# full right-hand side (unsplit; used by tests and the field/force stage)
+# full right-hand side (unsplit; the term-level tests' reference)
 # ---------------------------------------------------------------------------
 
 
-def _field_source_on_f(sgrid: SpatialGrid, vgrid: VelocityGrid,
-                       e_phys: np.ndarray) -> np.ndarray:
-    """E . v mu^(1/2) q1 term, shape (2, *x, n, n, n)."""
-    mu_half = vgrid.mu_half()
-    v = vgrid.axes()
-    acc = 0.0
-    for a in range(3):
-        va_mu = (v[a] + 0 * mu_half) * mu_half
-        acc = acc + e_phys[a][..., None, None, None] * va_mu
-    return np.stack([acc, -acc])
-
-
-def _lorentz_force_terms(sgrid: SpatialGrid, vgrid: VelocityGrid, f: np.ndarray,
-                         e_phys: np.ndarray, b_phys: np.ndarray,
-                         fd4: np.ndarray) -> np.ndarray:
-    """-q0 (E + v x B) . grad_v f + (q0/2) E . v f  (nonlinear mode only)."""
-    v1, v2, v3 = vgrid.axes()
-    grad = [landau._apply_axis(fd4, f, j - 3) for j in range(3)]
-
-    def xavv(field_a):
-        return field_a[..., None, None, None]
-
-    wx = [
-        xavv(e_phys[0]) + v2 * xavv(b_phys[2]) - v3 * xavv(b_phys[1]),
-        xavv(e_phys[1]) + v3 * xavv(b_phys[0]) - v1 * xavv(b_phys[2]),
-        xavv(e_phys[2]) + v1 * xavv(b_phys[1]) - v2 * xavv(b_phys[0]),
-    ]
-    adv = wx[0] * grad[0] + wx[1] * grad[1] + wx[2] * grad[2]
-    ev = xavv(e_phys[0]) * v1 + xavv(e_phys[1]) * v2 + xavv(e_phys[2]) * v3
-    q0 = np.array([1.0, -1.0]).reshape((2,) + (1,) * (f.ndim - 1))
-    return -q0 * adv + 0.5 * q0 * ev * f
-
-
 def rhs_full(state: PhaseState, sgrid: SpatialGrid, vgrid: VelocityGrid,
-             tables: landau.CollisionTables, mode: str = LINEARIZED,
-             fd4: np.ndarray | None = None):
+             tables: landau.CollisionTables, mode: str = LINEARIZED):
     """Unsplit right-hand side (df/dt, dE/dt, dB/dt); diagnostic reference.
 
     The production integrator applies the same pieces through Strang
@@ -551,14 +521,13 @@ def rhs_full(state: PhaseState, sgrid: SpatialGrid, vgrid: VelocityGrid,
     df = sgrid.inverse(df_spec, x_axes).real
 
     e_phys = state.em.e_phys(sgrid)
-    df += _field_source_on_f(sgrid, vgrid, e_phys)
+    df += maxwell.field_source_on_f(vgrid, e_phys)
     df -= landau.apply_L(tables, f)
 
     if mode == NONLINEAR:
-        if fd4 is None:
-            fd4 = fd_gradient_matrix_o4(vgrid.nodes_1d)
         b_phys = state.em.b_phys(sgrid)
-        df += _lorentz_force_terms(sgrid, vgrid, f, e_phys, b_phys, fd4)
+        df += maxwell.lorentz_force_terms(vgrid, f, e_phys, b_phys,
+                                          fd_gradient_matrix_o4(vgrid.nodes_1d))
         df += landau.apply_Gamma(tables, f, f)
 
     j_spec = sgrid.forward(maxwell.current_density(vgrid, f))
@@ -620,15 +589,13 @@ class Stepper:
             db = -maxwell.curl_spec(self.sgrid, e_spec)
             return np.zeros_like(f), de, db
         e_phys = self.sgrid.inverse(e_spec).real
-        df = _field_source_on_f(self.sgrid, self.vgrid, e_phys)
+        df = maxwell.field_source_on_f(self.vgrid, e_phys)
         if self.config.mode == NONLINEAR:
             b_phys = self.sgrid.inverse(b_spec).real
-            df += _lorentz_force_terms(self.sgrid, self.vgrid, f, e_phys, b_phys,
-                                       self._fd4)
+            df += maxwell.lorentz_force_terms(self.vgrid, f, e_phys, b_phys, self._fd4)
             df += landau.apply_Gamma(self.tables, f, f)
         j_spec = self.sgrid.forward(maxwell.current_density(self.vgrid, f))
-        de = maxwell.curl_spec(self.sgrid, b_spec) - j_spec
-        db = -maxwell.curl_spec(self.sgrid, e_spec)
+        de, db = maxwell.field_rhs(self.sgrid, maxwell.EMField(e_spec, b_spec), j_spec)
         return df, de, db
 
     def field_force_half(self, f, e_spec, b_spec):
@@ -648,39 +615,6 @@ class Stepper:
         f, e, b = self.field_force_half(f, e, b)
         f = self.transport_half(f)
         return PhaseState(f=f, em=maxwell.EMField(e, b), t=state.t + self.config.dt)
-
-
-# ---------------------------------------------------------------------------
-# smallness functional of the initial data
-# ---------------------------------------------------------------------------
-
-
-def y0_functional(state: PhaseState, config: RunConfig, sgrid: SpatialGrid,
-                  vgrid: VelocityGrid) -> float:
-    """Discrete smallness functional of the initial data.
-
-    Sum (not sum of squares) of the weighted mixed-derivative norms at the
-    two index depths, the field Sobolev and negative-order norms, and the
-    negative-order norm of f itself:
-
-        sum_{|a|+|b| <= n0} ||w_{l0+l*-|b|} d^a_b f|| +
-        sum_{|a|+|b| <= N}  ||w_{l-|b|}     d^a_b f|| +
-        ||(E,B)||_{H^N} + ||(E,B)||_{H^-s} + ||f||_{H^-s}
-    """
-    from . import diagnostics as diag
-
-    ctx = diag.DiagContext(sgrid, vgrid, tables=None, projector=None, config=config)
-    snap = diag.SpectralSnapshot(ctx, state, report=True)
-    total = 0.0
-    for depth, ell_base in ((config.n0, config.ell0 + config.lstar),
-                            (config.n_max, config.ell)):
-        terms = snap.weighted(ctx, ell_base, 0.0)["f"]
-        total += float(np.sum(np.sqrt(terms[snap.select(0, depth)])))
-    m_neg = sgrid.lambda_multiplier(-config.s_exp) ** 2
-    total += (math.sqrt(snap.norm2(sgrid.band_multiplier(0, config.n_max), "e", "b"))
-              + math.sqrt(snap.norm2(m_neg, "e", "b"))
-              + math.sqrt(snap.norm2(m_neg, "f")))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +714,13 @@ def _finite(state: PhaseState) -> bool:
 
 
 def run(config: RunConfig, initial: PhaseState | None = None,
-        resume_step: int = 0, tables: landau.CollisionTables | None = None,
-        checkpoint_dir: str | None = None) -> RunResult:
+        resume_step: int = 0, checkpoint_dir: str | None = None) -> RunResult:
     """Integrate to t_end, emitting functional reports at the configured cadence.
 
     Deterministic for a fixed config: identical seeds and parameters give
     bit-identical trajectories and reports.  An ``initial`` state whose
-    f, E or B shape differs from the config's grids raises StateError.
+    f, E or B shape differs from the config's grids raises StateError, and
+    so does a ``resume_step`` past the run's last step.
     Non-finite f, E or B aborts with NanAbort, and a collision CG that does
     not reach ``cg_tol`` with RunAbort; both carry the last good state, and
     with ``checkpoint_dir`` that state is also written there as
@@ -797,18 +731,19 @@ def run(config: RunConfig, initial: PhaseState | None = None,
     once, by one ``diagnostics.SpectralSnapshot``: at ``beta_max`` on a
     report step, at beta = 0 on a monitor-only step.
     """
-    from . import diagnostics as diag
-
     config.validate()
     sgrid, vgrid = config.grids()
+    n_steps = int(round(config.t_end / config.dt))
+    if resume_step > n_steps:
+        raise StateError(f"the checkpoint is at step {resume_step}, past the run's last "
+                         f"step {n_steps} (t_end = {config.t_end:g}, dt = {config.dt:g})")
     if initial is not None:
         want = ((2,) + sgrid.shape + vgrid.shape, (3,) + sgrid.shape, (3,) + sgrid.shape)
         got = (initial.f.shape, initial.em.e_spec.shape, initial.em.b_spec.shape)
         if got != want:
             raise StateError(f"initial state has f/E/B shapes {got}, but the config's "
                              f"grids need {want}")
-    if tables is None:
-        tables = landau.build_collision_tables(vgrid, config.gamma)
+    tables = landau.build_collision_tables(vgrid, config.gamma)
     projector = macro_micro.MacroProjector(vgrid)
     stepper = Stepper(config, sgrid, vgrid, tables)
     ctx = diag.DiagContext(sgrid, vgrid, tables, projector, config,
@@ -823,7 +758,6 @@ def run(config: RunConfig, initial: PhaseState | None = None,
     state = initial.copy() if initial is not None else initial_state(config, sgrid, vgrid)
     if not _finite(state):
         abort(NanAbort(resume_step, state.t, state, resume_step))
-    n_steps = int(round(config.t_end / config.dt))
 
     reports: list = []
     monitor = MonitorSeries()
@@ -846,11 +780,9 @@ def run(config: RunConfig, initial: PhaseState | None = None,
             rep = diag.build_report(ctx, snap)
             rep.x_t = max(reports[-1].x_t, rep.x_instant) if reports else rep.x_instant
             if len(monitor.t) >= 2:
-                dtm = monitor.t[-1] - monitor.t[-2]
-                de = (np.asarray(monitor.e_k[-1]) - np.asarray(monitor.e_k[-2])) / dtm
-                dp = 0.5 * (np.asarray(monitor.d_proxy_k[-1]) +
-                            np.asarray(monitor.d_proxy_k[-2]))
-                rep.lyap_delta = de + dp
+                rep.lyap_delta = diag.lyapunov_monitor(
+                    monitor.t[-2:], np.transpose(monitor.e_k[-2:]),
+                    np.transpose(monitor.d_proxy_k[-2:])).deltas[:, 0]
             reports.append(rep)
             macro_history.append(diag.macro_snapshot(ctx, snap))
 

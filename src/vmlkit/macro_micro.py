@@ -67,10 +67,9 @@ class MacroProjector:
     def __init__(self, grid: VelocityGrid):
         self.grid = grid
         mu_half = grid.mu_half()
-        v1, v2, v3 = grid.axes()
         zero = np.zeros_like(mu_half)
         en = (grid.vsq() - 3.0) * mu_half
-        v_mu = [(v + zero) * mu_half for v in (v1, v2, v3)]
+        v_mu = grid.v_mu_half()
         # basis rows per species (2, 6, n^3): ``coefficients`` and
         # ``assemble`` are one batched GEMM each against them
         self._rows = np.stack([np.stack([mu_half, zero, *v_mu, en]),

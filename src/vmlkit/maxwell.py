@@ -1,4 +1,4 @@
-"""Spectral electromagnetic fields, Maxwell source terms, and constraints.
+"""Spectral electromagnetic fields, the field-particle coupling, and constraints.
 
 E and B are stored spectrally (canonical representation); curl and
 divergence are exact Fourier multipliers, so d(div B)/dt = 0 holds to
@@ -14,6 +14,13 @@ with the compatibility constraints div E = a_+ - a_- and div B = 0.  On
 the torus the zero mode of the charge a_+ - a_- must vanish (no periodic
 solution of Gauss's law exists for a net charge), which the initializer
 enforces.
+
+All four coupling terms between f and (E, B) live here: on the field side
+the charge a_+ - a_- (``charge_density``) and the current (``current_density``);
+on the kinetic side, for q0 = diag(1, -1) and q1 = [1, -1], the source
+E . v mu^(1/2) q1 (``field_source_on_f``) and, in nonlinear mode, the force
+-q0 (E + v x B) . grad_v f + (q0/2) E . v f (``lorentz_force_terms``).  The
+source and the current share the weight rows ``VelocityGrid.v_mu_half``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import landau
 from .phase_grid import SpatialGrid, VelocityGrid
 
 
@@ -45,10 +53,6 @@ class EMField:
     def zero(grid: SpatialGrid) -> "EMField":
         shape = (3,) + grid.shape
         return EMField(np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
-
-    @staticmethod
-    def from_physical(grid: SpatialGrid, e: np.ndarray, b: np.ndarray) -> "EMField":
-        return EMField(grid.forward(e), grid.forward(b))
 
 
 def _xi_components(grid: SpatialGrid):
@@ -77,14 +81,39 @@ def charge_density(vgrid: VelocityGrid, f: np.ndarray) -> np.ndarray:
 
 def current_density(vgrid: VelocityGrid, f: np.ndarray) -> np.ndarray:
     """j = int v mu^(1/2) (f_+ - f_-) dv; shape (3, *x_shape)."""
-    mu_half = vgrid.mu_half()
     diff = f[0] - f[1]
+    return np.stack([vgrid.integrate(diff * row) for row in vgrid.v_mu_half()])
+
+
+def field_source_on_f(vgrid: VelocityGrid, e_phys: np.ndarray) -> np.ndarray:
+    """E . v mu^(1/2) q1 term, shape (2, *x, n, n, n)."""
+    acc = 0.0
+    for e_a, row in zip(e_phys, vgrid.v_mu_half()):
+        acc = acc + e_a[..., None, None, None] * row
+    return np.stack([acc, -acc])
+
+
+def lorentz_force_terms(vgrid: VelocityGrid, f: np.ndarray, e_phys: np.ndarray,
+                        b_phys: np.ndarray, fd4: np.ndarray) -> np.ndarray:
+    """-q0 (E + v x B) . grad_v f + (q0/2) E . v f  (nonlinear mode only).
+
+    ``fd4`` is the velocity gradient matrix (``fd_gradient_matrix_o4``).
+    """
     v1, v2, v3 = vgrid.axes()
-    return np.stack([
-        vgrid.integrate(diff * ((v1 + 0 * mu_half) * mu_half)),
-        vgrid.integrate(diff * ((v2 + 0 * mu_half) * mu_half)),
-        vgrid.integrate(diff * ((v3 + 0 * mu_half) * mu_half)),
-    ])
+    grad = [landau._apply_axis(fd4, f, j - 3) for j in range(3)]
+
+    def xavv(field_a):
+        return field_a[..., None, None, None]
+
+    wx = [
+        xavv(e_phys[0]) + v2 * xavv(b_phys[2]) - v3 * xavv(b_phys[1]),
+        xavv(e_phys[1]) + v3 * xavv(b_phys[0]) - v1 * xavv(b_phys[2]),
+        xavv(e_phys[2]) + v1 * xavv(b_phys[1]) - v2 * xavv(b_phys[0]),
+    ]
+    adv = wx[0] * grad[0] + wx[1] * grad[1] + wx[2] * grad[2]
+    ev = xavv(e_phys[0]) * v1 + xavv(e_phys[1]) * v2 + xavv(e_phys[2]) * v3
+    q0 = np.array([1.0, -1.0]).reshape((2,) + (1,) * (f.ndim - 1))
+    return -q0 * adv + 0.5 * q0 * ev * f
 
 
 def field_rhs(grid: SpatialGrid, em: EMField, current_spec: np.ndarray):

@@ -22,7 +22,7 @@ the diagnostics layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,8 +45,8 @@ class WeightParams:
     """Parameters of the time-velocity weight <v>^(-(gamma+2)*ell) * exp(q<v>^2/(1+t)^theta).
 
     gamma : kernel exponent, soft-potential range [-3, -2)
-    ell   : polynomial weight order (per-derivative order ell - |beta| is
-            handled by the caller via ``with_ell``)
+    ell   : polynomial weight order (the per-derivative order ell - |beta|
+            is handled by the caller)
     q     : exponential strength, 0 <= q <= 0.1 (q = 0 is the degenerate
             weightless limit used in collapse tests)
     theta : time exponent; must satisfy theta <= s/2 for s in [1/2, 1]
@@ -77,9 +77,6 @@ class WeightParams:
             raise ValueError(
                 f"theta={self.theta} violates the bracket theta <= {cap} for s={s_exp}"
             )
-
-    def with_ell(self, ell: float) -> "WeightParams":
-        return replace(self, ell=ell)
 
 
 @dataclass(frozen=True)
@@ -121,9 +118,6 @@ class VelocityGrid:
             t[None, None, :],
         )
 
-    def component(self, j: int) -> np.ndarray:
-        return self.axes()[j]
-
     def vsq(self) -> np.ndarray:
         v1, v2, v3 = self.axes()
         return v1 * v1 + v2 * v2 + v3 * v3
@@ -140,6 +134,11 @@ class VelocityGrid:
 
     def mu_half(self) -> np.ndarray:
         return (TWO_PI) ** (-0.75) * np.exp(-0.25 * self.vsq())
+
+    def v_mu_half(self) -> np.ndarray:
+        """The rows v_j mu^(1/2), shape (3, n, n, n): the current weights."""
+        mu_half = self.mu_half()
+        return np.stack([(v + 0 * mu_half) * mu_half for v in self.axes()])
 
     def mu_half_1d(self) -> np.ndarray:
         t = self.nodes_1d
@@ -314,18 +313,13 @@ class SpatialGrid:
         axes = self._x_axes(spec, x_axes)
         return spec * self._mult_view(np.asarray(mult), spec.ndim, axes)
 
-    def derivative(self, arr: np.ndarray, axis: int, x_axes=None, spectral_in=False,
-                   spectral_out=False) -> np.ndarray:
+    def derivative(self, arr: np.ndarray, axis: int, x_axes=None) -> np.ndarray:
         """d/dx_axis for a global axis index; identically zero off the active set."""
         if axis not in self.active_axes:
-            return np.zeros_like(arr) if spectral_in == spectral_out else np.zeros(
-                arr.shape, dtype=complex if spectral_out else float)
-        spec = arr if spectral_in else self.forward(arr, x_axes)
-        mult = 1j * self.xi_component(axis)
-        out = self.apply_multiplier(spec, mult, x_axes if spectral_in else self._x_axes(arr, x_axes))
-        if spectral_out:
-            return out
-        return self.inverse(out, self._x_axes(arr, x_axes)).real
+            return np.zeros_like(arr)
+        axes = self._x_axes(arr, x_axes)
+        out = self.apply_multiplier(self.forward(arr, axes), 1j * self.xi_component(axis), axes)
+        return self.inverse(out, axes).real
 
     # --- fractional multipliers -------------------------------------------------
     def lambda_multiplier(self, s_exp: float) -> np.ndarray:
@@ -356,27 +350,19 @@ class SpatialGrid:
             out = out + top
         return out
 
-    def lambda_s_apply(self, f: np.ndarray, s_exp: float, x_axes=None,
-                       spectral_in=False, spectral_out=False) -> np.ndarray:
+    def lambda_s_apply(self, f: np.ndarray, s_exp: float) -> np.ndarray:
         """Apply the fractional operator |xi|^s as a Fourier multiplier."""
-        axes = self._x_axes(f, x_axes)
-        spec = f if spectral_in else self.forward(f, x_axes)
-        out = self.apply_multiplier(spec, self.lambda_multiplier(s_exp), axes)
-        if spectral_out:
-            return out
-        return self.inverse(out, axes).real
+        out = self.apply_multiplier(self.forward(f), self.lambda_multiplier(s_exp))
+        return self.inverse(out).real
 
     # --- norms ------------------------------------------------------------------
-    def spec_weighted_norm2(self, spec: np.ndarray, mult: np.ndarray | None = None,
-                            x_axes=None, cell_measure: float = 1.0) -> float:
-        """sum over everything of mult * |spec|^2, non-x axes carrying ``cell_measure``."""
-        axes = self._x_axes(spec, x_axes)
+    def spec_weighted_norm2(self, spec: np.ndarray, mult: np.ndarray | None = None) -> float:
+        """sum over everything of mult * |spec|^2, mult on the trailing x axes."""
         p = np.abs(spec) ** 2
         if mult is not None:
-            p = p * self._mult_view(np.asarray(mult), spec.ndim, axes)
-        return float(np.sum(p)) * cell_measure
+            p = p * self._mult_view(np.asarray(mult), spec.ndim, self._x_axes(spec, None))
+        return float(np.sum(p))
 
-    def norm2(self, arr: np.ndarray, x_axes=None, cell_measure: float = 1.0) -> float:
-        """Physical-space L^2 squared norm with the dx (and optional extra) measure."""
-        return float(np.sum(np.abs(arr) ** 2)) * self.cell_measure * cell_measure
-
+    def norm2(self, arr: np.ndarray) -> float:
+        """Physical-space L^2 squared norm with the dx measure."""
+        return float(np.sum(np.abs(arr) ** 2)) * self.cell_measure

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from vmlkit import cli, evolve
+from vmlkit import diagnostics as diag
 
 FAST_OVERRIDES = [
     "--set", "n_x=8", "--set", "n_v=8", "--set", "t_end=0.3",
@@ -28,6 +30,10 @@ class TestConfigHandling:
         assert rc == 2
         assert "n_elephants" in err
         assert ":3:" in err  # line-precise message
+
+    def test_manifest_sections_cover_every_config_field(self):
+        keys = [key for keys in cli.SECTIONS.values() for key in keys]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(evolve.RunConfig))
 
     def test_bad_value_rejected(self, tmp_path, capsys):
         rc = run_cli("simulate", "--set", "dt=banana", "--out", str(tmp_path))
@@ -140,6 +146,22 @@ class TestSimulate:
 
 class TestResumeFailsFast:
     """A checkpoint that cannot seed the run exits 2 with a message."""
+
+    def test_checkpoint_past_last_step(self, tmp_path, capsys):
+        longer = tmp_path / "longer"
+        assert run_cli("simulate", "--out", str(longer), *FAST_OVERRIDES,
+                       "--set", "t_end=0.4") == 0
+        ck = longer / "checkpoints" / "final.bin"
+        assert evolve.load_checkpoint(str(ck))[1] == 4
+        capsys.readouterr()
+        run = tmp_path / "run"
+        rc = run_cli("simulate", "--out", str(run), "--resume", str(ck),
+                     *FAST_OVERRIDES, "--set", "t_end=0.2")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(ck) in err and "step 4" in err and "step 2" in err
+        assert not (run / "diagnostics.csv").exists()
+        assert not (run / "checkpoints" / "final.bin").exists()
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         missing = tmp_path / "nope.bin"
@@ -309,6 +331,23 @@ class TestNormsAndTables:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Y0" in out
+
+    def test_norms_reads_one_snapshot(self, capsys, monkeypatch):
+        # Y0 and the report come from the same report snapshot; the Y0 line
+        # is the value pinned by test_evolve's small broadband regression
+        built = []
+
+        class Counted(diag.SpectralSnapshot):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("report"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(diag, "SpectralSnapshot", Counted)
+        rc = run_cli("norms", "--set", "n_x=16", "--set", "n_v=8")
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert built == [True]
+        assert f"Y0 smallness functional   {254.44874349759544:.10e}" in out
 
     def test_tables_writes_cache(self, tmp_path, capsys):
         rc = run_cli("tables", "--out", str(tmp_path), "--set", "n_v=8")

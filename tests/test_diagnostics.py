@@ -7,6 +7,7 @@ from vmlkit import diagnostics as diag
 from vmlkit import evolve, landau, macro_micro, maxwell
 from vmlkit.evolve import PhaseState, RunConfig, initial_state
 from vmlkit.macro_micro import MacroProjector
+from vmlkit.phase_grid import fd_gradient_matrix_o4
 
 
 @pytest.fixture(scope="module")
@@ -395,8 +396,8 @@ def reference_macro_snapshot(ctx, st):
     lf = landau.apply_L(ctx.tables, f)
     source = -(lf[0] + lf[1])
     if ctx.config.mode == "nonlinear":
-        force = evolve._lorentz_force_terms(sg, vg, f, st.em.e_phys(sg), st.em.b_phys(sg),
-                                            evolve.fd_gradient_matrix_o4(vg.nodes_1d))
+        force = maxwell.lorentz_force_terms(vg, f, st.em.e_phys(sg), st.em.b_phys(sg),
+                                            fd_gradient_matrix_o4(vg.nodes_1d))
         gam = landau.apply_Gamma(ctx.tables, f, f)
         source = source + force[0] + force[1] + gam[0] + gam[1]
     v, x_axes = vg.axes(), tuple(range(sg.n_active))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vmlkit import diagnostics as diag
 from vmlkit import evolve, landau, maxwell
 from vmlkit.evolve import (
     NanAbort,
@@ -16,8 +17,8 @@ from vmlkit.evolve import (
     load_checkpoint,
     rhs_full,
     save_checkpoint,
-    y0_functional,
 )
+from vmlkit.macro_micro import MacroProjector
 
 SMALL = dict(n_x=16, n_v=8, collision_solver="direct", direct_max_nv=8,
              report_every=10 ** 9, monitor_every=0)
@@ -266,27 +267,33 @@ class TestRun:
         assert d1 / d2 == pytest.approx(4.0, rel=0.5)
 
 
+def y0_functional(st, cfg, sg, vg, tab):
+    """Y0 of ``st`` from a report snapshot, as ``vmlkit norms`` computes it."""
+    ctx = diag.DiagContext(sg, vg, tab, MacroProjector(vg), cfg)
+    return diag.y0_functional(ctx, diag.SpectralSnapshot(ctx, st, report=True))
+
+
 class TestY0:
     def test_zero_data(self, setup8):
-        cfg, sg, vg, _ = setup8
+        cfg, sg, vg, tab = setup8
         st = initial_state(small_cfg(dt=0.05, t_end=0.2, preset="zero"), sg, vg)
-        assert y0_functional(st, cfg, sg, vg) == 0.0
+        assert y0_functional(st, cfg, sg, vg, tab) == 0.0
 
     def test_degree_one_homogeneity(self, setup8):
-        cfg, sg, vg, _ = setup8
+        cfg, sg, vg, tab = setup8
         st = initial_state(cfg, sg, vg)
-        y1 = y0_functional(st, cfg, sg, vg)
+        y1 = y0_functional(st, cfg, sg, vg, tab)
         st2 = PhaseState(3.0 * st.f,
                          maxwell.EMField(3.0 * st.em.e_spec, 3.0 * st.em.b_spec),
                          0.0)
-        assert y0_functional(st2, cfg, sg, vg) == pytest.approx(3.0 * y1, rel=1e-12)
+        assert y0_functional(st2, cfg, sg, vg, tab) == pytest.approx(3.0 * y1, rel=1e-12)
 
     def test_small_broadband_regression_value(self, setup8):
         # frozen golden number for the small broadband preset; guards the
         # norm wiring against accidental convention drift
-        cfg, sg, vg, _ = setup8
+        cfg, sg, vg, tab = setup8
         st = initial_state(cfg, sg, vg)
-        y = y0_functional(st, cfg, sg, vg)
+        y = y0_functional(st, cfg, sg, vg, tab)
         # recorded with numpy 2.4.6 and scipy 1.17.1 by the change that made
         # the (E, B) terms read the field spectra without a second transform
         ref = 254.44874349759544
@@ -307,7 +314,8 @@ class TestY0:
         m_neg = np.zeros(sg.shape)
         m_neg[xin2 > 0] = xin2[xin2 > 0] ** -cfg.s_exp
         expect = math.sqrt(np.sum(m_n * power)) + math.sqrt(np.sum(m_neg * power))
-        assert y0_functional(st, cfg, sg, vg) == pytest.approx(expect, rel=1e-12)
+        tab = landau.build_collision_tables(vg, cfg.gamma)
+        assert y0_functional(st, cfg, sg, vg, tab) == pytest.approx(expect, rel=1e-12)
 
 
 class TestCheckpoints:
