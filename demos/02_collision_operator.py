@@ -16,11 +16,10 @@ from vmlkit.macro_micro import MacroProjector
 from vmlkit.phase_grid import VelocityGrid
 
 print("== kernel ==")
-v = np.array([1.0, 0.0, 0.0])
-print(f"Phi((1,0,0)) at gamma=-3:\n{landau.phi_kernel(v, -3.0)}")
+print(f"Phi((1,0,0)) at gamma=-3:\n{landau.phi_kernel(1.0, 0.0, 0.0, -3.0)}")
 rng = np.random.default_rng(1)
 u = rng.standard_normal(3)
-print(f"Phi(u) u = {landau.phi_kernel(u, -3.0) @ u}  (projector annihilates u)")
+print(f"Phi(u) u = {landau.phi_kernel(*u, -3.0) @ u}  (projector annihilates u)")
 
 print("\n== collision frequency ==")
 grid = VelocityGrid(v_max=6.0, n_v=24)

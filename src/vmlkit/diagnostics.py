@@ -4,8 +4,11 @@ All functionals are the coefficient-1 discrete representatives of the
 weighted-energy family: combination constants that the analysis leaves as
 equivalences are fixed to one.  Conventions:
 
-* x-derivatives are spectral multipliers, v-derivatives second-order
-  finite differences up to the configured depth (default |beta| <= 2).
+* x-derivatives are spectral multipliers, v-derivatives the second-order
+  finite differences of the collision tables (``CollisionTables.fd``) up to
+  the configured depth (default |beta| <= 2).  The weighted sigma norms
+  are integrals of the one sigma density against w_{ell-|beta|}(t, v)^2
+  (``SpectralSnapshot.weighted``).
 * every functional is an x-multiplier m(xi) times a quadratic form q_v
   local in v, so by Plancherel it equals sum_xi m(xi) q_v(f_hat(xi)).  The
   run builds one ``SpectralSnapshot`` per recorded state: one forward
@@ -36,6 +39,9 @@ equivalences are fixed to one.  Conventions:
   reported separately (torus surrogate of the whole-space theory).
 * the smallness functional Y_0 of the initial data (``y0_functional``) is
   read from a report snapshot, like the report itself.
+* the a priori functional X(t) = sup_s (Ebar + E_N + (1+s)^(-(1+eps0)/2)
+  E_{N,l}) is recorded as the report's ``x_instant`` (the bracket at t)
+  and ``x_t``, the running sup the run loop keeps over its reports.
 * the per-step Lyapunov check pairs the energy drop against the measured
   collisional quadratic form 2<L d^a f, d^a f> (the dissipation the
   trapezoid substep provably extracts); the literal dissipation
@@ -56,12 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau, macro_micro, maxwell
-from .phase_grid import (
-    SpatialGrid,
-    VelocityGrid,
-    fd_gradient_matrix,
-    fd_gradient_matrix_o4,
-)
+from .phase_grid import SpatialGrid, VelocityGrid
 
 # bytes of one complex field of a block of xi-modes in the snapshot's
 # derivative tree: a block's fields stay in cache while the tree is walked
@@ -229,8 +230,7 @@ class SpectralSnapshot:
                 # physical-space terms first, while no spectrum is alive
                 f, em = state.f, state.em
                 src = maxwell.lorentz_force_terms(vgrid, f, em.e_phys(sgrid),
-                                                  em.b_phys(sgrid),
-                                                  fd_gradient_matrix_o4(vgrid.nodes_1d))
+                                                  em.b_phys(sgrid))
                 src += landau.apply_Gamma(ctx.tables, f, f)
                 b_source = sgrid.forward(_pair_moments(vgrid, src, w["B"]))
                 del src
@@ -291,7 +291,7 @@ class SpectralSnapshot:
         # field feeds its own "extra" term and the sigma terms of its parents.
         # The tree walks the half spectrum of ``mults``: a view of f_hat and
         # micro when one x axis is active, a copy of that half otherwise
-        apply_axis, fd = landau._apply_axis, fd_gradient_matrix(vgrid.nodes_1d)
+        apply_axis, fd = landau._apply_axis, ctx.tables.fd
         n_modes = mults.shape[1]
         half = (slice(None),) * sgrid.n_active + (slice(sgrid.n_x // 2 + 1),)
         fv = f_spec[half].reshape((2, n_modes) + vgrid.shape)
@@ -579,14 +579,6 @@ def y0_functional(ctx: DiagContext, snap: SpectralSnapshot) -> float:
 # ---------------------------------------------------------------------------
 
 
-def x_functional(times, ebar_top, e_n, e_w, eps0: float = 0.1) -> np.ndarray:
-    """Running sup of Ebar + E_N + (1+t)^(-(1+eps0)/2) E_{N,l}."""
-    times = np.asarray(times)
-    inst = (np.asarray(ebar_top) + np.asarray(e_n)
-            + (1.0 + times) ** (-0.5 * (1.0 + eps0)) * np.asarray(e_w))
-    return np.maximum.accumulate(inst)
-
-
 @dataclass
 class DecayFit:
     """Log-log fit of a functional series against an algebraic target."""
@@ -677,7 +669,6 @@ class LyapunovReport:
     deltas: np.ndarray      # (k_max+1, T-1)
     allowance: np.ndarray   # (T-1,)
     flags: int
-    label: str = "collisional-proxy"
 
 
 def lyapunov_monitor(times, e_series, d_series, allowance_factor: float = 10.0

@@ -52,12 +52,7 @@ from scipy.linalg import lapack
 
 from . import diagnostics as diag
 from . import landau, macro_micro, maxwell
-from .phase_grid import (
-    SpatialGrid,
-    VelocityGrid,
-    WeightParams,
-    fd_gradient_matrix_o4,
-)
+from .phase_grid import SpatialGrid, VelocityGrid, WeightParams
 
 CKPT_MAGIC = b"VMLCKPT1"
 CKPT_VERSION = 1
@@ -164,7 +159,7 @@ class RunConfig:
         self.grids()
         landau.check_quadrature(self.n_v)
         if self.collision_solver == "direct":
-            _check_direct_limit(self.n_v, self.direct_max_nv)
+            landau.check_dense_limit(self.n_v, self.direct_max_nv)
         if self.mode not in (LINEARIZED, NONLINEAR):
             raise ValueError(f"mode must be linearized or nonlinear, got {self.mode!r}")
         if self.preset not in PRESETS:
@@ -339,12 +334,6 @@ def initial_state(config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid) ->
 # ---------------------------------------------------------------------------
 
 
-def _check_direct_limit(n_v: int, limit: int) -> None:
-    """Reject a dense collision propagator past its velocity-grid limit."""
-    if n_v > limit:
-        raise ValueError(f"direct collision solver limited to n_v <= {limit}")
-
-
 class CollisionStepper:
     """Implicit-trapezoid collision substep in species sum/difference form.
 
@@ -370,8 +359,6 @@ class CollisionStepper:
         self.cg_tol = cg_tol
         if method == "auto":
             method = "direct" if tables.n <= direct_max_nv else "cg"
-        if method == "direct":
-            _check_direct_limit(tables.n, direct_max_nv)
         self.method = method
         self._prop = None
         self._a_plus_k = None
@@ -382,6 +369,7 @@ class CollisionStepper:
 
     # dense cached propagators -------------------------------------------------
     def _build_propagators(self, limit: int) -> None:
+        # dense_A applies the dense-size rule (``landau.check_dense_limit``)
         a = landau.dense_A(self.tables, limit=limit)
         k = landau.dense_K(self.tables, limit=limit)
         k += a
@@ -526,8 +514,7 @@ def rhs_full(state: PhaseState, sgrid: SpatialGrid, vgrid: VelocityGrid,
 
     if mode == NONLINEAR:
         b_phys = state.em.b_phys(sgrid)
-        df += maxwell.lorentz_force_terms(vgrid, f, e_phys, b_phys,
-                                          fd_gradient_matrix_o4(vgrid.nodes_1d))
+        df += maxwell.lorentz_force_terms(vgrid, f, e_phys, b_phys)
         df += landau.apply_Gamma(tables, f, f)
 
     j_spec = sgrid.forward(maxwell.current_density(vgrid, f))
@@ -553,7 +540,6 @@ class Stepper:
             tables, config.dt, method=config.collision_solver,
             cg_tol=config.cg_tol, direct_max_nv=config.direct_max_nv)
         self._phases = self._transport_phases(0.5 * config.dt)
-        self._fd4 = fd_gradient_matrix_o4(vgrid.nodes_1d)
         self.x_axes = tuple(range(1, 1 + sgrid.n_active))
 
     def _transport_phases(self, tau: float):
@@ -592,7 +578,7 @@ class Stepper:
         df = maxwell.field_source_on_f(self.vgrid, e_phys)
         if self.config.mode == NONLINEAR:
             b_phys = self.sgrid.inverse(b_spec).real
-            df += maxwell.lorentz_force_terms(self.vgrid, f, e_phys, b_phys, self._fd4)
+            df += maxwell.lorentz_force_terms(self.vgrid, f, e_phys, b_phys)
             df += landau.apply_Gamma(self.tables, f, f)
         j_spec = self.sgrid.forward(maxwell.current_density(self.vgrid, f))
         de, db = maxwell.field_rhs(self.sgrid, maxwell.EMField(e_spec, b_spec), j_spec)
@@ -720,7 +706,9 @@ def run(config: RunConfig, initial: PhaseState | None = None,
     Deterministic for a fixed config: identical seeds and parameters give
     bit-identical trajectories and reports.  An ``initial`` state whose
     f, E or B shape differs from the config's grids raises StateError, and
-    so does a ``resume_step`` past the run's last step.
+    so does a ``resume_step`` past the run's last step, or an ``initial``
+    time other than ``resume_step * dt`` (to 1e-9 relative): a checkpoint
+    written with another dt.
     Non-finite f, E or B aborts with NanAbort, and a collision CG that does
     not reach ``cg_tol`` with RunAbort; both carry the last good state, and
     with ``checkpoint_dir`` that state is also written there as
@@ -743,6 +731,11 @@ def run(config: RunConfig, initial: PhaseState | None = None,
         if got != want:
             raise StateError(f"initial state has f/E/B shapes {got}, but the config's "
                              f"grids need {want}")
+        t_resume = resume_step * config.dt
+        if not abs(initial.t - t_resume) <= 1e-9 * max(abs(t_resume), config.dt):
+            raise StateError(f"the checkpoint is at t = {initial.t:g}, but step "
+                             f"{resume_step} of this run is at t = {t_resume:g} "
+                             f"(dt = {config.dt:g})")
     tables = landau.build_collision_tables(vgrid, config.gamma)
     projector = macro_micro.MacroProjector(vgrid)
     stepper = Stepper(config, sgrid, vgrid, tables)

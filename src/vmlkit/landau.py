@@ -7,7 +7,10 @@ the transported (field) distribution and the second the background:
                                                   - (d_j G)(v*) F(v) } dv*
 
 Phi^ij(u) = (delta_ij - u_i u_j / |u|^2) |u|^(gamma+2) is the soft-potential
-kernel, gamma in [-3, -2), gamma = -3 the Coulomb case.
+kernel, gamma in [-3, -2), gamma = -3 the Coulomb case.  ``phi_kernel`` is
+its one evaluation: the padded table behind the FFT convolutions and the
+difference table behind ``dense_K`` both call it and fix up only the
+self-cell.
 
 Linearizing F_pm = mu + mu^(1/2) f_pm about the global Maxwellian gives the
 species-pair operator
@@ -37,6 +40,11 @@ and cropped on a thread of a pool built on first use; a single field (the
 sigma table) is one call with ``_WORKERS`` FFT threads instead.  Pocketfft
 transforms every line the same way whatever the batch or thread count, so
 the chunked results are bit-identical to one call over all points.
+
+The sigma norm here is the unweighted one; the weighted norms of the
+functionals integrate the same ``sigma_density`` in
+``diagnostics.SpectralSnapshot``.  The dense assemblies share one size
+rule, ``check_dense_limit``.
 """
 
 from __future__ import annotations
@@ -50,11 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .phase_grid import (
-    VelocityGrid,
-    WeightParams,
-    fd_gradient_matrix,
-)
+from .phase_grid import VelocityGrid, fd_gradient_matrix
 
 # the one worker count: FFT threads of a single-field convolution, chunks and
 # pool threads of a batched one (read at call time, so it may be lowered)
@@ -75,41 +79,44 @@ class CoercivityFailure(RuntimeError):
         self.report = report
 
 
-def phi_kernel(v: np.ndarray, gamma: float) -> np.ndarray:
-    """Landau kernel matrix Phi(v); input shape (..., 3) -> output (..., 3, 3).
+def phi_kernel(u1, u2, u3, gamma: float) -> np.ndarray:
+    """Landau kernel Phi^ij(u) from the broadcastable components of u.
 
-    v = 0 is a genuine singularity of the kernel and is rejected; the
-    convolution quadrature treats that cell by the analytic ball average
-    instead (see ``build_collision_tables``).
+    Returns shape (3, 3, *u.shape), evaluated one component at a time:
+    Phi^ij = |u|^(gamma+2) (delta_ij - u_i u_j / |u|^2).  u = 0 is a genuine
+    singularity of the kernel and is rejected; the convolution tables treat
+    that cell by its ball average instead (``_phi_regularized``).
     """
-    v = np.asarray(v, dtype=float)
-    usq = np.sum(v * v, axis=-1)
+    usq = u1 * u1 + u2 * u2 + u3 * u3
     if np.any(usq == 0.0):
-        raise ValueError("phi_kernel is singular at v = 0")
+        raise ValueError("phi_kernel is singular at u = 0")
     scale = usq ** (0.5 * (gamma + 2.0))
-    eye = np.eye(3)
-    proj = eye - v[..., :, None] * v[..., None, :] / usq[..., None, None]
-    return scale[..., None, None] * proj
+    u = (u1, u2, u3)
+    out = np.empty((3, 3) + np.shape(usq))
+    for i in range(3):
+        for j in range(i, 3):
+            # in place, so no table-sized temporaries: (delta_ij - u_i u_j/|u|^2) scale
+            phi = out[i, j, ...]
+            np.multiply(u[i], u[j], out=phi)
+            phi /= usq
+            np.subtract(1.0 if i == j else 0.0, phi, out=phi)
+            phi *= scale
+            out[j, i] = phi
+    return out
 
 
 def _phi_regularized(u1, u2, u3, gamma: float, h: float) -> np.ndarray:
-    """Pointwise kernel table Phi^ij(u) with the self-cell ball average at u = 0.
+    """``phi_kernel`` on a node table, with the self-cell ball average at u = 0.
 
     Returns shape (3, 3, *u.shape).  The u = 0 entry is
     (2/3) I * (4 pi / (gamma+5)) r_c^(gamma+5) / h^3 with r_c the radius of
     the ball of volume h^3: the exact cell mean of |u|^(gamma+2) times the
     angular average of the projector.
     """
-    usq = u1 * u1 + u2 * u2 + u3 * u3
-    sing = usq == 0.0
-    usq_safe = np.where(sing, 1.0, usq)
-    scale = usq_safe ** (0.5 * (gamma + 2.0))
-    u = np.stack(np.broadcast_arrays(u1, u2, u3))
-    out = np.empty((3, 3) + usq.shape)
-    for i in range(3):
-        for j in range(3):
-            proj = (1.0 if i == j else 0.0) - u[i] * u[j] / usq_safe
-            out[i, j] = np.where(sing, 0.0, scale * proj)
+    sing = (u1 == 0.0) & (u2 == 0.0) & (u3 == 0.0)
+    # move the self-cell off the singularity, then overwrite it
+    out = phi_kernel(np.where(sing, 1.0, u1), u2, u3, gamma)
+    out[:, :, sing] = 0.0
     r_c = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
     self_cell = (2.0 / 3.0) * (4.0 * np.pi / (gamma + 5.0)) * r_c ** (gamma + 5.0) / h ** 3
     for i in range(3):
@@ -126,7 +133,8 @@ class CollisionTables:
                    volume, indexed [i][j] (symmetric entries shared)
     dmat / dtmat : n x n weighted first-derivative stencils per axis,
                    dmat ~ mu^(1/2) d mu^(-1/2), dtmat ~ mu^(-1/2) d mu^(1/2)
-    fd           : plain second-order stencil (also used by sigma norms)
+    fd           : plain second-order stencil (also the sigma norms' and the
+                   diagnostics snapshot's velocity gradient)
     """
 
     grid: VelocityGrid
@@ -136,7 +144,6 @@ class CollisionTables:
     dmat: np.ndarray
     dtmat: np.ndarray
     fd: np.ndarray
-    mu: np.ndarray = field(repr=False, default=None)
     mu_half: np.ndarray = field(repr=False, default=None)
     bracket_par: np.ndarray = field(repr=False, default=None)   # <v>^(gamma/2)
     bracket_perp: np.ndarray = field(repr=False, default=None)  # <v>^((gamma+2)/2)
@@ -218,7 +225,6 @@ def build_collision_tables(grid: VelocityGrid, gamma: float,
     tables.fd = fd
     tables.dmat = fd * ratio          # mu^(1/2) FD mu^(-1/2)
     tables.dtmat = fd / ratio         # mu^(-1/2) FD mu^(1/2)
-    tables.mu = grid.mu()
     tables.mu_half = grid.mu_half()
     tables.bracket_par = grid.bracket(0.5 * gamma)
     tables.bracket_perp = grid.bracket(0.5 * (gamma + 2.0))
@@ -440,14 +446,6 @@ def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaNormSpec:
-    """Weight configuration of the anisotropic dissipation norm."""
-
-    weight: WeightParams = WeightParams()
-    t: float = 0.0
-
-
 def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 elementwise, without a square root for complex input."""
     return z.real ** 2 + z.imag ** 2 if np.iscomplexobj(z) else z * z
@@ -483,29 +481,24 @@ def sigma_density(tables: CollisionTables, h: np.ndarray,
 
 
 def sigma_norm_sq(f: np.ndarray, tables: CollisionTables,
-                  spec: SigmaNormSpec | None = None,
                   grad: list | None = None) -> np.ndarray:
-    """Squared anisotropic norm |f|_{sigma,w}^2 per leading batch element.
+    """Squared unweighted anisotropic norm |f|_sigma^2 per leading batch element.
 
-    |f|^2 = int w^2 [ <v>^(gamma+2) f^2 + <v>^gamma (par grad)^2
-                      + <v>^(gamma+2) |perp grad|^2 ] dv
+    |f|^2 = int [ <v>^(gamma+2) f^2 + <v>^gamma (par grad)^2
+                  + <v>^(gamma+2) |perp grad|^2 ] dv
 
-    the integral of ``sigma_density`` against the squared weight.  ``grad``
-    overrides the finite-difference gradient with analytically supplied
-    components for quadrature-only tests.
+    the integral of ``sigma_density``.  ``grad`` overrides the
+    finite-difference gradient with analytically supplied components for
+    quadrature-only tests.  The weighted norms of the functionals are the
+    snapshot's (``diagnostics.SpectralSnapshot.weighted``).
     """
-    grid = tables.grid
-    dens = sigma_density(tables, f, grad)
-    if spec is not None:
-        dens = dens * grid.weight_field(spec.weight, spec.t) ** 2
-    return grid.integrate(dens)
+    return tables.grid.integrate(sigma_density(tables, f, grad))
 
 
 def sigma_norm(f: np.ndarray, tables: CollisionTables,
-               spec: SigmaNormSpec | None = None,
                grad: list | None = None) -> float:
     """Anisotropic norm of a v-field or species pair (summed over batch)."""
-    return float(np.sqrt(np.sum(sigma_norm_sq(f, tables, spec, grad))))
+    return float(np.sqrt(np.sum(sigma_norm_sq(f, tables, grad))))
 
 
 def pair_inner(tables: CollisionTables, f: np.ndarray, g: np.ndarray) -> float:
@@ -525,10 +518,6 @@ class CoercivityReport:
     ratios: np.ndarray
     argmin_sample: int
     offending: np.ndarray | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.min_ratio > 0.0
 
 
 def smooth_sample_basis(grid: VelocityGrid, max_deg: int = 3) -> np.ndarray:
@@ -593,19 +582,25 @@ def coercivity_gap(tables: CollisionTables, projector, n_samples: int = 100,
 DENSE_MAX_NV = 12
 
 
-def _dense_guard(n_v: int, limit: int) -> None:
+def check_dense_limit(n_v: int, limit: int) -> None:
+    """Reject a dense n_v^3 x n_v^3 collision operator past its grid limit.
+
+    ``dense_A``/``dense_K`` (so ``dense_L`` and the direct propagator) check
+    it, and ``RunConfig.validate`` applies it to ``direct_max_nv``.
+    """
     if n_v > limit:
         raise ValueError(
-            f"dense assembly limited to n_v <= {limit} per axis (got {n_v})"
+            f"dense collision operator limited to n_v <= {limit} (got n_v = {n_v})"
         )
 
 
-def _sparse_D(tables: CollisionTables, weighted: bool = True):
+def _sparse_D(tables: CollisionTables):
+    """The weighted stencils D_j as sparse n^3 x n^3 matrices, j = 0, 1, 2."""
     from scipy import sparse
 
     n = tables.n
     eye = sparse.identity(n, format="csr")
-    base = sparse.csr_matrix(tables.dmat if weighted else tables.fd)
+    base = sparse.csr_matrix(tables.dmat)
     mats = []
     for axis in range(3):
         parts = [eye, eye, eye]
@@ -628,7 +623,7 @@ def _difference_index(n: int) -> np.ndarray:
 
 def dense_A(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
     """Dense A = sum_ij D_i^T sigma^ij D_j, summed sparse and densified once."""
-    _dense_guard(tables.n, limit)
+    check_dense_limit(tables.n, limit)
     from scipy import sparse
 
     d = sparse.vstack(_sparse_D(tables), format="csr")
@@ -646,7 +641,7 @@ def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
     S_i^T is applied as a sparse product and S_j row by row as the stencil
     D_j^T (mu^(1/2) .) on each row viewed as a velocity field.
     """
-    _dense_guard(tables.n, limit)
+    check_dense_limit(tables.n, limit)
     from scipy import sparse
 
     grid = tables.grid
@@ -689,8 +684,7 @@ def _add_transpose(a: np.ndarray) -> None:
 
 
 def dense_L(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
-    """Full dense pair operator [[2A+K, K], [K, 2A+K]] (n_v <= 12 guard)."""
-    _dense_guard(tables.n, limit)
+    """Full dense pair operator [[2A+K, K], [K, 2A+K]] (n_v <= ``limit``)."""
     a = dense_A(tables, limit)
     k = dense_K(tables, limit)
     n3 = tables.n ** 3

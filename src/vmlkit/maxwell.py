@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau
-from .phase_grid import SpatialGrid, VelocityGrid
+from .phase_grid import SpatialGrid, VelocityGrid, fd_gradient_matrix_o4
 
 
 @dataclass
@@ -94,12 +94,14 @@ def field_source_on_f(vgrid: VelocityGrid, e_phys: np.ndarray) -> np.ndarray:
 
 
 def lorentz_force_terms(vgrid: VelocityGrid, f: np.ndarray, e_phys: np.ndarray,
-                        b_phys: np.ndarray, fd4: np.ndarray) -> np.ndarray:
+                        b_phys: np.ndarray) -> np.ndarray:
     """-q0 (E + v x B) . grad_v f + (q0/2) E . v f  (nonlinear mode only).
 
-    ``fd4`` is the velocity gradient matrix (``fd_gradient_matrix_o4``).
+    grad_v is the fourth-order stencil ``fd_gradient_matrix_o4``, built here
+    (an n_v x n_v matrix) on every call.
     """
     v1, v2, v3 = vgrid.axes()
+    fd4 = fd_gradient_matrix_o4(vgrid.nodes_1d)
     grad = [landau._apply_axis(fd4, f, j - 3) for j in range(3)]
 
     def xavv(field_a):

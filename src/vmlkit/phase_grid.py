@@ -30,16 +30,6 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def maxwellian(v: np.ndarray) -> np.ndarray:
-    """Normalized global Maxwellian (2*pi)^(-3/2) exp(-|v|^2/2).
-
-    ``v`` holds velocity vectors in its last axis (shape (..., 3)).
-    """
-    v = np.asarray(v, dtype=float)
-    vsq = np.sum(v * v, axis=-1)
-    return (TWO_PI) ** (-1.5) * np.exp(-0.5 * vsq)
-
-
 @dataclass(frozen=True)
 class WeightParams:
     """Parameters of the time-velocity weight <v>^(-(gamma+2)*ell) * exp(q<v>^2/(1+t)^theta).
@@ -130,6 +120,7 @@ class VelocityGrid:
         return (1.0 + self.vsq()) ** (0.5 * power)
 
     def mu(self) -> np.ndarray:
+        """The normalized global Maxwellian (2 pi)^(-3/2) exp(-|v|^2/2) on the grid."""
         return (TWO_PI) ** (-1.5) * np.exp(-0.5 * self.vsq())
 
     def mu_half(self) -> np.ndarray:

@@ -163,6 +163,25 @@ class TestResumeFailsFast:
         assert not (run / "diagnostics.csv").exists()
         assert not (run / "checkpoints" / "final.bin").exists()
 
+    def test_checkpoint_dt_mismatch(self, tmp_path, capsys):
+        # a step-4 checkpoint of a dt = 0.1 run is at t = 0.4; step 4 of a
+        # dt = 0.05 run is at t = 0.2
+        longer = tmp_path / "longer"
+        assert run_cli("simulate", "--out", str(longer), *FAST_OVERRIDES,
+                       "--set", "t_end=0.4") == 0
+        ck = longer / "checkpoints" / "final.bin"
+        assert evolve.load_checkpoint(str(ck))[1] == 4
+        capsys.readouterr()
+        run = tmp_path / "run"
+        rc = run_cli("simulate", "--out", str(run), "--resume", str(ck),
+                     *FAST_OVERRIDES, "--set", "dt=0.05", "--set", "t_end=0.4")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert str(ck) in err and "t = 0.4" in err and "t = 0.2" in err
+        assert not (run / "diagnostics.csv").exists()
+        assert not (run / "checkpoints" / "final.bin").exists()
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         missing = tmp_path / "nope.bin"
         rc = run_cli("simulate", "--out", str(tmp_path / "run"), "--resume",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from vmlkit import diagnostics as diag
 from vmlkit import evolve, landau, macro_micro, maxwell
 from vmlkit.evolve import PhaseState, RunConfig, initial_state
 from vmlkit.macro_micro import MacroProjector
-from vmlkit.phase_grid import fd_gradient_matrix_o4
 
 
 @pytest.fixture(scope="module")
@@ -230,21 +230,42 @@ class TestSpectralSnapshot:
 
 
 class TestXFunctional:
-    def test_running_sup_monotone_and_left_endpoint(self):
-        t = np.linspace(0.0, 5.0, 20)
-        decaying = 3.0 * (1.0 + t) ** -1.0
-        x = diag.x_functional(t, decaying, decaying, decaying, eps0=0.1)
-        assert np.all(np.diff(x) >= -1e-15)
-        inst0 = decaying[0] * 2 + decaying[0]
-        assert x[0] == pytest.approx(inst0)
-        assert x[-1] == pytest.approx(x[0])  # sup attained at t = 0
+    """X(t) as a run records it: ``x_instant`` per report, ``x_t`` its running sup."""
 
-    def test_eps0_ordering(self):
-        t = np.linspace(0.0, 5.0, 20)
-        ones = np.ones_like(t)
-        x_small = diag.x_functional(t, 0 * ones, 0 * ones, ones, eps0=0.1)
-        x_big = diag.x_functional(t, 0 * ones, 0 * ones, ones, eps0=1.0)
-        assert np.all(x_big[1:] <= x_small[1:] + 1e-15)
+    def test_running_sup_monotone_and_left_endpoint(self):
+        # X rises on the broadband run and falls under pure relaxation, where
+        # the sup stays at its t = 0 value
+        for preset, rises in (("broadband", True), ("relaxation", False)):
+            cfg = RunConfig(n_x=8, n_v=8, dt=0.1, t_end=0.5, preset=preset,
+                            collision_solver="direct", direct_max_nv=8,
+                            report_every=1, monitor_every=0)
+            reps = evolve.run(cfg).reports
+            inst = np.array([r.x_instant for r in reps])
+            x = np.array([r.x_t for r in reps])
+            assert len(reps) == 6
+            assert np.array_equal(x, np.maximum.accumulate(inst))
+            assert x[0] == inst[0]
+            for r in reps:
+                assert r.x_instant == (r.ebar_top + r.e_n
+                                       + (1.0 + r.t) ** (-0.5 * (1.0 + cfg.eps0)) * r.e_w)
+            assert (inst[-1] > inst[0]) == rises
+            if not rises:
+                assert np.all(x == x[0])
+
+    def test_eps0_ordering(self, ctx8):
+        # a larger eps0 discounts E_{N,l} faster: X(t) drops for t > 0 and
+        # no other column moves
+        cfg, ctx = ctx8
+        st = initial_state(cfg, ctx.sgrid, ctx.vgrid)
+        st.t = 2.0
+        reps = {}
+        for eps0 in (0.1, 1.0):
+            c = dataclasses.replace(ctx, config=dataclasses.replace(cfg, eps0=eps0))
+            reps[eps0] = diag.build_report(c, snapshot(c, st))
+        small, big = reps[0.1], reps[1.0]
+        assert big.x_instant < small.x_instant
+        assert big.x_instant == big.ebar_top + big.e_n + (1.0 + 2.0) ** -1.0 * big.e_w
+        assert (big.ebar_top, big.e_n, big.e_w) == (small.ebar_top, small.e_n, small.e_w)
 
 
 class TestDecayFit:
@@ -396,8 +417,7 @@ def reference_macro_snapshot(ctx, st):
     lf = landau.apply_L(ctx.tables, f)
     source = -(lf[0] + lf[1])
     if ctx.config.mode == "nonlinear":
-        force = maxwell.lorentz_force_terms(vg, f, st.em.e_phys(sg), st.em.b_phys(sg),
-                                            fd_gradient_matrix_o4(vg.nodes_1d))
+        force = maxwell.lorentz_force_terms(vg, f, st.em.e_phys(sg), st.em.b_phys(sg))
         gam = landau.apply_Gamma(ctx.tables, f, f)
         source = source + force[0] + force[1] + gam[0] + gam[1]
     v, x_axes = vg.axes(), tuple(range(sg.n_active))

@@ -43,3 +43,77 @@ def test_diagnostics_does_not_import_evolve():
     imported = {m for node in ast.walk(tree) for m in _vmlkit_modules(node)}
     assert "evolve" not in imported and "vmlkit.evolve" not in imported
     assert "maxwell" in imported
+
+
+# Top-level definitions that only the tests call, each a reference the
+# tests check the production path against: the unsplit right-hand side
+# (the Strang stepper's wiring oracle), the physical-space moments (the
+# spectral moments' oracle; the benchmark also counts its calls) and the
+# fluid residuals and interpolation ratio (checks on recorded runs).
+TEST_REFERENCES = {
+    ("evolve", "rhs_full"),
+    ("macro_micro", "moments"),
+    ("macro_micro", "fluid_residuals"),
+    ("diagnostics", "interpolation_monitor"),
+}
+
+
+def _annotations(tree) -> set:
+    """ids of the annotation nodes of a module: a type hint is not a use."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    out.add(id(arg.annotation))
+            if node.returns is not None:
+                out.add(id(node.returns))
+        elif isinstance(node, ast.AnnAssign):
+            out.add(id(node.annotation))
+    return out
+
+
+def _uses(path, tree) -> list:
+    """(top-level statement, (module, name)) for each vmlkit name it uses.
+
+    A use is a bare name in its own module, ``module.name`` through a
+    ``from . import module [as alias]``, or ``from .module import name``.
+    """
+    alias = {a.asname or a.name: a.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level and not node.module
+             for a in node.names}
+    skip = _annotations(tree)
+    out = []
+    for stmt in tree.body:
+        stack = [stmt]
+        while stack:
+            node = stack.pop()
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name):
+                out.append((stmt, (path.stem, node.id)))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                out.append((stmt, (alias.get(node.value.id, node.value.id), node.attr)))
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+                out += [(stmt, (node.module, a.name)) for a in node.names]
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_definition_is_used_by_the_package():
+    # one implementation per concept: a top-level function or class that
+    # nothing in the package calls is a twin only the tests pin, unless it
+    # is one of the documented test references; the package's re-exports
+    # in __init__ are not uses
+    defs, uses = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = _parse(path)
+        defs.update({(path.stem, node.name): node for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
+        uses += _uses(path, tree)
+    unused = {key for key, node in defs.items()
+              if not any(used == key and stmt is not node for stmt, used in uses)}
+    assert unused == TEST_REFERENCES

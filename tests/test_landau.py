@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import threading
@@ -8,8 +9,11 @@ from scipy import integrate
 from scipy.special import erf
 
 from vmlkit import landau
+from vmlkit.diagnostics import DiagContext, SpectralSnapshot
+from vmlkit.evolve import PhaseState, RunConfig
 from vmlkit.macro_micro import MacroProjector
-from vmlkit.phase_grid import VelocityGrid, WeightParams
+from vmlkit.maxwell import EMField
+from vmlkit.phase_grid import VelocityGrid
 
 from conftest import null_basis
 
@@ -30,33 +34,56 @@ SIGMA0 = (2.0 / 3.0) * math.sqrt(2.0 / math.pi)
 
 
 class TestPhiKernel:
+    """``phi_kernel`` is the kernel the sigma table and ``dense_K`` are built from."""
+
     def test_unit_vector_coulomb(self):
-        m = landau.phi_kernel(np.array([1.0, 0.0, 0.0]), -3.0)
+        m = landau.phi_kernel(1.0, 0.0, 0.0, -3.0)
+        assert m.shape == (3, 3)
         assert np.allclose(m, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
 
     def test_annihilates_argument(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((40, 3))
-        m = landau.phi_kernel(v, -2.7)
-        assert np.abs(np.einsum("nij,nj->ni", m, v)).max() < 1e-12
+        m = landau.phi_kernel(*v.T, -2.7)
+        assert np.abs(np.einsum("ijn,nj->ni", m, v)).max() < 1e-12
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((10, 3))
         for gamma in (-3.0, -2.5):
-            a = landau.phi_kernel(2.0 * v, gamma)
-            b = 2.0 ** (gamma + 2.0) * landau.phi_kernel(v, gamma)
+            a = landau.phi_kernel(*(2.0 * v).T, gamma)
+            b = 2.0 ** (gamma + 2.0) * landau.phi_kernel(*v.T, gamma)
             assert np.allclose(a, b, rtol=1e-12)
 
     def test_singular_origin_rejected(self):
         with pytest.raises(ValueError):
-            landau.phi_kernel(np.zeros(3), -3.0)
+            landau.phi_kernel(0.0, 0.0, 0.0, -3.0)
+        d = np.arange(-2, 3) * 0.5
+        with pytest.raises(ValueError):
+            landau.phi_kernel(d[:, None, None], d[None, :, None], d[None, None, :], -3.0)
 
     def test_psd(self):
         rng = np.random.default_rng(2)
         v = rng.standard_normal((30, 3))
-        ev = np.linalg.eigvalsh(landau.phi_kernel(v, -3.0))
+        ev = np.linalg.eigvalsh(np.moveaxis(landau.phi_kernel(*v.T, -3.0), -1, 0))
         assert ev.min() > -1e-13
+
+    @pytest.mark.parametrize("n, gamma", [(8, -3.0), (9, -2.5)])
+    def test_table_is_the_kernel_off_the_self_cell(self, n, gamma):
+        # the difference table of dense_K: phi_kernel bit for bit at every
+        # u != 0, and the isotropic ball average at u = 0
+        h = 12.0 / n
+        d = np.arange(-(n - 1), n) * h
+        u = (d[:, None, None], d[None, :, None], d[None, None, :])
+        table = landau._phi_regularized(*u, gamma, h)
+        i0 = n - 1
+        off = np.ones(table.shape[2:], dtype=bool)
+        off[i0, i0, i0] = False
+        points = [c[off] for c in np.broadcast_arrays(*u)]
+        assert np.array_equal(table[:, :, off], landau.phi_kernel(*points, gamma))
+        self_cell = table[:, :, i0, i0, i0]
+        assert np.array_equal(self_cell, self_cell[0, 0] * np.eye(3))
+        assert self_cell[0, 0] > 0.0
 
 
 class TestCollisionTables:
@@ -388,13 +415,25 @@ class TestSigmaNorm:
         val = float(landau.sigma_norm_sq(mu_half, tab, grad=grad))
         assert val == pytest.approx(oracle, rel=1e-4)
 
-    def test_weighted_norm_uses_weight(self, tables8, vgrid8):
+    def test_weighted_norm_uses_weight(self, tables8, vgrid8, proj8):
+        # the weighted sigma norms are the snapshot's per-pair integrals of
+        # the sigma density against w_{ell-|beta|}(t, v)^2
+        cfg = RunConfig(n_x=4, n_v=8, q=0.05)
+        sg = cfg.grids()[0]
         rng = np.random.default_rng(10)
-        f = rng.standard_normal(vgrid8.shape) * vgrid8.mu_half()
-        spec = landau.SigmaNormSpec(weight=WeightParams(ell=1.0, q=0.05), t=0.5)
-        unweighted = landau.sigma_norm(f, tables8)
-        weighted = landau.sigma_norm(f, tables8, spec)
-        assert weighted > unweighted  # w >= 1 for ell >= 0 at soft potentials
+        f = rng.standard_normal((2,) + sg.shape + vgrid8.shape) * vgrid8.mu_half()
+        st = PhaseState(f, EMField.zero(sg), 0.5)
+        ctx = DiagContext(sg, vgrid8, tables8, proj8, cfg)
+        snap = SpectralSnapshot(ctx, st, report=True)
+        unweighted = snap.vol * np.sum(snap.dens["sigma"], axis=(1, 2, 3))
+        weighted = snap.weighted(ctx, 1.0, st.t)["sigma"]
+        # w >= 1 for ell - |beta| >= 0 at soft potentials, > 1 off v = 0
+        assert np.all(weighted[snap.b_ord <= 1] > unweighted[snap.b_ord <= 1])
+        # and w = 1 exactly for q = 0 at ell = |beta| = 0
+        flat = DiagContext(sg, vgrid8, tables8, proj8, dataclasses.replace(cfg, q=0.0))
+        level = snap.b_ord == 0
+        assert np.array_equal(snap.weighted(flat, 0.0, st.t)["sigma"][level],
+                              unweighted[level])
 
     def test_positive_definite_on_grid(self, tables8):
         rng = np.random.default_rng(11)

@@ -9,19 +9,25 @@ from vmlkit.phase_grid import (
     WeightParams,
     fd_gradient_matrix,
     fd_gradient_matrix_o4,
-    maxwellian,
 )
 
 
 class TestMaxwellian:
+    """The global Maxwellian is ``VelocityGrid.mu``, the field every module reads."""
+
     def test_origin_value(self):
-        assert maxwellian(np.zeros(3)) == pytest.approx((2 * math.pi) ** -1.5)
-        assert maxwellian(np.zeros(3)) == pytest.approx(0.0634936, abs=1e-7)
+        grid = VelocityGrid(6.0, 24)
+        assert grid.nodes_1d[12] == 0.0
+        mu0 = grid.mu()[12, 12, 12]
+        assert mu0 == pytest.approx((2 * math.pi) ** -1.5)
+        assert mu0 == pytest.approx(0.0634936, abs=1e-7)
 
     def test_even_symmetry(self):
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal((50, 3))
-        assert np.allclose(maxwellian(v), maxwellian(-v))
+        # v -> -v maps the nodes past the unpaired -v_max layer onto themselves
+        for n_v in (8, 24):
+            inner = VelocityGrid(6.0, n_v).mu()[1:, 1:, 1:]
+            assert np.array_equal(inner, inner[::-1, ::-1, ::-1])
+            assert np.array_equal(inner, inner[::-1])
 
     def test_grid_quadrature_unit_mass(self):
         grid = VelocityGrid(6.0, 24)
