@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, verify, fit-decay, norms, tables.
+"""Command-line front end: simulate, verify, fit-decay, norms.
 
 Configuration files are flat key=value text with sections; every key maps
 onto a RunConfig field.  A run directory always contains exactly one
@@ -184,11 +184,6 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    ckpt_dir = os.path.join(out, "checkpoints")
-    write_manifest(os.path.join(out, "manifest.cfg"), cfg)
-
     initial = None
     resume_step = 0
     if args.resume:
@@ -198,11 +193,19 @@ def cmd_simulate(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        result = evolve.run(cfg, initial=initial, resume_step=resume_step,
-                            checkpoint_dir=ckpt_dir)
+        evolve.check_resume(cfg, initial, resume_step)
     except evolve.StateError as exc:
         print(f"error: cannot resume from {args.resume}: {exc}", file=sys.stderr)
         return 2
+    # the manifest describes a run that starts: written only once its
+    # checkpoint has loaded and fits the config
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
+    ckpt_dir = os.path.join(out, "checkpoints")
+    write_manifest(os.path.join(out, "manifest.cfg"), cfg)
+    try:
+        result = evolve.run(cfg, initial=initial, resume_step=resume_step,
+                            checkpoint_dir=ckpt_dir)
     except evolve.RunAbort as exc:
         print(f"error: {exc}; last good state (step {exc.good_step}) checkpointed "
               f"to {os.path.join(ckpt_dir, 'last_good.bin')}", file=sys.stderr)
@@ -401,7 +404,7 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fit-decay / norms / tables
+# fit-decay / norms
 # ---------------------------------------------------------------------------
 
 
@@ -469,28 +472,6 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def cmd_tables(args) -> int:
-    try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    vgrid = VelocityGrid(v_max=cfg.v_max, n_v=cfg.n_v)
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    t0 = time.time()
-    tables = landau.build_collision_tables(vgrid, cfg.gamma, cache_dir=out)
-    path = landau._cache_path(out, vgrid, cfg.gamma)
-    print(f"tables: n_v={cfg.n_v}, v_max={cfg.v_max}, gamma={cfg.gamma} "
-          f"built in {time.time()-t0:.2f} s")
-    print(f"sigma cache: {path} ({os.path.getsize(path)} bytes)")
-    i0 = cfg.n_v // 2
-    if vgrid.nodes_1d[i0] == 0.0:
-        s0 = tables.sigma[:, :, i0, i0, i0]
-        print(f"sigma(0) diagonal {np.diag(s0)}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -535,10 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norms", help="norm/functional table of preset initial data")
     _add_config_args(p)
     p.set_defaults(func=cmd_norms)
-
-    p = sub.add_parser("tables", help="build and cache collision tables")
-    _add_config_args(p)
-    p.set_defaults(func=cmd_tables)
 
     return parser
 

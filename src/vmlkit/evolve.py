@@ -699,27 +699,15 @@ def _finite(state: PhaseState) -> bool:
                 and np.all(np.isfinite(state.em.b_spec)))
 
 
-def run(config: RunConfig, initial: PhaseState | None = None,
-        resume_step: int = 0, checkpoint_dir: str | None = None) -> RunResult:
-    """Integrate to t_end, emitting functional reports at the configured cadence.
+def check_resume(config: RunConfig, initial: PhaseState | None,
+                 resume_step: int) -> None:
+    """Raise StateError unless ``run`` can start from ``initial`` at ``resume_step``.
 
-    Deterministic for a fixed config: identical seeds and parameters give
-    bit-identical trajectories and reports.  An ``initial`` state whose
-    f, E or B shape differs from the config's grids raises StateError, and
-    so does a ``resume_step`` past the run's last step, or an ``initial``
-    time other than ``resume_step * dt`` (to 1e-9 relative): a checkpoint
-    written with another dt.
-    Non-finite f, E or B aborts with NanAbort, and a collision CG that does
-    not reach ``cg_tol`` with RunAbort; both carry the last good state, and
-    with ``checkpoint_dir`` that state is also written there as
-    ``last_good.bin``.  A non-finite initial state aborts at
-    ``resume_step`` with itself as the last good state.
-
-    Each recorded state (a monitor step, a report step, or both) is reduced
-    once, by one ``diagnostics.SpectralSnapshot``: at ``beta_max`` on a
-    report step, at beta = 0 on a monitor-only step.
+    Rejected: a ``resume_step`` past the run's last step, an ``initial``
+    state whose f, E or B shape differs from the config's grids, and an
+    ``initial`` time other than ``resume_step * dt`` (to 1e-9 relative): a
+    checkpoint written with another dt.
     """
-    config.validate()
     sgrid, vgrid = config.grids()
     n_steps = int(round(config.t_end / config.dt))
     if resume_step > n_steps:
@@ -736,6 +724,29 @@ def run(config: RunConfig, initial: PhaseState | None = None,
             raise StateError(f"the checkpoint is at t = {initial.t:g}, but step "
                              f"{resume_step} of this run is at t = {t_resume:g} "
                              f"(dt = {config.dt:g})")
+
+
+def run(config: RunConfig, initial: PhaseState | None = None,
+        resume_step: int = 0, checkpoint_dir: str | None = None) -> RunResult:
+    """Integrate to t_end, emitting functional reports at the configured cadence.
+
+    Deterministic for a fixed config: identical seeds and parameters give
+    bit-identical trajectories and reports.  A start that ``check_resume``
+    rejects raises StateError.
+    Non-finite f, E or B aborts with NanAbort, and a collision CG that does
+    not reach ``cg_tol`` with RunAbort; both carry the last good state, and
+    with ``checkpoint_dir`` that state is also written there as
+    ``last_good.bin``.  A non-finite initial state aborts at
+    ``resume_step`` with itself as the last good state.
+
+    Each recorded state (a monitor step, a report step, or both) is reduced
+    once, by one ``diagnostics.SpectralSnapshot``: at ``beta_max`` on a
+    report step, at beta = 0 on a monitor-only step.
+    """
+    config.validate()
+    sgrid, vgrid = config.grids()
+    n_steps = int(round(config.t_end / config.dt))
+    check_resume(config, initial, resume_step)
     tables = landau.build_collision_tables(vgrid, config.gamma)
     projector = macro_micro.MacroProjector(vgrid)
     stepper = Stepper(config, sgrid, vgrid, tables)
@@ -772,7 +783,9 @@ def run(config: RunConfig, initial: PhaseState | None = None,
         if with_report:
             rep = diag.build_report(ctx, snap)
             rep.x_t = max(reports[-1].x_t, rep.x_instant) if reports else rep.x_instant
-            if len(monitor.t) >= 2:
+            # the delta of the monitor interval ending here; NaN on a report
+            # step that is not a monitor step
+            if with_monitor and len(monitor.t) >= 2:
                 rep.lyap_delta = diag.lyapunov_monitor(
                     monitor.t[-2:], np.transpose(monitor.e_k[-2:]),
                     np.transpose(monitor.d_proxy_k[-2:])).deltas[:, 0]

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -63,9 +62,6 @@ from .phase_grid import VelocityGrid, fd_gradient_matrix
 # the one worker count: FFT threads of a single-field convolution, chunks and
 # pool threads of a batched one (read at call time, so it may be lowered)
 _WORKERS = min(4, os.cpu_count() or 1)
-
-CACHE_MAGIC = b"VMLSIGC1"
-CACHE_VERSION = 1
 
 
 class CoercivityFailure(RuntimeError):
@@ -170,8 +166,7 @@ def check_quadrature(n_v: int) -> None:
         )
 
 
-def build_collision_tables(grid: VelocityGrid, gamma: float,
-                           cache_dir: str | None = None) -> CollisionTables:
+def build_collision_tables(grid: VelocityGrid, gamma: float) -> CollisionTables:
     """Assemble kernel FFT tables, collision frequency fields, and stencils.
 
     The collision frequency is produced by the same padded-FFT convolution
@@ -210,14 +205,7 @@ def build_collision_tables(grid: VelocityGrid, gamma: float,
         pad=p,
     )
 
-    sigma = None
-    if cache_dir is not None:
-        sigma = _load_sigma_cache(cache_dir, grid, gamma)
-    if sigma is None:
-        sigma = _convolve_components(tables, grid.mu())
-        if cache_dir is not None:
-            save_sigma_cache(cache_dir, grid, gamma, sigma)
-    tables.sigma = sigma
+    tables.sigma = _convolve_components(tables, grid.mu())
 
     fd = fd_gradient_matrix(grid.nodes_1d)
     g1d = grid.mu_half_1d()
@@ -694,62 +682,3 @@ def dense_L(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
     out[:n3, n3:] = k
     out[n3:, :n3] = k
     return out
-
-
-# ---------------------------------------------------------------------------
-# binary sigma-table cache
-# ---------------------------------------------------------------------------
-
-
-def _cache_path(cache_dir: str, grid: VelocityGrid, gamma: float) -> str:
-    tag = f"sigma_g{gamma:+.6f}_n{grid.n_v}_vmax{grid.v_max:.6f}.bin"
-    return os.path.join(cache_dir, tag)
-
-
-def _descriptor(grid: VelocityGrid, gamma: float) -> bytes:
-    head = struct.pack(
-        "<8sIIddd",
-        CACHE_MAGIC,
-        CACHE_VERSION,
-        grid.n_v,
-        float(gamma),
-        float(grid.v_max),
-        0.0,
-    )
-    return head.ljust(64, b"\0")
-
-
-def save_sigma_cache(cache_dir: str, grid: VelocityGrid, gamma: float,
-                     sigma: np.ndarray) -> str:
-    """Write the sigma table atomically: a temp file in ``cache_dir``, then rename."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, grid, gamma)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_descriptor(grid, gamma))
-            fh.write(np.ascontiguousarray(sigma, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
-
-
-def _load_sigma_cache(cache_dir: str, grid: VelocityGrid, gamma: float):
-    """The cached sigma table, or None when absent, mismatched or truncated."""
-    path = _cache_path(cache_dir, grid, gamma)
-    if not os.path.exists(path):
-        return None
-    n = grid.n_v
-    with open(path, "rb") as fh:
-        head = fh.read(64)
-        payload = fh.read()
-    if len(head) != 64 or len(payload) != 8 * 9 * n ** 3:
-        return None
-    magic, version, n_v, g, v_max, _ = struct.unpack("<8sIIddd", head[:40])
-    if magic != CACHE_MAGIC or version != CACHE_VERSION:
-        return None
-    if n_v != n or abs(g - gamma) > 1e-12 or abs(v_max - grid.v_max) > 1e-12:
-        return None
-    return np.frombuffer(payload, dtype="<f8").reshape(3, 3, n, n, n).copy()

@@ -182,6 +182,31 @@ class TestResumeFailsFast:
         assert not (run / "diagnostics.csv").exists()
         assert not (run / "checkpoints" / "final.bin").exists()
 
+    def test_manifest_written_only_for_a_run_that_starts(self, tmp_path, capsys):
+        # the dt-mismatched resume above exits 2 and leaves no manifest; a
+        # resume that runs (exit 0) or aborts on a non-finite state (exit 3)
+        # writes one
+        longer = tmp_path / "longer"
+        assert run_cli("simulate", "--out", str(longer), *FAST_OVERRIDES,
+                       "--set", "t_end=0.4") == 0
+        ck = longer / "checkpoints" / "final.bin"
+        rejected = tmp_path / "rejected"
+        assert run_cli("simulate", "--out", str(rejected), "--resume", str(ck),
+                       *FAST_OVERRIDES, "--set", "dt=0.05", "--set", "t_end=0.4") == 2
+        assert not (rejected / "manifest.cfg").exists()
+        resumed = tmp_path / "resumed"
+        assert run_cli("simulate", "--out", str(resumed), "--resume", str(ck),
+                       *FAST_OVERRIDES, "--set", "t_end=0.5") == 0
+        assert (resumed / "manifest.cfg").exists()
+        state, step = evolve.load_checkpoint(str(ck))
+        state.f[0, 1, 2, 3, 4] = np.nan
+        bad = tmp_path / "bad.bin"
+        evolve.save_checkpoint(str(bad), state, step)
+        aborted = tmp_path / "aborted"
+        assert run_cli("simulate", "--out", str(aborted), "--resume", str(bad),
+                       *FAST_OVERRIDES, "--set", "t_end=0.5") == 3
+        assert (aborted / "manifest.cfg").exists()
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         missing = tmp_path / "nope.bin"
         rc = run_cli("simulate", "--out", str(tmp_path / "run"), "--resume",
@@ -367,14 +392,3 @@ class TestNormsAndTables:
         assert rc == 0
         assert built == [True]
         assert f"Y0 smallness functional   {254.44874349759544:.10e}" in out
-
-    def test_tables_writes_cache(self, tmp_path, capsys):
-        rc = run_cli("tables", "--out", str(tmp_path), "--set", "n_v=8")
-        out = capsys.readouterr().out
-        assert rc == 0
-        files = [p for p in os.listdir(tmp_path) if p.startswith("sigma_")]
-        assert len(files) == 1
-        # descriptor: 64-byte header then row-major float64 payload
-        blob = (tmp_path / files[0]).read_bytes()
-        assert blob[:8] == b"VMLSIGC1"
-        assert len(blob) == 64 + 8 * 9 * 8 ** 3

@@ -245,6 +245,13 @@ class TestRun:
             assert all((x == y) or (math.isnan(x) and math.isnan(y))
                        for x, y in zip(va, vb))
 
+    def test_lyap_delta_only_on_monitor_steps(self):
+        # a report on a step the monitor skips has no interval of its own
+        cfg = small_cfg(n_x=8, dt=0.1, t_end=0.4, report_every=1, monitor_every=2)
+        res = evolve.run(cfg)
+        deltas = [rep.row(cfg.k_max)[-1] for rep in res.reports]
+        assert [math.isnan(d) for d in deltas] == [True, True, False, True, False]
+
     def test_nan_abort_carries_last_good(self):
         cfg = small_cfg(dt=0.1, t_end=0.5)
         sg, vg = cfg.grids()

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import threading
 
 import numpy as np
@@ -144,28 +143,6 @@ class TestCollisionTables:
         for v_query, ratio in zip((3.0, 4.0, 5.0), ratios):
             expect = sigma_par_exact(v_query) / sigma_perp_exact(v_query)
             assert ratio == pytest.approx(expect, rel=2e-2)
-
-    def test_cache_round_trip(self, tmp_path, vgrid8):
-        tab = landau.build_collision_tables(vgrid8, -3.0, cache_dir=str(tmp_path))
-        tab2 = landau.build_collision_tables(vgrid8, -3.0, cache_dir=str(tmp_path))
-        assert np.array_equal(tab.sigma, tab2.sigma)
-        # mismatched key is ignored, not loaded
-        tab3 = landau.build_collision_tables(VelocityGrid(6.0, 10), -3.0,
-                                             cache_dir=str(tmp_path))
-        assert tab3.sigma.shape == (3, 3, 10, 10, 10)
-
-    def test_truncated_cache_rebuilt(self, tmp_path, vgrid8):
-        fresh = landau.build_collision_tables(vgrid8, -3.0, cache_dir=str(tmp_path))
-        path = landau._cache_path(str(tmp_path), vgrid8, -3.0)
-        with open(path, "rb") as fh:
-            data = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(data[: len(data) // 2])
-        rebuilt = landau.build_collision_tables(vgrid8, -3.0, cache_dir=str(tmp_path))
-        assert np.array_equal(rebuilt.sigma, fresh.sigma)
-        # rewritten whole, with no temp file left beside it
-        assert os.listdir(tmp_path) == [os.path.basename(path)]
-        assert os.path.getsize(path) == len(data)
 
 
 class TestApplyQ:
