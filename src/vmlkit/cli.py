@@ -262,7 +262,7 @@ def _suite_operator(n_v: int = 12) -> list:
     basis = [
         np.stack([mu_half, zero]),
         np.stack([zero, mu_half]),
-        *(np.stack([row, row]) for row in vgrid.v_mu_half()),
+        *(np.stack([row, row]) for row in vgrid.v_mu_half),
         np.stack([vgrid.vsq() * mu_half] * 2),
     ]
     worst = 0.0

@@ -164,7 +164,7 @@ def _moment_weights(vgrid: VelocityGrid) -> dict:
     return {"A": np.stack([(v[m] * v[j] - 1.0) * mu_half
                            for m in range(3) for j in range(3)]),
             "B": np.stack([0.1 * (vsq - 5.0) * vj * mu_half for vj in v]),
-            "G": vgrid.v_mu_half()}
+            "G": vgrid.v_mu_half}
 
 
 def _pair_moments(vgrid: VelocityGrid, h: np.ndarray, wgt: np.ndarray,

@@ -18,6 +18,26 @@ One step is the Strang palindrome
 
 with an exact spectral phase shift for transport, explicit midpoint for
 the field/force stage, and implicit trapezoid for the collision substep.
+
+The step runs on the Hermitian half spectrum of f along the active x axes
+(``SpatialGrid.forward_half``, an rfft with the last active axis halved):
+one forward transform of the physical f at its start, one inverse at its
+end.  Transport, the field coupling and L are each diagonal in xi or local
+in x, so in between:
+
+- each transport half is one multiply by a precomputed half-spectrum
+  phase, the product over the axes, with the cosine phase on every axis's
+  Nyquist mode;
+- the field/force stage forms the source E . v mu^(1/2) q1 from the
+  Hermitian half of the E spectrum and the current as a v-moment of the
+  f spectrum; both are linear, so the midpoint's current is assembled
+  from currents already at hand and its f is formed only in nonlinear
+  mode, where the force and Gamma need physical f (one inverse
+  transform in, one forward back);
+- the direct collision propagator is two real GEMMs over the real and
+  imaginary rows of the spectrum; the matrix-free CG runs on physical f,
+  again one transform each way.
+
 The trapezoid system (I + dt/2 L) f' = (I - dt/2 L) f is solved either by
 preconditioned conjugate gradients (matrix-free, any resolution) or by a
 cached dense propagator (small velocity grids).  Since L is symmetric
@@ -252,7 +272,7 @@ def _v_profiles(vgrid: VelocityGrid):
     zero = np.zeros_like(mu_half)
     return [
         mu_half,
-        vgrid.v_mu_half()[0],
+        vgrid.v_mu_half[0],
         (vgrid.vsq() - 3.0) * mu_half,
         (v1 * v2 + zero) * mu_half,          # microscopic shape
         (v3 + zero) * (vgrid.vsq() - 5.0) * mu_half,  # microscopic shape
@@ -465,11 +485,8 @@ class CollisionStepper:
         d = f[0] - f[1]
         if self.method == "direct":
             n3 = self.tables.n ** 3
-            lead = s.shape[:-3]
-            s2 = s.reshape(-1, n3) @ self._prop[0].T
-            d2 = d.reshape(-1, n3) @ self._prop[1].T
-            s, d = s2.reshape(lead + self.tables.grid.shape), d2.reshape(
-                lead + self.tables.grid.shape)
+            s = (s.reshape(-1, n3) @ self._prop[0].T).reshape(s.shape)
+            d = (d.reshape(-1, n3) @ self._prop[1].T).reshape(d.shape)
         else:
             # the right-hand side (I - dt B) x0 and the initial residual's
             # (I + dt B) x0 share one B x0, with B = A + K or A
@@ -478,7 +495,11 @@ class CollisionStepper:
             s, iters_s = self._pcg(self._op_s, s - self.dt * bs, s, s + self.dt * bs)
             d, iters_d = self._pcg(self._op_d, d - self.dt * ad, d, d + self.dt * ad)
             self.last_iterations = (iters_s, iters_d)
-        return np.stack([0.5 * (s + d), 0.5 * (s - d)])
+        out = np.empty((2,) + s.shape)
+        np.add(s, d, out=out[0])
+        np.subtract(s, d, out=out[1])
+        out *= 0.5
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +549,14 @@ def rhs_full(state: PhaseState, sgrid: SpatialGrid, vgrid: VelocityGrid,
 
 
 class Stepper:
-    """Precomputed Strang-splitting stepper for a fixed configuration."""
+    """Precomputed Strang-splitting stepper for a fixed configuration.
+
+    ``step`` takes and returns a physical ``PhaseState``.  In between, f is
+    kept on the Hermitian half spectrum of its x axes
+    (``SpatialGrid.forward_half``): one forward transform at the start of
+    the step and one inverse at the end.  ``transport_half``,
+    ``field_force_half`` and the collision substep act on that spectrum.
+    """
 
     def __init__(self, config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid,
                  tables: landau.CollisionTables):
@@ -539,67 +567,115 @@ class Stepper:
         self.collision = CollisionStepper(
             tables, config.dt, method=config.collision_solver,
             cg_tol=config.cg_tol, direct_max_nv=config.direct_max_nv)
-        self._phases = self._transport_phases(0.5 * config.dt)
         self.x_axes = tuple(range(1, 1 + sgrid.n_active))
+        self._phase = self._transport_phase(0.5 * config.dt)
 
-    def _transport_phases(self, tau: float):
-        phases = []
+    def _transport_phase(self, tau: float) -> np.ndarray:
+        """exp(-i tau xi . v) on the half spectrum, shape (*half_shape, n, n, n).
+
+        The product over the active axes of one phase per axis.  On an
+        axis's Nyquist mode, which has no Hermitian partner, that phase is
+        the symmetric cos(tau xi v): it keeps real fields real and never
+        amplifies.
+        """
+        sg = self.sgrid
         v = self.vgrid.axes()
-        ndim_f = 1 + self.sgrid.n_active + 3
-        nyq = self.sgrid.n_x // 2 if self.sgrid.n_x % 2 == 0 else -1
-        for i, axis in enumerate(self.sgrid.active_axes):
-            xi = self.sgrid.xi_1d()
-            sh = [1] * ndim_f
-            sh[1 + i] = self.sgrid.n_x
-            xi_b = xi.reshape(sh)
-            va = v[axis]  # broadcast over trailing v axes
-            ph = np.exp(-1j * tau * xi_b * va)
-            if nyq >= 0:
-                # the Nyquist mode has no Hermitian partner; the symmetric
-                # (cosine) phase keeps real fields real and never amplifies
-                idx = [slice(None)] * ndim_f
-                idx[1 + i] = nyq
-                ph[tuple(idx)] = np.cos(tau * xi[nyq] * va) + 0j
-            phases.append(ph)
-        return phases
+        phase = np.ones(sg.half_shape + self.vgrid.shape, dtype=complex)
+        for i, axis in enumerate(sg.active_axes):
+            n_modes = sg.half_shape[i]
+            sh = [1] * sg.n_active + [1, 1, 1]
+            sh[i] = n_modes
+            arg = tau * sg.xi_1d()[:n_modes].reshape(sh) * v[axis]
+            nyq = (2 * sg.mode_numbers()[:n_modes] == -sg.n_x).reshape(sh)
+            phase *= np.where(nyq, np.cos(arg), np.exp(-1j * arg))
+        return phase
 
-    def transport_half(self, f: np.ndarray) -> np.ndarray:
-        spec = self.sgrid.forward(f, self.x_axes)
-        for ph in self._phases:
-            spec = spec * ph
-        return self.sgrid.inverse(spec, self.x_axes).real
+    def transport_half(self, spec: np.ndarray) -> np.ndarray:
+        """Exact free transport over dt/2: one phase multiply on the half spectrum."""
+        return spec * self._phase
 
-    def _stage_rhs(self, f: np.ndarray, e_spec: np.ndarray, b_spec: np.ndarray):
-        if not self.config.couple_fields:
-            de = maxwell.curl_spec(self.sgrid, b_spec)
-            db = -maxwell.curl_spec(self.sgrid, e_spec)
-            return np.zeros_like(f), de, db
-        e_phys = self.sgrid.inverse(e_spec).real
-        df = maxwell.field_source_on_f(self.vgrid, e_phys)
+    def _source(self, e_spec: np.ndarray) -> np.ndarray:
+        """The source E . v mu^(1/2) q1 on the half spectrum, from the E spectrum."""
+        return maxwell.field_source_on_f(self.vgrid, self.sgrid.hermitian_half(e_spec))
+
+    def _current(self, spec: np.ndarray) -> np.ndarray:
+        """The current's spectrum, shaped as E, from a half spectrum of f."""
+        j_half = maxwell.current_density(self.vgrid, spec)
+        return self.sgrid.forward(self.sgrid.inverse_half(j_half))
+
+    def _force(self, spec, e_spec, b_spec) -> np.ndarray:
+        """The nonlinear force and Gamma(f, f) on the half spectrum.
+
+        Both are products in x, so f, E and B go to physical space: one
+        inverse transform of f in, one forward transform back.
+        """
+        sg = self.sgrid
+        f = sg.inverse_half(spec, self.x_axes)
+        force = maxwell.lorentz_force_terms(self.vgrid, f, sg.inverse(e_spec).real,
+                                            sg.inverse(b_spec).real)
+        force += landau.apply_Gamma(self.tables, f, f)
+        return sg.forward_half(force, self.x_axes)
+
+    def field_force_half(self, spec, e_spec, b_spec):
+        """Explicit midpoint over dt/2 for the field/force subsystem.
+
+        The subsystem is df/dt = S(E) + F, dE/dt = curl B - J(f), dB/dt =
+        -curl E, with the source S and the current J from ``maxwell`` and,
+        in nonlinear mode, the force F(f, E, B).  S and J are linear, so the
+        midpoint current is J(f) + tau/2 (J(S(E)) + J(F)), with J(S(E)) from
+        ``maxwell.source_current``; the midpoint f is formed only to
+        evaluate F there, so never in linearized mode.  Without field
+        coupling f stays and E, B follow the vacuum equations.
+        """
+        sg, tau = self.sgrid, 0.5 * self.config.dt
+        coupled = self.config.couple_fields
+        j = self._current(spec) if coupled else np.zeros_like(e_spec)
+        de, db = maxwell.field_rhs(sg, maxwell.EMField(e_spec, b_spec), j)
+        e_m = e_spec + 0.5 * tau * de
+        b_m = b_spec + 0.5 * tau * db
+        if not coupled:
+            de, db = maxwell.field_rhs(sg, maxwell.EMField(e_m, b_m), j)
+            return spec, e_spec + tau * de, b_spec + tau * db
+        j += 0.5 * tau * sg.forward(maxwell.source_current(self.vgrid,
+                                                           sg.inverse(e_spec).real))
+        force = None
         if self.config.mode == NONLINEAR:
-            b_phys = self.sgrid.inverse(b_spec).real
-            df += maxwell.lorentz_force_terms(self.vgrid, f, e_phys, b_phys)
-            df += landau.apply_Gamma(self.tables, f, f)
-        j_spec = self.sgrid.forward(maxwell.current_density(self.vgrid, f))
-        de, db = maxwell.field_rhs(self.sgrid, maxwell.EMField(e_spec, b_spec), j_spec)
-        return df, de, db
+            force = self._force(spec, e_spec, b_spec)
+            j += 0.5 * tau * self._current(force)
+            f_m = self._source(e_spec) + force
+            f_m *= 0.5 * tau
+            f_m += spec
+            force = self._force(f_m, e_m, b_m)
+        de, db = maxwell.field_rhs(sg, maxwell.EMField(e_m, b_m), j)
+        # S is linear: scaling E by tau is cheaper than scaling S(E)
+        f_new = self._source(tau * e_m)
+        if force is not None:
+            force *= tau
+            f_new += force
+        f_new += spec
+        return f_new, e_spec + tau * de, b_spec + tau * db
 
-    def field_force_half(self, f, e_spec, b_spec):
-        """Explicit midpoint over dt/2 for the field/force subsystem."""
-        tau = 0.5 * self.config.dt
-        df1, de1, db1 = self._stage_rhs(f, e_spec, b_spec)
-        fm = f + 0.5 * tau * df1
-        em_ = e_spec + 0.5 * tau * de1
-        bm = b_spec + 0.5 * tau * db1
-        df2, de2, db2 = self._stage_rhs(fm, em_, bm)
-        return f + tau * df2, e_spec + tau * de2, b_spec + tau * db2
+    def _collide(self, spec: np.ndarray) -> np.ndarray:
+        """The collision substep on the half spectrum.
+
+        The propagator is real and local in x: the direct solver advances
+        the real and imaginary parts as rows of one real GEMM per species
+        combination.  The matrix-free CG runs on physical f.
+        """
+        if self.collision.method == "direct":
+            out = self.collision.advance(np.stack([spec.real, spec.imag], axis=1))
+            spec = np.empty_like(spec)
+            spec.real, spec.imag = out[:, 0], out[:, 1]
+            return spec
+        f = self.collision.advance(self.sgrid.inverse_half(spec, self.x_axes))
+        return self.sgrid.forward_half(f, self.x_axes)
 
     def step(self, state: PhaseState) -> PhaseState:
-        f = self.transport_half(state.f)
-        f, e, b = self.field_force_half(f, state.em.e_spec, state.em.b_spec)
-        f = self.collision.advance(f)
-        f, e, b = self.field_force_half(f, e, b)
-        f = self.transport_half(f)
+        spec = self.transport_half(self.sgrid.forward_half(state.f, self.x_axes))
+        spec, e, b = self.field_force_half(spec, state.em.e_spec, state.em.b_spec)
+        spec = self._collide(spec)
+        spec, e, b = self.field_force_half(spec, e, b)
+        f = self.sgrid.inverse_half(self.transport_half(spec), self.x_axes)
         return PhaseState(f=f, em=maxwell.EMField(e, b), t=state.t + self.config.dt)
 
 

@@ -69,7 +69,7 @@ class MacroProjector:
         mu_half = grid.mu_half()
         zero = np.zeros_like(mu_half)
         en = (grid.vsq() - 3.0) * mu_half
-        v_mu = grid.v_mu_half()
+        v_mu = grid.v_mu_half
         # basis rows per species (2, 6, n^3): ``coefficients`` and
         # ``assemble`` are one batched GEMM each against them
         self._rows = np.stack([np.stack([mu_half, zero, *v_mu, en]),

@@ -20,7 +20,10 @@ the charge a_+ - a_- (``charge_density``) and the current (``current_density``);
 on the kinetic side, for q0 = diag(1, -1) and q1 = [1, -1], the source
 E . v mu^(1/2) q1 (``field_source_on_f``) and, in nonlinear mode, the force
 -q0 (E + v x B) . grad_v f + (q0/2) E . v f (``lorentz_force_terms``).  The
-source and the current share the weight rows ``VelocityGrid.v_mu_half``.
+source and the current are linear and local in x, so each takes physical
+arrays or spectra alike: ``evolve.rhs_full`` calls them on physical E and
+f, the stepper on the Hermitian half spectra of E and f.  The Lorentz
+force is a product in x and takes physical fields only.
 """
 
 from __future__ import annotations
@@ -80,17 +83,46 @@ def charge_density(vgrid: VelocityGrid, f: np.ndarray) -> np.ndarray:
 
 
 def current_density(vgrid: VelocityGrid, f: np.ndarray) -> np.ndarray:
-    """j = int v mu^(1/2) (f_+ - f_-) dv; shape (3, *x_shape)."""
-    diff = f[0] - f[1]
-    return np.stack([vgrid.integrate(diff * row) for row in vgrid.v_mu_half()])
+    """j = int v mu^(1/2) (f_+ - f_-) dv; shape (3, *x_shape).
+
+    Local in x: ``f`` may be physical or a spectrum of it, and j is then
+    the same spectrum of the current.
+    """
+    rows = vgrid.v_mu_half.reshape(3, -1)
+    diff = (f[0] - f[1]).reshape(-1, rows.shape[1])
+    # einsum, not a BLAS GEMM: a threaded GEMM leaves BLAS threads spinning
+    # against the collision operator's thread pool that runs next
+    return vgrid.cell_volume * np.einsum("xv,av->ax", diff, rows).reshape(
+        (3,) + f.shape[1:-3])
 
 
-def field_source_on_f(vgrid: VelocityGrid, e_phys: np.ndarray) -> np.ndarray:
-    """E . v mu^(1/2) q1 term, shape (2, *x, n, n, n)."""
-    acc = 0.0
-    for e_a, row in zip(e_phys, vgrid.v_mu_half()):
-        acc = acc + e_a[..., None, None, None] * row
-    return np.stack([acc, -acc])
+def field_source_on_f(vgrid: VelocityGrid, e: np.ndarray) -> np.ndarray:
+    """E . v mu^(1/2) q1 term, shape (2, *x, n, n, n).
+
+    Local in x: ``e`` (3, *x) may be physical E or a spectrum of it, and
+    the source is then the same spectrum.  E . v is a sum of rank-one
+    products, formed by broadcasting (no BLAS call, as in
+    ``current_density``).
+    """
+    ev = 0.0
+    for e_a, v_a in zip(e, vgrid.axes()):
+        ev = ev + e_a[..., None, None, None] * v_a
+    out = np.empty((2,) + e.shape[1:] + vgrid.shape, dtype=e.dtype)
+    np.multiply(ev, vgrid.mu_half(), out=out[0])
+    np.negative(out[0], out=out[1])
+    return out
+
+
+def source_current(vgrid: VelocityGrid, e: np.ndarray) -> np.ndarray:
+    """The current of the source: ``current_density`` of ``field_source_on_f``.
+
+    The source is E . v mu^(1/2) q1, so its current is 2 h^3 G E with the
+    3 x 3 Gram matrix G_ab = sum_v v_a v_b mu of the weight rows; the
+    source itself is never formed.  Local in x, like both.
+    """
+    rows = vgrid.v_mu_half.reshape(3, -1)
+    gram = 2.0 * vgrid.cell_volume * np.einsum("av,bv->ab", rows, rows)
+    return np.einsum("ab,a...->b...", gram, e)
 
 
 def lorentz_force_terms(vgrid: VelocityGrid, f: np.ndarray, e_phys: np.ndarray,

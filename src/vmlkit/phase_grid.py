@@ -14,6 +14,11 @@ the L^2(dx) Plancherel identity holds without extra factors:
 
     sum_k |fhat(k)|^2 = (L/n_x)^d * sum_x |f(x)|^2,   xi_k = 2*pi*k/L.
 
+A real array also has a half-spectrum transform pair with the same scale
+(``forward_half``/``inverse_half``, scipy's rfftn/irfftn): only the modes
+whose last active index is <= n_x // 2 are kept, the others being the
+complex conjugates of their partners -xi.  The Strang step runs on it.
+
 Fractional powers |xi|^s act as Fourier multipliers; the xi = 0 mode is
 zeroed for negative exponents (torus surrogate of the homogeneous
 negative-order Sobolev norm) and its content is reported separately by
@@ -23,9 +28,11 @@ the diagnostics layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy import fft as sfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -126,10 +133,16 @@ class VelocityGrid:
     def mu_half(self) -> np.ndarray:
         return (TWO_PI) ** (-0.75) * np.exp(-0.25 * self.vsq())
 
+    @cached_property
     def v_mu_half(self) -> np.ndarray:
-        """The rows v_j mu^(1/2), shape (3, n, n, n): the current weights."""
+        """The rows v_j mu^(1/2), shape (3, n, n, n): the current weights.
+
+        Built once per grid and shared, so the array is read-only.
+        """
         mu_half = self.mu_half()
-        return np.stack([(v + 0 * mu_half) * mu_half for v in self.axes()])
+        rows = np.stack([(v + 0 * mu_half) * mu_half for v in self.axes()])
+        rows.flags.writeable = False
+        return rows
 
     def mu_half_1d(self) -> np.ndarray:
         t = self.nodes_1d
@@ -292,6 +305,47 @@ class SpatialGrid:
         axes = self._x_axes(arr, x_axes)
         scale = (self.n_x / np.sqrt(self.box_length)) ** len(axes)
         return np.fft.ifftn(arr, axes=axes) * scale
+
+    @property
+    def half_shape(self) -> tuple:
+        """Shape of the Hermitian half spectrum: the last active axis halved."""
+        return self.shape[:-1] + (self.n_x // 2 + 1,)
+
+    def forward_half(self, arr: np.ndarray, x_axes=None) -> np.ndarray:
+        """``forward`` of a real array, kept on the half spectrum ``half_shape``.
+
+        The modes whose last active index is <= n_x // 2; the others are the
+        complex conjugates of their partners -xi.
+        """
+        axes = self._x_axes(arr, x_axes)
+        scale = (np.sqrt(self.box_length) / self.n_x) ** len(axes)
+        spec = sfft.rfftn(arr, axes=axes)
+        spec *= scale
+        return spec
+
+    def inverse_half(self, spec: np.ndarray, x_axes=None) -> np.ndarray:
+        """The real array whose ``forward_half`` is ``spec``.
+
+        On the planes of last index 0 and n_x / 2, which hold both partners
+        xi and -xi, only the Hermitian part (see ``hermitian_half``) enters,
+        as in the real part of ``inverse``.
+        """
+        axes = self._x_axes(spec, x_axes)
+        scale = (self.n_x / np.sqrt(self.box_length)) ** len(axes)
+        out = sfft.irfftn(spec, s=(self.n_x,) * len(axes), axes=axes)
+        out *= scale
+        return out
+
+    def hermitian_half(self, spec: np.ndarray, x_axes=None) -> np.ndarray:
+        """(spec(xi) + conj spec(-xi)) / 2 on the half spectrum.
+
+        Equal to ``forward_half(inverse(spec).real)``, without a transform.
+        """
+        axes = self._x_axes(spec, x_axes)
+        keep = [slice(None)] * spec.ndim
+        keep[axes[-1]] = slice(self.n_x // 2 + 1)
+        partner = np.roll(np.flip(spec, axes), 1, axes)[tuple(keep)]
+        return 0.5 * (spec[tuple(keep)] + partner.conj())
 
     def _mult_view(self, mult: np.ndarray, arr_ndim: int, axes: tuple) -> np.ndarray:
         """Reshape an x-shaped multiplier to broadcast against ``arr``."""

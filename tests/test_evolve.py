@@ -66,29 +66,108 @@ class TestTransport:
         cfg, sg, vg, tab = setup8
         stepper = Stepper(cfg, sg, vg, tab)
         st = initial_state(cfg, sg, vg)
-        out = stepper.transport_half(stepper.transport_half(st.f))
-        spec = sg.forward(st.f, (1,))
+        spec = stepper.transport_half(stepper.transport_half(sg.forward_half(st.f, (1,))))
+        out = sg.inverse_half(spec, (1,))
+        full = sg.forward(st.f, (1,))
         xi = sg.xi_1d().reshape(1, -1, 1, 1, 1)
         v1 = vg.axes()[0].reshape(1, 1, -1, 1, 1)
-        exact = sg.inverse(spec * np.exp(-1j * xi * v1 * cfg.dt), (1,)).real
+        exact = sg.inverse(full * np.exp(-1j * xi * v1 * cfg.dt), (1,)).real
         assert np.abs(out - exact).max() < 1e-10 * np.abs(st.f).max()
 
-    def test_transport_preserves_norm(self, setup8):
-        cfg, sg, vg, tab = setup8
-        stepper = Stepper(cfg, sg, vg, tab)
+    def test_transport_preserves_norm(self):
+        # two active axes, even n_x: Nyquist modes on both axes, and on the
+        # last (halved) axis as well as on the first
+        cfg = small_cfg(n_x=6, active_axes=(0, 2), box_length=2.0 * math.pi)
+        sg, vg = cfg.grids()
+        stepper = Stepper(cfg, sg, vg, landau.build_collision_tables(vg, cfg.gamma))
+        x_axes = stepper.x_axes
+
+        def transported(f):
+            return sg.inverse_half(stepper.transport_half(sg.forward_half(f, x_axes)),
+                                   x_axes)
+
         rng = np.random.default_rng(0)
-        f = rng.standard_normal((2,) + sg.shape + vg.shape)
-        # remove Nyquist content (no Hermitian partner); on resolved data the
-        # phase shift is exactly unitary, and it never amplifies in general
-        spec = sg.forward(f, (1,))
-        spec[:, sg.n_x // 2] = 0.0
-        f = sg.inverse(spec, (1,)).real
-        out = stepper.transport_half(f)
-        assert float(np.sum(out ** 2)) == pytest.approx(float(np.sum(f ** 2)),
-                                                        rel=1e-12)
         g = rng.standard_normal((2,) + sg.shape + vg.shape)
-        assert float(np.sum(stepper.transport_half(g) ** 2)) <= float(
-            np.sum(g ** 2)) * (1 + 1e-12)
+        # the cosine Nyquist phase can only lose
+        assert float(np.sum(transported(g) ** 2)) < float(np.sum(g ** 2))
+        # without Nyquist content the phase shift is exactly unitary
+        spec = sg.forward(g, x_axes)
+        spec[:, sg.n_x // 2] = 0.0
+        spec[:, :, sg.n_x // 2] = 0.0
+        f = sg.inverse(spec, x_axes).real
+        assert float(np.sum(transported(f) ** 2)) == pytest.approx(
+            float(np.sum(f ** 2)), rel=1e-12)
+
+
+def physical_strang_step(stepper: Stepper, state: PhaseState) -> PhaseState:
+    """One Strang step composed in physical space from the public pieces.
+
+    Transport is a full-spectrum phase shift (the cosine on every Nyquist
+    mode) and the real part of its inverse; the field/force stage reads
+    physical E and B; the collision substep is ``CollisionStepper.advance``
+    on physical f.
+    """
+    cfg, sg, vg = stepper.config, stepper.sgrid, stepper.vgrid
+    x_axes, tau = stepper.x_axes, 0.5 * cfg.dt
+    v = vg.axes()
+
+    def transport(f):
+        spec = sg.forward(f, x_axes)
+        for i, axis in enumerate(sg.active_axes):
+            sh = [1] * f.ndim
+            sh[1 + i] = sg.n_x
+            arg = tau * sg.xi_1d().reshape(sh) * v[axis]
+            nyq = (2 * sg.mode_numbers() == -sg.n_x).reshape(sh)
+            spec = spec * np.where(nyq, np.cos(arg), np.exp(-1j * arg))
+        return sg.inverse(spec, x_axes).real
+
+    def rhs(f, e, b):
+        e_phys, b_phys = sg.inverse(e).real, sg.inverse(b).real
+        df = maxwell.field_source_on_f(vg, e_phys)
+        if cfg.mode == "nonlinear":
+            df = df + maxwell.lorentz_force_terms(vg, f, e_phys, b_phys)
+            df = df + landau.apply_Gamma(stepper.tables, f, f)
+        j_spec = sg.forward(maxwell.current_density(vg, f))
+        return (df,) + maxwell.field_rhs(sg, maxwell.EMField(e, b), j_spec)
+
+    def field_force(f, e, b):
+        df, de, db = rhs(f, e, b)
+        df, de, db = rhs(f + 0.5 * tau * df, e + 0.5 * tau * de, b + 0.5 * tau * db)
+        return f + tau * df, e + tau * de, b + tau * db
+
+    f = transport(state.f)
+    f, e, b = field_force(f, state.em.e_spec, state.em.b_spec)
+    f = stepper.collision.advance(f)
+    f, e, b = field_force(f, e, b)
+    return PhaseState(transport(f), maxwell.EMField(e, b), state.t + cfg.dt)
+
+
+class TestHalfSpectrumStep:
+    @pytest.mark.parametrize("grid", [dict(n_x=6), dict(n_x=7),
+                                      dict(n_x=4, active_axes=(0, 2))],
+                             ids=["even", "odd", "two_axes"])
+    @pytest.mark.parametrize("mode", ["linearized", "nonlinear"])
+    @pytest.mark.parametrize("solver", ["direct", "cg"])
+    def test_step_matches_physical_strang(self, grid, mode, solver):
+        # the step on the rfft half spectrum is the physical-space Strang
+        # step, with Nyquist content on every axis and E, B of any phase
+        cfg = small_cfg(box_length=2.0 * math.pi, mode=mode, collision_solver=solver,
+                        cg_tol=1e-14, dt=0.05, **grid)
+        sg, vg = cfg.grids()
+        stepper = Stepper(cfg, sg, vg, landau.build_collision_tables(vg, cfg.gamma))
+        rng = np.random.default_rng(11)
+        f = 0.1 * rng.standard_normal((2,) + sg.shape + vg.shape) * vg.mu_half()
+        e, b = (sg.forward(0.01 * rng.standard_normal((3,) + sg.shape)) for _ in range(2))
+        state = PhaseState(f, maxwell.EMField(e, b), 0.0)
+        got = stepper.step(state)
+        ref = physical_strang_step(stepper, state)
+        assert np.abs(got.f - ref.f).max() <= 1e-13 * np.abs(ref.f).max()
+        # E and B as increments over the step, so that the current's share of
+        # the E update is not lost next to E itself
+        for a, r, start in ((got.em.e_spec, ref.em.e_spec, e),
+                            (got.em.b_spec, ref.em.b_spec, b)):
+            assert np.abs(a - r).max() <= 1e-13 * np.abs(r - start).max()
+        assert got.t == ref.t
 
 
 class TestRhsFull:

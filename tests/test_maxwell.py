@@ -49,6 +49,18 @@ class TestFieldRhs:
         de, _ = maxwell.field_rhs(grid, em, grid.forward(j))
         assert np.abs(de).max() < 5e-6
 
+    def test_source_current_is_current_of_the_source(self, grid):
+        # the source and the current are local in x: physical E or any
+        # complex spectrum of it, the same identity
+        vgrid = VelocityGrid(6.0, 8)
+        rng = np.random.default_rng(3)
+        for e in (rng.standard_normal((3,) + grid.shape),
+                  rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))):
+            ref = maxwell.current_density(vgrid, maxwell.field_source_on_f(vgrid, e))
+            got = maxwell.source_current(vgrid, e)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_shape_mismatch_rejected(self, grid):
         em = maxwell.EMField.zero(grid)
         with pytest.raises(ValueError):

@@ -177,6 +177,22 @@ class TestTransforms:
             grid.norm2(f), rel=1e-12)
 
 
+    @pytest.mark.parametrize("n_x, axes", [(6, (0, 2)), (7, (1,)), (4, (0, 1, 2))])
+    def test_half_spectrum_pair(self, n_x, axes):
+        # forward_half is the half of forward, inverse_half undoes it, and
+        # hermitian_half reads the half spectrum of a real part
+        grid = SpatialGrid(box_length=3.0, n_x=n_x, active_axes=axes)
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal((2,) + grid.shape)
+        half = grid.forward_half(f)
+        assert half.shape == (2,) + grid.half_shape
+        full = grid.forward(f)
+        assert np.abs(half - full[..., : n_x // 2 + 1]).max() < 1e-13
+        assert np.abs(grid.inverse_half(half) - f).max() < 1e-13
+        z = full + 1j * rng.standard_normal(full.shape)
+        assert np.abs(grid.hermitian_half(z)
+                      - grid.forward_half(grid.inverse(z).real)).max() < 1e-13
+
 class TestLambda:
     def test_identity_at_zero_exponent(self, sgrid32):
         rng = np.random.default_rng(7)
