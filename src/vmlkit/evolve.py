@@ -642,10 +642,12 @@ class Stepper:
         if self.config.mode == NONLINEAR:
             force = self._force(spec, e_spec, b_spec)
             j += 0.5 * tau * self._current(force)
-            f_m = self._source(e_spec) + force
-            f_m *= 0.5 * tau
-            f_m += spec
-            force = self._force(f_m, e_m, b_m)
+            # the midpoint f, built in place of F: one array fewer is alive
+            # while Gamma runs there
+            force += self._source(e_spec)
+            force *= 0.5 * tau
+            force += spec
+            force = self._force(force, e_m, b_m)
         de, db = maxwell.field_rhs(sg, maxwell.EMField(e_m, b_m), j)
         # S is linear: scaling E by tau is cheaper than scaling S(E)
         f_new = self._source(tau * e_m)
