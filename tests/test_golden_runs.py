@@ -35,6 +35,12 @@ RUNS = {
     "nonlinear_cg": dict(n_x=8, n_v=8, mode="nonlinear", collision_solver="cg",
                          cg_tol=1e-15, dt=0.1, t_end=0.4, report_every=1,
                          monitor_every=2),
+    # direct solver with the force and Gamma terms on a two-axis box: the
+    # quadratic terms carry the broadband modes 1-2 of axis 0 into its
+    # Nyquist bin, so the cosine Nyquist phase of transport is pinned here
+    "nonlinear_direct": dict(n_x=8, n_v=8, active_axes=(0, 1), mode="nonlinear",
+                             collision_solver="direct", dt=0.1, t_end=0.4,
+                             report_every=1, monitor_every=2),
 }
 
 REL = 1e-12
