@@ -34,26 +34,27 @@ in x, so in between:
   from currents already at hand and its f is formed only in nonlinear
   mode, where the force and Gamma need physical f (one inverse
   transform in, one forward back);
-- the direct collision propagator is two real GEMMs over the real and
-  imaginary rows of the spectrum; the matrix-free CG runs on physical f,
-  again one transform each way.
+- the direct collision propagator acts on the real and imaginary rows of
+  the spectrum, one GEMM per symmetry block; the matrix-free CG runs on
+  physical f, again one transform each way.
 
 The trapezoid system (I + dt/2 L) f' = (I - dt/2 L) f is solved either by
 preconditioned conjugate gradients (matrix-free, any resolution) or by a
-cached dense propagator (small velocity grids).  Since L is symmetric
-positive semidefinite, M = I + dt/2 L is symmetric positive definite: the
-dense propagator is P = M^-1 (I - dt/2 L) = 2 M^-1 - I, with M^-1 from a
+cached propagator (small velocity grids).  Since L is symmetric positive
+semidefinite, M = I + dt/2 L is symmetric positive definite: the
+propagator is P = M^-1 (I - dt/2 L) = 2 M^-1 - I, with M^-1 from a
 Cholesky factorization, and the trapezoid update never increases ||f||^2,
 which is what the per-step Lyapunov monitor leans on.
 
 The field/force stage takes its coupling terms (the source E . v mu^(1/2)
 q1, the Lorentz force and the current) and dE/dt, dB/dt from ``maxwell``.
 
-The direct solver also keeps one dense copy of A + K (8 n_v^6 bytes: 8 MB
-at n_v = 10, 134 MB at n_v = 16), and ``run`` hands its ``apply_L`` to the
-diagnostics, so the one L f of each recorded state (its snapshot's
-collision power and B-moment source) is one GEMM plus the sparse stencil A
-instead of the padded-FFT convolutions of K.
+The direct solver holds P, A + K and A as the blocks of the axis
+permutations of v (``landau.PermutationBlocks``), 1.4 MB per operator at
+n_v = 10 and 22.6 MB at n_v = 16, never an n_v^3 x n_v^3 array.  ``run``
+hands its ``apply_L`` to the diagnostics, so the one L f of each recorded
+state (its snapshot's collision power and B-moment source) is one GEMM per
+block instead of the padded-FFT convolutions of K.
 
 The species sum s = f_+ + f_- and difference d = f_+ - f_- diagonalize L
 (L s = 2(A+K)s, L d = 2A d), so the collision solve runs on two decoupled
@@ -357,15 +358,22 @@ def initial_state(config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid) ->
 class CollisionStepper:
     """Implicit-trapezoid collision substep in species sum/difference form.
 
-    ``method="direct"`` caches, per species combination, the dense
-    propagator P = 2 (I + dt/2 L)^-1 - I with L_s = 2(A + K) and L_d = 2A.
-    Both operators are symmetric positive semidefinite, so I + dt/2 L is
-    inverted by Cholesky (LAPACK potrf + potri); a failed factorization
-    raises ValueError.  It also keeps the dense A + K (8 n_v^6 bytes: 8 MB
-    at n_v = 10, 134 MB at n_v = 16), from which ``apply_L`` serves every
-    L f of the run loop.  ``method="cg"`` solves the same trapezoid systems
-    matrix-free by preconditioned conjugate gradients, and its ``apply_L``
-    is the matrix-free ``landau.apply_L``.
+    ``method="direct"`` works in the symmetry-adapted basis of
+    ``landau.PermutationBlocks``, in which A and K are block diagonal: one
+    trivial, one sign and one standard block, the last serving both rows
+    of the 2-d representation.  The blocks of A + K and of A come from the
+    rows of ``landau.dense_A``/``dense_K`` at the orbit representatives
+    alone.  Per species combination, each block of the propagator
+    P = 2 (I + dt/2 L)^-1 - I, with L_s = 2(A + K) and L_d = 2A, is
+    inverted by Cholesky (LAPACK potrf + potri); both operators are
+    symmetric positive semidefinite, and a failed factorization raises
+    ValueError.  The blocked P_s, P_d, A + K and A are kept, 8 (n_t^2 +
+    n_s^2 + n_std^2) bytes each (1.4 MB at n_v = 10, 22.6 MB at n_v = 16);
+    no n_v^3 x n_v^3 array is held.  ``advance`` and ``apply_L`` change
+    basis, run one GEMM per block and change back; ``apply_L`` serves
+    every L f of the run loop.  ``method="cg"`` solves the same trapezoid
+    systems matrix-free by preconditioned conjugate gradients, and its
+    ``apply_L`` is the matrix-free ``landau.apply_L``.
 
     ``last_iterations`` holds the CG iteration counts (sum, difference) of
     the last ``advance``; (0, 0) for the direct solver.
@@ -380,55 +388,65 @@ class CollisionStepper:
         if method == "auto":
             method = "direct" if tables.n <= direct_max_nv else "cg"
         self.method = method
+        self._basis = None
         self._prop = None
         self._a_plus_k = None
+        self._a = None
         self._precond = None
         self.last_iterations = (0, 0)
         if method == "direct":
             self._build_propagators(direct_max_nv)
 
-    # dense cached propagators -------------------------------------------------
+    # blocked propagators ------------------------------------------------------
     def _build_propagators(self, limit: int) -> None:
+        self._basis = basis = landau.PermutationBlocks(self.tables.n)
         # dense_A applies the dense-size rule (``landau.check_dense_limit``)
-        a = landau.dense_A(self.tables, limit=limit)
-        k = landau.dense_K(self.tables, limit=limit)
+        a = landau.dense_A(self.tables, limit=limit, rows=basis.reps)
+        k = landau.dense_K(self.tables, limit=limit, rows=basis.reps)
         k += a
-        self._a_plus_k = k.copy()
-        n3 = self.tables.n ** 3
-        props = []
-        for m in (k, a):          # L_s / 2 = A + K, L_d / 2 = A
-            m *= self.dt
-            m.flat[:: n3 + 1] += 1.0          # M = I + dt/2 L, in place
-            # m is symmetric, so its transpose is the same matrix in the
-            # Fortran order LAPACK factors in place
-            fac, info = lapack.dpotrf(m.T, overwrite_a=True)
-            if info == 0:
-                inv, info = lapack.dpotri(fac, overwrite_c=True)
-            if info != 0:
-                raise ValueError(
-                    f"collision propagator: I + dt/2 L is not positive definite "
-                    f"(n_v={self.tables.n}, gamma={self.tables.gamma}, "
-                    f"dt={self.dt}; LAPACK info {info})")
-            # potri fills one triangle of M^-1 and potrf zeroed the other
-            inv.flat[:: n3 + 1] *= 0.5
-            landau._add_transpose(inv)
-            inv *= 2.0
-            inv.flat[:: n3 + 1] -= 1.0        # P = 2 M^-1 - I = M^-1 (I - dt/2 L)
-            props.append(inv)
-        self._prop = props
+        self._a_plus_k = basis.block_matrices(k)
+        self._a = basis.block_matrices(a)
+        # L_s / 2 = A + K, L_d / 2 = A
+        self._prop = [[self._propagator(b) for b in ops]
+                      for ops in (self._a_plus_k, self._a)]
+
+    def _propagator(self, b: np.ndarray) -> np.ndarray:
+        """P = 2 M^-1 - I = M^-1 (I - dt/2 L) for one block, M = I + dt b."""
+        n = b.shape[0]
+        m = self.dt * b
+        m.flat[:: n + 1] += 1.0
+        # m is symmetric, so its transpose is the same matrix in the Fortran
+        # order LAPACK factors in place
+        fac, info = lapack.dpotrf(m.T, overwrite_a=True)
+        if info == 0:
+            inv, info = lapack.dpotri(fac, overwrite_c=True)
+        if info != 0:
+            raise ValueError(
+                f"collision propagator: I + dt/2 L is not positive definite "
+                f"(n_v={self.tables.n}, gamma={self.tables.gamma}, "
+                f"dt={self.dt}; LAPACK info {info})")
+        # potri fills one triangle of M^-1 and potrf zeroed the other
+        inv += np.triu(inv, 1).T
+        inv *= 2.0
+        inv.flat[:: n + 1] -= 1.0
+        return inv
+
+    def _blocked(self, blocks: list, x: np.ndarray) -> np.ndarray:
+        """B x at every leading point of x (..., n, n, n), for B symmetric and blocked."""
+        basis = self._basis
+        y = basis.forward(x.reshape(-1, basis.size))
+        return basis.inverse([c @ b for c, b in zip(y, blocks)]).reshape(x.shape)
 
     def apply_L(self, f: np.ndarray) -> np.ndarray:
         """L f on a species pair (2, ..., n, n, n), as ``landau.apply_L``.
 
         Direct mode: L f = [(A+K) s + A d, (A+K) s - A d] with s = f_+ + f_-
-        and d = f_+ - f_-; (A+K) s is one GEMM over all leading points (A+K
-        is symmetric) and A d the sparse stencil.
+        and d = f_+ - f_-, each from its blocks over all leading points.
         """
-        if self._a_plus_k is None:
+        if self._a is None:
             return landau.apply_L(self.tables, f)
-        s = f[0] + f[1]
-        bs = (s.reshape(-1, self._a_plus_k.shape[0]) @ self._a_plus_k).reshape(s.shape)
-        ad = landau.apply_A(self.tables, f[0] - f[1])
+        bs = self._blocked(self._a_plus_k, f[0] + f[1])
+        ad = self._blocked(self._a, f[0] - f[1])
         return np.stack([bs + ad, bs - ad])
 
     # matrix-free operator applications ----------------------------------------
@@ -484,9 +502,8 @@ class CollisionStepper:
         s = f[0] + f[1]
         d = f[0] - f[1]
         if self.method == "direct":
-            n3 = self.tables.n ** 3
-            s = (s.reshape(-1, n3) @ self._prop[0].T).reshape(s.shape)
-            d = (d.reshape(-1, n3) @ self._prop[1].T).reshape(d.shape)
+            s = self._blocked(self._prop[0], s)
+            d = self._blocked(self._prop[1], d)
         else:
             # the right-hand side (I - dt B) x0 and the initial residual's
             # (I + dt B) x0 share one B x0, with B = A + K or A
@@ -661,8 +678,8 @@ class Stepper:
         """The collision substep on the half spectrum.
 
         The propagator is real and local in x: the direct solver advances
-        the real and imaginary parts as rows of one real GEMM per species
-        combination.  The matrix-free CG runs on physical f.
+        the real and imaginary parts as rows of one real GEMM per block and
+        species combination.  The matrix-free CG runs on physical f.
         """
         if self.collision.method == "direct":
             out = self.collision.advance(np.stack([spec.real, spec.imag], axis=1))

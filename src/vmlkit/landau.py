@@ -44,11 +44,15 @@ the chunked results are bit-identical to one call over all points.
 The sigma norm here is the unweighted one; the weighted norms of the
 functionals integrate the same ``sigma_density`` in
 ``diagnostics.SpectralSnapshot``.  The dense assemblies share one size
-rule, ``check_dense_limit``.
+rule, ``check_dense_limit``, and assemble any selection of rows; the
+direct propagator takes only the rows at the orbit representatives of the
+axis permutations, from which ``PermutationBlocks`` builds the operator's
+symmetry blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -597,78 +601,72 @@ def _sparse_D(tables: CollisionTables):
     return mats
 
 
-def _difference_index(n: int) -> np.ndarray:
-    """Flat index of v_a - v_b into a (2n-1)^3 table of node differences.
+def _difference_index(n: int, rows: np.ndarray) -> np.ndarray:
+    """Flat index of v_a - v_b, a in ``rows``, into a (2n-1)^3 difference table.
 
     The flat table key is separable, key(a) - key(b) + const, so one index
-    array gathers every convolution matrix C[a, b] = table(v_a - v_b).
+    array gathers those rows of every convolution matrix C[a, b] = table(v_a - v_b).
     """
     m = 2 * n - 1
     i1, i2, i3 = np.indices((n, n, n)).reshape(3, -1).astype(np.int32)
     key = (i1 * m + i2) * m + i3
-    return key[:, None] - key[None, :] + (n - 1) * (m * m + m + 1)
+    out = key[rows, None] - key[None, :]
+    out += (n - 1) * (m * m + m + 1)
+    return out
 
 
-def dense_A(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
-    """Dense A = sum_ij D_i^T sigma^ij D_j, summed sparse and densified once."""
+def dense_A(tables: CollisionTables, limit: int = DENSE_MAX_NV,
+            rows: np.ndarray | None = None) -> np.ndarray:
+    """Rows of the dense A = sum_ij D_i^T sigma^ij D_j, summed sparse and densified once.
+
+    ``rows`` selects flat velocity indices (all of them by default).
+    """
     check_dense_limit(tables.n, limit)
     from scipy import sparse
 
     d = sparse.vstack(_sparse_D(tables), format="csr")
     sig = sparse.bmat([[sparse.diags(tables.sigma[i, j].ravel()) for j in range(3)]
                        for i in range(3)])
-    return (d.T @ sig @ d).toarray()
+    dt = d.T.tocsr()
+    if rows is not None:
+        dt = dt[rows]
+    return (dt @ sig @ d).toarray()
 
 
-def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
-    """Dense K = -sum_ij S_i^T C_ij S_j with S_j = mu^(1/2) D_j.
+def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV,
+            rows: np.ndarray | None = None) -> np.ndarray:
+    """Rows of the dense K = -sum_ij S_i^T C_ij S_j with S_j = mu^(1/2) D_j.
 
-    C_ij[a, b] = Phi^ij(v_a - v_b) h^3 is gathered from one difference table.
-    Phi is symmetric in ij and even in u, so C_ji = C_ij = C_ij^T and the
-    (j, i) term is the transpose of the (i, j) one: six blocks, not nine.
-    S_i^T is applied as a sparse product and S_j row by row as the stencil
-    D_j^T (mu^(1/2) .) on each row viewed as a velocity field.
+    ``rows`` selects flat velocity indices (all of them by default).
+    C_ij[a, b] = Phi^ij(v_a - v_b) h^3 is gathered from one difference table,
+    only at the nodes that the selected rows of the sparse S_i^T reach.
+    Each W_j = sum_i S_i^T C_ij is then applied to S_j row by row, as the
+    stencil D_j^T (mu^(1/2) .) on each row viewed as a velocity field.
     """
     check_dense_limit(tables.n, limit)
     from scipy import sparse
 
     grid = tables.grid
     n, h = grid.n_v, grid.spacing
+    rows = np.arange(n ** 3) if rows is None else np.asarray(rows)
     d = np.arange(-(n - 1), n) * h
     table = _phi_regularized(d[:, None, None], d[None, :, None], d[None, None, :],
                              tables.gamma, h) * grid.cell_volume
-    gather = _difference_index(n)
     m = sparse.diags(tables.mu_half.ravel())
-    st = [(m @ di).T.tocsr() for di in _sparse_D(tables)]
-    out = np.zeros((n ** 3,) + grid.shape)
-    for i in range(3):
-        for j in range(i, 3):
-            x = (st[i] @ table[i, j].ravel()[gather]).reshape(out.shape)
-            x *= tables.mu_half
-            b = _apply_DT(tables, x, j)
-            if i == j:
-                b *= 0.5
-            out -= b
-    out = out.reshape(n ** 3, n ** 3)
-    _add_transpose(out)
-    return out
-
-
-def _add_transpose(a: np.ndarray) -> None:
-    """a += a^T in place for a square array, one pair of 64 x 64 tiles at a time.
-
-    A plain ``a += a.T`` reads the transposed operand a column at a time,
-    touching a new memory page per element at dense-operator sizes; tiles
-    keep both operands in cache (about 4x faster at n3 = 4096).
-    """
-    n, tile = a.shape[0], 64
-    for r in range(0, n, tile):
-        rs = slice(r, r + tile)
-        a[rs, rs] += a[rs, rs].T
-        for c in range(r + tile, n, tile):
-            cs = slice(c, c + tile)
-            a[rs, cs] += a[cs, rs].T
-            a[cs, rs] = a[rs, cs].T
+    w = np.zeros((3, len(rows)) + grid.shape)
+    flat = w.reshape(3, len(rows), n ** 3)
+    for i, di in enumerate(_sparse_D(tables)):
+        st = (m @ di).T.tocsr()[rows]
+        reach = np.unique(st.indices)
+        st = st[:, reach]
+        gather = _difference_index(n, reach)
+        for j in range(3):
+            flat[j] += st @ table[i, j].ravel()[gather]
+    w *= tables.mu_half
+    out = np.zeros((len(rows),) + grid.shape)
+    for j in range(3):
+        out -= _apply_DT(tables, w[j], j)
+    return out.reshape(len(rows), n ** 3)
 
 
 def dense_L(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
@@ -682,3 +680,126 @@ def dense_L(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
     out[:n3, n3:] = k
     out[n3:, :n3] = k
     return out
+
+
+# ---------------------------------------------------------------------------
+# axis-permutation blocks of the dense operators
+# ---------------------------------------------------------------------------
+
+_PERMS = list(itertools.permutations(range(3)))
+# orthonormal basis of the plane orthogonal to (1, 1, 1): the standard
+# representation of the axis permutations is D(g) = W^T P(g) W
+_W = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]) / np.sqrt([2.0, 6.0])
+
+
+class PermutationBlocks:
+    """Orthonormal basis of velocity fields adapted to the permutations of (v1, v2, v3).
+
+    The grid is the same on every axis, so A and K commute with the six
+    axis permutations.  The orbit of a node under them has 1, 3 or 6 nodes;
+    its representative is the sorted index triple.  Each orbit carries one
+    fixed small orthogonal transform to the irreducible representations
+    (Fassler and Stiefel, Group Theoretical Methods and Their Applications,
+    1992):
+
+    - 1 node: trivial;
+    - 3 nodes, listed by the position of the odd index: trivial + standard;
+    - 6 nodes, listed as g(rep) over the permutations g: trivial + sign +
+      twice the standard, with coefficients sqrt(d/6) D(g) of the
+      irreducible matrices D.
+
+    Every standard vector transforms by the same matrices D(g), so by
+    Schur's lemma an invariant operator is block diagonal in this basis:
+    a trivial block (one vector per orbit), a sign block (one per 6-node
+    orbit), and two equal standard blocks, one per row of the 2-d
+    representation.  ``forward`` returns a batch's coordinates in the
+    blocks as [trivial, sign, standard] arrays, the standard one with both
+    rows stacked, so each block acts by one GEMM; ``inverse`` maps them
+    back.  ``block_matrices`` builds the blocks of an invariant operator
+    from its rows at ``reps`` alone: every other row is a column
+    permutation of its representative's.
+    """
+
+    def __init__(self, n: int):
+        self.size = n ** 3
+        idx = np.indices((n, n, n)).reshape(3, -1)
+        rep = idx[:, (idx[0] <= idx[1]) & (idx[1] <= idx[2])]
+        eq01, eq12 = rep[0] == rep[1], rep[1] == rep[2]
+        place = np.array([n * n, n, 1])     # flat index = place @ index triple
+        one, two, six = (rep[:, eq01 & eq12], rep[:, eq01 != eq12],
+                         rep[:, ~eq01 & ~eq12])
+        self.orbits = (one.shape[1], two.shape[1], six.shape[1])
+        self.reps = np.concatenate([place @ one, place @ two, place @ six])
+        # a 3-node orbit (p, p, o) or (o, p, p): node m has o at position m,
+        # so the permutations act on its nodes as on the positions
+        odd_at = np.where(eq01[eq01 != eq12], 2, 0)
+        pair, odd = two[1], np.where(odd_at == 2, two[2], two[0])
+        nodes3 = pair * place.sum() + (odd - pair) * place[:, None]
+        nodes6 = np.stack([place[list(g)] @ six for g in _PERMS])
+        self._order = np.concatenate([self.reps[:one.shape[1]], nodes3.ravel(),
+                                      nodes6.ravel()])
+        self._unorder = np.argsort(self._order)
+        # rows: trivial, then the standard rows 0 and 1
+        self._t3 = np.vstack([np.full(3, 3.0 ** -0.5), _W.T])
+        # rows: trivial, sign, then the standard (row p, copy q) at 2 + 2p + q
+        self._t6 = np.empty((6, 6))
+        for c, g in enumerate(_PERMS):
+            p = np.zeros((3, 3))
+            p[list(g), range(3)] = 1.0
+            d = _W.T @ p @ _W
+            self._t6[:, c] = [1.0, np.linalg.det(p), *(np.sqrt(2.0) * d.ravel())]
+        self._t6 /= np.sqrt(6.0)
+        # a 3-node orbit's standard vectors are sqrt(2/3) D(g) u with the
+        # unit u = sqrt(3/2) W[m]: the row of its representative's node m
+        self._w_rep = _W[odd_at]
+
+    def forward(self, x: np.ndarray) -> list:
+        """Block coordinates of the rows of x (m, n^3): [(m, n_t), (m, n_s), (2m, n_std)]."""
+        m = x.shape[0]
+        n1, n2, n6 = self.orbits
+        y = np.take(x, self._order, axis=1)
+        c3 = self._t3 @ y[:, n1:n1 + 3 * n2].reshape(m, 3, n2)
+        c6 = self._t6 @ y[:, n1 + 3 * n2:].reshape(m, 6, n6)
+        std = np.empty((2, m, n2 + 2 * n6))
+        std[:, :, :n2] = c3[:, 1:].transpose(1, 0, 2)
+        std[:, :, n2:] = c6[:, 2:].reshape(m, 2, 2 * n6).transpose(1, 0, 2)
+        return [np.concatenate([y[:, :n1], c3[:, 0], c6[:, 0]], axis=1), c6[:, 1],
+                std.reshape(2 * m, -1)]
+
+    def inverse(self, blocks: list) -> np.ndarray:
+        """The rows (m, n^3) whose ``forward`` is ``blocks``."""
+        triv, sign, std = blocks
+        m = triv.shape[0]
+        n1, n2, n6 = self.orbits
+        std = std.reshape(2, m, -1)
+        c3 = np.empty((m, 3, n2))
+        c3[:, 0] = triv[:, n1:n1 + n2]
+        c3[:, 1:] = std[:, :, :n2].transpose(1, 0, 2)
+        c6 = np.empty((m, 6, n6))
+        c6[:, 0] = triv[:, n1 + n2:]
+        c6[:, 1] = sign
+        c6[:, 2:] = std[:, :, n2:].reshape(2, m, 2, n6).transpose(1, 0, 2, 3).reshape(
+            m, 4, n6)
+        y = np.concatenate([triv[:, :n1], (self._t3.T @ c3).reshape(m, -1),
+                            (self._t6.T @ c6).reshape(m, -1)], axis=1)
+        return np.take(y, self._unorder, axis=1)
+
+    def block_matrices(self, rows: np.ndarray) -> list:
+        """[trivial, sign, standard] blocks of an invariant operator from its ``reps`` rows.
+
+        The block entry of basis vectors e (orbit o) and e' is
+        sqrt(|o|/d) sum_p u_p (R_o . e'_p): R_o is the row at o's
+        representative, e'_p the row-p partner of e', d the dimension of
+        the representation and u the unit vector with which e's
+        coefficients are sqrt(d/|o|) D(g) u.
+        """
+        n1, n2, n6 = self.orbits
+        n = n1 + n2 + n6
+        triv, sign, std = self.forward(rows)
+        two, six = slice(n1, n1 + n2), slice(n1 + n2, n)
+        size = np.repeat([1.0, 3.0, 6.0], self.orbits)
+        rows0, rows1 = std[:n], std[n:]
+        std = np.concatenate([1.5 * (self._w_rep[:, :1] * rows0[two]
+                                     + self._w_rep[:, 1:] * rows1[two]),
+                              np.sqrt(3.0) * rows0[six], np.sqrt(3.0) * rows1[six]])
+        return [np.sqrt(size)[:, None] * triv, np.sqrt(6.0) * sign[six], std]

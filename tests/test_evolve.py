@@ -24,6 +24,12 @@ SMALL = dict(n_x=16, n_v=8, collision_solver="direct", direct_max_nv=8,
              report_every=10 ** 9, monitor_every=0)
 
 
+# how often each of the trivial, sign and standard blocks of the direct
+# solver occurs in the operator: the standard one serves both rows of its
+# 2-d representation
+BLOCK_MULTIPLICITY = (1, 1, 2)
+
+
 def small_cfg(**kw):
     base = dict(SMALL)
     base.update(kw)
@@ -240,7 +246,7 @@ class TestStep:
     @pytest.mark.parametrize("x_shape", [(), (4, 3)], ids=["1d", "two_axes"])
     @pytest.mark.parametrize("method", ["direct", "cg"])
     def test_stepper_apply_L_matches_matrix_free(self, setup8, method, x_shape):
-        # direct mode serves L f from the kept dense A + K and the stencil A
+        # direct mode serves L f from the kept blocks of A + K and of A
         cfg, sg, vg, tab = setup8
         stepper = evolve.CollisionStepper(tab, cfg.dt, method=method, direct_max_nv=8)
         f = np.random.default_rng(9).standard_normal((2,) + x_shape + vg.shape)
@@ -252,17 +258,25 @@ class TestStep:
     @pytest.mark.parametrize("dt", [0.05, 1.0])
     def test_direct_propagator_spectra(self, setup8, dt):
         # P = (I + dt B)^-1 (I - dt B) with B = A + K (sum) and B = A
-        # (difference), both symmetric positive semidefinite: P is symmetric,
-        # its eigenvalues (1 - dt lam) / (1 + dt lam) lie in (-1, 1], and the
-        # eigenvalue 1 is the null space of B, the collision invariants
-        # (mass, momentum and energy of the sum; the charge of the difference)
+        # (difference), both symmetric positive semidefinite, kept as its
+        # trivial, sign and standard blocks: each block is symmetric, its
+        # eigenvalues (1 - dt lam) / (1 + dt lam) lie in (-1, 1], and the
+        # eigenvalue 1 is the null space of B, the collision invariants.
+        # The standard block serves both rows of its representation, so it
+        # counts twice: the sum's five invariants are mass, energy and
+        # v1+v2+v3 momentum (trivial) and the two other momenta (standard);
+        # the difference's one, the charge, is trivial
         cfg, sg, vg, tab = setup8
         stepper = evolve.CollisionStepper(tab, dt, method="direct", direct_max_nv=8)
-        for prop, invariants in zip(stepper._prop, (5, 1)):
-            assert np.array_equal(prop, prop.T)
-            lam = np.linalg.eigvalsh(prop)
-            assert -1.0 < lam.min() and lam.max() <= 1.0 + 1e-12
-            assert np.sum(np.abs(lam - 1.0) <= 1e-10) == invariants
+        for blocks, invariants, total in zip(stepper._prop, ((3, 0, 1), (1, 0, 0)), (5, 1)):
+            counts = []
+            for prop in blocks:
+                assert np.array_equal(prop, prop.T)
+                lam = np.linalg.eigvalsh(prop)
+                assert -1.0 < lam.min() and lam.max() <= 1.0 + 1e-12
+                counts.append(int(np.sum(np.abs(lam - 1.0) <= 1e-10)))
+            assert tuple(counts) == invariants
+            assert np.dot(counts, BLOCK_MULTIPLICITY) == total
 
     def test_cg_iterations_of_both_solves(self, setup8):
         cfg, sg, vg, tab = setup8
@@ -296,6 +310,77 @@ class TestStep:
         # a negative step makes I + dt/2 L indefinite: Cholesky must refuse it
         with pytest.raises(ValueError, match="n_v=8, gamma=-3.0, dt=-1.0"):
             evolve.CollisionStepper(tab, -1.0, method="direct", direct_max_nv=8)
+
+
+class TestPermutationBlocks:
+    """The direct solver's blocks against the full dense oracles at n_v = 8."""
+
+    @pytest.fixture(scope="class")
+    def blocked(self, setup8):
+        cfg, sg, vg, tab = setup8
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct", direct_max_nv=8)
+        n3 = vg.n_v ** 3
+        triv, sign, std = stepper._basis.forward(np.eye(n3))
+        # columns: the basis vectors, block after block
+        q = np.hstack([triv, sign, std[:n3], std[n3:]])
+        a = landau.dense_A(tab, limit=8)
+        a_plus_k = a + landau.dense_K(tab, limit=8)
+        return cfg, stepper, q, {"a_plus_k": a_plus_k, "a": a}
+
+    def test_basis_is_orthonormal(self, blocked):
+        cfg, stepper, q, full = blocked
+        # trivial: 120 sorted triples; sign: 56 with three distinct indices;
+        # standard: 8 * 7 with two equal indices plus twice 56
+        assert [b.shape[0] for b in stepper._a] == [120, 56, 168]
+        assert np.abs(q.T @ q - np.eye(q.shape[0])).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["a_plus_k", "a"])
+    def test_stored_blocks_are_the_oracle_in_the_basis(self, blocked, name):
+        cfg, stepper, q, full = blocked
+        rotated = q.T @ full[name] @ q
+        scale = np.abs(rotated).max()
+        stored = getattr(stepper, "_" + name)
+        edges = np.cumsum([0] + [b.shape[0] for b in stored] + [stored[2].shape[0]])
+        diagonal = np.zeros(rotated.shape, dtype=bool)
+        for lo, hi, block in zip(edges[:-1], edges[1:], stored + stored[2:]):
+            diagonal[lo:hi, lo:hi] = True
+            assert np.abs(rotated[lo:hi, lo:hi] - block).max() <= 1e-13 * scale
+        assert np.abs(rotated[~diagonal]).max() <= 1e-14 * scale
+        # the two rows of the standard representation see the same block
+        row0 = rotated[edges[2]:edges[3], edges[2]:edges[3]]
+        row1 = rotated[edges[3]:, edges[3]:]
+        assert np.abs(row0 - row1).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("x_shape", [(3,), (4, 3)], ids=["one_axis", "two_axes"])
+    def test_advance_is_the_full_cholesky_propagator(self, blocked, x_shape):
+        from scipy.linalg import cho_factor, cho_solve
+
+        cfg, stepper, q, full = blocked
+        n3 = q.shape[0]
+        props = []
+        for b in (full["a_plus_k"], full["a"]):
+            m = np.eye(n3) + cfg.dt * b
+            props.append(2.0 * cho_solve(cho_factor(m), np.eye(n3)) - np.eye(n3))
+        f = np.random.default_rng(12).standard_normal((2,) + x_shape + (8, 8, 8))
+        s = (f[0] + f[1]).reshape(-1, n3) @ props[0]
+        d = (f[0] - f[1]).reshape(-1, n3) @ props[1]
+        ref = 0.5 * np.stack([s + d, s - d]).reshape(f.shape)
+        out = stepper.advance(f)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_collision_invariants_are_the_exact_null_space(self, blocked):
+        # the blocks' exact spectra: A + K annihilates mass, momentum and
+        # energy of the species sum (five, the standard block counted
+        # twice) and A the charge of the difference, six invariants of L
+        # in all; nothing else is below 1e-10 of the largest eigenvalue and
+        # nothing is negative beyond round-off
+        cfg, stepper, q, full = blocked
+        for blocks, nulls in ((stepper._a_plus_k, 5), (stepper._a, 1)):
+            lams = [np.linalg.eigvalsh(b) for b in blocks]
+            lam_max = max(lam.max() for lam in lams)
+            assert min(lam.min() for lam in lams) >= -1e-12 * lam_max
+            counts = [int(np.sum(lam < 1e-10 * lam_max)) for lam in lams]
+            assert np.dot(counts, BLOCK_MULTIPLICITY) == nulls
 
 
 class TestRun:
