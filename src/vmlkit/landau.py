@@ -627,10 +627,10 @@ def dense_A(tables: CollisionTables, limit: int = DENSE_MAX_NV,
     d = sparse.vstack(_sparse_D(tables), format="csr")
     sig = sparse.bmat([[sparse.diags(tables.sigma[i, j].ravel()) for j in range(3)]
                        for i in range(3)])
-    dt = d.T.tocsr()
+    d_rows = d.T.tocsr()
     if rows is not None:
-        dt = dt[rows]
-    return (dt @ sig @ d).toarray()
+        d_rows = d_rows[rows]
+    return (d_rows @ sig @ d).toarray()
 
 
 def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV,
@@ -754,15 +754,19 @@ class PermutationBlocks:
         self._w_rep = _W[odd_at]
 
     def forward(self, x: np.ndarray) -> list:
-        """Block coordinates of the rows of x (m, n^3): [(m, n_t), (m, n_s), (2m, n_std)]."""
+        """Block coordinates of the rows of x (m, n^3): [(m, n_t), (m, n_s), (2m, n_std)].
+
+        The standard coordinates of row i are rows 2i and 2i + 1, one per
+        row of the representation.
+        """
         m = x.shape[0]
         n1, n2, n6 = self.orbits
         y = np.take(x, self._order, axis=1)
         c3 = self._t3 @ y[:, n1:n1 + 3 * n2].reshape(m, 3, n2)
         c6 = self._t6 @ y[:, n1 + 3 * n2:].reshape(m, 6, n6)
-        std = np.empty((2, m, n2 + 2 * n6))
-        std[:, :, :n2] = c3[:, 1:].transpose(1, 0, 2)
-        std[:, :, n2:] = c6[:, 2:].reshape(m, 2, 2 * n6).transpose(1, 0, 2)
+        std = np.empty((m, 2, n2 + 2 * n6))
+        std[:, :, :n2] = c3[:, 1:]
+        std[:, :, n2:] = c6[:, 2:].reshape(m, 2, 2 * n6)
         return [np.concatenate([y[:, :n1], c3[:, 0], c6[:, 0]], axis=1), c6[:, 1],
                 std.reshape(2 * m, -1)]
 
@@ -771,17 +775,18 @@ class PermutationBlocks:
         triv, sign, std = blocks
         m = triv.shape[0]
         n1, n2, n6 = self.orbits
-        std = std.reshape(2, m, -1)
+        std = std.reshape(m, 2, -1)
         c3 = np.empty((m, 3, n2))
         c3[:, 0] = triv[:, n1:n1 + n2]
-        c3[:, 1:] = std[:, :, :n2].transpose(1, 0, 2)
+        c3[:, 1:] = std[:, :, :n2]
         c6 = np.empty((m, 6, n6))
         c6[:, 0] = triv[:, n1 + n2:]
         c6[:, 1] = sign
-        c6[:, 2:] = std[:, :, n2:].reshape(2, m, 2, n6).transpose(1, 0, 2, 3).reshape(
-            m, 4, n6)
-        y = np.concatenate([triv[:, :n1], (self._t3.T @ c3).reshape(m, -1),
-                            (self._t6.T @ c6).reshape(m, -1)], axis=1)
+        c6[:, 2:] = std[:, :, n2:].reshape(m, 4, n6)
+        y = np.empty((m, self.size))
+        y[:, :n1] = triv[:, :n1]
+        np.matmul(self._t3.T, c3, out=y[:, n1:n1 + 3 * n2].reshape(m, 3, n2))
+        np.matmul(self._t6.T, c6, out=y[:, n1 + 3 * n2:].reshape(m, 6, n6))
         return np.take(y, self._unorder, axis=1)
 
     def block_matrices(self, rows: np.ndarray) -> list:
@@ -798,7 +803,7 @@ class PermutationBlocks:
         triv, sign, std = self.forward(rows)
         two, six = slice(n1, n1 + n2), slice(n1 + n2, n)
         size = np.repeat([1.0, 3.0, 6.0], self.orbits)
-        rows0, rows1 = std[:n], std[n:]
+        rows0, rows1 = std[0::2], std[1::2]
         std = np.concatenate([1.5 * (self._w_rep[:, :1] * rows0[two]
                                      + self._w_rep[:, 1:] * rows1[two]),
                               np.sqrt(3.0) * rows0[six], np.sqrt(3.0) * rows1[six]])

@@ -322,7 +322,7 @@ class TestPermutationBlocks:
         n3 = vg.n_v ** 3
         triv, sign, std = stepper._basis.forward(np.eye(n3))
         # columns: the basis vectors, block after block
-        q = np.hstack([triv, sign, std[:n3], std[n3:]])
+        q = np.hstack([triv, sign, std[0::2], std[1::2]])
         a = landau.dense_A(tab, limit=8)
         a_plus_k = a + landau.dense_K(tab, limit=8)
         return cfg, stepper, q, {"a_plus_k": a_plus_k, "a": a}
