@@ -35,11 +35,13 @@ not merely to truncation order.
 Convolutions are evaluated by zero-padded real FFTs with the singular
 self-cell replaced by the analytic ball average of |u|^(gamma+2) times
 the angular mean (2/3) I of the projector.  A batch of x points is cut
-into ``_WORKERS`` contiguous chunks, each padded, transformed, multiplied
-and cropped on a thread of a pool built on first use; a single field (the
+into jobs of at most ``_JOB_BYTES`` of padded spectrum (one point per job
+from n_v = 13 on, several below), each padded, transformed, multiplied
+and cropped with one FFT thread on a pool of ``_WORKERS`` threads built on
+first use, so at most ``_WORKERS`` jobs are in flight; a single field (the
 sigma table) is one call with ``_WORKERS`` FFT threads instead.  Pocketfft
 transforms every line the same way whatever the batch or thread count, so
-the chunked results are bit-identical to one call over all points.
+the jobs' results are bit-identical to one call over all points.
 
 The sigma norm here is the unweighted one; the weighted norms of the
 functionals integrate the same ``sigma_density`` in
@@ -63,9 +65,20 @@ from scipy import fft as sfft
 
 from .phase_grid import VelocityGrid, fd_gradient_matrix
 
-# the one worker count: FFT threads of a single-field convolution, chunks and
-# pool threads of a batched one (read at call time, so it may be lowered)
-_WORKERS = min(4, os.cpu_count() or 1)
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the one worker count: FFT threads of a single-job convolution, pool threads
+# of a batched one (read at call time, so it may be lowered)
+_WORKERS = min(4, _usable_cpus())
+# padded spectrum bytes per convolution job: a job's transforms and products
+# (about six spectrum-sized buffers) then stay in a core's cache; a point
+# whose spectrum alone exceeds it (n_v >= 16) is a job of its own
+_JOB_BYTES = 1 << 18
 
 
 class CoercivityFailure(RuntimeError):
@@ -296,29 +309,38 @@ def _pool() -> ThreadPoolExecutor:
 
 
 def _by_points(kernel, tables: CollisionTables, w: list, out: np.ndarray) -> np.ndarray:
-    """Run ``kernel`` over the leading (x) points of w, in chunks on the pool.
+    """Run ``kernel`` over the leading (x) points of w, in cache-sized jobs.
 
-    The points are flattened and cut into ``_WORKERS`` contiguous slices;
-    each slice runs the kernel with one FFT thread and writes its own slice
-    of ``out``.  Pocketfft transforms every line the same way whatever the
-    batch or thread count, so the result is bit-identical to one call over
-    all points, which is what runs for fewer than two points or one worker.
+    The points are flattened and cut into the fewest even contiguous jobs
+    whose padded spectra fit ``_JOB_BYTES``, at least one point each.  Each
+    job runs the kernel with one FFT thread and writes its own slice of
+    ``out``: on the pool, so at most ``_WORKERS`` jobs are in flight and
+    the working set does not grow with the number of points, or in the
+    caller for one worker.  A batch that is one job (a single field, such
+    as the sigma table) is one call with ``_WORKERS`` FFT threads instead.
+    Pocketfft transforms every line the same way whatever the batch or
+    thread count, so the result is bit-identical to one call over all points.
     """
     lead = w[0].shape[:-3]
     m = math.prod(lead)
-    if _WORKERS < 2 or m < 2:
+    p = tables.pad
+    per_job = max(1, _JOB_BYTES // (16 * p * p * (p // 2 + 1)))
+    n_jobs = -(-m // per_job)
+    if n_jobs < 2:
         kernel(tables, w, out, _WORKERS)
         return out
     vshape = w[0].shape[-3:]
     flat_w = [wj.reshape((m,) + vshape) for wj in w]
     flat_out = out.reshape(out.shape[:out.ndim - len(lead) - 3] + (m,) + vshape)
-    chunks = min(_WORKERS, m)
-    edges = [c * m // chunks for c in range(chunks + 1)]
-    pool = _pool()
-    jobs = [pool.submit(kernel, tables, [wj[a:b] for wj in flat_w],
-                           flat_out[..., a:b, :, :, :], 1)
+    edges = [c * m // n_jobs for c in range(n_jobs + 1)]
+    jobs = [([wj[a:b] for wj in flat_w], flat_out[..., a:b, :, :, :])
             for a, b in zip(edges[:-1], edges[1:])]
-    for job in jobs:
+    if _WORKERS < 2:
+        for wj, oj in jobs:
+            kernel(tables, wj, oj, 1)
+        return out
+    pool = _pool()
+    for job in [pool.submit(kernel, tables, wj, oj, 1) for wj, oj in jobs]:
         job.result()
     return out
 

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,30 +327,116 @@ class TestConvolutionPool:
         for name, value in serial.items():
             assert np.array_equal(value, pooled[name]), name
 
-    def test_uneven_lead_runs_as_two_pool_chunks(self, tables8, monkeypatch):
+    KERNELS = ("_contracted_kernel", "_components_kernel")
+
+    @staticmethod
+    def _spectrum_bytes(tables):
+        p = tables.pad
+        return 16 * p * p * (p // 2 + 1)
+
+    @classmethod
+    def _record_calls(cls, monkeypatch):
+        """Wrap both kernels; each call records its first entries, workers, thread."""
         calls = []
-        for name in ("_contracted_kernel", "_components_kernel"):
+        for name in cls.KERNELS:
             kernel = getattr(landau, name)
 
             def counted(tables, w, out, workers, kernel=kernel, name=name):
-                calls.append((name, w[0].shape[:-3], workers,
-                              threading.current_thread().name))
+                first = w[0].reshape((-1,) + w[0].shape[-3:])[:, 0, 0, 0].copy()
+                calls.append((name, first, workers, threading.current_thread().name))
                 kernel(tables, w, out, workers)
 
             monkeypatch.setattr(landau, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("lead, points_per_job", [
+        ((16,), None),       # the default budget: 7 points of n_v = 8 per job
+        ((5,), 2),           # a lowered budget: jobs of 1, 2 and 2 points
+        ((2, 3), 0.5),       # below one point: one point per job
+    ])
+    def test_jobs_fit_the_budget_and_cover_every_point(self, tables8, monkeypatch,
+                                                       lead, points_per_job):
+        budget = landau._JOB_BYTES
+        if points_per_job is not None:
+            budget = int(points_per_job * self._spectrum_bytes(tables8))
+            monkeypatch.setattr(landau, "_JOB_BYTES", budget)
         monkeypatch.setattr(landau, "_WORKERS", 2)
+        kernels = {name: getattr(landau, name) for name in self.KERNELS}
+        calls = self._record_calls(monkeypatch)
         rng = np.random.default_rng(32)
-        w = [rng.standard_normal((5,) + tables8.grid.shape) for _ in range(3)]
-        landau._convolve_contracted(tables8, w)
-        landau._convolve_components(tables8, w[0])
-        for name in ("_contracted_kernel", "_components_kernel"):
-            chunks = [c for c in calls if c[0] == name]
-            assert sorted(c[1] for c in chunks) == [(2,), (3,)]
-            assert all(c[2] == 1 and c[3].startswith("vmlkit-conv") for c in chunks)
-        # a single point is one call over the whole lead with every worker
-        calls.clear()
-        landau._convolve_components(tables8, w[0][0])
-        assert calls == [("_components_kernel", (), 2, threading.current_thread().name)]
+        w = [rng.standard_normal(lead + tables8.grid.shape) for _ in range(3)]
+        pooled = {"_contracted_kernel": np.stack(landau._convolve_contracted(tables8, w)),
+                  "_components_kernel": landau._convolve_components(tables8, w[0])}
+        points = np.sort(w[0].reshape((-1,) + tables8.grid.shape)[:, 0, 0, 0])
+        for name, kernel in kernels.items():
+            jobs = [c for c in calls if c[0] == name]
+            assert len(jobs) >= 2
+            for _, first, workers, thread in jobs:
+                assert workers == 1 and thread.startswith("vmlkit-conv")
+                assert len(first) == 1 or \
+                    len(first) * self._spectrum_bytes(tables8) <= budget
+            # every point in exactly one job
+            assert np.array_equal(np.sort(np.concatenate([c[1] for c in jobs])), points)
+            # and the jobs give what one call over all points gives
+            whole = np.empty_like(pooled[name])
+            kernel(tables8, w, whole, 1)
+            assert np.array_equal(pooled[name], whole), name
+
+    def test_one_job_is_one_call_in_the_caller(self, tables8, monkeypatch):
+        # a single field (the sigma table's lead ()) and a batch that fits one
+        # job run as one call in the caller with every worker
+        monkeypatch.setattr(landau, "_WORKERS", 2)
+        calls = self._record_calls(monkeypatch)
+        rng = np.random.default_rng(33)
+        w = rng.standard_normal((5,) + tables8.grid.shape)
+        caller = threading.current_thread().name
+        for field, points in ((w[0], 1), (w, 5)):
+            calls.clear()
+            landau._convolve_components(tables8, field)
+            assert [(c[0], len(c[1]), c[2], c[3]) for c in calls] == \
+                [("_components_kernel", points, 2, caller)]
+
+    def test_memory_bounded_by_jobs_in_flight(self, monkeypatch):
+        # 16 points at n_v = 10 on two workers: jobs of 3 points (6 jobs).
+        # A point's padded buffers are one padded real field and one half
+        # spectrum; a contracted job holds at most four of each per point
+        # (three input spectra, the sum, the product and the inverse
+        # transform's field; tracemalloc sees about 3.1).  At most two jobs
+        # are in flight, so the peak stays below inputs + output + 2 x 4 x
+        # one job's buffers: 4.0 MB, where two 8-point chunks peak at 7.4 MB
+        vgrid10 = VelocityGrid(v_max=6.0, n_v=10)
+        tables = landau.build_collision_tables(vgrid10, -3.0)
+        monkeypatch.setattr(landau, "_WORKERS", 2)
+        p = tables.pad
+        point = 8 * p ** 3 + self._spectrum_bytes(tables)
+        io = 2 * 3 * 16 * 10 ** 3 * 8
+
+        def peak():
+            tracemalloc.start()
+            try:
+                rng = np.random.default_rng(34)
+                w = [rng.standard_normal((16,) + vgrid10.shape) for _ in range(3)]
+                landau._convolve_contracted(tables, w)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_job = landau._JOB_BYTES // self._spectrum_bytes(tables)
+        assert per_job == 3
+        bound = io + 2 * 4 * per_job * point
+        assert bound < 0.6 * (io + 2 * 4 * 8 * point)
+        assert peak() < bound
+        # the bound is one the old layout, two chunks of 8 points, breaks
+        monkeypatch.setattr(landau, "_JOB_BYTES", 8 * self._spectrum_bytes(tables))
+        assert peak() > bound
+
+    def test_workers_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+            assert landau._usable_cpus() == 1
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert landau._usable_cpus() == 3
 
 
 class TestSigmaNorm:
