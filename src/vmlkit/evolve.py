@@ -39,7 +39,8 @@ in x, so in between:
   physical f, again one transform each way.
 
 The trapezoid system (I + dt/2 L) f' = (I - dt/2 L) f is solved either by
-preconditioned conjugate gradients (matrix-free, any resolution) or by a
+flexible preconditioned conjugate gradients (matrix-free, any resolution;
+the sum system preconditioned by an inner solve of its diffusion part) or by a
 cached propagator (small velocity grids).  Since L is symmetric positive
 semidefinite, M = I + dt/2 L is symmetric positive definite: the
 propagator is P = M^-1 (I - dt/2 L) = 2 M^-1 - I, with M^-1 from a
@@ -111,7 +112,7 @@ class NanAbort(RunAbort):
 
 
 class CGNotConverged(RuntimeError):
-    """The collision CG did not reach ``cg_tol`` within its iteration cap."""
+    """A collision CG, outer at ``cg_tol`` or inner, did not converge within its cap."""
 
 
 @dataclass
@@ -371,13 +372,26 @@ class CollisionStepper:
     n_s^2 + n_std^2) bytes each (1.4 MB at n_v = 10, 22.6 MB at n_v = 16);
     no n_v^3 x n_v^3 array is held.  ``advance`` and ``apply_L`` change
     basis, run one GEMM per block and change back; ``apply_L`` serves
-    every L f of the run loop.  ``method="cg"`` solves the same trapezoid
-    systems matrix-free by preconditioned conjugate gradients, and its
-    ``apply_L`` is the matrix-free ``landau.apply_L``.
+    every L f of the run loop.
 
-    ``last_iterations`` holds the CG iteration counts (sum, difference) of
-    the last ``advance``; (0, 0) for the direct solver.
+    ``method="cg"`` solves the same trapezoid systems matrix-free, and its
+    ``apply_L`` is the matrix-free ``landau.apply_L``.  One flexible
+    preconditioned CG (``_pcg``) serves three solves: the difference system
+    I + dt A with a diagonal preconditioner; the sum system I + dt (A + K),
+    preconditioned by a loose solve of I + dt A after Guo's split of L into
+    the coercive diffusion A and the relatively compact convolution K
+    (Comm. Math. Phys. 231, 2002); and that inner solve itself, diagonal CG
+    from 0 to the relative residual ``INNER_TOL``.  An outer sum iteration
+    then costs one K and a few A applications; at n_v = 20 a K costs
+    some 30 As.
+
+    ``last_iterations`` holds the outer CG iteration counts (sum,
+    difference) of the last ``advance``; (0, 0) for the direct solver.
     """
+
+    # relative residual of the inner I + dt A solve: 3e-2 to 1e-3 give the
+    # same outer sum iterations on the bench state, 1e-1 more
+    INNER_TOL = 1e-2
 
     def __init__(self, tables: landau.CollisionTables, dt: float,
                  method: str = "auto", cg_tol: float = 1e-12,
@@ -456,30 +470,50 @@ class CollisionStepper:
     def _op_d(self, x: np.ndarray) -> np.ndarray:
         return x + self.dt * landau.apply_A(self.tables, x)
 
-    def _pcg(self, op, rhs: np.ndarray, x0: np.ndarray, op_x0: np.ndarray) -> tuple:
-        """Batched preconditioned CG over all leading axes at once.
-
-        ``op_x0`` is op(x0), which the caller already holds.  Returns the
-        solution and the number of iterations taken; raises CGNotConverged
-        when the relative residual stays above ``cg_tol``.
-        """
+    def _diagonal(self, r: np.ndarray) -> np.ndarray:
+        """The diagonal preconditioner: 1 / (1 + dt 4 max(sigma) <v>^(gamma+2) / h^2)."""
         if self._precond is None:
             grid = self.tables.grid
             scale = 4.0 * float(np.max(self.tables.sigma)) / grid.spacing ** 2
             self._precond = 1.0 / (1.0 + self.dt * scale *
                                    grid.bracket(self.tables.gamma + 2.0))
-        m_inv = self._precond
+        return self._precond * r
 
+    def _inner(self, r: np.ndarray) -> np.ndarray:
+        """The sum solve's preconditioner: (I + dt A) z = r to ``INNER_TOL``, from 0.
+
+        r is scaled by the power of 2 next above its largest entry, which is
+        exact, so the squares of a late outer residual far below round-off
+        do not underflow in the inner solve.
+        """
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(r))))[1])
+        zero = np.zeros_like(r)
+        z, _ = self._pcg(self._op_d, r / scale, zero, zero, self._diagonal,
+                         self.INNER_TOL, "the inner I + dt A solve's tolerance")
+        return scale * z
+
+    def _pcg(self, op, rhs: np.ndarray, x0: np.ndarray, op_x0: np.ndarray,
+             precond, tol: float, name: str = "cg_tol") -> tuple:
+        """Batched flexible preconditioned CG over all leading axes at once.
+
+        ``op_x0`` is op(x0), which the caller already holds, and ``precond``
+        maps a residual to its preconditioned one.  The Polak-Ribiere form
+        beta = <z+, r+ - r> / <z, r> keeps the iteration a conjugate
+        gradient when ``precond`` is itself an inexact solve (Notay, SIAM
+        J. Sci. Comput. 22, 2000).  Returns the solution and the number of
+        iterations taken; raises CGNotConverged when the relative residual
+        stays above ``tol`` (``name`` in the message).
+        """
         def dots(a, b):
             return np.sum(a * b, axis=(-3, -2, -1), keepdims=True)
 
         x = x0.copy()
         r = rhs - op_x0
-        z = m_inv * r
+        z = precond(r)
         p = z.copy()
         rz = dots(r, z)
         rhs_norm = np.sqrt(np.sum(rhs * rhs))
-        tol2 = (self.cg_tol * max(rhs_norm, 1e-300)) ** 2
+        tol2 = (tol * max(rhs_norm, 1e-300)) ** 2
         for it in range(500):
             res2 = float(np.sum(r * r))
             if res2 <= tol2:
@@ -487,14 +521,15 @@ class CollisionStepper:
             ap = op(p)
             alpha = rz / np.maximum(dots(p, ap), 1e-300)
             x = x + alpha * p
+            r_old = r
             r = r - alpha * ap
-            z = m_inv * r
+            z = precond(r)
             rz_new = dots(r, z)
-            beta = rz_new / np.maximum(rz, 1e-300)
+            beta = (rz_new - dots(z, r_old)) / np.maximum(rz, 1e-300)
             p = z + beta * p
             rz = rz_new
         raise CGNotConverged(
-            f"collision CG did not reach cg_tol = {self.cg_tol:g} in 500 iterations "
+            f"collision CG did not reach {name} = {tol:g} in 500 iterations "
             f"(relative residual {math.sqrt(res2) / max(rhs_norm, 1e-300):.3e})")
 
     def advance(self, f: np.ndarray) -> np.ndarray:
@@ -509,8 +544,10 @@ class CollisionStepper:
             # (I + dt B) x0 share one B x0, with B = A + K or A
             bs = landau.apply_A(self.tables, s) + landau.apply_K(self.tables, s)
             ad = landau.apply_A(self.tables, d)
-            s, iters_s = self._pcg(self._op_s, s - self.dt * bs, s, s + self.dt * bs)
-            d, iters_d = self._pcg(self._op_d, d - self.dt * ad, d, d + self.dt * ad)
+            s, iters_s = self._pcg(self._op_s, s - self.dt * bs, s, s + self.dt * bs,
+                                   self._inner, self.cg_tol)
+            d, iters_d = self._pcg(self._op_d, d - self.dt * ad, d, d + self.dt * ad,
+                                   self._diagonal, self.cg_tol)
             self.last_iterations = (iters_s, iters_d)
         out = np.empty((2,) + s.shape)
         np.add(s, d, out=out[0])

@@ -286,6 +286,26 @@ class TestStep:
         iters_s, iters_d = stepper.last_iterations
         assert iters_s > 0 and iters_d > 0
 
+    def test_flexible_cg_matches_direct_in_few_outer_iterations(self, setup8):
+        # the sum solve, preconditioned by the inner I + dt A solve, takes 7
+        # outer iterations on this state where diagonal PCG takes 25
+        cfg, sg, vg, tab = setup8
+        f = np.random.default_rng(5).standard_normal((2, 3) + vg.shape)
+        direct = evolve.CollisionStepper(tab, cfg.dt, method="direct",
+                                         direct_max_nv=8).advance(f)
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg", direct_max_nv=8)
+        out = stepper.advance(f)
+        assert np.abs(out - direct).max() <= 1e-10 * np.abs(direct).max()
+        assert stepper.last_iterations[0] <= 8
+
+    def test_inner_solve_that_misses_its_tolerance_raises(self, setup8, monkeypatch):
+        cfg, sg, vg, tab = setup8
+        monkeypatch.setattr(evolve.CollisionStepper, "INNER_TOL", 1e-300)
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg", direct_max_nv=8)
+        f = np.random.default_rng(5).standard_normal((2, 1) + vg.shape)
+        with pytest.raises(evolve.CGNotConverged, match="inner I \\+ dt A solve"):
+            stepper.advance(f)
+
     @pytest.mark.parametrize("method", ["cg", "direct"])
     def test_cg_trapezoid_residual_below_tolerance(self, setup8, method):
         cfg, sg, vg, tab = setup8
