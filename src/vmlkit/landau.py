@@ -323,8 +323,8 @@ def _by_points(kernel, tables: CollisionTables, w: list, out: np.ndarray) -> np.
     """
     lead = w[0].shape[:-3]
     m = math.prod(lead)
-    p = tables.pad
-    per_job = max(1, _JOB_BYTES // (16 * p * p * (p // 2 + 1)))
+    # a point's padded spectrum has the kernel spectrum's shape and dtype
+    per_job = max(1, _JOB_BYTES // tables.kernel_hat[0][0].nbytes)
     n_jobs = -(-m // per_job)
     if n_jobs < 2:
         kernel(tables, w, out, _WORKERS)

@@ -353,7 +353,7 @@ class TestConvolutionPool:
         ((16,), None),       # the default budget: 7 points of n_v = 8 per job
         ((5,), 2),           # a lowered budget: jobs of 1, 2 and 2 points
         ((2, 3), 0.5),       # below one point: one point per job
-    ])
+    ], ids=["default_budget", "lowered_budget", "below_one_point"])
     def test_jobs_fit_the_budget_and_cover_every_point(self, tables8, monkeypatch,
                                                        lead, points_per_job):
         budget = landau._JOB_BYTES
@@ -399,11 +399,13 @@ class TestConvolutionPool:
     def test_memory_bounded_by_jobs_in_flight(self, monkeypatch):
         # 16 points at n_v = 10 on two workers: jobs of 3 points (6 jobs).
         # A point's padded buffers are one padded real field and one half
-        # spectrum; a contracted job holds at most four of each per point
-        # (three input spectra, the sum, the product and the inverse
-        # transform's field; tracemalloc sees about 3.1).  At most two jobs
-        # are in flight, so the peak stays below inputs + output + 2 x 4 x
-        # one job's buffers: 4.0 MB, where two 8-point chunks peak at 7.4 MB
+        # spectrum, of about the same size.  A contracted job holds at most
+        # seven such buffers per point at once (the padded input, three
+        # input spectra, their sum, a product and the inverse transform's
+        # field), under four field-and-spectrum pairs; tracemalloc reads
+        # about 3.1.  At most two jobs are in flight, so the peak stays
+        # below inputs + output + 2 x 4 x one job's pairs: 4.0 MB, where
+        # two 8-point chunks peak at 7.4 MB
         vgrid10 = VelocityGrid(v_max=6.0, n_v=10)
         tables = landau.build_collision_tables(vgrid10, -3.0)
         monkeypatch.setattr(landau, "_WORKERS", 2)
