@@ -34,14 +34,14 @@ not merely to truncation order.
 
 Convolutions are evaluated by zero-padded real FFTs with the singular
 self-cell replaced by the analytic ball average of |u|^(gamma+2) times
-the angular mean (2/3) I of the projector.  A batch of x points is cut
-into jobs of at most ``_JOB_BYTES`` of padded spectrum (one point per job
-from n_v = 13 on, several below), each padded, transformed, multiplied
-and cropped with one FFT thread on a pool of ``_WORKERS`` threads built on
-first use, so at most ``_WORKERS`` jobs are in flight; a single field (the
-sigma table) is one call with ``_WORKERS`` FFT threads instead.  Pocketfft
-transforms every line the same way whatever the batch or thread count, so
-the jobs' results are bit-identical to one call over all points.
+the angular mean (2/3) I of the projector.  A batch of x points runs one
+point per job, each padded, transformed, multiplied and cropped with one
+FFT thread on a pool of ``_WORKERS`` threads built on first use, so at
+most ``_WORKERS`` points are in flight and a job's transforms stay in
+cache; a single field (the sigma table) is one call with ``_WORKERS`` FFT
+threads instead.  Pocketfft transforms every line the same way whatever
+the batch or thread count, so the jobs' results are bit-identical to one
+call over all points.
 
 The sigma norm here is the unweighted one; the weighted norms of the
 functionals integrate the same ``sigma_density`` in
@@ -72,13 +72,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# the one worker count: FFT threads of a single-job convolution, pool threads
-# of a batched one (read at call time, so it may be lowered)
+# the one worker count: FFT threads of a single-field convolution, pool
+# threads of a batched one (read at call time, so it may be lowered)
 _WORKERS = min(4, _usable_cpus())
-# padded spectrum bytes per convolution job: a job's transforms and products
-# (about six spectrum-sized buffers) then stay in a core's cache; a point
-# whose spectrum alone exceeds it (n_v >= 16) is a job of its own
-_JOB_BYTES = 1 << 18
 
 
 class CoercivityFailure(RuntimeError):
@@ -309,32 +305,26 @@ def _pool() -> ThreadPoolExecutor:
 
 
 def _by_points(kernel, tables: CollisionTables, w: list, out: np.ndarray) -> np.ndarray:
-    """Run ``kernel`` over the leading (x) points of w, in cache-sized jobs.
+    """Run ``kernel`` over the leading (x) points of w, one point per job.
 
-    The points are flattened and cut into the fewest even contiguous jobs
-    whose padded spectra fit ``_JOB_BYTES``, at least one point each.  Each
-    job runs the kernel with one FFT thread and writes its own slice of
-    ``out``: on the pool, so at most ``_WORKERS`` jobs are in flight and
-    the working set does not grow with the number of points, or in the
-    caller for one worker.  A batch that is one job (a single field, such
-    as the sigma table) is one call with ``_WORKERS`` FFT threads instead.
+    Each job runs the kernel on one point with one FFT thread and writes
+    its own slice of ``out``: on the pool, so at most ``_WORKERS`` points
+    are in flight and the working set does not grow with the number of
+    points, or in the caller for one worker.  A single point (such as the
+    sigma table, lead ()) is one call with ``_WORKERS`` FFT threads instead.
     Pocketfft transforms every line the same way whatever the batch or
     thread count, so the result is bit-identical to one call over all points.
     """
     lead = w[0].shape[:-3]
     m = math.prod(lead)
-    # a point's padded spectrum has the kernel spectrum's shape and dtype
-    per_job = max(1, _JOB_BYTES // tables.kernel_hat[0][0].nbytes)
-    n_jobs = -(-m // per_job)
-    if n_jobs < 2:
+    if m < 2:
         kernel(tables, w, out, _WORKERS)
         return out
     vshape = w[0].shape[-3:]
     flat_w = [wj.reshape((m,) + vshape) for wj in w]
     flat_out = out.reshape(out.shape[:out.ndim - len(lead) - 3] + (m,) + vshape)
-    edges = [c * m // n_jobs for c in range(n_jobs + 1)]
-    jobs = [([wj[a:b] for wj in flat_w], flat_out[..., a:b, :, :, :])
-            for a, b in zip(edges[:-1], edges[1:])]
+    jobs = [([wj[a:a + 1] for wj in flat_w], flat_out[..., a:a + 1, :, :, :])
+            for a in range(m)]
     if _WORKERS < 2:
         for wj, oj in jobs:
             kernel(tables, wj, oj, 1)

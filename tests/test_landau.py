@@ -349,17 +349,8 @@ class TestConvolutionPool:
             monkeypatch.setattr(landau, name, counted)
         return calls
 
-    @pytest.mark.parametrize("lead, points_per_job", [
-        ((16,), None),       # the default budget: 7 points of n_v = 8 per job
-        ((5,), 2),           # a lowered budget: jobs of 1, 2 and 2 points
-        ((2, 3), 0.5),       # below one point: one point per job
-    ], ids=["default_budget", "lowered_budget", "below_one_point"])
-    def test_jobs_fit_the_budget_and_cover_every_point(self, tables8, monkeypatch,
-                                                       lead, points_per_job):
-        budget = landau._JOB_BYTES
-        if points_per_job is not None:
-            budget = int(points_per_job * self._spectrum_bytes(tables8))
-            monkeypatch.setattr(landau, "_JOB_BYTES", budget)
+    @pytest.mark.parametrize("lead", [(16,), (5,), (2, 3)])
+    def test_one_point_per_job_covers_every_point(self, tables8, monkeypatch, lead):
         monkeypatch.setattr(landau, "_WORKERS", 2)
         kernels = {name: getattr(landau, name) for name in self.KERNELS}
         calls = self._record_calls(monkeypatch)
@@ -370,11 +361,9 @@ class TestConvolutionPool:
         points = np.sort(w[0].reshape((-1,) + tables8.grid.shape)[:, 0, 0, 0])
         for name, kernel in kernels.items():
             jobs = [c for c in calls if c[0] == name]
-            assert len(jobs) >= 2
             for _, first, workers, thread in jobs:
+                assert len(first) == 1
                 assert workers == 1 and thread.startswith("vmlkit-conv")
-                assert len(first) == 1 or \
-                    len(first) * self._spectrum_bytes(tables8) <= budget
             # every point in exactly one job
             assert np.array_equal(np.sort(np.concatenate([c[1] for c in jobs])), points)
             # and the jobs give what one call over all points gives
@@ -382,55 +371,53 @@ class TestConvolutionPool:
             kernel(tables8, w, whole, 1)
             assert np.array_equal(pooled[name], whole), name
 
-    def test_one_job_is_one_call_in_the_caller(self, tables8, monkeypatch):
-        # a single field (the sigma table's lead ()) and a batch that fits one
-        # job run as one call in the caller with every worker
+    def test_one_point_is_one_call_in_the_caller(self, tables8, monkeypatch):
+        # a single field (the sigma table's lead ()) and a batch of one point
+        # run as one call in the caller with every worker
         monkeypatch.setattr(landau, "_WORKERS", 2)
         calls = self._record_calls(monkeypatch)
         rng = np.random.default_rng(33)
-        w = rng.standard_normal((5,) + tables8.grid.shape)
+        w = rng.standard_normal((1,) + tables8.grid.shape)
         caller = threading.current_thread().name
-        for field, points in ((w[0], 1), (w, 5)):
+        for field in (w[0], w):
             calls.clear()
             landau._convolve_components(tables8, field)
             assert [(c[0], len(c[1]), c[2], c[3]) for c in calls] == \
-                [("_components_kernel", points, 2, caller)]
+                [("_components_kernel", 1, 2, caller)]
 
     def test_memory_bounded_by_jobs_in_flight(self, monkeypatch):
-        # 16 points at n_v = 10 on two workers: jobs of 3 points (6 jobs).
-        # A point's padded buffers are one padded real field and one half
-        # spectrum, of about the same size.  A contracted job holds at most
-        # seven such buffers per point at once (the padded input, three
-        # input spectra, their sum, a product and the inverse transform's
-        # field), under four field-and-spectrum pairs; tracemalloc reads
-        # about 3.1.  At most two jobs are in flight, so the peak stays
-        # below inputs + output + 2 x 4 x one job's pairs: 4.0 MB, where
-        # two 8-point chunks peak at 7.4 MB
+        # 16 points at n_v = 10 on two workers, one point per job.  A point's
+        # padded buffers are one padded real field and one half spectrum, of
+        # about the same size.  A contracted job holds at most seven such
+        # buffers at once (the padded input, three input spectra, their sum,
+        # a product and the inverse transform's field), under four
+        # field-and-spectrum pairs; tracemalloc reads about 3.2.  At most two
+        # jobs are in flight, so the peak stays below inputs + output +
+        # 2 x 4 pairs: 1.84 MB, read 1.64 MB
         vgrid10 = VelocityGrid(v_max=6.0, n_v=10)
         tables = landau.build_collision_tables(vgrid10, -3.0)
         monkeypatch.setattr(landau, "_WORKERS", 2)
         p = tables.pad
         point = 8 * p ** 3 + self._spectrum_bytes(tables)
         io = 2 * 3 * 16 * 10 ** 3 * 8
+        bound = io + 2 * 4 * point
 
-        def peak():
+        def peak(convolve):
             tracemalloc.start()
             try:
                 rng = np.random.default_rng(34)
                 w = [rng.standard_normal((16,) + vgrid10.shape) for _ in range(3)]
-                landau._convolve_contracted(tables, w)
+                convolve(w)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        per_job = landau._JOB_BYTES // self._spectrum_bytes(tables)
-        assert per_job == 3
-        bound = io + 2 * 4 * per_job * point
-        assert bound < 0.6 * (io + 2 * 4 * 8 * point)
-        assert peak() < bound
-        # the bound is one the old layout, two chunks of 8 points, breaks
-        monkeypatch.setattr(landau, "_JOB_BYTES", 8 * self._spectrum_bytes(tables))
-        assert peak() > bound
+        assert peak(lambda w: landau._convolve_contracted(tables, w)) < bound
+        # the bound is one the old layout breaks: its two chunks of 8 points
+        # each peaked above one 8-point job alone, which reads 3.9 MB
+        one_chunk = peak(lambda w: landau._contracted_kernel(
+            tables, [wj[:8] for wj in w], np.empty((3, 8) + vgrid10.shape), 1))
+        assert one_chunk > 1.5 * bound
 
     def test_workers_follow_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
