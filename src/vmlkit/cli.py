@@ -304,6 +304,15 @@ def _suite_operator(n_v: int = 12) -> list:
     rel = float(np.abs(mf - dv).max() / np.abs(mf).max())
     checks.append(diag.CheckItem("dense_vs_matrixfree", rel <= 1e-10, rel, 1e-10))
 
+    # the exact spectrum: the six collision invariants are the whole null
+    # space, and no eigenvalue is negative beyond round-off
+    lam = np.linalg.eigvalsh(dense)
+    lam /= lam[-1]
+    n_null = int(np.count_nonzero(lam < 1e-10))
+    checks.append(diag.CheckItem(
+        "exact_null_space", n_null == 6 and lam[0] >= -1e-12, n_null, 6,
+        detail=f"min {lam[0]:.1e}, next {lam[n_null]:.1e} (of lambda_max)"))
+
     q = landau.apply_Q(rng.standard_normal(small.shape) * small.mu_half(),
                        rng.standard_normal(small.shape) * small.mu_half(), tab8)
     mass = abs(small.integrate(q))

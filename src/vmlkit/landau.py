@@ -32,14 +32,19 @@ positive semidefinite and kills the six collision invariants
 span{[1,0], [0,1], [v_i, v_i], [|v|^2, |v|^2]} * mu^(1/2) to round-off,
 not merely to truncation order.
 
-Convolutions are evaluated by zero-padded real FFTs with the singular
-self-cell replaced by the analytic ball average of |u|^(gamma+2) times
-the angular mean (2/3) I of the projector.  A batch of x points runs one
-point per job, each padded, transformed, multiplied and cropped with one
+Convolutions are evaluated by real FFTs on the zero-padded (2n)^3 box,
+with the singular self-cell replaced by the analytic ball average of
+|u|^(gamma+2) times the angular mean (2/3) I of the projector.  The
+transforms are pruned (``_forward``, ``_inverse``): the forward one never
+transforms a line that holds only padding, and the inverse one computes
+only the lines that the crop to n^3 keeps.  A batch of x points runs one
+point per job, each transformed, multiplied and transformed back with one
 FFT thread on a pool of ``_WORKERS`` threads built on first use, so at
 most ``_WORKERS`` points are in flight and a job's transforms stay in
 cache; a single field (the sigma table) is one call with ``_WORKERS`` FFT
-threads instead.  Pocketfft transforms every line the same way whatever
+threads instead.  The two convolutions of a bilinear term (Gamma, Q),
+Phi^ij * g and sum_j Phi^ij * d_j g, share one job per point and so one
+round of the pool.  Pocketfft transforms every line the same way whatever
 the batch or thread count, so the jobs' results are bit-identical to one
 call over all points.
 
@@ -259,37 +264,60 @@ def _apply_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _pad_v(arr: np.ndarray, n: int, p: int) -> np.ndarray:
-    out = np.zeros(arr.shape[:-3] + (p, p, p), dtype=arr.dtype)
-    out[..., :n, :n, :n] = arr
-    return out
+def _forward(arr: np.ndarray, p: int, workers: int) -> np.ndarray:
+    """rfftn of ``arr`` zero-padded to (p, p, p), without transforming the zeros.
+
+    rfft along the last axis over the n x n data lines only, then fft along
+    axis -2 over the n data planes, then along axis -3 (a pruned transform:
+    Sorensen and Burrus, IEEE Trans. Signal Process. 41, 1993).
+    """
+    spec = sfft.rfft(arr, n=p, axis=-1, workers=workers)
+    spec = sfft.fft(spec, n=p, axis=-2, workers=workers)
+    return sfft.fft(spec, n=p, axis=-3, workers=workers)
+
+
+def _inverse(spec: np.ndarray, n: int, workers: int) -> np.ndarray:
+    """The [:n, :n, :n] corner of irfftn(spec), computing only the lines kept.
+
+    ifft along axis -3, keep n planes; ifft along axis -2, keep n rows;
+    irfft of the n x n kept lines.  ``spec`` is overwritten.
+    """
+    p = spec.shape[-3]
+    field = sfft.ifft(spec, axis=-3, workers=workers, overwrite_x=True)[..., :n, :, :]
+    field = sfft.ifft(field, axis=-2, workers=workers, overwrite_x=True)[..., :n, :]
+    return sfft.irfft(field, n=p, axis=-1, workers=workers)[..., :n]
 
 
 def _components_kernel(tables: CollisionTables, w: list, out: np.ndarray,
                        workers: int) -> None:
     """out[i, j] = Phi^ij * w[0]; ``out`` is (3, 3, *lead, n, n, n)."""
-    n, p = tables.n, tables.pad
-    what = sfft.rfftn(_pad_v(w[0], n, p), axes=(-3, -2, -1), workers=workers)
+    what = _forward(w[0], tables.pad, workers)
     for i in range(3):
         for j in range(i, 3):
-            conv = sfft.irfftn(tables.kernel_hat[i][j] * what, s=(p, p, p),
-                               axes=(-3, -2, -1), workers=workers)
-            out[i, j] = conv[..., :n, :n, :n]
+            out[i, j] = _inverse(tables.kernel_hat[i][j] * what, tables.n, workers)
             out[j, i] = out[i, j]
 
 
 def _contracted_kernel(tables: CollisionTables, w: list, out: np.ndarray,
                        workers: int) -> None:
     """out[i] = sum_j Phi^ij * w[j]; ``out`` is (3, *lead, n, n, n)."""
-    n, p = tables.n, tables.pad
-    what = [sfft.rfftn(_pad_v(wj, n, p), axes=(-3, -2, -1), workers=workers)
-            for wj in w]
+    what = [_forward(wj, tables.pad, workers) for wj in w]
     for i in range(3):
         acc = tables.kernel_hat[i][0] * what[0]
         acc += tables.kernel_hat[i][1] * what[1]
         acc += tables.kernel_hat[i][2] * what[2]
-        conv = sfft.irfftn(acc, s=(p, p, p), axes=(-3, -2, -1), workers=workers)
-        out[i] = conv[..., :n, :n, :n]
+        out[i] = _inverse(acc, tables.n, workers)
+
+
+def _bilinear_kernel(tables: CollisionTables, w: list, out: np.ndarray,
+                     workers: int) -> None:
+    """Both convolutions of a Landau bilinear term, w = [g, dg_0, dg_1, dg_2].
+
+    out[:9] holds Phi^ij * g as (3, 3) and out[9:] sum_j Phi^ij * dg_j;
+    ``out`` is (12, *lead, n, n, n).
+    """
+    _components_kernel(tables, w[:1], out[:9].reshape((3, 3) + out.shape[1:]), workers)
+    _contracted_kernel(tables, w[1:], out[9:], workers)
 
 
 _POOLS: dict = {}
@@ -344,6 +372,12 @@ def _convolve_contracted(tables: CollisionTables, w: list) -> list:
     """S_i = sum_j Phi^ij * w_j for a triple of fields of one shape."""
     return list(_by_points(_contracted_kernel, tables, w,
                            np.empty((3,) + w[0].shape)))
+
+
+def _convolve_bilinear(tables: CollisionTables, g: np.ndarray, dg: list) -> tuple:
+    """Phi^ij * g as (3, 3, ...) and S_i = sum_j Phi^ij * dg_j, in one pool round."""
+    out = _by_points(_bilinear_kernel, tables, [g, *dg], np.empty((12,) + g.shape))
+    return out[:9].reshape((3, 3) + g.shape), out[9:]
 
 
 def apply_D(tables: CollisionTables, h: np.ndarray, j: int) -> np.ndarray:
@@ -405,9 +439,8 @@ def apply_Q(F: np.ndarray, G: np.ndarray, tables: CollisionTables) -> np.ndarray
     moments of the symmetrized pair Q(F, G) + Q(G, F) also vanish to
     round-off thanks to the pointwise identity Phi(u) u = 0.
     """
-    conv_g = _convolve_components(tables, G)
     dG = [_apply_axis(tables.fd, G, j - 3) for j in range(3)]
-    w_i = _convolve_contracted(tables, dG)
+    conv_g, w_i = _convolve_bilinear(tables, G, dG)
     out = np.zeros(np.broadcast_shapes(F.shape, G.shape))
     for i in range(3):
         u_i = conv_g[i, 0] * _apply_axis(tables.fd, F, -3)
@@ -429,9 +462,8 @@ def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray) -> np.nda
     """
     m = tables.mu_half
     sg = g[0] + g[1]
-    conv_sg = _convolve_components(tables, m * sg)
     dsg = [m * apply_Dt(tables, sg, j) for j in range(3)]
-    w_i = _convolve_contracted(tables, dsg)
+    conv_sg, w_i = _convolve_bilinear(tables, m * sg, dsg)
 
     out = np.zeros_like(f)
     for sp in range(2):

@@ -305,6 +305,12 @@ class TestVerify:
         assert "projection" in payload["suites"]
         assert all(item["passed"] for item in payload["suites"]["projection"])
 
+    def test_operator_suite_checks_the_exact_null_space(self, capsys):
+        rc = run_cli("verify", "operator")
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "[PASS] operator/exact_null_space: value 6.000e+00" in out
+
     def test_unknown_suite(self, capsys):
         rc = run_cli("verify", "transforms")  # warm path first
         assert rc == 0

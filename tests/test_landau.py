@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy import integrate
 from scipy.special import erf
 
@@ -300,6 +301,31 @@ class TestApplyGamma:
         assert errs[24] < errs[16] / 1.7  # ~ (16/24)^2 = 0.44
 
 
+class TestPrunedTransforms:
+    """The pruned transform pair against the transforms of the padded field."""
+
+    @pytest.mark.parametrize("n", [8, 20])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_matches_padded_rfftn_and_cropped_irfftn(self, n, lead):
+        p = 2 * n
+        axes = (-3, -2, -1)
+        rng = np.random.default_rng(35)
+        field = rng.standard_normal(lead + (n, n, n))
+        padded = np.zeros(lead + (p, p, p))
+        padded[..., :n, :n, :n] = field
+        ref = sfft.rfftn(padded, axes=axes)
+        spec = landau._forward(field, p, 1)
+        assert spec.shape == ref.shape
+        assert np.abs(spec - ref).max() <= 2e-15 * np.abs(ref).max()
+        # the spectrum of a real field that fills the box, as a kernel
+        # product's does
+        full = sfft.rfftn(rng.standard_normal(lead + (p, p, p)), axes=axes)
+        ref = sfft.irfftn(full, s=(p, p, p), axes=axes)[..., :n, :n, :n]
+        back = landau._inverse(full.copy(), n, 1)
+        assert back.shape == ref.shape
+        assert np.abs(back - ref).max() <= 2e-15 * np.abs(ref).max()
+
+
 class TestConvolutionPool:
     """The x-chunked convolutions against one call over all points."""
 
@@ -335,10 +361,10 @@ class TestConvolutionPool:
         return 16 * p * p * (p // 2 + 1)
 
     @classmethod
-    def _record_calls(cls, monkeypatch):
-        """Wrap both kernels; each call records its first entries, workers, thread."""
+    def _record_calls(cls, monkeypatch, names=KERNELS):
+        """Wrap the named kernels; each call records its first entries, workers, thread."""
         calls = []
-        for name in cls.KERNELS:
+        for name in names:
             kernel = getattr(landau, name)
 
             def counted(tables, w, out, workers, kernel=kernel, name=name):
@@ -371,6 +397,46 @@ class TestConvolutionPool:
             kernel(tables8, w, whole, 1)
             assert np.array_equal(pooled[name], whole), name
 
+    def test_bilinear_term_is_one_pool_round(self, tables8, monkeypatch):
+        # apply_Gamma and apply_Q each run both of their convolutions,
+        # Phi^ij * g and sum_j Phi^ij * dg_j, in a single round of the pool:
+        # the fused kernel once per x point
+        monkeypatch.setattr(landau, "_WORKERS", 2)
+        fused = landau._bilinear_kernel
+        rounds = []
+        by_points = landau._by_points
+
+        def one_round(kernel, tables, w, out):
+            rounds.append((w, by_points(kernel, tables, w, out)))
+            return out
+
+        monkeypatch.setattr(landau, "_by_points", one_round)
+        calls = self._record_calls(monkeypatch, ("_bilinear_kernel",))
+        rng = np.random.default_rng(36)
+        shape = (5,) + tables8.grid.shape
+        f, g = rng.standard_normal((2, 2) + shape)
+        F, G = rng.standard_normal((2,) + shape)
+        for op in (lambda: landau.apply_Gamma(tables8, f, g),
+                   lambda: landau.apply_Q(F, G, tables8)):
+            rounds.clear()
+            calls.clear()
+            op()
+            assert len(rounds) == 1
+            w, out = rounds[0]
+            assert len(calls) == 5
+            for name, first, workers, thread in calls:
+                assert name == "_bilinear_kernel" and len(first) == 1
+                assert workers == 1 and thread.startswith("vmlkit-conv")
+            assert np.array_equal(np.sort(np.concatenate([c[1] for c in calls])),
+                                  np.sort(w[0][:, 0, 0, 0]))
+            whole = np.empty_like(out)
+            fused(tables8, w, whole, 1)
+            assert np.array_equal(out, whole)
+            # the fused output holds both convolutions, as run on their own
+            components = landau._convolve_components(tables8, w[0])
+            assert np.array_equal(out[:9].reshape(components.shape), components)
+            assert np.array_equal(out[9:], np.stack(landau._convolve_contracted(tables8, w[1:])))
+
     def test_one_point_is_one_call_in_the_caller(self, tables8, monkeypatch):
         # a single field (the sigma table's lead ()) and a batch of one point
         # run as one call in the caller with every worker
@@ -386,35 +452,45 @@ class TestConvolutionPool:
                 [("_components_kernel", 1, 2, caller)]
 
     def test_memory_bounded_by_jobs_in_flight(self, monkeypatch):
-        # 16 points at n_v = 10 on two workers, one point per job.  A point's
-        # padded buffers are one padded real field and one half spectrum, of
-        # about the same size.  A contracted job holds at most seven such
-        # buffers at once (the padded input, three input spectra, their sum,
-        # a product and the inverse transform's field), under four
-        # field-and-spectrum pairs; tracemalloc reads about 3.2.  At most two
-        # jobs are in flight, so the peak stays below inputs + output +
-        # 2 x 4 pairs: 1.84 MB, read 1.64 MB
+        # 16 points at n_v = 10 on two workers, one point per job.  The pruned
+        # transforms pad no field: a job's large buffers are half spectra of
+        # the padded box, S = 16 p^2 (p/2 + 1) bytes each.  A contracted job
+        # holds at most five at once: three input spectra, their running sum
+        # and one product.  The forward's partial spectra (S/4, then S/2) are
+        # gone before the third input spectrum is complete, and the inverse
+        # runs in place on the sum, leaving only the n^2 output lines
+        # (8 n^2 p bytes).  tracemalloc reads about 5.4 S a job, under the
+        # allowance of four padded-field-and-spectrum pairs, 4 (8 p^3 + S),
+        # about 7.6 S.  At most two jobs are in flight, so the peak stays
+        # below inputs + output + 2 x 4 pairs: 1.84 MB, read 1.46-1.53 MB
         vgrid10 = VelocityGrid(v_max=6.0, n_v=10)
         tables = landau.build_collision_tables(vgrid10, -3.0)
         monkeypatch.setattr(landau, "_WORKERS", 2)
         p = tables.pad
         point = 8 * p ** 3 + self._spectrum_bytes(tables)
-        io = 2 * 3 * 16 * 10 ** 3 * 8
-        bound = io + 2 * 4 * point
+        field = 16 * 10 ** 3 * 8
+        bound = 2 * 3 * field + 2 * 4 * point
 
-        def peak(convolve):
+        def peak(convolve, count=3):
             tracemalloc.start()
             try:
                 rng = np.random.default_rng(34)
-                w = [rng.standard_normal((16,) + vgrid10.shape) for _ in range(3)]
+                w = [rng.standard_normal((16,) + vgrid10.shape) for _ in range(count)]
                 convolve(w)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(lambda w: landau._convolve_contracted(tables, w)) < bound
+        # a fused job runs the components kernel (one input spectrum, one
+        # product inverted in place: about 2 S) and then the contracted one,
+        # so it holds no more than a contracted job.  Its bound is the same
+        # 2 x 4 pairs over its own inputs and output, 4 + 12 fields: 3.12 MB,
+        # read 2.75-2.80 MB
+        fused = (4 + 12) * field + 2 * 4 * point
+        assert peak(lambda w: landau._convolve_bilinear(tables, w[0], w[1:]), 4) < fused
         # the bound is one the old layout breaks: its two chunks of 8 points
-        # each peaked above one 8-point job alone, which reads 3.9 MB
+        # each peaked above one 8-point job alone, which reads 3.4 MB
         one_chunk = peak(lambda w: landau._contracted_kernel(
             tables, [wj[:8] for wj in w], np.empty((3, 8) + vgrid10.shape), 1))
         assert one_chunk > 1.5 * bound
