@@ -456,9 +456,9 @@ class TestConvolutionPool:
         # transforms pad no field: a job's large buffers are half spectra of
         # the padded box, S = 16 p^2 (p/2 + 1) bytes each.  A contracted job
         # holds at most five at once: three input spectra, their running sum
-        # and one product.  The forward's partial spectra (S/4, then S/2) are
-        # gone before the third input spectrum is complete, and the inverse
-        # runs in place on the sum, leaving only the n^2 output lines
+        # and one product.  While it transforms its third input it holds
+        # fewer (two spectra, a partial one of S/2 and the third), and the
+        # inverse runs in place on the sum, adding only the n^2 output lines
         # (8 n^2 p bytes).  tracemalloc reads about 5.4 S a job, under the
         # allowance of four padded-field-and-spectrum pairs, 4 (8 p^3 + S),
         # about 7.6 S.  At most two jobs are in flight, so the peak stays
