@@ -36,10 +36,12 @@ except ValueError as exc:
     print(f"net charge rejected: {exc}")
 
 print("\n== vacuum propagation ==")
+# t_end must be a whole number of steps: one period in 628 steps of about 0.05
+period = 2 * math.pi / 0.2
 cfg = RunConfig(preset="vacuum-maxwell", couple_fields=False,
                 box_length=2 * math.pi * 10.0, n_x=16, n_v=8,
                 collision_solver="direct", direct_max_nv=8,
-                dt=0.05, t_end=2 * math.pi / 0.2, report_every=10**9,
+                dt=period / 628, t_end=period, report_every=10**9,
                 monitor_every=0)
 res = evolve.run(cfg)
 st0 = initial_state(cfg, *cfg.grids())

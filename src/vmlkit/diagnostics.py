@@ -11,30 +11,41 @@ equivalences are fixed to one.  Conventions:
   (``SpectralSnapshot.weighted``).
 * every functional is an x-multiplier m(xi) times a quadratic form q_v
   local in v, so by Plancherel it equals sum_xi m(xi) q_v(f_hat(xi)).  The
-  run builds one ``SpectralSnapshot`` per recorded state: one forward
-  transform f_hat, reduced to per-mode powers and x-reduced velocity
-  densities, and the one L f of that state, reduced to the per-mode
-  collision power Re conj(f_hat) (L f)^.  The velocity densities come from
-  a derivative tree over blocks of xi-modes: every d_beta field is formed
-  once per block, one stencil pass from its parent, and feeds the sigma
-  bracket of its parent (``landau.sigma_density``, the one sigma split).
-  f is real, so f_hat(-xi) = conj f_hat(xi) and every density of a mode
-  equals that of its partner: the tree walks only the half spectrum, the
-  modes whose last active index is <= n_x / 2, and the multipliers carry
-  the orbit weight, 2 on interior modes and 1 at last index 0 and n_x / 2.
-  The per-mode powers (f, E, B, L f) and the report moments stay sums over
-  the full spectrum.
+  run builds one ``SpectralSnapshot`` per recorded state from one
+  transform of f, the stepper's ``SpatialGrid.forward_half`` (an rfft).
+  f is real, so f_hat(-xi) = conj f_hat(xi): every quantity of a mode is
+  that of its partner, or its conjugate, and the snapshot works only on
+  the half spectrum, the modes whose last active index is <= n_x / 2.
+  Its per-mode powers (f, the collision power Re conj(f_hat) (L f)^, the
+  charge, the macro coefficients, P f) are expanded to the full spectrum,
+  each mode taking its representative's value, so the multipliers stay
+  full-spectrum arrays.  In direct mode the collision power is a quadratic
+  form on the stepper's symmetry blocks, with no L f formed
+  (``evolve.CollisionStepper.quadratic_form``); otherwise it is the one
+  matrix-free L f of the state.  The velocity densities come from a
+  derivative tree over blocks of half-spectrum modes: every d_beta field
+  is formed once per block, one stencil pass from its parent, and feeds
+  the sigma bracket of its parent (``landau.sigma_density``, the one sigma
+  split); the multipliers carry the orbit weight, 2 on interior modes and
+  1 at last index 0 and n_x / 2.  The constants every snapshot shares
+  (multipliers, pair rows, moment weights, the half-to-full index) are
+  built once per ``DiagContext``.
   The monitor row, the report and the macro snapshot all read that
   snapshot; each functional is a multiplier or weight dot product.  P and
   the moment functions are local in x, so the macro coefficients, the
-  micro part and the moments behind the fluid residuals come from f_hat
-  too.
+  micro part and the moments behind the fluid residuals come from the half
+  spectrum too, and the macro snapshot inverts them with ``inverse_half``.
+  The report's B-moment of (L f)_+ + (L f)_- is <2 (A + K) w_B, f_+ + f_->
+  by the symmetry of L, with L applied to the three B weights once per
+  context.
 * the mixed-derivative terms ||w d^alpha_beta f||^2 measure the real field
   Re d^alpha f.  At a mode whose orders alpha_i, summed over the axes that
   sit at the Nyquist index, are odd, (i xi)^alpha f_hat has no Hermitian
   partner and the real part drops it: the multiplier is zero there and
-  xi^(2 alpha) elsewhere.  The unweighted bands |xi|^(2j) of E^k, D^k and
-  the field terms keep the Nyquist mode at every order.
+  xi^(2 alpha) elsewhere.  For the same reason the transport term
+  -i xi . B(v {I-P} f) of the B-moment source drops each axis's Nyquist
+  mode.  The unweighted bands |xi|^(2j) of E^k, D^k and the field terms
+  keep the Nyquist mode at every order.
 * every negative-order norm excludes the xi = 0 mode, whose content is
   reported separately (torus surrogate of the whole-space theory).
 * the smallness functional Y_0 of the initial data (``y0_functional``) is
@@ -58,6 +69,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,8 +101,15 @@ class DiagContext:
     ``config`` is the run's ``RunConfig``, whose functional parameters
     (n_max, n0, k_max, beta_max, the weight orders, s, theta, eps0, mode)
     the functionals read.  ``collision`` is the run's ``CollisionStepper``:
-    with it, a snapshot's L f comes from its ``apply_L`` (the dense A + K in
-    direct mode); without it, from the matrix-free ``landau.apply_L``.
+    with a direct one, a snapshot's collision power is its block quadratic
+    form (``quadratic_form``) and L of the B weights its ``apply_L``; in CG
+    mode or without one, both come from the matrix-free ``landau.apply_L``.
+
+    The run constants every snapshot reads are built on first use and kept:
+    the alpha multipliers, the (alpha, beta) plans of the derivative tree,
+    the moment weights and L of the B weights, the half-to-full mode index,
+    the transport multipliers and the squared sigma brackets.  They follow
+    the fields above, which must not change afterwards.
     """
 
     sgrid: SpatialGrid
@@ -114,6 +133,63 @@ class DiagContext:
                     alpha[c] += 1
                 yield tuple(alpha)
 
+    @cached_property
+    def half_index(self) -> np.ndarray:
+        """Flat half-spectrum index of each full-spectrum mode, shape ``sgrid.shape``.
+
+        A mode whose last active index is <= n_x // 2 is its own
+        representative; any other is represented by its partner -xi.
+        """
+        sg = self.sgrid
+        idx = np.indices(sg.shape)
+        rep = np.where(idx[-1] <= sg.n_x // 2, idx, -idx % sg.n_x)
+        return np.ravel_multi_index(tuple(rep), sg.half_shape)
+
+    @cached_property
+    def transport_multipliers(self) -> list:
+        """i xi_i on the half spectrum per active axis, zero on the axis's Nyquist mode."""
+        sg, half = self.sgrid, self.sgrid.n_x // 2 + 1
+        nyq = 2 * sg.mode_numbers() == -sg.n_x
+        out = []
+        for i, xi in enumerate(sg.xi_mesh()):
+            keep = ~nyq.reshape(xi.shape)
+            out.append((1j * np.where(keep, xi, 0.0))[..., :half])
+        return out
+
+    @cached_property
+    def moment_weights(self) -> dict:
+        """Velocity weights of the moment functions, one row per component.
+
+        "A": (v_m v_j - 1) mu^(1/2), row 3m + j; "B": 1/10 (|v|^2 - 5) v_j
+        mu^(1/2); "G": v_j mu^(1/2); "Bv": the B rows times v_axis, row
+        3i + j for the i-th active axis (the transport term's); "LB":
+        2 (A + K) of the B rows, the first species of L [w_B, w_B].
+        """
+        vgrid = self.vgrid
+        mu_half, vsq = vgrid.mu_half(), vgrid.vsq()
+        v = [c + 0 * vsq for c in vgrid.axes()]
+        b = np.stack([0.1 * (vsq - 5.0) * vj * mu_half for vj in v])
+        apply_L = (self.collision.apply_L if self.collision is not None
+                   else lambda f: landau.apply_L(self.tables, f))
+        return {"A": np.stack([(v[m] * v[j] - 1.0) * mu_half
+                               for m in range(3) for j in range(3)]),
+                "B": b, "G": vgrid.v_mu_half,
+                "Bv": np.concatenate([b * v[axis] for axis in self.sgrid.active_axes]),
+                "LB": apply_L(np.stack([b, b]))[0]}
+
+    @cached_property
+    def sigma_brackets(self) -> tuple:
+        """``landau.sigma_brackets``, the weights of every sigma density."""
+        return landau.sigma_brackets(self.tables)
+
+    @cached_property
+    def plans(self) -> dict:
+        """The derivative-tree plans of a report (True) and a monitor (False) snapshot."""
+        alphas = list(self.alphas(max(self.config.n_max, self.config.n0)))
+        mults = _alpha_multipliers(self.sgrid, alphas)
+        return {report: SnapshotPlan(self.config, alphas, mults, report)
+                for report in (True, False)}
+
 
 # ---------------------------------------------------------------------------
 # one spectral pass per recorded state
@@ -130,7 +206,7 @@ def _alpha_multipliers(sgrid: SpatialGrid, alphas: list) -> np.ndarray:
     half, and 1 at last index 0 and, for even n_x, n_x / 2.
     """
     half = sgrid.n_x // 2 + 1
-    shape = sgrid.shape[:-1] + (half,)
+    shape = sgrid.half_shape
     mesh = sgrid.xi_mesh()
     nyq = 2 * sgrid.mode_numbers() == -sgrid.n_x
     last = np.arange(half)
@@ -147,24 +223,41 @@ def _alpha_multipliers(sgrid: SpatialGrid, alphas: list) -> np.ndarray:
     return out
 
 
-def _contract(mult: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Species-summed per-mode densities (2, modes, n, n, n) against mode multipliers."""
-    per_mode = dens.sum(axis=0).reshape(mult.shape[1], -1)
-    return (mult @ per_mode).reshape((len(mult),) + dens.shape[-3:])
+class SnapshotPlan:
+    """The (alpha, beta) pairs of a snapshot and the rows of its derivative tree.
 
-
-def _moment_weights(vgrid: VelocityGrid) -> dict:
-    """Velocity weights of the moment functions, one row per component.
-
-    "A": (v_m v_j - 1) mu^(1/2), row 3m + j; "B": 1/10 (|v|^2 - 5) v_j
-    mu^(1/2); "G": v_j mu^(1/2).
+    ``pairs`` lists the (alpha, beta) with |alpha| + |beta| <= max(n_max, n0)
+    and |beta| <= ``top`` (min(that depth, beta_max) for a report, 0 for a
+    monitor row).  ``levels[k]`` holds the betas of order k as sorted tuples
+    of axes; dropping the last (highest) axis gives the parent, one stencil
+    pass away.  ``rows[c]`` holds the first pair index of beta c and the
+    rows of ``mults`` (the ``_alpha_multipliers`` of ``alphas``) of its pairs.
     """
-    mu_half, vsq = vgrid.mu_half(), vgrid.vsq()
-    v = [c + 0 * vsq for c in vgrid.axes()]
-    return {"A": np.stack([(v[m] * v[j] - 1.0) * mu_half
-                           for m in range(3) for j in range(3)]),
-            "B": np.stack([0.1 * (vsq - 5.0) * vj * mu_half for vj in v]),
-            "G": vgrid.v_mu_half}
+
+    def __init__(self, cfg, alphas: list, mults: np.ndarray, report: bool):
+        depth = max(cfg.n_max, cfg.n0)
+        self.top = min(depth, cfg.beta_max) if report else 0
+        self.n_modes = mults.shape[1]
+        self.levels = [list(itertools.combinations_with_replacement(range(3), k))
+                       for k in range(self.top + 2)]
+        self.pairs, self.rows = [], {}
+        for c in itertools.chain(*self.levels[:self.top + 1]):
+            keep = [i for i, a in enumerate(alphas) if sum(a) + len(c) <= depth]
+            self.rows[c] = (len(self.pairs), mults[keep])
+            beta = tuple(c.count(j) for j in range(3))
+            self.pairs += [(alphas[i], beta) for i in keep]
+        self.a_ord = np.array([sum(a) for a, _ in self.pairs])
+        self.b_ord = np.array([sum(b) for _, b in self.pairs])
+
+
+def _contract(mult: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Per-mode densities (2, modes, n, n, n) against mode multipliers (rows, modes).
+
+    Summed over species and modes in one GEMM: the multipliers repeat once
+    per species.
+    """
+    both = np.concatenate([mult, mult], axis=1)
+    return (both @ dens.reshape(both.shape[1], -1)).reshape((len(mult),) + dens.shape[-3:])
 
 
 def _pair_moments(vgrid: VelocityGrid, h: np.ndarray, wgt: np.ndarray,
@@ -176,46 +269,62 @@ def _pair_moments(vgrid: VelocityGrid, h: np.ndarray, wgt: np.ndarray,
     return out.T.reshape((len(wgt),) + h.shape[1:-3])
 
 
+def _collision_power(ctx: DiagContext, f: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Re sum conj(f_hat) (L f)^ over species and v per half-spectrum mode.
+
+    ``spec`` is ``forward_half`` of the physical pair f.  A direct stepper
+    evaluates it as its block quadratic form on ``spec``; otherwise L f is
+    applied matrix-free to f and transformed.
+    """
+    coll = ctx.collision
+    if coll is not None and coll.method == "direct":
+        return coll.quadratic_form(spec)
+    lf = ctx.sgrid.forward_half(landau.apply_L(ctx.tables, f), ctx.x_axes)
+    return np.sum(spec.real * lf.real + spec.imag * lf.imag, axis=(0, -3, -2, -1))
+
+
 class SpectralSnapshot:
     """Per-mode powers, velocity densities and moment spectra of one state.
 
-    Built from one forward transform f_hat of ``state.f``; neither f_hat,
-    L f nor any per-beta field outlives the constructor.  ``power[name]``
-    holds, per xi mode, the summed |.|^2 of f ("f", with the velocity cell
+    Built from one ``forward_half`` f_hat of ``state.f`` (a second one of
+    L f in CG mode or without a stepper); neither f_hat nor any per-beta
+    field outlives the constructor.  ``power[name]`` holds, per xi mode of
+    the full spectrum, the summed |.|^2 of f ("f", with the velocity cell
     volume), E ("e"), B ("b"), the charge a_+ - a_- ("charge"), the six
     macro coefficients ("macro"), P f in the Gram form of its coefficients
     ("pf") and the collision power vol Re sum conj(f_hat) (L f)^ ("lf"):
-    this is the one place the diagnostics apply L.
+    this is the one place the diagnostics apply L to a state.  All but
+    "e" and "b" are formed on the half spectrum and expanded through
+    ``DiagContext.half_index``.
 
     ``report`` selects what a report reads: velocity derivatives up to
-    ``beta_max`` and ``moments``, the spectra of the
-    (rows, *x) fields of ``macro_snapshot``: the macro coefficients
-    ("coef"), A and B of the species sum ("A", 9 rows, and "Bv"), the micro
-    current G ("G"), B of the micro species sum ("b_micro") and the
-    B-moment source ("b_source"), -B((L f)_s) - B(v . grad_x {I-P} f_s),
-    plus B of the force and Gamma terms in nonlinear mode.  Without it
-    (a monitor row) only beta = 0 is formed.
+    ``beta_max`` and ``moments``, the half spectra of the (rows, *x) fields
+    of ``macro_snapshot``: the macro coefficients ("coef"), A and B of the
+    species sum ("A", 9 rows, and "Bv"), the micro current G ("G"), B of
+    the micro species sum ("b_micro") and the B-moment source
+    ("b_source"), -B((L f)_s) - B(v . grad_x {I-P} f_s), plus B of the
+    force and Gamma terms in nonlinear mode.  Without it (a monitor row)
+    only beta = 0 is formed.
 
-    ``pairs`` lists the (alpha, beta) with |alpha| + |beta| <= max(n_max, n0)
-    and |beta| within that depth.  Per pair, ``dens[name]`` holds the x- and
+    ``pairs`` lists the (alpha, beta) of the context's plan
+    (``SnapshotPlan``).  Per pair, ``dens[name]`` holds the x- and
     species-reduced velocity density of |d^alpha_beta f|^2 ("f"), of
     <v>^2 |d^alpha_beta {I-P} f|^2 ("extra") and the sigma bracket of
     d^alpha_beta {I-P} f ("sigma").  A monitor snapshot forms only "sigma",
     the one density ``monitor_row`` reads.
 
     The densities come from a derivative tree walked over blocks of the half
-    spectrum: the xi-modes whose last active index is <= n_x // 2, with the
-    Hermitian orbit weight (2 on interior modes, 1 at last index 0 and, for
-    even n_x, n_x / 2) folded into the alpha multipliers, so each density
-    is still the full-spectrum sum.  With one active axis the half is a
-    view of f_hat and micro.  A block holds ``BLOCK_BYTES`` per complex
-    field, so its fields stay in cache.  Within a block each d_beta f_hat
-    (|beta| up to the depth above) and d_beta micro (one order deeper) is
-    formed once, by one stencil pass along its highest axis from its
-    parent, and each |.|^2 once: the sigma bracket of d_beta micro takes
-    its gradient and squares from the children d_(beta+e_j) micro.  At
-    beta_max = 2 that is 28 passes per block, 3 for a monitor snapshot.
-    The per-block densities are summed into ``dens``.
+    spectrum, with the Hermitian orbit weight (2 on interior modes, 1 at
+    last index 0 and, for even n_x, n_x / 2) folded into the alpha
+    multipliers, so each density is still the full-spectrum sum.  A block
+    holds ``BLOCK_BYTES`` per complex field, so its fields stay in cache.
+    Within a block each d_beta f_hat (|beta| up to the depth above) and
+    d_beta micro (one order deeper) is formed once, by one stencil pass
+    along its highest axis from its parent, and each |.|^2 once: the sigma
+    bracket of d_beta micro takes its gradient and squares from the
+    children d_(beta+e_j) micro.  At beta_max = 2 that is 28 passes per
+    block, 3 for a monitor snapshot.  The per-block densities are summed
+    into ``dens``.
     """
 
     def __init__(self, ctx: DiagContext, state, report: bool):
@@ -224,7 +333,7 @@ class SpectralSnapshot:
         self.state = state
         self.vol = vgrid.cell_volume
         if report:
-            w = _moment_weights(vgrid)
+            w = ctx.moment_weights
             b_source = 0.0
             if cfg.mode == "nonlinear":
                 # physical-space terms first, while no spectrum is alive
@@ -232,31 +341,27 @@ class SpectralSnapshot:
                 src = maxwell.lorentz_force_terms(vgrid, f, em.e_phys(sgrid),
                                                   em.b_phys(sgrid))
                 src += landau.apply_Gamma(ctx.tables, f, f)
-                b_source = sgrid.forward(_pair_moments(vgrid, src, w["B"]))
+                b_source = sgrid.forward_half(_pair_moments(vgrid, src, w["B"]))
                 del src
-        f_spec = sgrid.forward(state.f, ctx.x_axes)
-        self.power = {"f": self.vol * np.sum(abs2(f_spec), axis=(0, -3, -2, -1)),
-                      "e": np.sum(abs2(state.em.e_spec), axis=0),
-                      "b": np.sum(abs2(state.em.b_spec), axis=0)}
-        lf_spec = sgrid.forward(landau.apply_L(ctx.tables, state.f)
-                                if ctx.collision is None
-                                else ctx.collision.apply_L(state.f), ctx.x_axes)
-        self.power["lf"] = self.vol * np.sum((np.conj(f_spec) * lf_spec).real,
-                                             axis=(0, -3, -2, -1))
-        if report:
-            b_source = b_source - _pair_moments(vgrid, lf_spec, w["B"])
-        del lf_spec
+        f_spec = sgrid.forward_half(state.f, ctx.x_axes)
         coef = proj.coefficients(f_spec)
         micro = f_spec - proj.assemble(coef)
-        self.power["charge"] = abs2(coef[0] - coef[1])
-        self.power["macro"] = np.sum(abs2(coef), axis=0)
-        self.power["pf"] = np.einsum("ij,i...,j...->...", proj.gram,
-                                     coef.conj(), coef).real
+        per_mode = {"f": self.vol * np.sum(abs2(f_spec), axis=(0, -3, -2, -1)),
+                    "lf": self.vol * _collision_power(ctx, state.f, f_spec),
+                    "charge": abs2(coef[0] - coef[1]),
+                    "macro": np.sum(abs2(coef), axis=0),
+                    "pf": np.einsum("ij,i...,j...->...", proj.gram,
+                                    coef.conj(), coef).real}
+        self.power = {name: np.take(p, ctx.half_index) for name, p in per_mode.items()}
+        self.power["e"] = np.sum(abs2(state.em.e_spec), axis=0)
+        self.power["b"] = np.sum(abs2(state.em.b_spec), axis=0)
         if report:
-            v, xi = vgrid.axes(), sgrid.xi_mesh()
-            for i, axis in enumerate(sgrid.active_axes):
-                b_source = b_source - 1j * xi[i] * _pair_moments(vgrid, micro,
-                                                                 w["B"] * v[axis])
+            # B((L f)_+ + (L f)_-) = <2 (A + K) w_B, f_+ + f_->, L symmetric
+            b_source = b_source - _pair_moments(vgrid, f_spec, w["LB"])
+            transport = _pair_moments(vgrid, micro, w["Bv"]).reshape(
+                (sgrid.n_active, 3) + sgrid.half_shape)
+            for ixi, mom in zip(ctx.transport_multipliers, transport):
+                b_source = b_source - ixi * mom
             self.moments = {"coef": coef,
                             "A": _pair_moments(vgrid, f_spec, w["A"]),
                             "Bv": _pair_moments(vgrid, f_spec, w["B"]),
@@ -264,38 +369,24 @@ class SpectralSnapshot:
                             "b_micro": _pair_moments(vgrid, micro, w["B"]),
                             "b_source": b_source}
 
-        depth = max(cfg.n_max, cfg.n0)
-        top = min(depth, cfg.beta_max) if report else 0
-        alphas = list(ctx.alphas(depth))
-        mults = _alpha_multipliers(sgrid, alphas)
-        # beta as its sorted tuple of axes, by order; dropping the last
-        # (highest) axis gives the parent, one stencil pass away
-        levels = [list(itertools.combinations_with_replacement(range(3), k))
-                  for k in range(top + 2)]
-        self.pairs, rows = [], {}
-        for c in itertools.chain(*levels[:top + 1]):
-            keep = [i for i, a in enumerate(alphas) if sum(a) + len(c) <= depth]
-            rows[c] = (len(self.pairs), mults[keep])
-            beta = tuple(c.count(j) for j in range(3))
-            self.pairs += [(alphas[i], beta) for i in keep]
+        plan = ctx.plans[report]
+        levels, top = plan.levels, plan.top
+        self.pairs, self.a_ord, self.b_ord = plan.pairs, plan.a_ord, plan.b_ord
         # a monitor row reads only the sigma band
         names = ("f", "extra", "sigma") if report else ("sigma",)
         self.dens = {name: np.zeros((len(self.pairs),) + vgrid.shape) for name in names}
 
         def add(name, c, sl, dens):
-            lo, mult = rows[c]
+            lo, mult = plan.rows[c]
             self.dens[name][lo:lo + len(mult)] += _contract(mult[:, sl], dens)
 
         # the derivative tree, level by level within one block of xi-modes:
         # d_beta is one stencil pass from its parent, and |.|^2 of each micro
-        # field feeds its own "extra" term and the sigma terms of its parents.
-        # The tree walks the half spectrum of ``mults``: a view of f_hat and
-        # micro when one x axis is active, a copy of that half otherwise
-        apply_axis, fd = landau._apply_axis, ctx.tables.fd
-        n_modes = mults.shape[1]
-        half = (slice(None),) * sgrid.n_active + (slice(sgrid.n_x // 2 + 1),)
-        fv = f_spec[half].reshape((2, n_modes) + vgrid.shape)
-        mv = micro[half].reshape(fv.shape)
+        # field feeds its own "extra" term and the sigma terms of its parents
+        apply_axis, fd, brackets = landau._apply_axis, ctx.tables.fd, ctx.sigma_brackets
+        n_modes = plan.n_modes
+        fv = f_spec.reshape((2, n_modes) + vgrid.shape)
+        mv = micro.reshape(fv.shape)
         block = max(1, BLOCK_BYTES // fv[:, :1].nbytes)
         for start in range(0, n_modes, block):
             sl = slice(start, start + block)
@@ -314,15 +405,13 @@ class SpectralSnapshot:
                         add("extra", c, sl, m_sq[c])
                     add("sigma", c, sl, landau.sigma_density(
                         ctx.tables, mc, [kids[k] for k in below],
-                        [m_sq[c]] + [kid_sq[k] for k in below]))
+                        [m_sq[c]] + [kid_sq[k] for k in below], brackets))
                 m_lvl, m_sq = kids, kid_sq
                 if level < top:
                     f_lvl = {c: apply_axis(fd, f_lvl[c[:-1]], c[-1] - 3)
                              for c in levels[level + 1]}
         if report:
             self.dens["extra"] *= 1.0 + vgrid.vsq()
-        self.a_ord = np.array([sum(a) for a, _ in self.pairs])
-        self.b_ord = np.array([sum(b) for _, b in self.pairs])
 
     def norm2(self, mult, *names: str) -> float:
         """sum over modes of ``mult`` times each named power."""
@@ -540,9 +629,10 @@ def build_report(ctx: DiagContext, snap: SpectralSnapshot) -> FunctionalReport:
 def macro_snapshot(ctx: DiagContext, snap: SpectralSnapshot) -> macro_micro.MacroSnapshot:
     """Macro fields, moments and the B-moment balance terms of a report snapshot.
 
-    The inverse transforms of the snapshot's (rows, *x) moment spectra.
+    The inverse transforms (``inverse_half``) of the snapshot's (rows, *x)
+    moment half spectra.
     """
-    phys = {name: ctx.sgrid.inverse(spec).real for name, spec in snap.moments.items()}
+    phys = {name: ctx.sgrid.inverse_half(spec) for name, spec in snap.moments.items()}
     mom = macro_micro.MomentSet(A=phys["A"].reshape((3, 3) + ctx.sgrid.shape),
                                 Bv=phys["Bv"], G=phys["G"])
     return macro_micro.MacroSnapshot(t=snap.state.t,

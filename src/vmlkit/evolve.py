@@ -53,9 +53,11 @@ q1, the Lorentz force and the current) and dE/dt, dB/dt from ``maxwell``.
 The direct solver holds P, A + K and A as the blocks of the axis
 permutations of v (``landau.PermutationBlocks``), 1.4 MB per operator at
 n_v = 10 and 22.6 MB at n_v = 16, never an n_v^3 x n_v^3 array.  ``run``
-hands its ``apply_L`` to the diagnostics, so the one L f of each recorded
-state (its snapshot's collision power and B-moment source) is one GEMM per
-block instead of the padded-FFT convolutions of K.
+hands the collision stepper to the diagnostics: with the direct solver a
+recorded state's collision power is a quadratic form on those blocks
+(``CollisionStepper.quadratic_form``), and the report's B-moment of L f
+reads L of the B weights, applied once per run, instead of the padded-FFT
+convolutions of K.
 
 The species sum s = f_+ + f_- and difference d = f_+ - f_- diagonalize L
 (L s = 2(A+K)s, L d = 2A d), so the collision solve runs on two decoupled
@@ -188,6 +190,10 @@ class RunConfig:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.dt <= 0 or self.t_end < 0:
             raise ValueError("dt must be positive and t_end nonnegative")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+            raise ValueError(f"t_end = {self.t_end:g} is not a whole number of steps "
+                             f"of dt = {self.dt:g} (t_end / dt = {steps:.10g})")
         if not (0.5 <= self.s_exp < 1.5):
             raise ValueError(f"s_exp must lie in [1/2, 3/2), got {self.s_exp}")
         if self.k_max > max(self.n0 - 2, 0):
@@ -371,17 +377,22 @@ class CollisionStepper:
     ValueError.  The blocked P_s, P_d, A + K and A are kept, 8 (n_t^2 +
     n_s^2 + n_std^2) bytes each (1.4 MB at n_v = 10, 22.6 MB at n_v = 16);
     no n_v^3 x n_v^3 array is held.  ``advance`` and ``apply_L`` change
-    basis, run one GEMM per block and change back; ``apply_L`` serves
-    every L f of the run loop.
+    basis, run one GEMM per block and change back.  ``quadratic_form``
+    gives a recorded state's collision power Re conj(f_hat) (L f)^ per
+    mode from the blocks without forming L f: one forward basis change, one
+    GEMM per block and the row dot products.  ``apply_L`` serves the one L
+    the diagnostics still apply, to the report's three B-moment weights.
 
     ``method="cg"`` solves the same trapezoid systems matrix-free, and its
-    ``apply_L`` is the matrix-free ``landau.apply_L``.  One flexible
-    preconditioned CG (``_pcg``) serves three solves: the difference system
-    I + dt A with a diagonal preconditioner; the sum system I + dt (A + K),
-    preconditioned by a loose solve of I + dt A after Guo's split of L into
-    the coercive diffusion A and the relatively compact convolution K
-    (Comm. Math. Phys. 231, 2002); and that inner solve itself, diagonal CG
-    from 0 to the relative residual ``INNER_TOL``.  An outer sum iteration
+    ``apply_L`` is the matrix-free ``landau.apply_L``; it has no
+    ``quadratic_form``, so the diagnostics transform a matrix-free L f.
+    One flexible preconditioned CG (``_pcg``) serves three solves: the
+    difference system I + dt A with a diagonal preconditioner; the sum
+    system I + dt (A + K), preconditioned by a loose solve of I + dt A after
+    Guo's split of L into the coercive diffusion A and the relatively
+    compact convolution K (Comm. Math. Phys. 231, 2002); and that inner
+    solve itself, diagonal CG from 0 to the relative residual
+    ``INNER_TOL``.  An outer sum iteration
     then costs one K and a few A applications; at n_v = 20 a K costs
     some 30 As.
 
@@ -462,6 +473,28 @@ class CollisionStepper:
         bs = self._blocked(self._a_plus_k, f[0] + f[1])
         ad = self._blocked(self._a, f[0] - f[1])
         return np.stack([bs + ad, bs - ad])
+
+    def quadratic_form(self, spec: np.ndarray) -> np.ndarray:
+        """Re sum conj(f) . L f over species and v at each leading point of a pair.
+
+        Direct mode only.  ``spec`` is a pair (2, ..., n, n, n), real or a
+        spectrum in x: L is real and local in x, so Re conj(f_hat) (L f)^ is
+        the form of L on the real plus that on the imaginary part.  With
+        s = f_+ + f_- and d = f_+ - f_-, <f, L f> = <s, (A+K) s> + <d, A d>;
+        in the orthonormal block basis each term is one forward basis change,
+        one GEMM per block and a dot product per row.  No L f is formed.
+        """
+        basis = self._basis
+        lead = spec.shape[1:-3]
+        total = np.zeros(2 * math.prod(lead))
+        for x, blocks in ((spec[0] + spec[1], self._a_plus_k),
+                          (spec[0] - spec[1], self._a)):
+            rows = np.stack([x.real, x.imag]).reshape(-1, basis.size)
+            for c, b in zip(basis.forward(rows), blocks):
+                dots = np.einsum("ij,ij->i", c, c @ b)
+                # a standard block holds two rows per input row
+                total += dots.reshape(len(total), -1).sum(axis=1)
+        return total.reshape((2,) + lead).sum(axis=0)
 
     # matrix-free operator applications ----------------------------------------
     def _op_s(self, x: np.ndarray) -> np.ndarray:

@@ -487,8 +487,15 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real ** 2 + z.imag ** 2 if np.iscomplexobj(z) else z * z
 
 
+def sigma_brackets(tables: CollisionTables) -> tuple:
+    """(b_perp^2, b_par^2 - b_perp^2), the two weights of ``sigma_density``."""
+    bperp2 = tables.bracket_perp ** 2
+    return bperp2, tables.bracket_par ** 2 - bperp2
+
+
 def sigma_density(tables: CollisionTables, h: np.ndarray,
-                  grad: list | None = None, sq: list | None = None) -> np.ndarray:
+                  grad: list | None = None, sq: list | None = None,
+                  brackets: tuple | None = None) -> np.ndarray:
     """Pointwise integrand of the unweighted anisotropic norm of h.
 
         <v>^(gamma+2) (|h|^2 + |g_perp|^2) + <v>^gamma |g_par|^2
@@ -501,19 +508,29 @@ def sigma_density(tables: CollisionTables, h: np.ndarray,
         b_perp^2 (|h|^2 + sum_j |g_j|^2) + (b_par^2 - b_perp^2) |g . v_hat|^2
 
     with b_perp = <v>^((gamma+2)/2) and b_par = <v>^(gamma/2), which is how
-    it is evaluated.  Complex h (a Fourier spectrum in x) gives the per-mode
-    density.  ``grad`` overrides the finite-difference gradient, and ``sq``
-    supplies [|h|^2, |g_0|^2, |g_1|^2, |g_2|^2] when the caller holds them.
+    it is evaluated, in place.  Complex h (a Fourier spectrum in x) gives the
+    per-mode density.  ``grad`` overrides the finite-difference gradient,
+    ``sq`` supplies [|h|^2, |g_0|^2, |g_1|^2, |g_2|^2] when the caller holds
+    them, and ``brackets`` the ``sigma_brackets`` when it keeps them.
     """
     if grad is None:
         grad = [_apply_axis(tables.fd, h, j - 3) for j in range(3)]
     if sq is None:
         sq = [_abs2(h)] + [_abs2(g) for g in grad]
+    if brackets is None:
+        brackets = sigma_brackets(tables)
     vhat = tables.vhat
-    gpar = grad[0] * vhat[0] + grad[1] * vhat[1] + grad[2] * vhat[2]
-    bperp2 = tables.bracket_perp ** 2
-    return (bperp2 * (sq[0] + sq[1] + sq[2] + sq[3])
-            + (tables.bracket_par ** 2 - bperp2) * _abs2(gpar))
+    gpar = grad[0] * vhat[0]
+    gpar += grad[1] * vhat[1]
+    gpar += grad[2] * vhat[2]
+    out = sq[0] + sq[1]
+    out += sq[2]
+    out += sq[3]
+    out *= brackets[0]
+    gpar = _abs2(gpar)
+    gpar *= brackets[1]
+    out += gpar
+    return out
 
 
 def sigma_norm_sq(f: np.ndarray, tables: CollisionTables,

@@ -68,6 +68,19 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert key in err
 
+    @pytest.mark.parametrize("dt", ["0.3", "0.5", "0.15"])
+    def test_t_end_not_a_whole_number_of_steps(self, tmp_path, capsys, dt):
+        # 0.2 / 0.3 used to round to one step and report past t_end, 0.2 / 0.5
+        # to zero steps; both exited 0
+        out = tmp_path / "run"
+        rc = run_cli("simulate", "--out", str(out), "--set", "n_v=8", "--set", "n_x=8",
+                     "--set", "t_end=0.2", "--set", f"dt={dt}")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "t_end" in err and "whole number of steps" in err
+        assert not (out / "manifest.cfg").exists()
+
     def test_invalid_physics_rejected(self, capsys):
         rc = run_cli("simulate", "--set", "s_exp=2.0", "--out", "/tmp/x")
         assert rc == 2

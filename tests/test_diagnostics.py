@@ -156,6 +156,24 @@ def reference_densities(ctx, f, alpha, beta):
     return reduce(dab ** 2), (1.0 + vg.vsq()) * reduce(mab ** 2), reduce(sigma)
 
 
+def reference_powers(ctx, f):
+    """The per-mode powers of f on the full spectrum of a complex ``fftn``.
+
+    The route the half-spectrum powers replace: every mode transformed, L f
+    applied matrix-free and transformed too.
+    """
+    sg, proj, vol = ctx.sgrid, ctx.projector, ctx.vgrid.cell_volume
+    spec = sg.forward(f, ctx.x_axes)
+    lf = sg.forward(landau.apply_L(ctx.tables, f), ctx.x_axes)
+    coef = proj.coefficients(spec)
+    axes = (0, -3, -2, -1)
+    return {"f": vol * np.sum(np.abs(spec) ** 2, axis=axes),
+            "lf": vol * np.sum((np.conj(spec) * lf).real, axis=axes),
+            "charge": np.abs(coef[0] - coef[1]) ** 2,
+            "macro": np.sum(np.abs(coef) ** 2, axis=0),
+            "pf": np.einsum("ij,i...,j...->...", proj.gram, coef.conj(), coef).real}
+
+
 class TestSpectralSnapshot:
     @pytest.mark.parametrize("axes,n_x", [((0,), 16), ((0, 2), 6), ((0,), 7),
                                           ((0, 1, 2), 4)])
@@ -171,6 +189,9 @@ class TestSpectralSnapshot:
         rng = np.random.default_rng(sum(axes) + n_x)
         f = rng.standard_normal((2,) + sg.shape + vg.shape) * vg.mu_half()
         snap = snapshot(ctx, PhaseState(f, maxwell.EMField.zero(sg), 0.0))
+        for name, ref in reference_powers(ctx, f).items():
+            err = np.abs(snap.power[name] - ref).max() / np.abs(ref).max()
+            assert err <= 1e-13, (name, err)
         assert len(snap.pairs) == len(set(snap.pairs)) > 0
         for i, (alpha, beta) in enumerate(snap.pairs):
             ref = reference_densities(ctx, f, alpha, beta)
@@ -387,7 +408,9 @@ class TestRieszChecks:
 
 @pytest.mark.parametrize("method", ["direct", "cg"])
 def test_stepper_L_matches_matrix_free_diagnostics(ctx8, method):
-    # a context carrying the run's collision stepper takes L f from it
+    # a context carrying the run's collision stepper takes the collision
+    # power (the block quadratic form in direct mode) and L of the B weights
+    # from it
     cfg, ctx = ctx8
     stepper = evolve.CollisionStepper(ctx.tables, cfg.dt, method=method,
                                       direct_max_nv=8)
@@ -435,8 +458,13 @@ def reference_macro_snapshot(ctx, st):
 
 
 @pytest.mark.parametrize("mode", ["linearized", "nonlinear"])
-@pytest.mark.parametrize("axes,n_x", [((0,), 16), ((0, 2), 6)])
+@pytest.mark.parametrize("axes,n_x", [((0,), 16), ((0, 2), 6), ((0,), 7),
+                                      ((0, 1, 2), 4)])
 def test_macro_snapshot_matches_physical_space_reference(axes, n_x, mode):
+    # on the half spectrum the transport term of the B-moment source must
+    # drop each axis's Nyquist mode, which the full spectrum's real part
+    # dropped by itself: n_x = 7 has none, n_x = 4 on three axes has three
+    # Nyquist planes
     cfg = RunConfig(n_x=n_x, n_v=8, active_axes=axes, mode=mode)
     sg, vg = cfg.grids()
     tab = landau.build_collision_tables(vg, cfg.gamma)
@@ -460,7 +488,9 @@ def test_macro_snapshot_matches_physical_space_reference(axes, n_x, mode):
 
 def test_one_L_application_per_recorded_state(monkeypatch):
     # monitor rows at steps 0..4 and reports at 0, 2, 4: five recorded
-    # states, so five L f (eleven when each consumer applied its own)
+    # states, so five matrix-free L f (eleven when each consumer applied its
+    # own), plus one L of the pair [w_B, w_B] of the three B-moment weights
+    # for the whole run
     calls = []
     apply_L = landau.apply_L
 
@@ -473,7 +503,38 @@ def test_one_L_application_per_recorded_state(monkeypatch):
                     monitor_every=1, report_every=2)
     res = evolve.run(cfg)
     assert len(res.monitor.t) == 5 and len(res.reports) == 3
-    assert len(calls) == 5
+    state = (2, 8, 8, 8, 8)
+    assert calls.count(state) == 5
+    assert calls.count((2, 3, 8, 8, 8)) == 1
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("method,forward_half", [("direct", 1), ("cg", 2)])
+@pytest.mark.parametrize("report", [False, True])
+def test_transforms_per_snapshot(ctx8, monkeypatch, method, forward_half, report):
+    # one rfft of f; a matrix-free snapshot transforms L f too, a direct one
+    # reads its collision power off the blocks.  No complex fftn of a
+    # phase-space array (the report's charge density is an x field)
+    cfg, ctx = ctx8
+    stepper = evolve.CollisionStepper(ctx.tables, cfg.dt, method=method,
+                                      direct_max_nv=8)
+    ctx_s = diag.DiagContext(ctx.sgrid, ctx.vgrid, ctx.tables, ctx.projector, cfg,
+                             collision=stepper)
+    st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
+    ctx_s.moment_weights      # L of the B weights: once per context
+    calls = []
+    grid_cls = type(ctx.sgrid)
+    for name in ("forward", "forward_half", "inverse", "inverse_half"):
+        original = getattr(grid_cls, name)
+
+        def counted(self, arr, *args, _name=name, _original=original, **kw):
+            if arr.ndim > ctx.sgrid.n_active + 1:
+                calls.append(_name)
+            return _original(self, arr, *args, **kw)
+
+        monkeypatch.setattr(grid_cls, name, counted)
+    diag.SpectralSnapshot(ctx_s, st, report=report)
+    assert calls == ["forward_half"] * forward_half
 
 
 def test_report_step_monitor_row_is_the_beta_zero_row():

@@ -255,6 +255,20 @@ class TestStep:
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("x_shape", [(), (4, 3)], ids=["1d", "two_axes"])
+    def test_quadratic_form_matches_matrix_free(self, setup8, x_shape):
+        # Re sum conj(f) L f per point from the blocks, on complex rows
+        cfg, sg, vg, tab = setup8
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct", direct_max_nv=8)
+        rng = np.random.default_rng(10)
+        f = rng.standard_normal((2, 2) + x_shape + vg.shape)
+        spec = f[0] + 1j * f[1]
+        ref = sum(np.sum(part * landau.apply_L(tab, part), axis=(0, -3, -2, -1))
+                  for part in f)
+        out = stepper.quadratic_form(spec)
+        assert out.shape == x_shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
     @pytest.mark.parametrize("dt", [0.05, 1.0])
     def test_direct_propagator_spectra(self, setup8, dt):
         # P = (I + dt B)^-1 (I - dt B) with B = A + K (sum) and B = A

@@ -67,12 +67,14 @@ class TestFieldRhs:
             maxwell.field_rhs(grid, em, np.zeros((3, 7), dtype=complex))
 
     def test_vacuum_dispersion_frequency(self):
-        # uncoupled Maxwell: a k0-mode oscillates at |omega| = |xi| exactly
+        # uncoupled Maxwell: a k0-mode oscillates at |omega| = |xi| exactly;
+        # 1571 steps of 0.02 cover one period 2 pi / 0.2 = 31.416
         cfg = RunConfig(preset="vacuum-maxwell", couple_fields=False, n_x=16,
                         box_length=2.0 * math.pi * 10.0, n_v=8,
                         collision_solver="direct", direct_max_nv=8, dt=0.02,
-                        t_end=2.0 * math.pi / 0.2, report_every=10 ** 9,
+                        t_end=1571 * 0.02, report_every=10 ** 9,
                         monitor_every=0)
+        cfg.validate()
         sg, vg = cfg.grids()
         tab = landau.build_collision_tables(vg, cfg.gamma)
         stepper = Stepper(cfg, sg, vg, tab)
