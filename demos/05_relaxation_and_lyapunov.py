@@ -40,6 +40,6 @@ r1 = diag.interpolation_monitor(
     np.array([r.t for r in res2.reports]),
     np.array([r.e_k[1] for r in res2.reports]),
     np.array([r.d_k[1] for r in res2.reports]),
-    np.array([r.cap_k[1] for r in res2.reports]), k=1, s_exp=cfg2.s_exp)
+    np.array([r.cap[1] for r in res2.reports]), k=1, s_exp=cfg2.s_exp)
 print(f"interpolation ratio r(t) = E^1/[(D^1)^th cap^(1-th)]: "
       f"max {np.nanmax(r1):.3f} (order one)")

@@ -17,27 +17,27 @@ equivalences are fixed to one.  Conventions:
   that of its partner, or its conjugate, and the snapshot works only on
   the half spectrum, the modes whose last active index is <= n_x / 2.
   Its per-mode powers (f, the collision power Re conj(f_hat) (L f)^, the
-  charge, the macro coefficients, P f) are expanded to the full spectrum,
-  each mode taking its representative's value, so the multipliers stay
-  full-spectrum arrays.  In direct mode the collision power is a quadratic
+  charge, the macro coefficients, P f) are expanded to the full spectrum
+  by ``SpatialGrid.full_spectrum``, so the multipliers stay full-spectrum
+  arrays.  In direct mode the collision power is a quadratic
   form on the stepper's symmetry blocks, with no L f formed
   (``evolve.CollisionStepper.quadratic_form``); otherwise it is the one
   matrix-free L f of the state.  The velocity densities come from a
   derivative tree over blocks of half-spectrum modes: every d_beta field
   is formed once per block, one stencil pass from its parent, and feeds
   the sigma bracket of its parent (``landau.sigma_density``, the one sigma
-  split); the multipliers carry the orbit weight, 2 on interior modes and
-  1 at last index 0 and n_x / 2.  The constants every snapshot shares
-  (multipliers, pair rows, moment weights, the half-to-full index) are
-  built once per ``DiagContext``.
+  split); the multipliers carry ``SpatialGrid.orbit_weight``, 2 on
+  interior modes and 1 at last index 0 and n_x / 2.  The constants every
+  snapshot shares (alpha multipliers, pair rows, moment weights) are built
+  once per ``DiagContext``; the x multipliers once per ``SpatialGrid``.
   The monitor row, the report and the macro snapshot all read that
   snapshot; each functional is a multiplier or weight dot product.  P and
   the moment functions are local in x, so the macro coefficients, the
   micro part and the moments behind the fluid residuals come from the half
   spectrum too, and the macro snapshot inverts them with ``inverse_half``.
   The report's B-moment of (L f)_+ + (L f)_- is <2 (A + K) w_B, f_+ + f_->
-  by the symmetry of L, with L applied to the three B weights once per
-  context.
+  by the symmetry of L, with the matrix-free L applied to the three B
+  weights once per context.
 * the mixed-derivative terms ||w d^alpha_beta f||^2 measure the real field
   Re d^alpha f.  At a mode whose orders alpha_i, summed over the axes that
   sit at the Nyquist index, are odd, (i xi)^alpha f_hat has no Hermitian
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -102,14 +102,14 @@ class DiagContext:
     (n_max, n0, k_max, beta_max, the weight orders, s, theta, eps0, mode)
     the functionals read.  ``collision`` is the run's ``CollisionStepper``:
     with a direct one, a snapshot's collision power is its block quadratic
-    form (``quadratic_form``) and L of the B weights its ``apply_L``; in CG
-    mode or without one, both come from the matrix-free ``landau.apply_L``.
+    form (``quadratic_form``); in CG mode or without one, it comes from the
+    matrix-free ``landau.apply_L``.
 
     The run constants every snapshot reads are built on first use and kept:
     the alpha multipliers, the (alpha, beta) plans of the derivative tree,
-    the moment weights and L of the B weights, the half-to-full mode index,
-    the transport multipliers and the squared sigma brackets.  They follow
-    the fields above, which must not change afterwards.
+    the moment weights and L of the B weights, the transport multipliers
+    and the squared sigma brackets.  They follow the fields above, which
+    must not change afterwards.
     """
 
     sgrid: SpatialGrid
@@ -134,27 +134,9 @@ class DiagContext:
                 yield tuple(alpha)
 
     @cached_property
-    def half_index(self) -> np.ndarray:
-        """Flat half-spectrum index of each full-spectrum mode, shape ``sgrid.shape``.
-
-        A mode whose last active index is <= n_x // 2 is its own
-        representative; any other is represented by its partner -xi.
-        """
-        sg = self.sgrid
-        idx = np.indices(sg.shape)
-        rep = np.where(idx[-1] <= sg.n_x // 2, idx, -idx % sg.n_x)
-        return np.ravel_multi_index(tuple(rep), sg.half_shape)
-
-    @cached_property
     def transport_multipliers(self) -> list:
         """i xi_i on the half spectrum per active axis, zero on the axis's Nyquist mode."""
-        sg, half = self.sgrid, self.sgrid.n_x // 2 + 1
-        nyq = 2 * sg.mode_numbers() == -sg.n_x
-        out = []
-        for i, xi in enumerate(sg.xi_mesh()):
-            keep = ~nyq.reshape(xi.shape)
-            out.append((1j * np.where(keep, xi, 0.0))[..., :half])
-        return out
+        return [1j * np.where(nyq, 0.0, xi) for xi, nyq in self.sgrid.half_mesh]
 
     @cached_property
     def moment_weights(self) -> dict:
@@ -169,13 +151,11 @@ class DiagContext:
         mu_half, vsq = vgrid.mu_half(), vgrid.vsq()
         v = [c + 0 * vsq for c in vgrid.axes()]
         b = np.stack([0.1 * (vsq - 5.0) * vj * mu_half for vj in v])
-        apply_L = (self.collision.apply_L if self.collision is not None
-                   else lambda f: landau.apply_L(self.tables, f))
         return {"A": np.stack([(v[m] * v[j] - 1.0) * mu_half
                                for m in range(3) for j in range(3)]),
                 "B": b, "G": vgrid.v_mu_half,
                 "Bv": np.concatenate([b * v[axis] for axis in self.sgrid.active_axes]),
-                "LB": apply_L(np.stack([b, b]))[0]}
+                "LB": landau.apply_L(self.tables, np.stack([b, b]))[0]}
 
     @cached_property
     def sigma_brackets(self) -> tuple:
@@ -201,24 +181,18 @@ def _alpha_multipliers(sgrid: SpatialGrid, alphas: list) -> np.ndarray:
 
     The modes are those whose last active index is <= n_x // 2, in C order.
     Each row is xi^(2 alpha), zeroed where the orders on the Nyquist axes
-    sum to an odd number (see the module docstring), times the Hermitian
-    orbit weight: 2 on interior modes, whose partner -xi lies outside the
-    half, and 1 at last index 0 and, for even n_x, n_x / 2.
+    sum to an odd number (see the module docstring), times the grid's
+    ``orbit_weight``.
     """
-    half = sgrid.n_x // 2 + 1
     shape = sgrid.half_shape
-    mesh = sgrid.xi_mesh()
-    nyq = 2 * sgrid.mode_numbers() == -sgrid.n_x
-    last = np.arange(half)
-    orbit = np.where((last == 0) | (2 * last == sgrid.n_x), 1.0, 2.0)
     out = np.empty((len(alphas), math.prod(shape)))
     for row, alpha in enumerate(alphas):
-        mult = np.broadcast_to(orbit, shape)
+        mult = np.broadcast_to(sgrid.orbit_weight, shape)
         odd = np.zeros(shape, dtype=bool)
-        for xi, a in zip(mesh, alpha):
-            mult = mult * xi[..., :half] ** (2 * a)
+        for (xi, nyq), a in zip(sgrid.half_mesh, alpha):
+            mult = mult * xi ** (2 * a)
             if a % 2:
-                odd = odd ^ nyq.reshape(xi.shape)[..., :half]
+                odd = odd ^ nyq
         out[row] = np.where(odd, 0.0, mult).ravel()
     return out
 
@@ -294,8 +268,8 @@ class SpectralSnapshot:
     macro coefficients ("macro"), P f in the Gram form of its coefficients
     ("pf") and the collision power vol Re sum conj(f_hat) (L f)^ ("lf"):
     this is the one place the diagnostics apply L to a state.  All but
-    "e" and "b" are formed on the half spectrum and expanded through
-    ``DiagContext.half_index``.
+    "e" and "b" are formed on the half spectrum and expanded by
+    ``SpatialGrid.full_spectrum``.
 
     ``report`` selects what a report reads: velocity derivatives up to
     ``beta_max`` and ``moments``, the half spectra of the (rows, *x) fields
@@ -314,8 +288,7 @@ class SpectralSnapshot:
     the one density ``monitor_row`` reads.
 
     The densities come from a derivative tree walked over blocks of the half
-    spectrum, with the Hermitian orbit weight (2 on interior modes, 1 at
-    last index 0 and, for even n_x, n_x / 2) folded into the alpha
+    spectrum, with the grid's ``orbit_weight`` folded into the alpha
     multipliers, so each density is still the full-spectrum sum.  A block
     holds ``BLOCK_BYTES`` per complex field, so its fields stay in cache.
     Within a block each d_beta f_hat (|beta| up to the depth above) and
@@ -352,7 +325,7 @@ class SpectralSnapshot:
                     "macro": np.sum(abs2(coef), axis=0),
                     "pf": np.einsum("ij,i...,j...->...", proj.gram,
                                     coef.conj(), coef).real}
-        self.power = {name: np.take(p, ctx.half_index) for name, p in per_mode.items()}
+        self.power = {name: sgrid.full_spectrum(p) for name, p in per_mode.items()}
         self.power["e"] = np.sum(abs2(state.em.e_spec), axis=0)
         self.power["b"] = np.sum(abs2(state.em.b_spec), axis=0)
         if report:
@@ -485,7 +458,11 @@ def dissipation_weighted(ctx: DiagContext, snap: SpectralSnapshot, terms: dict,
 
 @dataclass
 class FunctionalReport:
-    """Time-stamped values of the full functional family (one CSV row)."""
+    """Time-stamped values of the full functional family (one CSV row).
+
+    The fields are the CSV columns in order: a float field is one column, an
+    array field the columns ``<name>_0 .. <name>_<k_max>``, NaN while None.
+    """
 
     t: float
     norm_f_sq: float
@@ -494,14 +471,14 @@ class FunctionalReport:
     e_k: np.ndarray
     d_n: float
     d_k: np.ndarray
-    d_proxy_k: np.ndarray
+    d_proxy: np.ndarray
     e_w: float
     d_w: float
     ebar_top: float
     dbar_top: float
     e_k_w: np.ndarray
     d_k_w: np.ndarray
-    cap_k: np.ndarray
+    cap: np.ndarray
     hneg_f: float
     hneg_e: float
     hneg_b: float
@@ -516,37 +493,17 @@ class FunctionalReport:
 
     @staticmethod
     def header(k_max: int) -> list:
-        cols = ["t", "norm_f_sq", "field_energy", "e_n"]
-        cols += [f"e_k_{k}" for k in range(k_max + 1)]
-        cols += ["d_n"]
-        cols += [f"d_k_{k}" for k in range(k_max + 1)]
-        cols += [f"d_proxy_{k}" for k in range(k_max + 1)]
-        cols += ["e_w", "d_w", "ebar_top", "dbar_top"]
-        cols += [f"e_k_w_{k}" for k in range(k_max + 1)]
-        cols += [f"d_k_w_{k}" for k in range(k_max + 1)]
-        cols += [f"cap_{k}" for k in range(k_max + 1)]
-        cols += ["hneg_f", "hneg_e", "hneg_b", "zmode_f", "zmode_e", "zmode_b",
-                 "gauss_residual", "div_b", "x_instant", "x_t"]
-        cols += [f"lyap_delta_{k}" for k in range(k_max + 1)]
+        cols = []
+        for item in fields(FunctionalReport):
+            is_array = item.type == "np.ndarray"
+            cols += [f"{item.name}_{k}" for k in range(k_max + 1)] if is_array else [item.name]
         return cols
 
     def row(self, k_max: int) -> list:
-        lyap = self.lyap_delta
-        if lyap is None:
-            lyap = [math.nan] * (k_max + 1)
-        vals = [self.t, self.norm_f_sq, self.field_energy, self.e_n]
-        vals += list(self.e_k)
-        vals += [self.d_n]
-        vals += list(self.d_k)
-        vals += list(self.d_proxy_k)
-        vals += [self.e_w, self.d_w, self.ebar_top, self.dbar_top]
-        vals += list(self.e_k_w)
-        vals += list(self.d_k_w)
-        vals += list(self.cap_k)
-        vals += [self.hneg_f, self.hneg_e, self.hneg_b, self.zmode_f,
-                 self.zmode_e, self.zmode_b, self.gauss_residual, self.div_b,
-                 self.x_instant, self.x_t]
-        vals += list(lyap)
+        vals = []
+        for item in fields(self):
+            value = getattr(self, item.name)
+            vals += [math.nan] * (k_max + 1) if value is None else list(np.atleast_1d(value))
         return vals
 
 
@@ -597,7 +554,7 @@ def build_report(ctx: DiagContext, snap: SpectralSnapshot) -> FunctionalReport:
     decay = (1.0 + t) ** (-1.0 - cfg.theta)
     e_k_w = np.empty(cfg.k_max + 1)
     d_k_w = np.empty(cfg.k_max + 1)
-    cap_k = np.empty(cfg.k_max + 1)
+    cap = np.empty(cfg.k_max + 1)
     for k in range(cfg.k_max + 1):
         e_k_w[k] = snap.band(low["f"], k, n0) + snap.norm2(band(k, n0), "e", "b")
         d_k_w[k] = dissipation_k(ctx, snap, k, n0, snap.band(low["sigma"], k, n0)
@@ -606,8 +563,8 @@ def build_report(ctx: DiagContext, snap: SpectralSnapshot) -> FunctionalReport:
         # fractional-order unweighted energy at N0 + k + s
         half = snap.weighted(ctx, 0.5 * (k + s), t)
         m_frac = band(0, n0 + k, frac_top=n0 + k + s)
-        cap_k[k] = max(snap.band(half["f"], 0, n0) + em_n0 + neg2,
-                       snap.norm2(m_frac, "f", "e", "b"))
+        cap[k] = max(snap.band(half["f"], 0, n0) + em_n0 + neg2,
+                     snap.norm2(m_frac, "f", "e", "b"))
 
     zero_idx = (0,) * sgrid.n_active
     zmode_f, zmode_e, zmode_b = (math.sqrt(snap.power[name][zero_idx])
@@ -616,8 +573,8 @@ def build_report(ctx: DiagContext, snap: SpectralSnapshot) -> FunctionalReport:
 
     return FunctionalReport(
         t=t, norm_f_sq=snap.norm2(1.0, "f"), field_energy=maxwell.field_energy(em),
-        e_n=e_n, e_k=e_k, d_n=d_n, d_k=d_k, d_proxy_k=d_proxy, e_w=e_w, d_w=d_w,
-        ebar_top=ebar_top, dbar_top=dbar_top, e_k_w=e_k_w, d_k_w=d_k_w, cap_k=cap_k,
+        e_n=e_n, e_k=e_k, d_n=d_n, d_k=d_k, d_proxy=d_proxy, e_w=e_w, d_w=d_w,
+        ebar_top=ebar_top, dbar_top=dbar_top, e_k_w=e_k_w, d_k_w=d_k_w, cap=cap,
         hneg_f=hneg_f, hneg_e=hneg_e, hneg_b=hneg_b, zmode_f=zmode_f,
         zmode_e=zmode_e, zmode_b=zmode_b,
         gauss_residual=maxwell.gauss_residual(sgrid, em, rho_spec),

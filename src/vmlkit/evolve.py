@@ -30,10 +30,11 @@ in x, so in between:
   Nyquist mode;
 - the field/force stage forms the source E . v mu^(1/2) q1 from the
   Hermitian half of the E spectrum and the current as a v-moment of the
-  f spectrum; both are linear, so the midpoint's current is assembled
-  from currents already at hand and its f is formed only in nonlinear
-  mode, where the force and Gamma need physical f (one inverse
-  transform in, one forward back);
+  f spectrum, expanded to E's full spectrum without a transform
+  (``SpatialGrid.hermitian_half`` and ``full_spectrum``); both are
+  linear, so the midpoint's current is assembled from currents already at
+  hand and its f is formed only in nonlinear mode, where the force and
+  Gamma need physical f (one inverse transform in, one forward back);
 - the direct collision propagator acts on the real and imaginary rows of
   the spectrum, one GEMM per symmetry block; the matrix-free CG runs on
   physical f, again one transform each way.
@@ -55,9 +56,7 @@ permutations of v (``landau.PermutationBlocks``), 1.4 MB per operator at
 n_v = 10 and 22.6 MB at n_v = 16, never an n_v^3 x n_v^3 array.  ``run``
 hands the collision stepper to the diagnostics: with the direct solver a
 recorded state's collision power is a quadratic form on those blocks
-(``CollisionStepper.quadratic_form``), and the report's B-moment of L f
-reads L of the B weights, applied once per run, instead of the padded-FFT
-convolutions of K.
+(``CollisionStepper.quadratic_form``), with no L f formed.
 
 The species sum s = f_+ + f_- and difference d = f_+ - f_- diagonalize L
 (L s = 2(A+K)s, L d = 2A d), so the collision solve runs on two decoupled
@@ -208,7 +207,8 @@ class RunConfig:
             raise ValueError(f"n_modes must be at least 1, got {self.n_modes}")
         if self.cg_tol <= 0:
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
-        for key in ("monitor_every", "checkpoint_every", "n_max", "k_max", "beta_max"):
+        for key in ("seed", "monitor_every", "checkpoint_every", "n_max", "k_max",
+                    "beta_max"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative, got {getattr(self, key)}")
         self.weight_params().validate_for_s(self.s_exp)
@@ -376,16 +376,14 @@ class CollisionStepper:
     symmetric positive semidefinite, and a failed factorization raises
     ValueError.  The blocked P_s, P_d, A + K and A are kept, 8 (n_t^2 +
     n_s^2 + n_std^2) bytes each (1.4 MB at n_v = 10, 22.6 MB at n_v = 16);
-    no n_v^3 x n_v^3 array is held.  ``advance`` and ``apply_L`` change
-    basis, run one GEMM per block and change back.  ``quadratic_form``
-    gives a recorded state's collision power Re conj(f_hat) (L f)^ per
-    mode from the blocks without forming L f: one forward basis change, one
-    GEMM per block and the row dot products.  ``apply_L`` serves the one L
-    the diagnostics still apply, to the report's three B-moment weights.
+    no n_v^3 x n_v^3 array is held.  ``advance`` changes basis, runs one
+    GEMM per block and changes back.  ``quadratic_form`` gives a recorded
+    state's collision power Re conj(f_hat) (L f)^ per mode from the blocks
+    without forming L f: one forward basis change, one GEMM per block and
+    the row dot products.
 
-    ``method="cg"`` solves the same trapezoid systems matrix-free, and its
-    ``apply_L`` is the matrix-free ``landau.apply_L``; it has no
-    ``quadratic_form``, so the diagnostics transform a matrix-free L f.
+    ``method="cg"`` solves the same trapezoid systems matrix-free; it has
+    no ``quadratic_form``, so the diagnostics transform a matrix-free L f.
     One flexible preconditioned CG (``_pcg``) serves three solves: the
     difference system I + dt A with a diagonal preconditioner; the sum
     system I + dt (A + K), preconditioned by a loose solve of I + dt A after
@@ -461,18 +459,6 @@ class CollisionStepper:
         basis = self._basis
         y = basis.forward(x.reshape(-1, basis.size))
         return basis.inverse([c @ b for c, b in zip(y, blocks)]).reshape(x.shape)
-
-    def apply_L(self, f: np.ndarray) -> np.ndarray:
-        """L f on a species pair (2, ..., n, n, n), as ``landau.apply_L``.
-
-        Direct mode: L f = [(A+K) s + A d, (A+K) s - A d] with s = f_+ + f_-
-        and d = f_+ - f_-, each from its blocks over all leading points.
-        """
-        if self._a is None:
-            return landau.apply_L(self.tables, f)
-        bs = self._blocked(self._a_plus_k, f[0] + f[1])
-        ad = self._blocked(self._a, f[0] - f[1])
-        return np.stack([bs + ad, bs - ad])
 
     def quadratic_form(self, spec: np.ndarray) -> np.ndarray:
         """Re sum conj(f) . L f over species and v at each leading point of a pair.
@@ -641,8 +627,9 @@ class Stepper:
     ``step`` takes and returns a physical ``PhaseState``.  In between, f is
     kept on the Hermitian half spectrum of its x axes
     (``SpatialGrid.forward_half``): one forward transform at the start of
-    the step and one inverse at the end.  ``transport_half``,
-    ``field_force_half`` and the collision substep act on that spectrum.
+    the step and one inverse at the end, the only transforms of a
+    linearized direct step.  ``transport_half``, ``field_force_half`` and
+    the collision substep act on that spectrum.
     """
 
     def __init__(self, config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid,
@@ -668,13 +655,9 @@ class Stepper:
         sg = self.sgrid
         v = self.vgrid.axes()
         phase = np.ones(sg.half_shape + self.vgrid.shape, dtype=complex)
-        for i, axis in enumerate(sg.active_axes):
-            n_modes = sg.half_shape[i]
-            sh = [1] * sg.n_active + [1, 1, 1]
-            sh[i] = n_modes
-            arg = tau * sg.xi_1d()[:n_modes].reshape(sh) * v[axis]
-            nyq = (2 * sg.mode_numbers()[:n_modes] == -sg.n_x).reshape(sh)
-            phase *= np.where(nyq, np.cos(arg), np.exp(-1j * arg))
+        for (xi, nyq), axis in zip(sg.half_mesh, sg.active_axes):
+            arg = tau * xi[..., None, None, None] * v[axis]
+            phase *= np.where(nyq[..., None, None, None], np.cos(arg), np.exp(-1j * arg))
         return phase
 
     def transport_half(self, spec: np.ndarray) -> np.ndarray:
@@ -687,8 +670,7 @@ class Stepper:
 
     def _current(self, spec: np.ndarray) -> np.ndarray:
         """The current's spectrum, shaped as E, from a half spectrum of f."""
-        j_half = maxwell.current_density(self.vgrid, spec)
-        return self.sgrid.forward(self.sgrid.inverse_half(j_half))
+        return self.sgrid.full_spectrum(maxwell.current_density(self.vgrid, spec))
 
     def _force(self, spec, e_spec, b_spec) -> np.ndarray:
         """The nonlinear force and Gamma(f, f) on the half spectrum.
@@ -723,8 +705,8 @@ class Stepper:
         if not coupled:
             de, db = maxwell.field_rhs(sg, maxwell.EMField(e_m, b_m), j)
             return spec, e_spec + tau * de, b_spec + tau * db
-        j += 0.5 * tau * sg.forward(maxwell.source_current(self.vgrid,
-                                                           sg.inverse(e_spec).real))
+        j += 0.5 * tau * sg.full_spectrum(
+            maxwell.source_current(self.vgrid, sg.hermitian_half(e_spec)))
         force = None
         if self.config.mode == NONLINEAR:
             force = self._force(spec, e_spec, b_spec)

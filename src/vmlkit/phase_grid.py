@@ -17,7 +17,9 @@ the L^2(dx) Plancherel identity holds without extra factors:
 A real array also has a half-spectrum transform pair with the same scale
 (``forward_half``/``inverse_half``, scipy's rfftn/irfftn): only the modes
 whose last active index is <= n_x // 2 are kept, the others being the
-complex conjugates of their partners -xi.  The Strang step runs on it.
+complex conjugates of their partners -xi.  The Strang step and the
+diagnostics run on it, and read its layout from ``SpatialGrid`` alone: the
+orbit weights, the Nyquist masks and the half/full expansions.
 
 Fractional powers |xi|^s act as Fourier multipliers; the xi = 0 mode is
 zeroed for negative exponents (torus surrogate of the homogeneous
@@ -28,13 +30,30 @@ the diagnostics layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Sequence
 
 import numpy as np
 from scipy import fft as sfft
 
 TWO_PI = 2.0 * np.pi
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+def _memoized(method):
+    """Keep a grid method's table per instance and arguments, read-only."""
+    @wraps(method)
+    def table(self, *args, **kwargs):
+        memo = self.__dict__.setdefault("_tables", {})
+        key = (method.__name__, args, tuple(sorted(kwargs.items())))
+        if key not in memo:
+            memo[key] = _read_only(method(self, *args, **kwargs))
+        return memo[key]
+    return table
 
 
 @dataclass(frozen=True)
@@ -140,9 +159,7 @@ class VelocityGrid:
         Built once per grid and shared, so the array is read-only.
         """
         mu_half = self.mu_half()
-        rows = np.stack([(v + 0 * mu_half) * mu_half for v in self.axes()])
-        rows.flags.writeable = False
-        return rows
+        return _read_only(np.stack([(v + 0 * mu_half) * mu_half for v in self.axes()]))
 
     def mu_half_1d(self) -> np.ndarray:
         t = self.nodes_1d
@@ -247,15 +264,14 @@ class SpatialGrid:
     def cell_measure(self) -> float:
         return self.dx ** self.n_active
 
+    def _per_axis(self, line: np.ndarray) -> list:
+        """An (n_x,) array shaped to broadcast along each active axis in turn."""
+        return [line.reshape([self.n_x if j == i else 1 for j in range(self.n_active)])
+                for i in range(self.n_active)]
+
     def coords(self):
         """Broadcastable physical coordinates along each active axis."""
-        x = self.dx * np.arange(self.n_x)
-        out = []
-        for i in range(self.n_active):
-            sh = [1] * self.n_active
-            sh[i] = self.n_x
-            out.append(x.reshape(sh))
-        return out
+        return self._per_axis(self.dx * np.arange(self.n_x))
 
     def mode_numbers(self) -> np.ndarray:
         """Integer mode indices along one active axis (fft order)."""
@@ -266,13 +282,7 @@ class SpatialGrid:
 
     def xi_mesh(self):
         """Broadcastable xi arrays, one per active axis."""
-        xi = self.xi_1d()
-        out = []
-        for i in range(self.n_active):
-            sh = [1] * self.n_active
-            sh[i] = self.n_x
-            out.append(xi.reshape(sh))
-        return out
+        return self._per_axis(self.xi_1d())
 
     def xi_norm(self) -> np.ndarray:
         mesh = self.xi_mesh()
@@ -311,6 +321,27 @@ class SpatialGrid:
         """Shape of the Hermitian half spectrum: the last active axis halved."""
         return self.shape[:-1] + (self.n_x // 2 + 1,)
 
+    @cached_property
+    def half_mesh(self) -> tuple:
+        """(xi, Nyquist mask) per active axis, each broadcasting over ``half_shape``.
+
+        The mask marks the axis's Nyquist mode, which has no partner -xi
+        along it; for odd n_x it is all False.
+        """
+        half, nyq = self.n_x // 2 + 1, 2 * self.mode_numbers() == -self.n_x
+        return tuple((_read_only(xi[..., :half]),
+                      _read_only(nyq.reshape(xi.shape)[..., :half])) for xi in self.xi_mesh())
+
+    @cached_property
+    def orbit_weight(self) -> np.ndarray:
+        """Modes a half-spectrum entry stands for, by its last active index.
+
+        2 on interior modes, whose partner -xi lies outside the half; 1 on
+        the self-conjugate planes, last index 0 and, for even n_x, n_x / 2.
+        """
+        last = np.arange(self.n_x // 2 + 1)
+        return _read_only(np.where((last == 0) | (2 * last == self.n_x), 1.0, 2.0))
+
     def forward_half(self, arr: np.ndarray, x_axes=None) -> np.ndarray:
         """``forward`` of a real array, kept on the half spectrum ``half_shape``.
 
@@ -342,10 +373,23 @@ class SpatialGrid:
         Equal to ``forward_half(inverse(spec).real)``, without a transform.
         """
         axes = self._x_axes(spec, x_axes)
-        keep = [slice(None)] * spec.ndim
-        keep[axes[-1]] = slice(self.n_x // 2 + 1)
-        partner = np.roll(np.flip(spec, axes), 1, axes)[tuple(keep)]
-        return 0.5 * (spec[tuple(keep)] + partner.conj())
+        both = spec + np.roll(np.flip(spec, axes), 1, axes).conj()
+        return 0.5 * np.take(both, np.arange(self.n_x // 2 + 1), axis=axes[-1])
+
+    def full_spectrum(self, half: np.ndarray, x_axes=None) -> np.ndarray:
+        """The full spectrum of a half spectrum, the reverse of ``hermitian_half``.
+
+        Equal to ``forward(inverse_half(half))``, without a transform: each
+        mode enters at half its ``orbit_weight`` and its partner -xi takes
+        the conjugate, so the self-conjugate planes keep their Hermitian
+        part, as in ``inverse_half``.
+        """
+        axes = self._x_axes(half, x_axes)
+        pad = [(0, 0)] * half.ndim
+        pad[axes[-1]] = (0, self.n_x - half.shape[axes[-1]])
+        weight = self._mult_view(0.5 * self.orbit_weight, half.ndim, axes[-1:])
+        full = np.pad(half * weight, pad)
+        return full + np.roll(np.flip(full, axes), 1, axes).conj()
 
     def _mult_view(self, mult: np.ndarray, arr_ndim: int, axes: tuple) -> np.ndarray:
         """Reshape an x-shaped multiplier to broadcast against ``arr``."""
@@ -366,7 +410,8 @@ class SpatialGrid:
         out = self.apply_multiplier(self.forward(arr, axes), 1j * self.xi_component(axis), axes)
         return self.inverse(out, axes).real
 
-    # --- fractional multipliers -------------------------------------------------
+    # --- fractional multipliers (run constants: kept per grid, read-only) -------
+    @_memoized
     def lambda_multiplier(self, s_exp: float) -> np.ndarray:
         """|xi|^s table with the documented xi = 0 policy."""
         xin = self.xi_norm()
@@ -377,6 +422,7 @@ class SpatialGrid:
             mult[~nz] = 1.0  # identity passes the mean through
         return mult
 
+    @_memoized
     def band_multiplier(self, jmin: int, jmax: int,
                         frac_top: float | None = None) -> np.ndarray:
         """Multiplier sum_{j=jmin..jmax} |xi|^{2j} (+|xi|^{2*frac_top})."""
@@ -388,11 +434,7 @@ class SpatialGrid:
                 out = out + acc
             acc = acc * xin2
         if frac_top is not None and frac_top > jmax:
-            xin = self.xi_norm()
-            nz = xin > 0
-            top = np.zeros(self.shape)
-            top[nz] = xin[nz] ** (2.0 * frac_top)
-            out = out + top
+            out = out + self.lambda_multiplier(2.0 * frac_top)
         return out
 
     def lambda_s_apply(self, f: np.ndarray, s_exp: float) -> np.ndarray:

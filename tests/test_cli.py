@@ -55,9 +55,10 @@ class TestConfigHandling:
         (["beta_max=-1"], "beta_max"),
         (["collision_solver=cg", "cg_tol=0"], "cg_tol"),
         (["n_modes=0"], "n_modes"),
+        (["seed=-1"], "seed"),
     ], ids=["coarse_n_v", "n_x", "v_max", "direct_past_limit", "report_every",
             "box_length", "amplitude", "monitor_every", "checkpoint_every",
-            "beta_max", "cg_tol", "n_modes"])
+            "beta_max", "cg_tol", "n_modes", "seed"])
     def test_bad_grid_rejected(self, tmp_path, capsys, settings, key):
         argv = ["simulate", "--out", str(tmp_path)]
         for item in settings:
@@ -65,8 +66,9 @@ class TestConfigHandling:
         rc = run_cli(*argv)
         err = capsys.readouterr().err
         assert rc == 2
-        assert "Traceback" not in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert key in err
+        assert not (tmp_path / "manifest.cfg").exists()
 
     @pytest.mark.parametrize("dt", ["0.3", "0.5", "0.15"])
     def test_t_end_not_a_whole_number_of_steps(self, tmp_path, capsys, dt):

@@ -386,7 +386,7 @@ class TestInterpolationMonitor:
             t = np.array([r.t for r in reps])
             e1 = np.array([r.e_k[1] for r in reps])
             d1 = np.array([r.d_k[1] for r in reps])
-            cap1 = np.array([r.cap_k[1] for r in reps])
+            cap1 = np.array([r.cap[1] for r in reps])
             r = diag.interpolation_monitor(t, e1, d1, cap1, k=1, s_exp=0.5)
             vals[n_v] = float(np.nanmax(r))
         for v in vals.values():
@@ -409,8 +409,7 @@ class TestRieszChecks:
 @pytest.mark.parametrize("method", ["direct", "cg"])
 def test_stepper_L_matches_matrix_free_diagnostics(ctx8, method):
     # a context carrying the run's collision stepper takes the collision
-    # power (the block quadratic form in direct mode) and L of the B weights
-    # from it
+    # power (the block quadratic form in direct mode) from it
     cfg, ctx = ctx8
     stepper = evolve.CollisionStepper(ctx.tables, cfg.dt, method=method,
                                       direct_max_nv=8)
@@ -426,8 +425,8 @@ def test_stepper_L_matches_matrix_free_diagnostics(ctx8, method):
     for got, ref in zip(diag.monitor_row(ctx_s, lean_s), diag.monitor_row(ctx, lean)):
         assert close(got, ref)
     full_s, full = snapshot(ctx_s, st), snapshot(ctx, st)
-    assert close(diag.build_report(ctx_s, full_s).d_proxy_k,
-                 diag.build_report(ctx, full).d_proxy_k)
+    assert close(diag.build_report(ctx_s, full_s).d_proxy,
+                 diag.build_report(ctx, full).d_proxy)
     assert close(diag.macro_snapshot(ctx_s, full_s).b_source,
                  diag.macro_snapshot(ctx, full).b_source)
 
@@ -563,6 +562,17 @@ class TestReport:
         row = rep.row(cfg.k_max)
         assert len(cols) == len(row)
         assert all(isinstance(v, (int, float)) for v in row)
+
+    def test_header_pinned(self):
+        # the CSV schema, column by column: the header is generated from the
+        # report's fields, and diagnostics.csv must keep it byte for byte
+        assert diag.FunctionalReport.header(1) == [
+            "t", "norm_f_sq", "field_energy", "e_n", "e_k_0", "e_k_1", "d_n",
+            "d_k_0", "d_k_1", "d_proxy_0", "d_proxy_1", "e_w", "d_w", "ebar_top",
+            "dbar_top", "e_k_w_0", "e_k_w_1", "d_k_w_0", "d_k_w_1", "cap_0", "cap_1",
+            "hneg_f", "hneg_e", "hneg_b", "zmode_f", "zmode_e", "zmode_b",
+            "gauss_residual", "div_b", "x_instant", "x_t", "lyap_delta_0",
+            "lyap_delta_1"]
 
     def test_report_nonnegative_entries(self, ctx8):
         cfg, ctx = ctx8

@@ -175,6 +175,24 @@ class TestHalfSpectrumStep:
             assert np.abs(a - r).max() <= 1e-13 * np.abs(r - start).max()
         assert got.t == ref.t
 
+    def test_linearized_direct_step_transforms_f_once_each_way(self, setup8, monkeypatch):
+        # the currents and the midpoint's source current reach E's full
+        # spectrum through SpatialGrid.full_spectrum, with no transform
+        cfg, sg, vg, tab = setup8
+        stepper = Stepper(cfg, sg, vg, tab)
+        state = initial_state(cfg, sg, vg)
+        calls = []
+        for name in ("forward", "inverse", "forward_half", "inverse_half"):
+            original = getattr(type(sg), name)
+
+            def counted(self, *args, _name=name, _original=original, **kw):
+                calls.append(_name)
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(type(sg), name, counted)
+        stepper.step(state)
+        assert sorted(calls) == ["forward_half", "inverse_half"]
+
 
 class TestRhsFull:
     def test_null_space_state_reduces_to_transport(self, setup8):
@@ -242,18 +260,6 @@ class TestStep:
         st_d = Stepper(replace(cfg, collision_solver="direct"), sg, vg, tab).step(st)
         st_c = Stepper(replace(cfg, collision_solver="cg"), sg, vg, tab).step(st)
         assert np.abs(st_d.f - st_c.f).max() < 1e-10 * np.abs(st_d.f).max()
-
-    @pytest.mark.parametrize("x_shape", [(), (4, 3)], ids=["1d", "two_axes"])
-    @pytest.mark.parametrize("method", ["direct", "cg"])
-    def test_stepper_apply_L_matches_matrix_free(self, setup8, method, x_shape):
-        # direct mode serves L f from the kept blocks of A + K and of A
-        cfg, sg, vg, tab = setup8
-        stepper = evolve.CollisionStepper(tab, cfg.dt, method=method, direct_max_nv=8)
-        f = np.random.default_rng(9).standard_normal((2,) + x_shape + vg.shape)
-        ref = landau.apply_L(tab, f)
-        out = stepper.apply_L(f)
-        assert out.shape == ref.shape
-        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("x_shape", [(), (4, 3)], ids=["1d", "two_axes"])
     def test_quadratic_form_matches_matrix_free(self, setup8, x_shape):

@@ -101,12 +101,19 @@ def _uses(path, tree) -> list:
     return out
 
 
+# Methods and properties that only the tests and demos read: the monitor
+# series as arrays (tests and demos/05).
+TEST_METHOD_REFERENCES = {("MonitorSeries", "as_arrays")}
+
+
 def test_every_definition_is_used_by_the_package():
     # one implementation per concept: a top-level function or class that
     # nothing in the package calls is a twin only the tests pin, unless it
     # is one of the documented test references; the package's re-exports
-    # in __init__ are not uses
-    defs, uses = {}, []
+    # in __init__ are not uses.  Likewise a method or property of a package
+    # class (dunders aside) must be read as ``.name`` somewhere in the
+    # package outside its own definition
+    defs, uses, methods, attrs = {}, [], {}, []
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "__init__":
             continue
@@ -114,6 +121,16 @@ def test_every_definition_is_used_by_the_package():
         defs.update({(path.stem, node.name): node for node in tree.body
                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
         uses += _uses(path, tree)
+        methods.update({(cls.name, node.name): node for cls in tree.body
+                        if isinstance(cls, ast.ClassDef) for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")})
+        attrs += [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
     unused = {key for key, node in defs.items()
               if not any(used == key and stmt is not node for stmt, used in uses)}
     assert unused == TEST_REFERENCES
+    unread = set()
+    for (cls, name), node in methods.items():
+        own = {id(n) for n in ast.walk(node)}
+        if not any(a.attr == name and id(a) not in own for a in attrs):
+            unread.add((cls, name))
+    assert unread == TEST_METHOD_REFERENCES

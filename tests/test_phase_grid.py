@@ -179,8 +179,10 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n_x, axes", [(6, (0, 2)), (7, (1,)), (4, (0, 1, 2))])
     def test_half_spectrum_pair(self, n_x, axes):
-        # forward_half is the half of forward, inverse_half undoes it, and
-        # hermitian_half reads the half spectrum of a real part
+        # forward_half is the half of forward, inverse_half undoes it,
+        # hermitian_half reads the half spectrum of a real part, and
+        # full_spectrum is forward(inverse_half(.)) without a transform,
+        # the Hermitian part on the self-conjugate planes included
         grid = SpatialGrid(box_length=3.0, n_x=n_x, active_axes=axes)
         rng = np.random.default_rng(7)
         f = rng.standard_normal((2,) + grid.shape)
@@ -192,6 +194,9 @@ class TestTransforms:
         z = full + 1j * rng.standard_normal(full.shape)
         assert np.abs(grid.hermitian_half(z)
                       - grid.forward_half(grid.inverse(z).real)).max() < 1e-13
+        h = half + 1j * rng.standard_normal(half.shape)
+        assert np.abs(grid.full_spectrum(h)
+                      - grid.forward(grid.inverse_half(h))).max() < 1e-13
 
 class TestLambda:
     def test_identity_at_zero_exponent(self, sgrid32):
@@ -251,6 +256,16 @@ class TestSobolevNorms:
         hneg, hn = sobolev_norms(sgrid32, f, 0.5, 1)
         assert hneg == pytest.approx(abs(xi) ** -0.5 * norm, rel=1e-12)
         assert hn == pytest.approx(math.sqrt(1 + xi ** 2) * norm, rel=1e-12)
+
+    def test_multipliers_are_kept_read_only(self, sgrid32):
+        # run constants: a repeated call returns the same table, which no
+        # caller can change
+        for first, again in ((sgrid32.band_multiplier(1, 2, frac_top=2.5),
+                              sgrid32.band_multiplier(1, 2, frac_top=2.5)),
+                             (sgrid32.lambda_multiplier(-0.5),
+                              sgrid32.lambda_multiplier(-0.5))):
+            assert again is first and not first.flags.writeable
+        assert sgrid32.band_multiplier(0, 2) is not sgrid32.band_multiplier(0, 3)
 
     def test_band_multiplier_terms(self, sgrid32):
         xin = sgrid32.xi_norm()
