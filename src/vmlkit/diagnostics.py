@@ -569,7 +569,9 @@ def build_report(ctx: DiagContext, snap: SpectralSnapshot) -> FunctionalReport:
     zero_idx = (0,) * sgrid.n_active
     zmode_f, zmode_e, zmode_b = (math.sqrt(snap.power[name][zero_idx])
                                  for name in ("f", "e", "b"))
-    rho_spec = sgrid.forward(maxwell.charge_density(ctx.vgrid, snap.state.f))
+    # int mu^(1/2) (f_+ - f_-) dv: the Gram rows couple a_pm with c on the grid
+    gram = ctx.projector.gram
+    rho_spec = sgrid.full_spectrum(np.tensordot(gram[0] - gram[1], snap.moments["coef"], 1))
 
     return FunctionalReport(
         t=t, norm_f_sq=snap.norm2(1.0, "f"), field_energy=maxwell.field_energy(em),

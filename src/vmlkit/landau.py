@@ -51,10 +51,11 @@ call over all points.
 The sigma norm here is the unweighted one; the weighted norms of the
 functionals integrate the same ``sigma_density`` in
 ``diagnostics.SpectralSnapshot``.  The dense assemblies share one size
-rule, ``check_dense_limit``, and assemble any selection of rows; the
-direct propagator takes only the rows at the orbit representatives of the
-axis permutations, from which ``PermutationBlocks`` builds the operator's
-symmetry blocks.
+rule, ``check_dense_limit``, and assemble any selection of rows with numpy
+alone: A from the stencil planes through each node, K from windows of the
+difference table filtered by the stencils.  The direct propagator takes
+only the rows at the orbit representatives of the axis permutations, from
+which ``PermutationBlocks`` builds the operator's symmetry blocks.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 
 from .phase_grid import VelocityGrid, fd_gradient_matrix
@@ -169,13 +171,6 @@ class CollisionTables:
         return self.grid.n_v
 
 
-def _pad_offsets(n: int) -> np.ndarray:
-    p = 2 * n
-    idx = np.arange(p)
-    off = np.where(idx < n, idx, idx - p)
-    return off
-
-
 def check_quadrature(n_v: int) -> None:
     """Reject a velocity grid too coarse for the collision quadrature."""
     if n_v < 8:
@@ -199,7 +194,8 @@ def build_collision_tables(grid: VelocityGrid, gamma: float) -> CollisionTables:
     n = grid.n_v
     h = grid.spacing
     p = 2 * n
-    off = _pad_offsets(n) * h
+    idx = np.arange(p)
+    off = np.where(idx < n, idx, idx - p) * h     # the padded box's offsets
     u1 = off[:, None, None]
     u2 = off[None, :, None]
     u3 = off[None, None, :]
@@ -647,100 +643,101 @@ def check_dense_limit(n_v: int, limit: int) -> None:
         )
 
 
-def _sparse_D(tables: CollisionTables):
-    """The weighted stencils D_j as sparse n^3 x n^3 matrices, j = 0, 1, 2."""
-    from scipy import sparse
-
-    n = tables.n
-    eye = sparse.identity(n, format="csr")
-    base = sparse.csr_matrix(tables.dmat)
-    mats = []
-    for axis in range(3):
-        parts = [eye, eye, eye]
-        parts[axis] = base
-        mats.append(sparse.kron(sparse.kron(parts[0], parts[1]), parts[2], format="csr"))
-    return mats
-
-
-def _difference_index(n: int, rows: np.ndarray) -> np.ndarray:
-    """Flat index of v_a - v_b, a in ``rows``, into a (2n-1)^3 difference table.
-
-    The flat table key is separable, key(a) - key(b) + const, so one index
-    array gathers those rows of every convolution matrix C[a, b] = table(v_a - v_b).
-    """
-    m = 2 * n - 1
-    i1, i2, i3 = np.indices((n, n, n)).reshape(3, -1).astype(np.int32)
-    key = (i1 * m + i2) * m + i3
-    out = key[rows, None] - key[None, :]
-    out += (n - 1) * (m * m + m + 1)
-    return out
-
-
 def dense_A(tables: CollisionTables, limit: int = DENSE_MAX_NV,
             rows: np.ndarray | None = None) -> np.ndarray:
-    """Rows of the dense A = sum_ij D_i^T sigma^ij D_j, summed sparse and densified once.
+    """Rows of the dense A = sum_ij D_i^T sigma^ij D_j, from the stencil planes.
 
-    ``rows`` selects flat velocity indices (all of them by default).
+    ``rows`` selects flat velocity indices (all of them by default).  Row a
+    is A e_a (A is symmetric), and D_j e_a lives on the axis-j line through
+    a: the (i, j) term is dmat[a_i, :] x (sigma^ij dmat[:, a_j] on that
+    line) on the i-j plane through a, the (i, i) term the line
+    dmat^T (sigma^ii dmat[:, a_i]).  Per cyclic pair (i, j), the (i, j) and
+    (j, i) terms and the axis-i line (times e_(a_j)) are one rank-3 product,
+    added to the zeroed rows in one scatter.
     """
     check_dense_limit(tables.n, limit)
-    from scipy import sparse
+    n, dmat = tables.n, tables.dmat
+    rows = np.arange(n ** 3) if rows is None else np.asarray(rows)
+    a, t = np.unravel_index(rows, (n, n, n)), np.arange(n)
 
-    d = sparse.vstack(_sparse_D(tables), format="csr")
-    sig = sparse.bmat([[sparse.diags(tables.sigma[i, j].ravel()) for j in range(3)]
-                       for i in range(3)])
-    d_rows = d.T.tocsr()
-    if rows is not None:
-        d_rows = d_rows[rows]
-    return (d_rows @ sig @ d).toarray()
+    def line(i, j):
+        """sigma^ij on the axis-j line through each row's node, times dmat[:, a_j]."""
+        on_line = tuple(t if m == j else a[m][:, None] for m in range(3))
+        return tables.sigma[i, j][on_line] * dmat.T[a[j]]
+
+    out = np.zeros((len(rows), n, n, n))
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        plane = np.matmul(np.stack([dmat[a[i]], line(j, i), line(i, i) @ dmat], axis=2),
+                          np.stack([line(i, j), dmat[a[j]], t == a[j][:, None]], axis=1))
+        at = tuple(a[m] if m == 3 - i - j else slice(None) for m in range(3))
+        out[(np.arange(len(rows)), *at)] += plane if i < j else plane.transpose(0, 2, 1)
+    return out.reshape(len(rows), n ** 3)
 
 
 def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV,
             rows: np.ndarray | None = None) -> np.ndarray:
     """Rows of the dense K = -sum_ij S_i^T C_ij S_j with S_j = mu^(1/2) D_j.
 
-    ``rows`` selects flat velocity indices (all of them by default).
-    C_ij[a, b] = Phi^ij(v_a - v_b) h^3 is gathered from one difference table,
-    only at the nodes that the selected rows of the sparse S_i^T reach.
-    Each W_j = sum_i S_i^T C_ij is then applied to S_j row by row, as the
-    stencil D_j^T (mu^(1/2) .) on each row viewed as a velocity field.
+    ``rows`` selects flat velocity indices (all of them by default).  With
+    C_ij[a, b] = T_ij(v_a - v_b) from the (2n-1)^3 difference table and
+    g = mu^(1/2) dmat mu^(-1/2) on one axis, K[a, c] = -mu^(1/2)(a) mu^(1/2)(c)
+    sum_ij sum g[beta, a_i] g[delta, c_j] T_ij(b - d), b (d) being a (c)
+    with beta (delta) on axis i (j).  Per cyclic pair (i, j), the (i, j),
+    (j, i) and (i, i) terms are one filtered table P[a_i, c_i, a_j, c_j, o_k],
+    and row a is the sum of three n^3 windows P[a_i, :, a_j, :, a_k - c_k].
     """
     check_dense_limit(tables.n, limit)
-    from scipy import sparse
-
     grid = tables.grid
-    n, h = grid.n_v, grid.spacing
+    n, h, m = grid.n_v, grid.spacing, 2 * grid.n_v - 1
     rows = np.arange(n ** 3) if rows is None else np.asarray(rows)
     d = np.arange(-(n - 1), n) * h
     table = _phi_regularized(d[:, None, None], d[None, :, None], d[None, None, :],
                              tables.gamma, h) * grid.cell_volume
-    m = sparse.diags(tables.mu_half.ravel())
-    w = np.zeros((3, len(rows)) + grid.shape)
-    flat = w.reshape(3, len(rows), n ** 3)
-    for i, di in enumerate(_sparse_D(tables)):
-        st = (m @ di).T.tocsr()[rows]
-        reach = np.unique(st.indices)
-        st = st[:, reach]
-        gather = _difference_index(n, reach)
-        for j in range(3):
-            flat[j] += st @ table[i, j].ravel()[gather]
-    w *= tables.mu_half
-    out = np.zeros((len(rows),) + grid.shape)
-    for j in range(3):
-        out -= _apply_DT(tables, w[j], j)
+    g1d = grid.mu_half_1d()
+    g = tables.dmat * (g1d[:, None] / g1d[None, :])
+    # one table axis (index u: offset u + 1 - n) as (u, a, c) maps: row side
+    # fi[u, a, c] = g[u + c + 1 - n, a], column side fj[u, a, c] = fi[m-1-u, c, a],
+    # both sides fi g, and the plain read [u = a - c + n - 1]
+    t, u = np.arange(n), np.arange(m)[:, None, None]
+    beta = u + t - (n - 1)
+    fi = np.where((beta >= 0) & (beta < n), g.T[t[:, None], np.clip(beta, 0, n - 1)], 0.0)
+    fj = fi[::-1].transpose(0, 2, 1)
+    row_side = np.stack([fi, fj, fi @ g]).reshape(3, 1, m, n * n).transpose(0, 1, 3, 2)
+    col_side = np.concatenate([fj, fi, u == t[:, None] - t + (n - 1)])
+    col_side = col_side.reshape(3 * m, n, n).transpose(1, 2, 0)
+    windows = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        k = 3 - i - j
+        tij, tii = (np.moveaxis(table[p, q], (j, i, k), (0, 1, 2)) for p, q in ((i, j), (i, i)))
+        # axis i per (u_j, o_k), then axis j per (a_i c_i, a_j): GEMMs small
+        # enough to run on the calling thread, as a threaded one stalls on a
+        # busy host and leaves BLAS threads spinning against the Cholesky next
+        x = np.matmul(row_side, np.stack([tij, tij, tii]))
+        x = x.reshape(3 * m, n * n, m).transpose(1, 0, 2)[:, None]
+        pair = np.matmul(col_side, x).reshape(n, n, n, n, m)   # (a_i, c_i, a_j, c_j, o_k)
+        # (a_i, a_j, c or o per axis), the offsets reversed, so the window of
+        # row a starts at n - 1 - a_k
+        ax = [{i: 1, j: 3, k: 4}[q] for q in range(3)]
+        view = sliding_window_view(pair[..., ::-1].transpose([0, 2] + ax), n, axis=2 + k)
+        windows.append((np.moveaxis(view, (2 + k, -1), (2, 3 + k)), (i, j, k)))
+    a = np.unravel_index(rows, (n, n, n))
+    out = np.empty((len(rows), n, n, n))
+    step = max(1, 2 ** 18 // n ** 3)          # rows per chunk: 2 MB of output
+    for lo in range(0, len(rows), step):
+        sl = slice(lo, lo + step)
+        chunk = out[sl]
+        chunk[...] = sum(view[a[i][sl], a[j][sl], n - 1 - a[k][sl]]
+                         for view, (i, j, k) in windows)
+        chunk *= -tables.mu_half.ravel()[rows[sl], None, None, None]
+        chunk *= tables.mu_half
     return out.reshape(len(rows), n ** 3)
 
 
 def dense_L(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
     """Full dense pair operator [[2A+K, K], [K, 2A+K]] (n_v <= ``limit``)."""
-    a = dense_A(tables, limit)
     k = dense_K(tables, limit)
-    n3 = tables.n ** 3
-    out = np.zeros((2 * n3, 2 * n3))
-    out[:n3, :n3] = 2.0 * a + k
-    out[n3:, n3:] = 2.0 * a + k
-    out[:n3, n3:] = k
-    out[n3:, :n3] = k
-    return out
+    diag = 2.0 * dense_A(tables, limit) + k
+    return np.block([[diag, k], [k, diag]])
 
 
 # ---------------------------------------------------------------------------

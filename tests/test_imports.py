@@ -2,6 +2,8 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import vmlkit
 
@@ -36,6 +38,24 @@ def test_no_function_local_vmlkit_imports():
                 if _vmlkit_modules(node):
                     found.append(f"{path.name}:{node.lineno} in {func.name}")
     assert found == []
+
+
+def test_direct_run_does_not_import_scipy_sparse(tmp_path):
+    # the dense rows of the direct propagator are assembled with numpy alone;
+    # importing scipy.sparse costs a fresh process some 16 ms of set-up
+    script = (
+        "import sys\n"
+        "from vmlkit import cli\n"
+        "rc = cli.main(['simulate', '--out', sys.argv[1], '--set', 'n_x=4',"
+        " '--set', 'n_v=8', '--set', 'dt=0.1', '--set', 't_end=0.1',"
+        " '--set', 'collision_solver=direct', '--set', 'direct_max_nv=8'])\n"
+        "assert rc == 0, rc\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          cwd=SRC.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_diagnostics_does_not_import_evolve():

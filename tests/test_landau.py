@@ -239,6 +239,21 @@ class TestApplyL:
         dv = (dense @ f.reshape(-1)).reshape(shape)
         assert np.abs(mf - dv).max() <= 1e-10 * np.abs(mf).max()
 
+    @pytest.mark.parametrize("which", ["reps", "all"])
+    def test_dense_rows_are_the_operators_on_unit_vectors(self, dense_tables, which):
+        # A and K are symmetric, so row r of each is A e_r (K e_r): the
+        # assembled rows against the matrix-free operators on the unit vectors
+        n = dense_tables.n
+        rows = landau.PermutationBlocks(n).reps if which == "reps" else np.arange(n ** 3)
+        unit = np.zeros((len(rows), n ** 3))
+        unit[np.arange(len(rows)), rows] = 1.0
+        unit = unit.reshape((len(rows),) + dense_tables.grid.shape)
+        for dense, apply in ((landau.dense_A, landau.apply_A),
+                             (landau.dense_K, landau.apply_K)):
+            got = dense(dense_tables, rows=rows)
+            ref = apply(dense_tables, unit).reshape(len(rows), n ** 3)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_dense_null_space_dimension(self, tables8):
         dense = landau.dense_L(tables8)
         ev = np.linalg.eigvalsh(dense)
