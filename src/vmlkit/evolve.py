@@ -370,7 +370,8 @@ class CollisionStepper:
     trivial, one sign and one standard block, the last serving both rows
     of the 2-d representation.  The blocks of A + K and of A come from the
     rows of ``landau.dense_A``/``dense_K`` at the orbit representatives
-    alone.  Per species combination, each block of the propagator
+    alone, which numpy assembles from the stencils and the difference
+    table.  Per species combination, each block of the propagator
     P = 2 (I + dt/2 L)^-1 - I, with L_s = 2(A + K) and L_d = 2A, is
     inverted by Cholesky (LAPACK potrf + potri); both operators are
     symmetric positive semidefinite, and a failed factorization raises

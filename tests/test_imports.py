@@ -41,8 +41,8 @@ def test_no_function_local_vmlkit_imports():
 
 
 def test_direct_run_does_not_import_scipy_sparse(tmp_path):
-    # the dense rows of the direct propagator are assembled with numpy alone;
-    # importing scipy.sparse costs a fresh process some 16 ms of set-up
+    # the dense rows of the direct propagator are assembled with numpy alone,
+    # so a direct run's set-up does not pay for importing scipy.sparse
     script = (
         "import sys\n"
         "from vmlkit import cli\n"
