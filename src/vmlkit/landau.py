@@ -709,9 +709,9 @@ def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV,
     for i, j in ((0, 1), (1, 2), (2, 0)):
         k = 3 - i - j
         tij, tii = (np.moveaxis(table[p, q], (j, i, k), (0, 1, 2)) for p, q in ((i, j), (i, i)))
-        # axis i per (u_j, o_k), then axis j per (a_i c_i, a_j): GEMMs small
-        # enough to run on the calling thread, as a threaded one stalls on a
-        # busy host and leaves BLAS threads spinning against the Cholesky next
+        # axis i per (u_j, o_k), then axis j per (a_i c_i, a_j): at n <= 16 GEMMs
+        # small enough to run on the calling thread, as a threaded one stalls on
+        # a busy host and leaves BLAS threads spinning against the Cholesky next
         x = np.matmul(row_side, np.stack([tij, tij, tii]))
         x = x.reshape(3 * m, n * n, m).transpose(1, 0, 2)[:, None]
         pair = np.matmul(col_side, x).reshape(n, n, n, n, m)   # (a_i, c_i, a_j, c_j, o_k)
