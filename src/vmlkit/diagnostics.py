@@ -27,17 +27,19 @@ equivalences are fixed to one.  Conventions:
   is formed once per block, one stencil pass from its parent, and feeds
   the sigma bracket of its parent (``landau.sigma_density``, the one sigma
   split); the multipliers carry ``SpatialGrid.orbit_weight``, 2 on
-  interior modes and 1 at last index 0 and n_x / 2.  The constants every
-  snapshot shares (alpha multipliers, pair rows, moment weights) are built
-  once per ``DiagContext``; the x multipliers once per ``SpatialGrid``.
+  interior modes and 1 at last index 0 and n_x / 2.  The fields of a
+  block are views of a scratch (``BlockFields``), kept for the run with a
+  direct stepper.  The constants every snapshot shares (alpha multipliers,
+  pair rows, moment weights) are built once per ``DiagContext``; the x
+  multipliers once per ``SpatialGrid``.
   The monitor row, the report and the macro snapshot all read that
   snapshot; each functional is a multiplier or weight dot product.  P and
   the moment functions are local in x, so the macro coefficients, the
   micro part and the moments behind the fluid residuals come from the half
   spectrum too, and the macro snapshot inverts them with ``inverse_half``.
   The report's B-moment of (L f)_+ + (L f)_- is <2 (A + K) w_B, f_+ + f_->
-  by the symmetry of L, with the matrix-free L applied to the three B
-  weights once per context.
+  by the symmetry of L, with L applied to the three B weights once per
+  context: a block product with a direct stepper, else matrix-free.
 * the mixed-derivative terms ||w d^alpha_beta f||^2 measure the real field
   Re d^alpha f.  At a mode whose orders alpha_i, summed over the axes that
   sit at the Nyquist index, are odd, (i xi)^alpha f_hat has no Hermitian
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -77,8 +79,11 @@ from . import landau, macro_micro, maxwell
 from .phase_grid import SpatialGrid, VelocityGrid
 
 # bytes of one complex field of a block of xi-modes in the snapshot's
-# derivative tree: a block's fields stay in cache while the tree is walked
-BLOCK_BYTES = 256 * 1024
+# derivative tree: a block's fields stay in cache while the tree is walked,
+# and the scratch they are taken from (``BlockFields``, some 27 complex and
+# 18 real fields at beta_max = 2), which a direct run keeps, stays well below
+# the other arrays of a report
+BLOCK_BYTES = 64 * 1024
 
 TORUS_CAVEAT = (
     "torus caveat: algebraic decay rates -(k+s) are whole-space statements; "
@@ -107,9 +112,11 @@ class DiagContext:
 
     The run constants every snapshot reads are built on first use and kept:
     the alpha multipliers, the (alpha, beta) plans of the derivative tree,
-    the moment weights and L of the B weights, the transport multipliers
-    and the squared sigma brackets.  They follow the fields above, which
-    must not change afterwards.
+    the moment weights and L of the B weights (from the blocks with a
+    direct stepper, else matrix-free), the transport multipliers and the
+    squared sigma brackets.  With a direct stepper the derivative tree's
+    scratch is kept too (``block_fields``).  They follow the fields above,
+    which must not change afterwards.
     """
 
     sgrid: SpatialGrid
@@ -118,10 +125,31 @@ class DiagContext:
     projector: macro_micro.MacroProjector
     config: object
     collision: object = None
+    _fields: object = field(default=None, init=False, repr=False)
 
     @property
     def x_axes(self) -> tuple:
         return tuple(range(1, 1 + self.sgrid.n_active))
+
+    @property
+    def direct(self):
+        """The run's collision stepper if it is direct (L from its blocks), else None."""
+        coll = self.collision
+        return coll if coll is not None and coll.method == "direct" else None
+
+    def block_fields(self, block: int) -> "BlockFields":
+        """The derivative tree's scratch for blocks of ``block`` modes.
+
+        Kept for the run with a direct stepper, so that the loop's snapshots
+        allocate no per-block fields; made per snapshot otherwise, because
+        at the matrix-free solver's grids one mode alone fills a block and a
+        kept scratch would add to the run's peak memory.
+        """
+        if self.direct is None:
+            return BlockFields(block, self.vgrid.shape)
+        if self._fields is None or self._fields.block != block:
+            self._fields = BlockFields(block, self.vgrid.shape)
+        return self._fields
 
     def alphas(self, n_total: int):
         """Spatial multi-indices over active axes with |alpha| <= n_total."""
@@ -155,7 +183,8 @@ class DiagContext:
                                for m in range(3) for j in range(3)]),
                 "B": b, "G": vgrid.v_mu_half,
                 "Bv": np.concatenate([b * v[axis] for axis in self.sgrid.active_axes]),
-                "LB": landau.apply_L(self.tables, np.stack([b, b]))[0]}
+                "LB": (landau.apply_L(self.tables, np.stack([b, b]))[0] if self.direct is None
+                       else 2.0 * self.direct.apply_a_plus_k(b))}
 
     @cached_property
     def sigma_brackets(self) -> tuple:
@@ -250,11 +279,37 @@ def _collision_power(ctx: DiagContext, f: np.ndarray, spec: np.ndarray) -> np.nd
     evaluates it as its block quadratic form on ``spec``; otherwise L f is
     applied matrix-free to f and transformed.
     """
-    coll = ctx.collision
-    if coll is not None and coll.method == "direct":
-        return coll.quadratic_form(spec)
+    if ctx.direct is not None:
+        return ctx.direct.quadratic_form(spec)
     lf = ctx.sgrid.forward_half(landau.apply_L(ctx.tables, f), ctx.x_axes)
     return np.sum(spec.real * lf.real + spec.imag * lf.imag, axis=(0, -3, -2, -1))
+
+
+class BlockFields:
+    """The derivative tree's fields of one block of modes, in buffers kept across blocks.
+
+    ``take(nb)`` gives, for a block of nb <= ``block`` modes, a function
+    from a field's name to its C-contiguous array (2, nb, n, n, n), complex
+    or real: a view of that name's buffer, made on its first use and reused
+    for every later block and snapshot.
+    """
+
+    def __init__(self, block: int, vshape: tuple):
+        self.block = block
+        self._vshape = vshape
+        self._buffers: dict = {}
+
+    def take(self, nb: int):
+        shape = (2, nb) + self._vshape
+        size, full = math.prod(shape), math.prod((2, self.block) + self._vshape)
+
+        def buffer(name, dtype=complex) -> np.ndarray:
+            buf = self._buffers.get(name)
+            if buf is None:
+                buf = self._buffers[name] = np.empty(full, dtype)
+            return buf[:size].reshape(shape)
+
+        return buffer
 
 
 class SpectralSnapshot:
@@ -296,8 +351,10 @@ class SpectralSnapshot:
     along its highest axis from its parent, and each |.|^2 once: the sigma
     bracket of d_beta micro takes its gradient and squares from the
     children d_(beta+e_j) micro.  At beta_max = 2 that is 28 passes per
-    block, 3 for a monitor snapshot.  The per-block densities are summed
-    into ``dens``.
+    block, 3 for a monitor snapshot.  Every field, square and temporary of
+    a block is written into a slot of ``ctx.block_fields``, which a direct
+    run keeps, so the walk allocates no per-block arrays.  The per-block
+    densities are summed into ``dens``.
     """
 
     def __init__(self, ctx: DiagContext, state, report: bool):
@@ -318,7 +375,8 @@ class SpectralSnapshot:
                 del src
         f_spec = sgrid.forward_half(state.f, ctx.x_axes)
         coef = proj.coefficients(f_spec)
-        micro = f_spec - proj.assemble(coef)
+        micro = proj.assemble(coef)
+        np.subtract(f_spec, micro, out=micro)
         per_mode = {"f": self.vol * np.sum(abs2(f_spec), axis=(0, -3, -2, -1)),
                     "lf": self.vol * _collision_power(ctx, state.f, f_spec),
                     "charge": abs2(coef[0] - coef[1]),
@@ -355,34 +413,50 @@ class SpectralSnapshot:
 
         # the derivative tree, level by level within one block of xi-modes:
         # d_beta is one stencil pass from its parent, and |.|^2 of each micro
-        # field feeds its own "extra" term and the sigma terms of its parents
-        apply_axis, fd, brackets = landau._apply_axis, ctx.tables.fd, ctx.sigma_brackets
+        # field feeds its own "extra" term and the sigma terms of its parents.
+        # Every field is a slot of the scratch, named by its level's parity
+        # and its place in the level, so a level overwrites its grandparents
+        apply_axis, abs2 = landau._apply_axis, landau._abs2
+        fd, brackets = ctx.tables.fd, ctx.sigma_brackets
+        slot = {c: (len(c) % 2, i) for level in levels for i, c in enumerate(level)}
         n_modes = plan.n_modes
         fv = f_spec.reshape((2, n_modes) + vgrid.shape)
         mv = micro.reshape(fv.shape)
         block = max(1, BLOCK_BYTES // fv[:, :1].nbytes)
+        fields = ctx.block_fields(block)
         for start in range(0, n_modes, block):
             sl = slice(start, start + block)
-            f_lvl = {(): fv[:, sl]}
-            m_lvl = {(): mv[:, sl]}
-            m_sq = {(): abs2(m_lvl[()])}
+            take = fields.take(min(block, n_modes - start))
+
+            def square(z, c):
+                return abs2(z, take(("sq",) + slot[c], float), take("im2", float))
+
+            def kids_of(kind, lvl, level):
+                return {c: apply_axis(fd, lvl[c[:-1]], c[-1] - 3, out=take((kind,) + slot[c]))
+                        for c in levels[level + 1]}
+
+            # the block's own f and micro, contiguous for the stencil passes
+            f_lvl = {(): take(("f",) + slot[()])}
+            m_lvl = {(): take(("m",) + slot[()])}
+            np.copyto(f_lvl[()], fv[:, sl])
+            np.copyto(m_lvl[()], mv[:, sl])
+            m_sq = {(): square(m_lvl[()], ())}
             for level in range(top + 1):
                 for c, fc in f_lvl.items() if report else ():
-                    add("f", c, sl, abs2(fc))
-                kids = {c: apply_axis(fd, m_lvl[c[:-1]], c[-1] - 3)
-                        for c in levels[level + 1]}
-                kid_sq = {c: abs2(k) for c, k in kids.items()}
+                    add("f", c, sl, abs2(fc, take("dens", float), take("im2", float)))
+                kids = kids_of("m", m_lvl, level)
+                kid_sq = {c: square(k, c) for c, k in kids.items()}
                 for c, mc in m_lvl.items():
                     below = [tuple(sorted(c + (j,))) for j in range(3)]
                     if report:
                         add("extra", c, sl, m_sq[c])
                     add("sigma", c, sl, landau.sigma_density(
                         ctx.tables, mc, [kids[k] for k in below],
-                        [m_sq[c]] + [kid_sq[k] for k in below], brackets))
+                        [m_sq[c]] + [kid_sq[k] for k in below], brackets,
+                        out=take("dens", float), work=(take("gpar"), take("term"))))
                 m_lvl, m_sq = kids, kid_sq
                 if level < top:
-                    f_lvl = {c: apply_axis(fd, f_lvl[c[:-1]], c[-1] - 3)
-                             for c in levels[level + 1]}
+                    f_lvl = kids_of("f", f_lvl, level)
         if report:
             self.dens["extra"] *= 1.0 + vgrid.vsq()
 

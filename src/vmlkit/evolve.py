@@ -39,6 +39,16 @@ in x, so in between:
   the spectrum, one GEMM per symmetry block; the matrix-free CG runs on
   physical f, again one transform each way.
 
+The forward transform's spectrum is the step's working array.  Each
+transport half multiplies it in place, the field stage adds tau S(E) into
+it, and the direct collision substep writes its result back into it.  The
+current, the source and the collision's basis changes and GEMM products
+use arrays sized once from the grids and kept by the ``Stepper`` and the
+direct ``CollisionStepper``.  So a linearized direct step allocates only
+the spectrum and the new f, and its speed does not depend on how the
+allocator returns freed memory.  The arithmetic is that of the allocating
+form, so the state is bit-identical to it.
+
 The trapezoid system (I + dt/2 L) f' = (I - dt/2 L) f is solved either by
 flexible preconditioned conjugate gradients (matrix-free, any resolution;
 the sum system preconditioned by an inner solve of its diffusion part) or by a
@@ -56,7 +66,9 @@ permutations of v (``landau.PermutationBlocks``), 1.4 MB per operator at
 n_v = 10 and 22.6 MB at n_v = 16, never an n_v^3 x n_v^3 array.  ``run``
 hands the collision stepper to the diagnostics: with the direct solver a
 recorded state's collision power is a quadratic form on those blocks
-(``CollisionStepper.quadratic_form``), with no L f formed.
+(``CollisionStepper.quadratic_form``), with no L f formed, and L of the
+report's B weights is a block product (``apply_a_plus_k``), so a direct
+run never applies the matrix-free operators.
 
 The species sum s = f_+ + f_- and difference d = f_+ - f_- diagonalize L
 (L s = 2(A+K)s, L d = 2A d), so the collision solve runs on two decoupled
@@ -207,6 +219,10 @@ class RunConfig:
             raise ValueError(f"n_modes must be at least 1, got {self.n_modes}")
         if self.cg_tol <= 0:
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
+        # f is the perturbation in F = mu + mu^(1/2) f: past order one the
+        # perturbative system has no meaning, and its squares overflow
+        if abs(self.amplitude) > 1.0:
+            raise ValueError(f"amplitude must lie in [-1, 1], got {self.amplitude}")
         for key in ("seed", "monitor_every", "checkpoint_every", "n_max", "k_max",
                     "beta_max"):
             if getattr(self, key) < 0:
@@ -381,7 +397,11 @@ class CollisionStepper:
     GEMM per block and changes back.  ``quadratic_form`` gives a recorded
     state's collision power Re conj(f_hat) (L f)^ per mode from the blocks
     without forming L f: one forward basis change, one GEMM per block and
-    the row dot products.
+    the row dot products.  Both work in the same kept arrays
+    (``_workspace``: s, d, the basis change's and the products), made per
+    row count on first use and kept; in a run the step and the snapshots
+    share one set, as they see the same half spectrum.
+    ``apply_a_plus_k`` gives (A + K) x from the blocks.
 
     ``method="cg"`` solves the same trapezoid systems matrix-free; it has
     no ``quadratic_form``, so the diagnostics transform a matrix-free L f.
@@ -416,6 +436,7 @@ class CollisionStepper:
         self._prop = None
         self._a_plus_k = None
         self._a = None
+        self._work = {}
         self._precond = None
         self.last_iterations = (0, 0)
         if method == "direct":
@@ -455,11 +476,49 @@ class CollisionStepper:
         inv.flat[:: n + 1] -= 1.0
         return inv
 
+    def _workspace(self, m: int) -> dict:
+        """The direct solver's arrays for m rows, made on first use and kept.
+
+        s and d ("s", "d"), the basis change's arrays
+        (``PermutationBlocks.workspace``) and the block GEMM products
+        ("prod"), so that a step or a quadratic form allocates nothing that
+        scales with the grid.
+        """
+        work = self._work.get(m)
+        if work is None:
+            work = self._work[m] = self._basis.workspace(m)
+            work["s"], work["d"] = np.empty((2, m, self._basis.size))
+            work["prod"] = [np.empty((rows, len(b)))
+                            for rows, b in zip((m, m, 2 * m), self._a)]
+        return work
+
     def _blocked(self, blocks: list, x: np.ndarray) -> np.ndarray:
-        """B x at every leading point of x (..., n, n, n), for B symmetric and blocked."""
-        basis = self._basis
-        y = basis.forward(x.reshape(-1, basis.size))
-        return basis.inverse([c @ b for c, b in zip(y, blocks)]).reshape(x.shape)
+        """B x for rows x (m, n^3), B symmetric and blocked, written into x."""
+        basis, work = self._basis, self._workspace(len(x))
+        prods = [np.matmul(c, b, out=p)
+                 for c, b, p in zip(basis.forward(x, work), blocks, work["prod"])]
+        return basis.inverse(prods, out=x, work=work)
+
+    def apply_a_plus_k(self, x: np.ndarray) -> np.ndarray:
+        """(A + K) x at every leading point of x (..., n, n, n), from the blocks.
+
+        Direct mode only; L [x, x] = 2 (A + K) x on each species.
+        """
+        rows = x.reshape(-1, self._basis.size).copy()
+        return self._blocked(self._a_plus_k, rows).reshape(x.shape)
+
+    def _sum_difference(self, f: np.ndarray) -> tuple:
+        """s = f_+ + f_- and d = f_+ - f_- as rows (m, n^3), in the kept arrays.
+
+        For a spectrum the rows are the real parts, then the imaginary ones.
+        """
+        parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
+        work = self._workspace(len(parts) * math.prod(f.shape[1:-3]))
+        shape = (len(parts),) + f.shape[1:]
+        for p, part in enumerate(parts):
+            np.add(part[0], part[1], out=work["s"].reshape(shape)[p])
+            np.subtract(part[0], part[1], out=work["d"].reshape(shape)[p])
+        return work["s"], work["d"]
 
     def quadratic_form(self, spec: np.ndarray) -> np.ndarray:
         """Re sum conj(f) . L f over species and v at each leading point of a pair.
@@ -469,19 +528,18 @@ class CollisionStepper:
         the form of L on the real plus that on the imaginary part.  With
         s = f_+ + f_- and d = f_+ - f_-, <f, L f> = <s, (A+K) s> + <d, A d>;
         in the orthonormal block basis each term is one forward basis change,
-        one GEMM per block and a dot product per row.  No L f is formed.
+        one GEMM per block and a dot product per row, in the arrays that
+        ``advance`` keeps.  No L f is formed.
         """
-        basis = self._basis
-        lead = spec.shape[1:-3]
-        total = np.zeros(2 * math.prod(lead))
-        for x, blocks in ((spec[0] + spec[1], self._a_plus_k),
-                          (spec[0] - spec[1], self._a)):
-            rows = np.stack([x.real, x.imag]).reshape(-1, basis.size)
-            for c, b in zip(basis.forward(rows), blocks):
-                dots = np.einsum("ij,ij->i", c, c @ b)
+        s, d = self._sum_difference(spec)
+        work = self._workspace(len(s))
+        total = np.zeros(len(s))
+        for x, blocks in ((s, self._a_plus_k), (d, self._a)):
+            for c, b, p in zip(self._basis.forward(x, work), blocks, work["prod"]):
+                dots = np.einsum("ij,ij->i", c, np.matmul(c, b, out=p))
                 # a standard block holds two rows per input row
                 total += dots.reshape(len(total), -1).sum(axis=1)
-        return total.reshape((2,) + lead).sum(axis=0)
+        return total.reshape((-1,) + spec.shape[1:-3]).sum(axis=0)
 
     # matrix-free operator applications ----------------------------------------
     def _op_s(self, x: np.ndarray) -> np.ndarray:
@@ -552,14 +610,22 @@ class CollisionStepper:
             f"collision CG did not reach {name} = {tol:g} in 500 iterations "
             f"(relative residual {math.sqrt(res2) / max(rhs_norm, 1e-300):.3e})")
 
-    def advance(self, f: np.ndarray) -> np.ndarray:
-        """One trapezoid collision step on the species pair (batched over x)."""
-        s = f[0] + f[1]
-        d = f[0] - f[1]
+    def advance(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One trapezoid collision step on the species pair (batched over x).
+
+        ``f`` is real or, for the direct solver, a spectrum in x, whose real
+        and imaginary parts the real propagator advances alike.  The result
+        goes into ``out``, which may be ``f`` itself, or a new array.  The
+        direct solver works in the arrays it keeps (``_workspace``), so with
+        ``out`` it allocates nothing that scales with the grid.
+        """
         if self.method == "direct":
-            s = self._blocked(self._prop[0], s)
-            d = self._blocked(self._prop[1], d)
+            s, d = self._sum_difference(f)
+            self._blocked(self._prop[0], s)
+            self._blocked(self._prop[1], d)
         else:
+            s = f[0] + f[1]
+            d = f[0] - f[1]
             # the right-hand side (I - dt B) x0 and the initial residual's
             # (I + dt B) x0 share one B x0, with B = A + K or A
             bs = landau.apply_A(self.tables, s) + landau.apply_K(self.tables, s)
@@ -569,10 +635,14 @@ class CollisionStepper:
             d, iters_d = self._pcg(self._op_d, d - self.dt * ad, d, d + self.dt * ad,
                                    self._diagonal, self.cg_tol)
             self.last_iterations = (iters_s, iters_d)
-        out = np.empty((2,) + s.shape)
-        np.add(s, d, out=out[0])
-        np.subtract(s, d, out=out[1])
-        out *= 0.5
+        out = np.empty_like(f) if out is None else out
+        halves = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
+        shape = (len(halves),) + f.shape[1:]
+        s, d = s.reshape(shape), d.reshape(shape)
+        for p, half in enumerate(halves):
+            np.add(s[p], d[p], out=half[0])
+            np.subtract(s[p], d[p], out=half[1])
+            half *= 0.5
         return out
 
 
@@ -625,12 +695,17 @@ def rhs_full(state: PhaseState, sgrid: SpatialGrid, vgrid: VelocityGrid,
 class Stepper:
     """Precomputed Strang-splitting stepper for a fixed configuration.
 
-    ``step`` takes and returns a physical ``PhaseState``.  In between, f is
-    kept on the Hermitian half spectrum of its x axes
-    (``SpatialGrid.forward_half``): one forward transform at the start of
-    the step and one inverse at the end, the only transforms of a
-    linearized direct step.  ``transport_half``, ``field_force_half`` and
-    the collision substep act on that spectrum.
+    ``step`` takes a physical ``PhaseState``, which it leaves as it was, and
+    returns a new one.  In between, f is kept on the Hermitian half
+    spectrum of its x axes (``SpatialGrid.forward_half``): one forward
+    transform at the start of the step and one inverse at the end, the only
+    transforms of a linearized direct step.  The forward transform's
+    spectrum is the step's working array: ``transport_half``,
+    ``field_force_half`` and the collision substep update it in place, the
+    last two through arrays kept across steps (``_work`` here, one species
+    of the half spectrum, and the direct ``CollisionStepper``'s), so that a
+    linearized direct step allocates, beyond the two transforms' outputs,
+    nothing that scales with the grid.
     """
 
     def __init__(self, config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid,
@@ -644,6 +719,9 @@ class Stepper:
             cg_tol=config.cg_tol, direct_max_nv=config.direct_max_nv)
         self.x_axes = tuple(range(1, 1 + sgrid.n_active))
         self._phase = self._transport_phase(0.5 * config.dt)
+        # one species of the half spectrum: the current's f_+ - f_- and the
+        # source's E . v mu^(1/2)
+        self._work = np.empty(sgrid.half_shape + vgrid.shape, dtype=complex)
 
     def _transport_phase(self, tau: float) -> np.ndarray:
         """exp(-i tau xi . v) on the half spectrum, shape (*half_shape, n, n, n).
@@ -662,16 +740,24 @@ class Stepper:
         return phase
 
     def transport_half(self, spec: np.ndarray) -> np.ndarray:
-        """Exact free transport over dt/2: one phase multiply on the half spectrum."""
-        return spec * self._phase
+        """Exact free transport over dt/2: one phase multiply of the half spectrum, in place."""
+        spec *= self._phase
+        return spec
 
-    def _source(self, e_spec: np.ndarray) -> np.ndarray:
-        """The source E . v mu^(1/2) q1 on the half spectrum, from the E spectrum."""
-        return maxwell.field_source_on_f(self.vgrid, self.sgrid.hermitian_half(e_spec))
+    def _add_source(self, spec: np.ndarray, e_spec: np.ndarray) -> None:
+        """spec += E . v mu^(1/2) q1 on the half spectrum, from the E spectrum.
+
+        ``maxwell.source_profile`` forms E . v mu^(1/2) in the kept array.
+        """
+        ev = maxwell.source_profile(self.vgrid, self.sgrid.hermitian_half(e_spec),
+                                    out=self._work)
+        spec[0] += ev
+        spec[1] -= ev
 
     def _current(self, spec: np.ndarray) -> np.ndarray:
         """The current's spectrum, shaped as E, from a half spectrum of f."""
-        return self.sgrid.full_spectrum(maxwell.current_density(self.vgrid, spec))
+        return self.sgrid.full_spectrum(
+            maxwell.current_density(self.vgrid, spec, work=self._work))
 
     def _force(self, spec, e_spec, b_spec) -> np.ndarray:
         """The nonlinear force and Gamma(f, f) on the half spectrum.
@@ -687,15 +773,17 @@ class Stepper:
         return sg.forward_half(force, self.x_axes)
 
     def field_force_half(self, spec, e_spec, b_spec):
-        """Explicit midpoint over dt/2 for the field/force subsystem.
+        """Explicit midpoint over dt/2 for the field/force subsystem; f in place.
 
         The subsystem is df/dt = S(E) + F, dE/dt = curl B - J(f), dB/dt =
         -curl E, with the source S and the current J from ``maxwell`` and,
         in nonlinear mode, the force F(f, E, B).  S and J are linear, so the
         midpoint current is J(f) + tau/2 (J(S(E)) + J(F)), with J(S(E)) from
         ``maxwell.source_current``; the midpoint f is formed only to
-        evaluate F there, so never in linearized mode.  Without field
-        coupling f stays and E, B follow the vacuum equations.
+        evaluate F there, so never in linearized mode, where the update
+        adds tau S(E_mid) into ``spec``.  Without field coupling f stays and
+        E, B follow the vacuum equations.  Returns (spec, E, B); E and B are
+        new arrays.
         """
         sg, tau = self.sgrid, 0.5 * self.config.dt
         coupled = self.config.couple_fields
@@ -714,35 +802,35 @@ class Stepper:
             j += 0.5 * tau * self._current(force)
             # the midpoint f, built in place of F: one array fewer is alive
             # while Gamma runs there
-            force += self._source(e_spec)
+            self._add_source(force, e_spec)
             force *= 0.5 * tau
             force += spec
             force = self._force(force, e_m, b_m)
         de, db = maxwell.field_rhs(sg, maxwell.EMField(e_m, b_m), j)
-        # S is linear: scaling E by tau is cheaper than scaling S(E)
-        f_new = self._source(tau * e_m)
-        if force is not None:
+        # S is linear: scaling E by tau is cheaper than scaling S(E); the
+        # force joins the source before both join f
+        if force is None:
+            self._add_source(spec, tau * e_m)
+        else:
             force *= tau
-            f_new += force
-        f_new += spec
-        return f_new, e_spec + tau * de, b_spec + tau * db
+            self._add_source(force, tau * e_m)
+            spec += force
+        return spec, e_spec + tau * de, b_spec + tau * db
 
     def _collide(self, spec: np.ndarray) -> np.ndarray:
         """The collision substep on the half spectrum.
 
         The propagator is real and local in x: the direct solver advances
         the real and imaginary parts as rows of one real GEMM per block and
-        species combination.  The matrix-free CG runs on physical f.
+        species combination, in place.  The matrix-free CG runs on physical f.
         """
         if self.collision.method == "direct":
-            out = self.collision.advance(np.stack([spec.real, spec.imag], axis=1))
-            spec = np.empty_like(spec)
-            spec.real, spec.imag = out[:, 0], out[:, 1]
-            return spec
+            return self.collision.advance(spec, out=spec)
         f = self.collision.advance(self.sgrid.inverse_half(spec, self.x_axes))
         return self.sgrid.forward_half(f, self.x_axes)
 
     def step(self, state: PhaseState) -> PhaseState:
+        """One Strang step; ``state`` is left as it was."""
         spec = self.transport_half(self.sgrid.forward_half(state.f, self.x_axes))
         spec, e, b = self.field_force_half(spec, state.em.e_spec, state.em.b_spec)
         spec = self._collide(spec)

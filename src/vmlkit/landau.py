@@ -241,23 +241,33 @@ def build_collision_tables(grid: VelocityGrid, gamma: float) -> CollisionTables:
 # ---------------------------------------------------------------------------
 
 
-def _apply_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+def _apply_axis(mat: np.ndarray, arr: np.ndarray, axis: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Contract a stencil matrix along one of the last three (velocity) axes.
 
     A complex spectrum is contracted as one GEMM along the last axis, and
     through its real view, one real GEMM per leading index, along the other
     two; numpy would otherwise run one complex GEMM per stencil row.
+    ``out`` (arr's shape and dtype, C-contiguous for a complex arr) receives
+    the result in place of a new array.
     """
     if np.iscomplexobj(arr):
         a = np.ascontiguousarray(arr)
         n = a.shape[axis]
+        if out is None:
+            out = np.empty_like(a)
         if axis == -1:
-            return (a.reshape(-1, n) @ mat.T).reshape(a.shape)
-        rows = a.reshape((-1, n, math.prod(a.shape[axis + 1:]))).view(np.float64)
-        return np.matmul(mat, rows).view(a.dtype).reshape(a.shape)
+            np.matmul(a.reshape(-1, n), mat.T, out=out.reshape(-1, n))
+        else:
+            lines = (-1, n, math.prod(a.shape[axis + 1:]))
+            np.matmul(mat, a.reshape(lines).view(np.float64),
+                      out=out.reshape(lines).view(np.float64))
+        return out
     moved = np.moveaxis(arr, axis, -1)
-    out = moved @ mat.T
-    return np.moveaxis(out, -1, axis)
+    if out is None:
+        return np.moveaxis(moved @ mat.T, -1, axis)
+    np.matmul(moved, mat.T, out=np.moveaxis(out, axis, -1))
+    return out
 
 
 def _forward(arr: np.ndarray, p: int, workers: int) -> np.ndarray:
@@ -478,9 +488,18 @@ def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 elementwise, without a square root for complex input."""
-    return z.real ** 2 + z.imag ** 2 if np.iscomplexobj(z) else z * z
+def _abs2(z: np.ndarray, out: np.ndarray | None = None,
+          work: np.ndarray | None = None) -> np.ndarray:
+    """|z|^2 elementwise, without a square root for complex input.
+
+    ``out`` (real, z's shape) receives it; for complex z, ``work`` (the
+    same) holds the square of the imaginary part.
+    """
+    if not np.iscomplexobj(z):
+        return np.multiply(z, z, out=out)
+    out = np.multiply(z.real, z.real, out=out)
+    out += np.multiply(z.imag, z.imag, out=work)
+    return out
 
 
 def sigma_brackets(tables: CollisionTables) -> tuple:
@@ -491,7 +510,8 @@ def sigma_brackets(tables: CollisionTables) -> tuple:
 
 def sigma_density(tables: CollisionTables, h: np.ndarray,
                   grad: list | None = None, sq: list | None = None,
-                  brackets: tuple | None = None) -> np.ndarray:
+                  brackets: tuple | None = None, out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """Pointwise integrand of the unweighted anisotropic norm of h.
 
         <v>^(gamma+2) (|h|^2 + |g_perp|^2) + <v>^gamma |g_par|^2
@@ -507,7 +527,10 @@ def sigma_density(tables: CollisionTables, h: np.ndarray,
     it is evaluated, in place.  Complex h (a Fourier spectrum in x) gives the
     per-mode density.  ``grad`` overrides the finite-difference gradient,
     ``sq`` supplies [|h|^2, |g_0|^2, |g_1|^2, |g_2|^2] when the caller holds
-    them, and ``brackets`` the ``sigma_brackets`` when it keeps them.
+    them, and ``brackets`` the ``sigma_brackets`` when it keeps them.  With
+    ``out`` (real, h's shape) for the density and ``work`` (two C-contiguous
+    fields of h's shape and dtype) for g . v_hat and its terms, nothing is
+    allocated.
     """
     if grad is None:
         grad = [_apply_axis(tables.fd, h, j - 3) for j in range(3)]
@@ -516,16 +539,21 @@ def sigma_density(tables: CollisionTables, h: np.ndarray,
     if brackets is None:
         brackets = sigma_brackets(tables)
     vhat = tables.vhat
-    gpar = grad[0] * vhat[0]
-    gpar += grad[1] * vhat[1]
-    gpar += grad[2] * vhat[2]
-    out = sq[0] + sq[1]
+    if work is None:
+        work = np.empty((2,) + h.shape, np.result_type(grad[0], vhat[0]))
+    gpar, term = work
+    np.multiply(grad[0], vhat[0], out=gpar)
+    gpar += np.multiply(grad[1], vhat[1], out=term)
+    gpar += np.multiply(grad[2], vhat[2], out=term)
+    out = np.add(sq[0], sq[1], out=out)
     out += sq[2]
     out += sq[3]
     out *= brackets[0]
-    gpar = _abs2(gpar)
-    gpar *= brackets[1]
-    out += gpar
+    # |g_par|^2 and, for complex h, its imaginary square in term's memory
+    par = term.reshape(-1).view(np.float64).reshape((-1,) + h.shape)
+    par = _abs2(gpar, par[0], par[-1])
+    par *= brackets[1]
+    out += par
     return out
 
 
@@ -811,41 +839,60 @@ class PermutationBlocks:
         # unit u = sqrt(3/2) W[m]: the row of its representative's node m
         self._w_rep = _W[odd_at]
 
-    def forward(self, x: np.ndarray) -> list:
+    def workspace(self, m: int) -> dict:
+        """Arrays for ``forward`` and ``inverse`` of m rows, to be kept and reused.
+
+        The rows in orbit order ("y"), the 3- and 6-node orbit coordinates
+        ("c3", "c6"), and the trivial and standard block coordinates
+        ("triv", "std"); the sign block's are rows of "c6".
+        """
+        n1, n2, n6 = self.orbits
+        return {"y": np.empty((m, self.size)), "c3": np.empty((m, 3, n2)),
+                "c6": np.empty((m, 6, n6)), "triv": np.empty((m, n1 + n2 + n6)),
+                "std": np.empty((m, 2, n2 + 2 * n6))}
+
+    def forward(self, x: np.ndarray, work: dict | None = None) -> list:
         """Block coordinates of the rows of x (m, n^3): [(m, n_t), (m, n_s), (2m, n_std)].
 
         The standard coordinates of row i are rows 2i and 2i + 1, one per
-        row of the representation.
+        row of the representation.  They are views of ``work`` (a
+        ``workspace(m)``, made afresh if None).
         """
         m = x.shape[0]
         n1, n2, n6 = self.orbits
-        y = np.take(x, self._order, axis=1)
-        c3 = self._t3 @ y[:, n1:n1 + 3 * n2].reshape(m, 3, n2)
-        c6 = self._t6 @ y[:, n1 + 3 * n2:].reshape(m, 6, n6)
-        std = np.empty((m, 2, n2 + 2 * n6))
+        w = self.workspace(m) if work is None else work
+        # mode="wrap" writes straight into out; the indices are in range
+        y = np.take(x, self._order, axis=1, out=w["y"], mode="wrap")
+        c3 = np.matmul(self._t3, y[:, n1:n1 + 3 * n2].reshape(m, 3, n2), out=w["c3"])
+        c6 = np.matmul(self._t6, y[:, n1 + 3 * n2:].reshape(m, 6, n6), out=w["c6"])
+        std = w["std"]
         std[:, :, :n2] = c3[:, 1:]
         std[:, :, n2:] = c6[:, 2:].reshape(m, 2, 2 * n6)
-        return [np.concatenate([y[:, :n1], c3[:, 0], c6[:, 0]], axis=1), c6[:, 1],
-                std.reshape(2 * m, -1)]
+        triv = np.concatenate([y[:, :n1], c3[:, 0], c6[:, 0]], axis=1, out=w["triv"])
+        return [triv, c6[:, 1], std.reshape(2 * m, -1)]
 
-    def inverse(self, blocks: list) -> np.ndarray:
-        """The rows (m, n^3) whose ``forward`` is ``blocks``."""
+    def inverse(self, blocks: list, out: np.ndarray | None = None,
+                work: dict | None = None) -> np.ndarray:
+        """The rows (m, n^3) whose ``forward`` is ``blocks``, into ``out`` if given.
+
+        ``work`` is a ``workspace(m)`` (made afresh if None); its
+        coordinates are overwritten, so ``blocks`` must not be views of it.
+        """
         triv, sign, std = blocks
         m = triv.shape[0]
         n1, n2, n6 = self.orbits
+        w = self.workspace(m) if work is None else work
         std = std.reshape(m, 2, -1)
-        c3 = np.empty((m, 3, n2))
+        c3, c6, y = w["c3"], w["c6"], w["y"]
         c3[:, 0] = triv[:, n1:n1 + n2]
         c3[:, 1:] = std[:, :, :n2]
-        c6 = np.empty((m, 6, n6))
         c6[:, 0] = triv[:, n1 + n2:]
         c6[:, 1] = sign
-        c6[:, 2:] = std[:, :, n2:].reshape(m, 4, n6)
-        y = np.empty((m, self.size))
+        c6[:, 2:].reshape(m, 2, 2 * n6)[...] = std[:, :, n2:]
         y[:, :n1] = triv[:, :n1]
         np.matmul(self._t3.T, c3, out=y[:, n1:n1 + 3 * n2].reshape(m, 3, n2))
         np.matmul(self._t6.T, c6, out=y[:, n1 + 3 * n2:].reshape(m, 6, n6))
-        return np.take(y, self._unorder, axis=1)
+        return np.take(y, self._unorder, axis=1, out=out, mode="wrap")
 
     def block_matrices(self, rows: np.ndarray) -> list:
         """[trivial, sign, standard] blocks of an invariant operator from its ``reps`` rows.

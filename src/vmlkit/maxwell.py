@@ -82,34 +82,49 @@ def charge_density(vgrid: VelocityGrid, f: np.ndarray) -> np.ndarray:
     return vgrid.integrate((f[0] - f[1]) * mu_half)
 
 
-def current_density(vgrid: VelocityGrid, f: np.ndarray) -> np.ndarray:
+def current_density(vgrid: VelocityGrid, f: np.ndarray,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """j = int v mu^(1/2) (f_+ - f_-) dv; shape (3, *x_shape).
 
     Local in x: ``f`` may be physical or a spectrum of it, and j is then
-    the same spectrum of the current.
+    the same spectrum of the current.  ``work`` (C-contiguous, one species'
+    shape and dtype) holds f_+ - f_- in place of a new array.
     """
     rows = vgrid.v_mu_half.reshape(3, -1)
-    diff = (f[0] - f[1]).reshape(-1, rows.shape[1])
+    diff = np.subtract(f[0], f[1], out=work).reshape(-1, rows.shape[1])
     # einsum, not a BLAS GEMM: a threaded GEMM leaves BLAS threads spinning
     # against the collision operator's thread pool that runs next
     return vgrid.cell_volume * np.einsum("xv,av->ax", diff, rows).reshape(
         (3,) + f.shape[1:-3])
 
 
+def source_profile(vgrid: VelocityGrid, e: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """E . v mu^(1/2), shape (*x, n, n, n): the first species of ``field_source_on_f``.
+
+    Local in x, like the source.  E . v is a sum of rank-one products,
+    formed by broadcasting (no BLAS call, as in ``current_density``); it
+    reaches its full shape only with its last term, which goes to ``out``
+    if given, and is then scaled by mu^(1/2) in place.
+    """
+    v, xv = vgrid.axes(), (Ellipsis, None, None, None)
+    ev = 0.0 + e[0][xv] * v[0] + e[1][xv] * v[1]
+    ev = np.add(ev, e[2][xv] * v[2], out=out)
+    ev *= vgrid.mu_half()
+    return ev
+
+
 def field_source_on_f(vgrid: VelocityGrid, e: np.ndarray) -> np.ndarray:
     """E . v mu^(1/2) q1 term, shape (2, *x, n, n, n).
 
     Local in x: ``e`` (3, *x) may be physical E or a spectrum of it, and
-    the source is then the same spectrum.  E . v is a sum of rank-one
-    products, formed by broadcasting (no BLAS call, as in
-    ``current_density``).
+    the source is then the same spectrum.  The species are
+    ``source_profile`` and its negative.
     """
-    ev = 0.0
-    for e_a, v_a in zip(e, vgrid.axes()):
-        ev = ev + e_a[..., None, None, None] * v_a
-    out = np.empty((2,) + e.shape[1:] + vgrid.shape, dtype=e.dtype)
-    np.multiply(ev, vgrid.mu_half(), out=out[0])
-    np.negative(out[0], out=out[1])
+    ev = source_profile(vgrid, e)
+    out = np.empty((2,) + ev.shape, dtype=ev.dtype)
+    out[0] = ev
+    np.negative(ev, out=out[1])
     return out
 
 

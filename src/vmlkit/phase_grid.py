@@ -291,8 +291,13 @@ class SpatialGrid:
             acc = acc + m * m
         return np.sqrt(acc)
 
+    @_memoized
     def xi_component(self, axis: int) -> np.ndarray:
-        """xi along a *global* axis index; zero array if the axis is inactive."""
+        """xi along a *global* axis index; zero array if the axis is inactive.
+
+        Kept per grid and axis, read-only (the curl and divergence read it
+        on every call).
+        """
         if axis in self.active_axes:
             return np.broadcast_to(
                 self.xi_mesh()[self.active_axes.index(axis)], self.shape
@@ -385,10 +390,12 @@ class SpatialGrid:
         part, as in ``inverse_half``.
         """
         axes = self._x_axes(half, x_axes)
-        pad = [(0, 0)] * half.ndim
-        pad[axes[-1]] = (0, self.n_x - half.shape[axes[-1]])
         weight = self._mult_view(0.5 * self.orbit_weight, half.ndim, axes[-1:])
-        full = np.pad(half * weight, pad)
+        shape = list(half.shape)
+        shape[axes[-1]] = self.n_x
+        full = np.zeros(shape, dtype=np.result_type(half, weight))
+        kept = (slice(None),) * axes[-1] + (slice(0, half.shape[axes[-1]]),)
+        np.multiply(half, weight, out=full[kept])
         return full + np.roll(np.flip(full, axes), 1, axes).conj()
 
     def _mult_view(self, mult: np.ndarray, arr_ndim: int, axes: tuple) -> np.ndarray:

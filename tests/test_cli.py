@@ -50,6 +50,7 @@ class TestConfigHandling:
         (["report_every=0"], "report_every"),
         (["box_length=-1"], "box_length"),
         (["amplitude=nan"], "amplitude"),
+        (["amplitude=1e300"], "amplitude"),
         (["monitor_every=-1"], "monitor_every"),
         (["checkpoint_every=-2"], "checkpoint_every"),
         (["beta_max=-1"], "beta_max"),
@@ -57,8 +58,8 @@ class TestConfigHandling:
         (["n_modes=0"], "n_modes"),
         (["seed=-1"], "seed"),
     ], ids=["coarse_n_v", "n_x", "v_max", "direct_past_limit", "report_every",
-            "box_length", "amplitude", "monitor_every", "checkpoint_every",
-            "beta_max", "cg_tol", "n_modes", "seed"])
+            "box_length", "amplitude", "amplitude_huge", "monitor_every",
+            "checkpoint_every", "beta_max", "cg_tol", "n_modes", "seed"])
     def test_bad_grid_rejected(self, tmp_path, capsys, settings, key):
         argv = ["simulate", "--out", str(tmp_path)]
         for item in settings:

@@ -238,11 +238,11 @@ class TestSpectralSnapshot:
         calls = []
         apply_axis = landau._apply_axis
 
-        def counted(mat, arr, axis):
+        def counted(mat, arr, axis, out=None):
             # the passes over spectra; L f applies its stencils to the real f
             if np.iscomplexobj(arr):
                 calls.append(arr.shape[1])
-            return apply_axis(mat, arr, axis)
+            return apply_axis(mat, arr, axis, out=out)
 
         monkeypatch.setattr(landau, "_apply_axis", counted)
         diag.SpectralSnapshot(ctx, st, report=report)

@@ -42,20 +42,22 @@ def test_no_function_local_vmlkit_imports():
 
 def test_direct_run_does_not_import_scipy_sparse(tmp_path):
     # the dense rows of the direct propagator are assembled with numpy alone,
-    # so a direct run's set-up does not pay for importing scipy.sparse
+    # so a direct run's set-up does not pay for importing scipy.sparse; and
+    # L of the report's B weights comes from the blocks, so the run never
+    # starts the matrix-free operators' convolution pool
     script = (
         "import sys\n"
-        "from vmlkit import cli\n"
+        "from vmlkit import cli, landau\n"
         "rc = cli.main(['simulate', '--out', sys.argv[1], '--set', 'n_x=4',"
         " '--set', 'n_v=8', '--set', 'dt=0.1', '--set', 't_end=0.1',"
         " '--set', 'collision_solver=direct', '--set', 'direct_max_nv=8'])\n"
         "assert rc == 0, rc\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print('scipy.sparse' in sys.modules, len(landau._POOLS))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           cwd=SRC.parent, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "False 0"
 
 
 def test_diagnostics_does_not_import_evolve():
