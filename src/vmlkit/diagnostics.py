@@ -234,7 +234,8 @@ class SnapshotPlan:
     monitor row).  ``levels[k]`` holds the betas of order k as sorted tuples
     of axes; dropping the last (highest) axis gives the parent, one stencil
     pass away.  ``rows[c]`` holds the first pair index of beta c and the
-    rows of ``mults`` (the ``_alpha_multipliers`` of ``alphas``) of its pairs.
+    rows of ``mults`` (the ``_alpha_multipliers`` of ``alphas``) of its pairs;
+    ``block_rows`` those rows over one block of modes, once per species.
     """
 
     def __init__(self, cfg, alphas: list, mults: np.ndarray, report: bool):
@@ -251,16 +252,27 @@ class SnapshotPlan:
             self.pairs += [(alphas[i], beta) for i in keep]
         self.a_ord = np.array([sum(a) for a, _ in self.pairs])
         self.b_ord = np.array([sum(b) for _, b in self.pairs])
+        self._blocks: dict = {}
+
+    def block_rows(self, c: tuple, start: int, stop: int) -> tuple:
+        """(first pair index, rows over modes start..stop repeated per species) of beta c.
+
+        Kept per block, like the plan.
+        """
+        key = (c, start, stop)
+        if key not in self._blocks:
+            lo, mult = self.rows[c]
+            self._blocks[key] = (lo, np.concatenate([mult[:, start:stop]] * 2, axis=1))
+        return self._blocks[key]
 
 
-def _contract(mult: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Per-mode densities (2, modes, n, n, n) against mode multipliers (rows, modes).
+def _contract(both: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Per-mode densities (2, modes, n, n, n) against mode multipliers (rows, 2 modes).
 
-    Summed over species and modes in one GEMM: the multipliers repeat once
-    per species.
+    Summed over species and modes in one GEMM: ``both`` repeats the
+    multipliers once per species (``SnapshotPlan.block_rows``).
     """
-    both = np.concatenate([mult, mult], axis=1)
-    return (both @ dens.reshape(both.shape[1], -1)).reshape((len(mult),) + dens.shape[-3:])
+    return (both @ dens.reshape(both.shape[1], -1)).reshape((len(both),) + dens.shape[-3:])
 
 
 def _pair_moments(vgrid: VelocityGrid, h: np.ndarray, wgt: np.ndarray,
@@ -298,16 +310,21 @@ class BlockFields:
         self.block = block
         self._vshape = vshape
         self._buffers: dict = {}
+        self._views: dict = {}
 
     def take(self, nb: int):
         shape = (2, nb) + self._vshape
-        size, full = math.prod(shape), math.prod((2, self.block) + self._vshape)
+        views = self._views.setdefault(nb, {})
 
         def buffer(name, dtype=complex) -> np.ndarray:
-            buf = self._buffers.get(name)
-            if buf is None:
-                buf = self._buffers[name] = np.empty(full, dtype)
-            return buf[:size].reshape(shape)
+            view = views.get(name)
+            if view is None:
+                buf = self._buffers.get(name)
+                if buf is None:
+                    buf = self._buffers[name] = np.empty(
+                        math.prod((2, self.block) + self._vshape), dtype)
+                view = views[name] = buf[:math.prod(shape)].reshape(shape)
+            return view
 
         return buffer
 
@@ -408,8 +425,8 @@ class SpectralSnapshot:
         self.dens = {name: np.zeros((len(self.pairs),) + vgrid.shape) for name in names}
 
         def add(name, c, sl, dens):
-            lo, mult = plan.rows[c]
-            self.dens[name][lo:lo + len(mult)] += _contract(mult[:, sl], dens)
+            lo, both = plan.block_rows(c, sl.start, sl.stop)
+            self.dens[name][lo:lo + len(both)] += _contract(both, dens)
 
         # the derivative tree, level by level within one block of xi-modes:
         # d_beta is one stencil pass from its parent, and |.|^2 of each micro
@@ -435,14 +452,17 @@ class SpectralSnapshot:
                 return {c: apply_axis(fd, lvl[c[:-1]], c[-1] - 3, out=take((kind,) + slot[c]))
                         for c in levels[level + 1]}
 
-            # the block's own f and micro, contiguous for the stencil passes
-            f_lvl = {(): take(("f",) + slot[()])}
-            m_lvl = {(): take(("m",) + slot[()])}
-            np.copyto(f_lvl[()], fv[:, sl])
-            np.copyto(m_lvl[()], mv[:, sl])
+            def root(kind, spec):
+                """The block of a spectrum, contiguous for the stencil passes."""
+                out = take((kind,) + slot[()])
+                np.copyto(out, spec[:, sl])
+                return {(): out}
+
+            f_lvl = root("f", fv) if report else {}
+            m_lvl = root("m", mv)
             m_sq = {(): square(m_lvl[()], ())}
             for level in range(top + 1):
-                for c, fc in f_lvl.items() if report else ():
+                for c, fc in f_lvl.items():
                     add("f", c, sl, abs2(fc, take("dens", float), take("im2", float)))
                 kids = kids_of("m", m_lvl, level)
                 kid_sq = {c: square(k, c) for c, k in kids.items()}

@@ -397,11 +397,9 @@ class CollisionStepper:
     GEMM per block and changes back.  ``quadratic_form`` gives a recorded
     state's collision power Re conj(f_hat) (L f)^ per mode from the blocks
     without forming L f: one forward basis change, one GEMM per block and
-    the row dot products.  Both work in the same kept arrays
-    (``_workspace``: s, d, the basis change's and the products), made per
-    row count on first use and kept; in a run the step and the snapshots
-    share one set, as they see the same half spectrum.
-    ``apply_a_plus_k`` gives (A + K) x from the blocks.
+    the row dot products.  Both work in the arrays of ``_workspace``, which
+    the step and the snapshots of a run share.  ``apply_a_plus_k`` gives
+    (A + K) x from the blocks.
 
     ``method="cg"`` solves the same trapezoid systems matrix-free; it has
     no ``quadratic_form``, so the diagnostics transform a matrix-free L f.
@@ -479,10 +477,8 @@ class CollisionStepper:
     def _workspace(self, m: int) -> dict:
         """The direct solver's arrays for m rows, made on first use and kept.
 
-        s and d ("s", "d"), the basis change's arrays
-        (``PermutationBlocks.workspace``) and the block GEMM products
-        ("prod"), so that a step or a quadratic form allocates nothing that
-        scales with the grid.
+        s and d, the basis change's arrays (``PermutationBlocks.workspace``)
+        and the block GEMM products ("prod").
         """
         work = self._work.get(m)
         if work is None:
@@ -615,9 +611,7 @@ class CollisionStepper:
 
         ``f`` is real or, for the direct solver, a spectrum in x, whose real
         and imaginary parts the real propagator advances alike.  The result
-        goes into ``out``, which may be ``f`` itself, or a new array.  The
-        direct solver works in the arrays it keeps (``_workspace``), so with
-        ``out`` it allocates nothing that scales with the grid.
+        goes into ``out``, which may be ``f`` itself, or a new array.
         """
         if self.method == "direct":
             s, d = self._sum_difference(f)
@@ -699,13 +693,9 @@ class Stepper:
     returns a new one.  In between, f is kept on the Hermitian half
     spectrum of its x axes (``SpatialGrid.forward_half``): one forward
     transform at the start of the step and one inverse at the end, the only
-    transforms of a linearized direct step.  The forward transform's
-    spectrum is the step's working array: ``transport_half``,
-    ``field_force_half`` and the collision substep update it in place, the
-    last two through arrays kept across steps (``_work`` here, one species
-    of the half spectrum, and the direct ``CollisionStepper``'s), so that a
-    linearized direct step allocates, beyond the two transforms' outputs,
-    nothing that scales with the grid.
+    transforms of a linearized direct step.  ``transport_half``,
+    ``field_force_half`` and the collision substep update the forward
+    transform's spectrum in place, through kept arrays (module docstring).
     """
 
     def __init__(self, config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid,
