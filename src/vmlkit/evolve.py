@@ -43,11 +43,11 @@ The forward transform's spectrum is the step's working array.  Each
 transport half multiplies it in place, the field stage adds tau S(E) into
 it, and the direct collision substep writes its result back into it.  The
 current, the source and the collision's basis changes and GEMM products
-use arrays sized once from the grids and kept by the ``Stepper`` and the
-direct ``CollisionStepper``.  So a linearized direct step allocates only
-the spectrum and the new f, and its speed does not depend on how the
-allocator returns freed memory.  The arithmetic is that of the allocating
-form, so the state is bit-identical to it.
+use arrays that, with the direct solver, the ``Stepper`` and the
+``CollisionStepper`` size once from the grids and keep.  So a linearized
+direct step allocates only the spectrum and the new f, and its speed does
+not depend on how the allocator returns freed memory.  The arithmetic is
+that of the allocating form, so the state is bit-identical to it.
 
 The trapezoid system (I + dt/2 L) f' = (I - dt/2 L) f is solved either by
 flexible preconditioned conjugate gradients (matrix-free, any resolution;
@@ -710,8 +710,10 @@ class Stepper:
         self.x_axes = tuple(range(1, 1 + sgrid.n_active))
         self._phase = self._transport_phase(0.5 * config.dt)
         # one species of the half spectrum: the current's f_+ - f_- and the
-        # source's E . v mu^(1/2)
-        self._work = np.empty(sgrid.half_shape + vgrid.shape, dtype=complex)
+        # source's E . v mu^(1/2); kept with the direct solver only, as
+        # under the CG solver it would add to the peak its operators set
+        self._work = (np.empty(sgrid.half_shape + vgrid.shape, dtype=complex)
+                      if self.collision.method == "direct" else None)
 
     def _transport_phase(self, tau: float) -> np.ndarray:
         """exp(-i tau xi . v) on the half spectrum, shape (*half_shape, n, n, n).
