@@ -54,9 +54,10 @@ flexible preconditioned conjugate gradients (matrix-free, any resolution;
 the sum system preconditioned by an inner solve of its diffusion part) or by a
 cached propagator (small velocity grids).  Since L is symmetric positive
 semidefinite, M = I + dt/2 L is symmetric positive definite: the
-propagator is P = M^-1 (I - dt/2 L) = 2 M^-1 - I, with M^-1 from a
-Cholesky factorization, and the trapezoid update never increases ||f||^2,
-which is what the per-step Lyapunov monitor leans on.
+propagator is P = M^-1 (I - dt/2 L) = 2 M^-1 - I, with M^-1 from block
+Schur complements over Cholesky-factored leaves (``_spd_inverse``), and
+the trapezoid update never increases ||f||^2, which is what the per-step
+Lyapunov monitor leans on.
 
 The field/force stage takes its coupling terms (the source E . v mu^(1/2)
 q1, the Lorentz force and the current) and dE/dt, dB/dt from ``maxwell``.
@@ -83,7 +84,6 @@ import struct
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import diagnostics as diag
 from . import landau, macro_micro, maxwell
@@ -378,6 +378,48 @@ def initial_state(config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid) ->
 # ---------------------------------------------------------------------------
 
 
+def _spd_inverse(m: np.ndarray) -> np.ndarray:
+    """Invert a symmetric positive definite m in place by block Schur complements.
+
+    With m = [[A, B], [B^T, C]], X = A^-1 B and S = C - B^T X, the inverse
+    is [[A^-1 + X S^-1 X^T, -X S^-1], [-S^-1 X^T, S^-1]], A^-1 and S^-1
+    taken the same way in the blocks of m: GEMMs but for the leaves of at
+    most 64 rows, which are Cholesky factored.  m is positive definite
+    exactly when A and S are, so a leaf that is not raises
+    ``np.linalg.LinAlgError``.  Returns m, overwritten by its inverse.
+    """
+    n = len(m)
+    if n <= 64:
+        lower_inv = np.linalg.inv(np.linalg.cholesky(m))
+        return np.matmul(lower_inv.T, lower_inv, out=m)
+    k = n // 2
+    a_inv = _spd_inverse(m[:k, :k])
+    x = a_inv @ m[:k, k:]
+    s = m[k:, k:]
+    s -= m[k:, :k] @ x
+    s_inv = _spd_inverse(s)
+    upper = np.matmul(x, s_inv, out=m[:k, k:])
+    upper *= -1.0
+    m[k:, :k] = upper.T
+    a_inv -= upper @ x.T
+    return m
+
+
+def _add_transpose(a: np.ndarray) -> None:
+    """a + a^T written over a square a, by 128 x 128 tiles.
+
+    Each pair of mirrored tiles is summed once and written to both places,
+    so the transposed reads stay in cache; ``a += a.T`` would read the
+    whole transpose through a temporary, at twice the time for n >= 500.
+    """
+    n, t = len(a), 128
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            pair = a[i:i + t, j:j + t] + a[j:j + t, i:i + t].T
+            a[i:i + t, j:j + t] = pair
+            a[j:j + t, i:i + t] = pair.T
+
+
 class CollisionStepper:
     """Implicit-trapezoid collision substep in species sum/difference form.
 
@@ -389,17 +431,18 @@ class CollisionStepper:
     alone, which numpy assembles from the stencils and the difference
     table.  Per species combination, each block of the propagator
     P = 2 (I + dt/2 L)^-1 - I, with L_s = 2(A + K) and L_d = 2A, is
-    inverted by Cholesky (LAPACK potrf + potri); both operators are
-    symmetric positive semidefinite, and a failed factorization raises
-    ValueError.  The blocked P_s, P_d, A + K and A are kept, 8 (n_t^2 +
-    n_s^2 + n_std^2) bytes each (1.4 MB at n_v = 10, 22.6 MB at n_v = 16);
-    no n_v^3 x n_v^3 array is held.  ``advance`` changes basis, runs one
-    GEMM per block and changes back.  ``quadratic_form`` gives a recorded
-    state's collision power Re conj(f_hat) (L f)^ per mode from the blocks
-    without forming L f: one forward basis change, one GEMM per block and
-    the row dot products.  Both work in the arrays of ``_workspace``, which
-    the step and the snapshots of a run share.  ``apply_a_plus_k`` gives
-    (A + K) x from the blocks.
+    inverted by block Schur complements (``_spd_inverse``); both operators
+    are symmetric positive semidefinite, and a block that is not positive
+    definite raises ValueError.  The blocked P_s, P_d, A + K and A are
+    kept, 8 (n_t^2 + n_s^2 + n_std^2) bytes each (1.4 MB at n_v = 10,
+    22.6 MB at n_v = 16); no n_v^3 x n_v^3 array is held.  ``advance``
+    changes basis, runs one GEMM per block and changes back.
+    ``quadratic_form`` gives a recorded state's collision power
+    Re conj(f_hat) (L f)^ per mode from the blocks without forming L f:
+    one forward basis change, one GEMM per block and the row dot products.
+    Both work in the arrays of ``_workspace``, which the step and the
+    snapshots of a run share.  ``apply_a_plus_k`` gives (A + K) x from the
+    blocks.
 
     ``method="cg"`` solves the same trapezoid systems matrix-free; it has
     no ``quadratic_form``, so the diagnostics transform a matrix-free L f.
@@ -458,19 +501,16 @@ class CollisionStepper:
         n = b.shape[0]
         m = self.dt * b
         m.flat[:: n + 1] += 1.0
-        # m is symmetric, so its transpose is the same matrix in the Fortran
-        # order LAPACK factors in place
-        fac, info = lapack.dpotrf(m.T, overwrite_a=True)
-        if info == 0:
-            inv, info = lapack.dpotri(fac, overwrite_c=True)
-        if info != 0:
+        try:
+            inv = _spd_inverse(m)
+        except np.linalg.LinAlgError:
             raise ValueError(
                 f"collision propagator: I + dt/2 L is not positive definite "
                 f"(n_v={self.tables.n}, gamma={self.tables.gamma}, "
-                f"dt={self.dt}; LAPACK info {info})")
-        # potri fills one triangle of M^-1 and potrf zeroed the other
-        inv += np.triu(inv, 1).T
-        inv *= 2.0
+                f"dt={self.dt})") from None
+        # the products leave M^-1 symmetric only to round-off; 2 M^-1 as
+        # M^-1 + M^-T is symmetric exactly, since the sums commute
+        _add_transpose(inv)
         inv.flat[:: n + 1] -= 1.0
         return inv
 

@@ -38,15 +38,14 @@ with the singular self-cell replaced by the analytic ball average of
 transforms are pruned (``_forward``, ``_inverse``): the forward one never
 transforms a line that holds only padding, and the inverse one computes
 only the lines that the crop to n^3 keeps.  A batch of x points runs one
-point per job, each transformed, multiplied and transformed back with one
-FFT thread on a pool of ``_WORKERS`` threads built on first use, so at
-most ``_WORKERS`` points are in flight and a job's transforms stay in
-cache; a single field (the sigma table) is one call with ``_WORKERS`` FFT
-threads instead.  The two convolutions of a bilinear term (Gamma, Q),
-Phi^ij * g and sum_j Phi^ij * d_j g, share one job per point and so one
-round of the pool.  Pocketfft transforms every line the same way whatever
-the batch or thread count, so the jobs' results are bit-identical to one
-call over all points.
+point per job, each transformed, multiplied and transformed back on a pool
+of ``_WORKERS`` threads built on first use, so at most ``_WORKERS`` points
+are in flight and a job's transforms stay in cache; a single field (the
+sigma table) is one call in the caller instead.  The two convolutions of a
+bilinear term (Gamma, Q), Phi^ij * g and sum_j Phi^ij * d_j g, share one
+job per point and so one round of the pool.  numpy's pocketfft transforms
+every line the same way whatever the batch, so the jobs' results are
+bit-identical to one call over all points.
 
 The sigma norm here is the unweighted one; the weighted norms of the
 functionals integrate the same ``sigma_density`` in
@@ -68,7 +67,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sfft
 
 from .phase_grid import VelocityGrid, fd_gradient_matrix
 
@@ -79,8 +77,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# the one worker count: FFT threads of a single-field convolution, pool
-# threads of a batched one (read at call time, so it may be lowered)
+# threads of the pool that runs a batched convolution's points (read at
+# call time, so it may be lowered)
 _WORKERS = min(4, _usable_cpus())
 
 
@@ -204,7 +202,10 @@ def build_collision_tables(grid: VelocityGrid, gamma: float) -> CollisionTables:
     kernel_hat = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            khat = sfft.rfftn(kern[i, j], axes=(-3, -2, -1), workers=_WORKERS)
+            # rfft along v_3, then fft along v_1 before v_2 (numpy's default
+            # takes v_2 first): the order tests/data and benchmarks/reference
+            # were recorded in, so the tables reproduce them bit for bit
+            khat = np.fft.rfftn(kern[i, j], axes=(1, 0, 2))
             kernel_hat[i][j] = khat
             kernel_hat[j][i] = khat
 
@@ -270,60 +271,63 @@ def _apply_axis(mat: np.ndarray, arr: np.ndarray, axis: int,
     return out
 
 
-def _forward(arr: np.ndarray, p: int, workers: int) -> np.ndarray:
+def _forward(arr: np.ndarray, p: int) -> np.ndarray:
     """rfftn of ``arr`` zero-padded to (p, p, p), without transforming the zeros.
 
     rfft along the last axis over the n x n data lines only, then fft along
     axis -2 over the n data planes, then along axis -3 (a pruned transform:
-    Sorensen and Burrus, IEEE Trans. Signal Process. 41, 1993).
+    Sorensen and Burrus, IEEE Trans. Signal Process. 41, 1993).  The lines
+    are zero-padded by writing them into a zeroed spectrum, which both fft
+    passes then transform in place: numpy pads a strided axis more slowly.
     """
-    spec = sfft.rfft(arr, n=p, axis=-1, workers=workers)
-    spec = sfft.fft(spec, n=p, axis=-2, workers=workers)
-    return sfft.fft(spec, n=p, axis=-3, workers=workers)
+    n = arr.shape[-1]
+    spec = np.zeros(arr.shape[:-3] + (p, p, p // 2 + 1), dtype=complex)
+    planes = spec[..., :n, :, :]
+    planes[..., :n, :] = np.fft.rfft(arr, n=p, axis=-1)
+    np.fft.fft(planes, axis=-2, out=planes)
+    return np.fft.fft(spec, axis=-3, out=spec)
 
 
-def _inverse(spec: np.ndarray, n: int, workers: int) -> np.ndarray:
+def _inverse(spec: np.ndarray, n: int) -> np.ndarray:
     """The [:n, :n, :n] corner of irfftn(spec), computing only the lines kept.
 
     ifft along axis -3, keep n planes; ifft along axis -2, keep n rows;
     irfft of the n x n kept lines.  ``spec`` is overwritten.
     """
     p = spec.shape[-3]
-    field = sfft.ifft(spec, axis=-3, workers=workers, overwrite_x=True)[..., :n, :, :]
-    field = sfft.ifft(field, axis=-2, workers=workers, overwrite_x=True)[..., :n, :]
-    return sfft.irfft(field, n=p, axis=-1, workers=workers)[..., :n]
+    np.fft.ifft(spec, axis=-3, out=spec)
+    planes = spec[..., :n, :, :]
+    np.fft.ifft(planes, axis=-2, out=planes)
+    return np.fft.irfft(planes[..., :n, :], n=p, axis=-1)[..., :n]
 
 
-def _components_kernel(tables: CollisionTables, w: list, out: np.ndarray,
-                       workers: int) -> None:
+def _components_kernel(tables: CollisionTables, w: list, out: np.ndarray) -> None:
     """out[i, j] = Phi^ij * w[0]; ``out`` is (3, 3, *lead, n, n, n)."""
-    what = _forward(w[0], tables.pad, workers)
+    what = _forward(w[0], tables.pad)
     for i in range(3):
         for j in range(i, 3):
-            out[i, j] = _inverse(tables.kernel_hat[i][j] * what, tables.n, workers)
+            out[i, j] = _inverse(tables.kernel_hat[i][j] * what, tables.n)
             out[j, i] = out[i, j]
 
 
-def _contracted_kernel(tables: CollisionTables, w: list, out: np.ndarray,
-                       workers: int) -> None:
+def _contracted_kernel(tables: CollisionTables, w: list, out: np.ndarray) -> None:
     """out[i] = sum_j Phi^ij * w[j]; ``out`` is (3, *lead, n, n, n)."""
-    what = [_forward(wj, tables.pad, workers) for wj in w]
+    what = [_forward(wj, tables.pad) for wj in w]
     for i in range(3):
         acc = tables.kernel_hat[i][0] * what[0]
         acc += tables.kernel_hat[i][1] * what[1]
         acc += tables.kernel_hat[i][2] * what[2]
-        out[i] = _inverse(acc, tables.n, workers)
+        out[i] = _inverse(acc, tables.n)
 
 
-def _bilinear_kernel(tables: CollisionTables, w: list, out: np.ndarray,
-                     workers: int) -> None:
+def _bilinear_kernel(tables: CollisionTables, w: list, out: np.ndarray) -> None:
     """Both convolutions of a Landau bilinear term, w = [g, dg_0, dg_1, dg_2].
 
     out[:9] holds Phi^ij * g as (3, 3) and out[9:] sum_j Phi^ij * dg_j;
     ``out`` is (12, *lead, n, n, n).
     """
-    _components_kernel(tables, w[:1], out[:9].reshape((3, 3) + out.shape[1:]), workers)
-    _contracted_kernel(tables, w[1:], out[9:], workers)
+    _components_kernel(tables, w[:1], out[:9].reshape((3, 3) + out.shape[1:]))
+    _contracted_kernel(tables, w[1:], out[9:])
 
 
 _POOLS: dict = {}
@@ -341,18 +345,18 @@ def _pool() -> ThreadPoolExecutor:
 def _by_points(kernel, tables: CollisionTables, w: list, out: np.ndarray) -> np.ndarray:
     """Run ``kernel`` over the leading (x) points of w, one point per job.
 
-    Each job runs the kernel on one point with one FFT thread and writes
-    its own slice of ``out``: on the pool, so at most ``_WORKERS`` points
-    are in flight and the working set does not grow with the number of
-    points, or in the caller for one worker.  A single point (such as the
-    sigma table, lead ()) is one call with ``_WORKERS`` FFT threads instead.
-    Pocketfft transforms every line the same way whatever the batch or
-    thread count, so the result is bit-identical to one call over all points.
+    Each job runs the kernel on one point and writes its own slice of
+    ``out``: on the pool, so at most ``_WORKERS`` points are in flight and
+    the working set does not grow with the number of points, or in the
+    caller for one worker.  A single point (such as the sigma table,
+    lead ()) is one call in the caller.  numpy's pocketfft transforms every
+    line the same way whatever the batch, so the result is bit-identical to
+    one call over all points.
     """
     lead = w[0].shape[:-3]
     m = math.prod(lead)
     if m < 2:
-        kernel(tables, w, out, _WORKERS)
+        kernel(tables, w, out)
         return out
     vshape = w[0].shape[-3:]
     flat_w = [wj.reshape((m,) + vshape) for wj in w]
@@ -361,10 +365,10 @@ def _by_points(kernel, tables: CollisionTables, w: list, out: np.ndarray) -> np.
             for a in range(m)]
     if _WORKERS < 2:
         for wj, oj in jobs:
-            kernel(tables, wj, oj, 1)
+            kernel(tables, wj, oj)
         return out
     pool = _pool()
-    for job in [pool.submit(kernel, tables, wj, oj, 1) for wj, oj in jobs]:
+    for job in [pool.submit(kernel, tables, wj, oj) for wj, oj in jobs]:
         job.result()
     return out
 
@@ -739,7 +743,7 @@ def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV,
         tij, tii = (np.moveaxis(table[p, q], (j, i, k), (0, 1, 2)) for p, q in ((i, j), (i, i)))
         # axis i per (u_j, o_k), then axis j per (a_i c_i, a_j): at n <= 16 GEMMs
         # small enough to run on the calling thread, as a threaded one stalls on
-        # a busy host and leaves BLAS threads spinning against the Cholesky next
+        # a busy host and leaves BLAS threads spinning against the inversion next
         x = np.matmul(row_side, np.stack([tij, tij, tii]))
         x = x.reshape(3 * m, n * n, m).transpose(1, 0, 2)[:, None]
         pair = np.matmul(col_side, x).reshape(n, n, n, n, m)   # (a_i, c_i, a_j, c_j, o_k)

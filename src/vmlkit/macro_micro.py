@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .phase_grid import SpatialGrid, VelocityGrid
 
@@ -76,14 +75,13 @@ class MacroProjector:
                                np.stack([zero, mu_half, *v_mu, en])]).reshape(2, 6, -1)
         self.gram = grid.cell_volume * np.sum(self._rows @ self._rows.transpose(0, 2, 1),
                                               axis=0)
-        self._gram_cho = sla.cho_factor(self.gram)
 
     def coefficients(self, f: np.ndarray) -> np.ndarray:
         """Gram-corrected basis coefficients; shape (6, *batch)."""
         batch_shape = f.shape[1:-3]
         flat = f.reshape(2, -1, self.grid.n_v ** 3)
         mom = self.grid.cell_volume * (self._rows @ flat.transpose(0, 2, 1)).sum(axis=0)
-        beta = sla.cho_solve(self._gram_cho, mom)
+        beta = np.linalg.solve(self.gram, mom)
         return beta.reshape((6,) + batch_shape)
 
     def assemble(self, beta: np.ndarray) -> np.ndarray:

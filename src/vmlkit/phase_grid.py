@@ -15,7 +15,7 @@ the L^2(dx) Plancherel identity holds without extra factors:
     sum_k |fhat(k)|^2 = (L/n_x)^d * sum_x |f(x)|^2,   xi_k = 2*pi*k/L.
 
 A real array also has a half-spectrum transform pair with the same scale
-(``forward_half``/``inverse_half``, scipy's rfftn/irfftn): only the modes
+(``forward_half``/``inverse_half``, numpy's rfftn/irfftn): only the modes
 whose last active index is <= n_x // 2 are kept, the others being the
 complex conjugates of their partners -xi.  The Strang step and the
 diagnostics run on it, and read its layout from ``SpatialGrid`` alone: the
@@ -34,7 +34,6 @@ from functools import cached_property, wraps
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -355,7 +354,7 @@ class SpatialGrid:
         """
         axes = self._x_axes(arr, x_axes)
         scale = (np.sqrt(self.box_length) / self.n_x) ** len(axes)
-        spec = sfft.rfftn(arr, axes=axes)
+        spec = np.fft.rfftn(arr, axes=axes)
         spec *= scale
         return spec
 
@@ -368,7 +367,7 @@ class SpatialGrid:
         """
         axes = self._x_axes(spec, x_axes)
         scale = (self.n_x / np.sqrt(self.box_length)) ** len(axes)
-        out = sfft.irfftn(spec, s=(self.n_x,) * len(axes), axes=axes)
+        out = np.fft.irfftn(spec, s=(self.n_x,) * len(axes), axes=axes)
         out *= scale
         return out
 

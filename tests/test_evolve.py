@@ -392,6 +392,19 @@ class TestStep:
         with pytest.raises(ValueError, match="n_v=8, gamma=-3.0, dt=-1.0"):
             evolve.CollisionStepper(tab, -1.0, method="direct", direct_max_nv=8)
 
+    def test_spd_inverse(self):
+        # two levels of Schur complements over leaves of at most 64 rows
+        rng = np.random.default_rng(12)
+        q = rng.standard_normal((200, 200))
+        m = q @ q.T + 200.0 * np.eye(200)
+        inv = evolve._spd_inverse(m.copy())
+        assert np.abs(inv @ m - np.eye(200)).max() < 1e-13
+        # a positive definite leading block with an indefinite Schur
+        # complement, C - B^T A^-1 B = -3 I: the second leaf refuses it
+        eye = np.eye(100)
+        with pytest.raises(np.linalg.LinAlgError):
+            evolve._spd_inverse(np.block([[eye, 2.0 * eye], [2.0 * eye, eye]]))
+
 
 class TestPermutationBlocks:
     """The direct solver's blocks against the full dense oracles at n_v = 8."""

@@ -40,24 +40,46 @@ def test_no_function_local_vmlkit_imports():
     assert found == []
 
 
+# the scipy modules a fresh interpreter has loaded, printed by the scripts
+# below: numpy is vmlkit's only run-time dependency
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+_SIMULATE = ("rc = cli.main(['simulate', '--out', sys.argv[1], '--set', 'n_x=4',"
+             " '--set', 'n_v=8', '--set', 'dt=0.1', '--set', 't_end=0.1',"
+             " '--set', 'collision_solver={solver}', '--set', 'direct_max_nv=8'])\n"
+             "assert rc == 0, rc\n")
+
+
+def _fresh_run(script, *args) -> str:
+    """The last line a script prints in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          cwd=SRC.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return proc.stdout.strip().splitlines()[-1]
+
+
 def test_direct_run_does_not_import_scipy_sparse(tmp_path):
     # the dense rows of the direct propagator are assembled with numpy alone,
     # so a direct run's set-up does not pay for importing scipy.sparse; and
     # L of the report's B weights comes from the blocks, so the run never
     # starts the matrix-free operators' convolution pool
-    script = (
-        "import sys\n"
-        "from vmlkit import cli, landau\n"
-        "rc = cli.main(['simulate', '--out', sys.argv[1], '--set', 'n_x=4',"
-        " '--set', 'n_v=8', '--set', 'dt=0.1', '--set', 't_end=0.1',"
-        " '--set', 'collision_solver=direct', '--set', 'direct_max_nv=8'])\n"
-        "assert rc == 0, rc\n"
-        "print('scipy.sparse' in sys.modules, len(landau._POOLS))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                          cwd=SRC.parent, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert proc.stdout.strip().splitlines()[-1] == "False 0"
+    script = ("import sys\n"
+              "from vmlkit import cli, landau\n"
+              + _SIMULATE.format(solver="direct")
+              + f"print('scipy.sparse' in sys.modules, len(landau._POOLS), {_SCIPY_MODULES})\n")
+    assert _fresh_run(script, tmp_path) == "False 0 []"
+
+
+def test_cg_run_does_not_import_scipy(tmp_path):
+    script = ("import sys\n"
+              "from vmlkit import cli\n"
+              + _SIMULATE.format(solver="cg")
+              + f"print({_SCIPY_MODULES})\n")
+    assert _fresh_run(script, tmp_path) == "[]"
+
+
+def test_import_does_not_load_scipy():
+    assert _fresh_run(f"import sys\nimport vmlkit\nprint({_SCIPY_MODULES})\n") == "[]"
 
 
 def test_diagnostics_does_not_import_evolve():

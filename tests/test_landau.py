@@ -330,14 +330,14 @@ class TestPrunedTransforms:
         padded = np.zeros(lead + (p, p, p))
         padded[..., :n, :n, :n] = field
         ref = sfft.rfftn(padded, axes=axes)
-        spec = landau._forward(field, p, 1)
+        spec = landau._forward(field, p)
         assert spec.shape == ref.shape
         assert np.abs(spec - ref).max() <= 2e-15 * np.abs(ref).max()
         # the spectrum of a real field that fills the box, as a kernel
         # product's does
         full = sfft.rfftn(rng.standard_normal(lead + (p, p, p)), axes=axes)
         ref = sfft.irfftn(full, s=(p, p, p), axes=axes)[..., :n, :n, :n]
-        back = landau._inverse(full.copy(), n, 1)
+        back = landau._inverse(full.copy(), n)
         assert back.shape == ref.shape
         assert np.abs(back - ref).max() <= 2e-15 * np.abs(ref).max()
 
@@ -378,15 +378,15 @@ class TestConvolutionPool:
 
     @classmethod
     def _record_calls(cls, monkeypatch, names=KERNELS):
-        """Wrap the named kernels; each call records its first entries, workers, thread."""
+        """Wrap the named kernels; each call records its first entries and thread."""
         calls = []
         for name in names:
             kernel = getattr(landau, name)
 
-            def counted(tables, w, out, workers, kernel=kernel, name=name):
+            def counted(tables, w, out, kernel=kernel, name=name):
                 first = w[0].reshape((-1,) + w[0].shape[-3:])[:, 0, 0, 0].copy()
-                calls.append((name, first, workers, threading.current_thread().name))
-                kernel(tables, w, out, workers)
+                calls.append((name, first, threading.current_thread().name))
+                kernel(tables, w, out)
 
             monkeypatch.setattr(landau, name, counted)
         return calls
@@ -403,14 +403,14 @@ class TestConvolutionPool:
         points = np.sort(w[0].reshape((-1,) + tables8.grid.shape)[:, 0, 0, 0])
         for name, kernel in kernels.items():
             jobs = [c for c in calls if c[0] == name]
-            for _, first, workers, thread in jobs:
+            for _, first, thread in jobs:
                 assert len(first) == 1
-                assert workers == 1 and thread.startswith("vmlkit-conv")
+                assert thread.startswith("vmlkit-conv")
             # every point in exactly one job
             assert np.array_equal(np.sort(np.concatenate([c[1] for c in jobs])), points)
             # and the jobs give what one call over all points gives
             whole = np.empty_like(pooled[name])
-            kernel(tables8, w, whole, 1)
+            kernel(tables8, w, whole)
             assert np.array_equal(pooled[name], whole), name
 
     def test_bilinear_term_is_one_pool_round(self, tables8, monkeypatch):
@@ -440,13 +440,13 @@ class TestConvolutionPool:
             assert len(rounds) == 1
             w, out = rounds[0]
             assert len(calls) == 5
-            for name, first, workers, thread in calls:
+            for name, first, thread in calls:
                 assert name == "_bilinear_kernel" and len(first) == 1
-                assert workers == 1 and thread.startswith("vmlkit-conv")
+                assert thread.startswith("vmlkit-conv")
             assert np.array_equal(np.sort(np.concatenate([c[1] for c in calls])),
                                   np.sort(w[0][:, 0, 0, 0]))
             whole = np.empty_like(out)
-            fused(tables8, w, whole, 1)
+            fused(tables8, w, whole)
             assert np.array_equal(out, whole)
             # the fused output holds both convolutions, as run on their own
             components = landau._convolve_components(tables8, w[0])
@@ -455,7 +455,7 @@ class TestConvolutionPool:
 
     def test_one_point_is_one_call_in_the_caller(self, tables8, monkeypatch):
         # a single field (the sigma table's lead ()) and a batch of one point
-        # run as one call in the caller with every worker
+        # run as one call in the caller
         monkeypatch.setattr(landau, "_WORKERS", 2)
         calls = self._record_calls(monkeypatch)
         rng = np.random.default_rng(33)
@@ -464,8 +464,8 @@ class TestConvolutionPool:
         for field in (w[0], w):
             calls.clear()
             landau._convolve_components(tables8, field)
-            assert [(c[0], len(c[1]), c[2], c[3]) for c in calls] == \
-                [("_components_kernel", 1, 2, caller)]
+            assert [(c[0], len(c[1]), c[2]) for c in calls] == \
+                [("_components_kernel", 1, caller)]
 
     def test_memory_bounded_by_jobs_in_flight(self, monkeypatch):
         # 16 points at n_v = 10 on two workers, one point per job.  The pruned
@@ -473,7 +473,7 @@ class TestConvolutionPool:
         # the padded box, S = 16 p^2 (p/2 + 1) bytes each.  A contracted job
         # holds at most five at once: three input spectra, their running sum
         # and one product.  While it transforms its third input it holds
-        # fewer (two spectra, a partial one of S/2 and the third), and the
+        # fewer (two spectra, the third and its n^2 rfft lines of S/4), and the
         # inverse runs in place on the sum, adding only the n^2 output lines
         # (8 n^2 p bytes).  tracemalloc reads about 5.4 S a job, under the
         # allowance of four padded-field-and-spectrum pairs, 4 (8 p^3 + S),
@@ -508,7 +508,7 @@ class TestConvolutionPool:
         # the bound is one the old layout breaks: its two chunks of 8 points
         # each peaked above one 8-point job alone, which reads 3.4 MB
         one_chunk = peak(lambda w: landau._contracted_kernel(
-            tables, [wj[:8] for wj in w], np.empty((3, 8) + vgrid10.shape), 1))
+            tables, [wj[:8] for wj in w], np.empty((3, 8) + vgrid10.shape)))
         assert one_chunk > 1.5 * bound
 
     def test_workers_follow_the_affinity_mask(self, monkeypatch):
