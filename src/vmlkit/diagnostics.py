@@ -78,12 +78,16 @@ import numpy as np
 from . import landau, macro_micro, maxwell
 from .phase_grid import SpatialGrid, VelocityGrid
 
-# bytes of one complex field of a block of xi-modes in the snapshot's
-# derivative tree: a block's fields stay in cache while the tree is walked,
-# and the scratch they are taken from (``BlockFields``, some 27 complex and
-# 18 real fields at beta_max = 2), which a direct run keeps, stays well below
-# the other arrays of a report
-BLOCK_BYTES = 64 * 1024
+# bytes of the derivative tree's scratch for one block of xi-modes (its level
+# buffers and grad . u terms, ``BlockFields``): a block holds as many modes
+# as fit, at least one, so its fields stay in cache while the tree is walked
+# and a monitor row's small tree walks in larger blocks than a report's.  A
+# direct run keeps the scratch, which stays well below the other arrays of a
+# report
+BLOCK_BYTES = 2 * 1024 * 1024
+# the velocity axes in the order of the derivative tree: the last one takes
+# a stencil pass from every beta of a level, the first from the fewest
+TREE_AXES = (2, 1, 0)
 
 TORUS_CAVEAT = (
     "torus caveat: algebraic decay rates -(k+s) are whole-space statements; "
@@ -137,8 +141,8 @@ class DiagContext:
         coll = self.collision
         return coll if coll is not None and coll.method == "direct" else None
 
-    def block_fields(self, block: int) -> "BlockFields":
-        """The derivative tree's scratch for blocks of ``block`` modes.
+    def block_fields(self) -> "BlockFields":
+        """The derivative tree's scratch.
 
         Kept for the run with a direct stepper, so that the loop's snapshots
         allocate no per-block fields; made per snapshot otherwise, because
@@ -146,9 +150,9 @@ class DiagContext:
         kept scratch would add to the run's peak memory.
         """
         if self.direct is None:
-            return BlockFields(block, self.vgrid.shape)
-        if self._fields is None or self._fields.block != block:
-            self._fields = BlockFields(block, self.vgrid.shape)
+            return BlockFields()
+        if self._fields is None:
+            self._fields = BlockFields()
         return self._fields
 
     def alphas(self, n_total: int):
@@ -187,11 +191,6 @@ class DiagContext:
                        else 2.0 * self.direct.apply_a_plus_k(b))}
 
     @cached_property
-    def sigma_brackets(self) -> tuple:
-        """``landau.sigma_brackets``, the weights of every sigma density."""
-        return landau.sigma_brackets(self.tables)
-
-    @cached_property
     def plans(self) -> dict:
         """The derivative-tree plans of a report (True) and a monitor (False) snapshot."""
         alphas = list(self.alphas(max(self.config.n_max, self.config.n0)))
@@ -227,52 +226,87 @@ def _alpha_multipliers(sgrid: SpatialGrid, alphas: list) -> np.ndarray:
 
 
 class SnapshotPlan:
-    """The (alpha, beta) pairs of a snapshot and the rows of its derivative tree.
+    """The (alpha, beta) pairs of a snapshot and the levels of its derivative tree.
 
-    ``pairs`` lists the (alpha, beta) with |alpha| + |beta| <= max(n_max, n0)
-    and |beta| <= ``top`` (min(that depth, beta_max) for a report, 0 for a
-    monitor row).  ``levels[k]`` holds the betas of order k as sorted tuples
-    of axes; dropping the last (highest) axis gives the parent, one stencil
-    pass away.  ``rows[c]`` holds the first pair index of beta c and the
-    rows of ``mults`` (the ``_alpha_multipliers`` of ``alphas``) of its pairs;
-    ``block_rows`` those rows over one block of modes, once per species.
+    ``levels[k]`` holds the betas of order k (k up to ``top`` + 1, ``top``
+    being min(max(n_max, n0), beta_max) for a report and 0 for a monitor
+    row) as tuples of velocity axes sorted by their place in ``TREE_AXES``.
+    A level is ordered so that, for each axis j, the betas with no axis
+    after j are a prefix of it: ``passes[k]`` holds, per axis j, the length
+    p of that prefix and the offset o in level k + 1 of its children
+    beta + (j,), so level k + 1 is three stencil passes from level k.
+    ``kids[k]`` (n_k, 3) holds the place of beta + e_j in level k + 1,
+    ``kid_sum[k]`` (n_k, n_(k+1)) the 0/1 matrix that sums a beta's three
+    children, and ``runs[k]`` the children along each axis as runs
+    (first beta, last beta + 1, first child), the last axis of
+    ``TREE_AXES``, one run over the whole level, first.  ``caps`` holds the
+    fields per mode of the walk's scratch: the even and the odd levels'
+    buffer and the longest run of grad . u terms.
+
+    The alpha multipliers of a pair depend only on |beta|: level k pairs
+    every beta with the first ``n_rows[k]`` alphas (|alpha| + k <= max(n_max,
+    n0); the alphas run by order, so the rows of a deeper level are a prefix
+    of its parent's).  ``pairs`` lists the (alpha, beta) level by level,
+    beta by beta within a level, from ``first[k]`` on: the order in which
+    one (batched) GEMM of a level's squares against its rows writes them.
     """
 
     def __init__(self, cfg, alphas: list, mults: np.ndarray, report: bool):
         depth = max(cfg.n_max, cfg.n0)
         self.top = min(depth, cfg.beta_max) if report else 0
-        self.n_modes = mults.shape[1]
-        self.levels = [list(itertools.combinations_with_replacement(range(3), k))
+        rank = {j: r for r, j in enumerate(TREE_AXES)}
+        self.levels = [[()]]
+        for _ in range(self.top + 1):
+            self.levels.append([c + (j,) for j in TREE_AXES for c in self.levels[-1]
+                                if not c or rank[c[-1]] <= rank[j]])
+        self.passes, self.kids, self.kid_sum, self.runs = [], [], [], []
+        for level, below in zip(self.levels, self.levels[1:]):
+            place = {c: i for i, c in enumerate(below)}
+            kids = np.array([[place[tuple(sorted(c + (j,), key=rank.get))]
+                              for j in range(3)] for c in level])
+            passes, offset = [], 0
+            for j in TREE_AXES:
+                p = sum(1 for c in level if not c or rank[c[-1]] <= rank[j])
+                passes.append((j, p, offset))
+                offset += p
+            runs = []
+            for j in reversed(TREE_AXES):
+                cuts = [b for b in range(1, len(level)) if kids[b, j] != kids[b - 1, j] + 1]
+                bounds = [0] + cuts + [len(level)]
+                runs.append((j, [(b0, b1, kids[b0, j]) for b0, b1 in zip(bounds, bounds[1:])]))
+            kid_sum = np.zeros((len(level), len(below)))
+            np.put_along_axis(kid_sum, kids, 1.0, axis=1)
+            self.passes.append(passes)
+            self.kids.append(kids)
+            self.kid_sum.append(kid_sum)
+            self.runs.append(runs)
+        sizes = [len(level) for level in self.levels]
+        self.caps = (max(sizes[0::2]), max(sizes[1::2]),
+                     max(b1 - b0 for runs in self.runs for _, rs in runs[1:] for b0, b1, _ in rs))
+        self.n_rows = [sum(1 for a in alphas if sum(a) + k <= depth)
                        for k in range(self.top + 2)]
-        self.pairs, self.rows = [], {}
-        for c in itertools.chain(*self.levels[:self.top + 1]):
-            keep = [i for i, a in enumerate(alphas) if sum(a) + len(c) <= depth]
-            self.rows[c] = (len(self.pairs), mults[keep])
-            beta = tuple(c.count(j) for j in range(3))
-            self.pairs += [(alphas[i], beta) for i in keep]
+        self.pairs, self.first = [], []
+        for k, level in enumerate(self.levels[:self.top + 1]):
+            self.first.append(len(self.pairs))
+            self.pairs += [(a, tuple(c.count(j) for j in range(3)))
+                           for c in level for a in alphas[:self.n_rows[k]]]
         self.a_ord = np.array([sum(a) for a, _ in self.pairs])
         self.b_ord = np.array([sum(b) for _, b in self.pairs])
+        self._mults = mults
         self._blocks: dict = {}
 
-    def block_rows(self, c: tuple, start: int, stop: int) -> tuple:
-        """(first pair index, rows over modes start..stop repeated per species) of beta c.
+    def block_rows(self, start: int, stop: int) -> np.ndarray:
+        """The alpha rows over modes start..stop, one column per (re/im, species, mode).
 
-        Kept per block, like the plan.
+        The columns match a field of the tree (``SpectralSnapshot``); level
+        k reads the first ``n_rows[k]`` rows.  Kept per block, like the plan.
         """
-        key = (c, start, stop)
+        key = (start, stop)
         if key not in self._blocks:
-            lo, mult = self.rows[c]
-            self._blocks[key] = (lo, np.concatenate([mult[:, start:stop]] * 2, axis=1))
+            rows = self._mults[:, None, None, start:stop]
+            self._blocks[key] = np.broadcast_to(
+                rows, (len(rows), 2, 2, stop - start)).reshape(len(rows), -1)
         return self._blocks[key]
-
-
-def _contract(both: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Per-mode densities (2, modes, n, n, n) against mode multipliers (rows, 2 modes).
-
-    Summed over species and modes in one GEMM: ``both`` repeats the
-    multipliers once per species (``SnapshotPlan.block_rows``).
-    """
-    return (both @ dens.reshape(both.shape[1], -1)).reshape((len(both),) + dens.shape[-3:])
 
 
 def _pair_moments(vgrid: VelocityGrid, h: np.ndarray, wgt: np.ndarray,
@@ -298,35 +332,41 @@ def _collision_power(ctx: DiagContext, f: np.ndarray, spec: np.ndarray) -> np.nd
 
 
 class BlockFields:
-    """The derivative tree's fields of one block of modes, in buffers kept across blocks.
+    """The derivative tree's scratch, in buffers kept across blocks (and snapshots).
 
-    ``take(nb)`` gives, for a block of nb <= ``block`` modes, a function
-    from a field's name to its C-contiguous array (2, nb, n, n, n), complex
-    or real: a view of that name's buffer, made on its first use and reused
-    for every later block and snapshot.
+    ``views(plan, nb, vshape)`` gives the arrays of a block of nb modes: per
+    level k of ``plan`` its n_k real fields (n_k, re/im, species, mode, v...),
+    views of two buffers that alternate by level, so a level and its
+    grandchildren share one; and the fields of grad . u's terms.  ``rows``
+    gives the contracted rows of one level.  Each buffer grows to the
+    largest size asked for, and the views of a tree depth and block size are
+    kept.
     """
 
-    def __init__(self, block: int, vshape: tuple):
-        self.block = block
-        self._vshape = vshape
+    def __init__(self):
         self._buffers: dict = {}
         self._views: dict = {}
 
-    def take(self, nb: int):
-        shape = (2, nb) + self._vshape
-        views = self._views.setdefault(nb, {})
+    def _take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+            self._views.clear()
+        return buf[:size].reshape(shape)
 
-        def buffer(name, dtype=complex) -> np.ndarray:
-            view = views.get(name)
-            if view is None:
-                buf = self._buffers.get(name)
-                if buf is None:
-                    buf = self._buffers[name] = np.empty(
-                        math.prod((2, self.block) + self._vshape), dtype)
-                view = views[name] = buf[:math.prod(shape)].reshape(shape)
-            return view
+    def views(self, plan: SnapshotPlan, nb: int, vshape: tuple) -> tuple:
+        key = (plan.top, nb)
+        if key not in self._views:
+            field_shape = (2, 2, nb) + vshape
+            bufs = [self._take(name, (cap,) + field_shape)
+                    for name, cap in zip(("even", "odd", "term"), plan.caps)]
+            self._views[key] = ([bufs[k % 2][:len(level)] for k, level in enumerate(plan.levels)],
+                                bufs[2])
+        return self._views[key]
 
-        return buffer
+    def rows(self, name: str, shape: tuple) -> np.ndarray:
+        return self._take(name, shape)
 
 
 class SpectralSnapshot:
@@ -418,67 +458,104 @@ class SpectralSnapshot:
                             "b_source": b_source}
 
         plan = ctx.plans[report]
-        levels, top = plan.levels, plan.top
         self.pairs, self.a_ord, self.b_ord = plan.pairs, plan.a_ord, plan.b_ord
-        # a monitor row reads only the sigma band
-        names = ("f", "extra", "sigma") if report else ("sigma",)
-        self.dens = {name: np.zeros((len(self.pairs),) + vgrid.shape) for name in names}
+        shape = (len(self.pairs),) + vgrid.shape
+        # per pair, summed over blocks: |d f|^2, |d micro|^2 ("extra"; a
+        # monitor keeps it only until "sigma" is formed) and the rest of the
+        # sigma bracket of d micro, sum_j |d_j d micro|^2 - |grad d micro . u|^2
+        dens = {name: np.zeros(shape) for name in (("f", "extra") if report else ("extra",))}
+        own, bracket = dens["extra"], np.zeros(shape)
 
-        def add(name, c, sl, dens):
-            lo, both = plan.block_rows(c, sl.start, sl.stop)
-            self.dens[name][lo:lo + len(both)] += _contract(both, dens)
-
-        # the derivative tree, level by level within one block of xi-modes:
-        # d_beta is one stencil pass from its parent, and |.|^2 of each micro
-        # field feeds its own "extra" term and the sigma terms of its parents.
-        # Every field is a slot of the scratch, named by its level's parity
-        # and its place in the level, so a level overwrites its grandparents
-        apply_axis, abs2 = landau._apply_axis, landau._abs2
-        fd, brackets = ctx.tables.fd, ctx.sigma_brackets
-        slot = {c: (len(c) % 2, i) for level in levels for i, c in enumerate(level)}
-        n_modes = plan.n_modes
+        # the derivative tree, a level at a time within one block of xi-modes.
+        # A level of d_beta fields is one real array (n_k, re/im, species,
+        # mode, v...): its children are three stencil passes from prefixes
+        # of it, and once they are formed it is squared in place and
+        # contracted, one GEMM per beta, against the alpha rows of its parent
+        # level, whose first rows are its own.  A micro level's contracted
+        # squares are so its pairs' own |.|^2 and, summed over each parent's
+        # three children, the parents' gradient squares.  grad . u of a level
+        # is formed from its children into the level's buffer, and squared
+        # and contracted there
+        apply_axis, fd, vpar, top = landau._apply_axis, ctx.tables.fd, ctx.tables.vpar, plan.top
+        sizes, n_rows, width = [len(c) for c in plan.levels], plan.n_rows, vgrid.n_v ** 3
+        n_modes = math.prod(sgrid.half_shape)
         fv = f_spec.reshape((2, n_modes) + vgrid.shape)
         mv = micro.reshape(fv.shape)
-        block = max(1, BLOCK_BYTES // fv[:, :1].nbytes)
-        fields = ctx.block_fields(block)
+        # blocks sized by a report's scratch, so that a monitor row sums its
+        # densities over the same blocks
+        block = max(1, BLOCK_BYTES // (sum(ctx.plans[True].caps) * fv[:, :1].nbytes))
+        fields = ctx.block_fields()
+        accs = {id(acc): [acc[lo:lo + n * m].reshape(n, m, width)
+                          for lo, n, m in zip(plan.first, sizes, n_rows)]
+                for acc in [own, bracket] + ([dens["f"]] if report else [])}
+
+        def add(acc, k, terms, ufunc=np.add):
+            part = accs[id(acc)][k]
+            ufunc(part, terms, out=part)
+
         for start in range(0, n_modes, block):
-            sl = slice(start, start + block)
-            take = fields.take(min(block, n_modes - start))
+            nb = min(block, n_modes - start)
+            wts = plan.block_rows(start, start + nb)
+            levels, term = fields.views(plan, nb, vgrid.shape)
 
-            def square(z, c):
-                return abs2(z, take(("sq",) + slot[c], float), take("im2", float))
+            def root(spec):
+                """Real and imaginary parts of the block's modes as level 0."""
+                re_im = spec[:, start:start + nb].view(np.float64)
+                np.copyto(levels[0][0], np.moveaxis(
+                    re_im.reshape((2, nb) + vgrid.shape + (2,)), -1, 0))
 
-            def kids_of(kind, lvl, level):
-                return {c: apply_axis(fd, lvl[c[:-1]], c[-1] - 3, out=take((kind,) + slot[c]))
-                        for c in levels[level + 1]}
+            def children(k):
+                lvl, below = levels[k], levels[k + 1]
+                for j, p, o in plan.passes[k]:
+                    apply_axis(fd, lvl[:p], j - 3, out=below[o:o + p])
 
-            def root(kind, spec):
-                """The block of a spectrum, contiguous for the stencil passes."""
-                out = take((kind,) + slot[()])
-                np.copyto(out, spec[:, sl])
-                return {(): out}
+            def squares(k, m):
+                """Level k squared in place, against the first m alpha rows: (n_k, m, n^3)."""
+                lvl = levels[k]
+                np.multiply(lvl, lvl, out=lvl)
+                out = fields.rows("rows", (sizes[k], m, width))
+                return np.matmul(wts[:m], lvl.reshape(sizes[k], 4 * nb, width), out=out)
 
-            f_lvl = root("f", fv) if report else {}
-            m_lvl = root("m", mv)
-            m_sq = {(): square(m_lvl[()], ())}
-            for level in range(top + 1):
-                for c, fc in f_lvl.items():
-                    add("f", c, sl, abs2(fc, take("dens", float), take("im2", float)))
-                kids = kids_of("m", m_lvl, level)
-                kid_sq = {c: square(k, c) for c, k in kids.items()}
-                for c, mc in m_lvl.items():
-                    below = [tuple(sorted(c + (j,))) for j in range(3)]
-                    if report:
-                        add("extra", c, sl, m_sq[c])
-                    add("sigma", c, sl, landau.sigma_density(
-                        ctx.tables, mc, [kids[k] for k in below],
-                        [m_sq[c]] + [kid_sq[k] for k in below], brackets,
-                        out=take("dens", float), work=(take("gpar"), take("term"))))
-                m_lvl, m_sq = kids, kid_sq
-                if level < top:
-                    f_lvl = kids_of("f", f_lvl, level)
+            def gradient_squares(k, terms):
+                """Sum each beta of level k over the rows of its three children."""
+                out = fields.rows("kid_rows", (sizes[k], n_rows[k], width))
+                np.matmul(plan.kid_sum[k], terms.reshape(sizes[k + 1], -1),
+                          out=out.reshape(sizes[k], -1))
+                add(bracket, k, out)
+
+            if report:
+                root(fv)
+                for k in range(top + 1):
+                    if k < top:
+                        children(k)
+                    add(dens["f"], k, squares(k, n_rows[k]))
+            root(mv)
+            for k in range(top + 1):
+                children(k)
+                if k:
+                    terms = squares(k, n_rows[k - 1])
+                    add(own, k, terms[:, :n_rows[k]])
+                    gradient_squares(k - 1, terms)
+                else:
+                    add(own, 0, squares(0, n_rows[0]))
+                # grad . u = sum_j u_j d_j, the three children of each beta
+                below, gpar = levels[k + 1], levels[k]
+                (j, [(_, _, g0)]), *others = plan.runs[k]
+                np.multiply(below[g0:g0 + sizes[k]], vpar[j], out=gpar)
+                for j, runs in others:
+                    for b0, b1, g0 in runs:
+                        t = term[:b1 - b0]
+                        np.multiply(below[g0:g0 + b1 - b0], vpar[j], out=t)
+                        np.add(gpar[b0:b1], t, out=gpar[b0:b1])
+                add(bracket, k, squares(k, n_rows[k]), np.subtract)
+            gradient_squares(top, squares(top + 1, n_rows[top]))
+        np.add(bracket, own, out=bracket)
+        dens["sigma"] = landau.sigma_density(ctx.tables, bracket, out=bracket)
         if report:
-            self.dens["extra"] *= 1.0 + vgrid.vsq()
+            own *= 1.0 + vgrid.vsq()
+        else:
+            del dens["extra"]
+        self.dens = dens
 
     def norm2(self, mult, *names: str) -> float:
         """sum over modes of ``mult`` times each named power."""

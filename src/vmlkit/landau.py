@@ -162,6 +162,7 @@ class CollisionTables:
     bracket_par: np.ndarray = field(repr=False, default=None)   # <v>^(gamma/2)
     bracket_perp: np.ndarray = field(repr=False, default=None)  # <v>^((gamma+2)/2)
     vhat: tuple = field(repr=False, default=None)               # v/|v|, 0 at v = 0
+    vpar: np.ndarray = field(repr=False, default=None)          # (3, n, n, n), v/<v>
     pad: int = 0
 
     @property
@@ -234,6 +235,10 @@ def build_collision_tables(grid: VelocityGrid, gamma: float) -> CollisionTables:
     vn = grid.vnorm()
     tables.vhat = tuple(np.divide(v, vn, out=np.zeros_like(vn), where=vn > 0.0)
                         for v in grid.axes())
+    # the direction of sigma_density's parallel square: v_hat scaled by
+    # (1 - b_par^2 / b_perp^2)^(1/2), that is v/<v>
+    scale = np.sqrt(1.0 - tables.bracket_par ** 2 / tables.bracket_perp ** 2)
+    tables.vpar = np.stack([scale * u for u in tables.vhat])
     return tables
 
 
@@ -246,28 +251,20 @@ def _apply_axis(mat: np.ndarray, arr: np.ndarray, axis: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Contract a stencil matrix along one of the last three (velocity) axes.
 
-    A complex spectrum is contracted as one GEMM along the last axis, and
-    through its real view, one real GEMM per leading index, along the other
-    two; numpy would otherwise run one complex GEMM per stencil row.
-    ``out`` (arr's shape and dtype, C-contiguous for a complex arr) receives
-    the result in place of a new array.
+    Without ``out`` the result is a new array.  ``out`` (arr's shape and
+    dtype) receives it in place instead; arr and out must then be real and
+    C-contiguous, and the contraction runs as one GEMM along the last axis
+    and one GEMM per leading index along the other two, however many fields
+    arr stacks (``diagnostics.SpectralSnapshot``'s derivative tree).
     """
-    if np.iscomplexobj(arr):
-        a = np.ascontiguousarray(arr)
-        n = a.shape[axis]
-        if out is None:
-            out = np.empty_like(a)
-        if axis == -1:
-            np.matmul(a.reshape(-1, n), mat.T, out=out.reshape(-1, n))
-        else:
-            lines = (-1, n, math.prod(a.shape[axis + 1:]))
-            np.matmul(mat, a.reshape(lines).view(np.float64),
-                      out=out.reshape(lines).view(np.float64))
-        return out
-    moved = np.moveaxis(arr, axis, -1)
     if out is None:
-        return np.moveaxis(moved @ mat.T, -1, axis)
-    np.matmul(moved, mat.T, out=np.moveaxis(out, axis, -1))
+        return np.moveaxis(np.moveaxis(arr, axis, -1) @ mat.T, -1, axis)
+    n = arr.shape[axis]
+    if axis == -1:
+        np.matmul(arr.reshape(-1, n), mat.T, out=out.reshape(-1, n))
+    else:
+        lines = (-1, n, math.prod(arr.shape[axis + 1:]))
+        np.matmul(mat, arr.reshape(lines), out=out.reshape(lines))
     return out
 
 
@@ -492,73 +489,37 @@ def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _abs2(z: np.ndarray, out: np.ndarray | None = None,
-          work: np.ndarray | None = None) -> np.ndarray:
-    """|z|^2 elementwise, without a square root for complex input.
-
-    ``out`` (real, z's shape) receives it; for complex z, ``work`` (the
-    same) holds the square of the imaginary part.
-    """
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise, without a square root for complex input."""
     if not np.iscomplexobj(z):
-        return np.multiply(z, z, out=out)
-    out = np.multiply(z.real, z.real, out=out)
-    out += np.multiply(z.imag, z.imag, out=work)
+        return z * z
+    out = z.real * z.real
+    out += z.imag * z.imag
     return out
 
 
-def sigma_brackets(tables: CollisionTables) -> tuple:
-    """(b_perp^2, b_par^2 - b_perp^2), the two weights of ``sigma_density``."""
-    bperp2 = tables.bracket_perp ** 2
-    return bperp2, tables.bracket_par ** 2 - bperp2
-
-
-def sigma_density(tables: CollisionTables, h: np.ndarray,
-                  grad: list | None = None, sq: list | None = None,
-                  brackets: tuple | None = None, out: np.ndarray | None = None,
-                  work: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise integrand of the unweighted anisotropic norm of h.
+def sigma_density(tables: CollisionTables, sq: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise integrand of the unweighted anisotropic norm of h, from its squares.
 
         <v>^(gamma+2) (|h|^2 + |g_perp|^2) + <v>^gamma |g_par|^2
 
     with g = grad_v h split as g_par = g . v_hat and g_perp = g - g_par v_hat,
     v_hat = v/|v| and v_hat = 0 at the v = 0 node (where the whole gradient
     counts as transverse).  |g_perp|^2 = |g|^2 - |g_par|^2 wherever
-    |v_hat| = 1, and g_par = 0 at the origin, so the density is exactly
+    |v_hat| = 1 and g_par = 0 at the origin, and b_par^2 - b_perp^2 =
+    -b_perp^2 (1 - b_par^2 / b_perp^2), so the density is exactly
 
-        b_perp^2 (|h|^2 + sum_j |g_j|^2) + (b_par^2 - b_perp^2) |g . v_hat|^2
+        b_perp^2 (|h|^2 + sum_j |g_j|^2 - |g . u|^2),  u = ``tables.vpar``,
 
-    with b_perp = <v>^((gamma+2)/2) and b_par = <v>^(gamma/2), which is how
-    it is evaluated, in place.  Complex h (a Fourier spectrum in x) gives the
-    per-mode density.  ``grad`` overrides the finite-difference gradient,
-    ``sq`` supplies [|h|^2, |g_0|^2, |g_1|^2, |g_2|^2] when the caller holds
-    them, and ``brackets`` the ``sigma_brackets`` when it keeps them.  With
-    ``out`` (real, h's shape) for the density and ``work`` (two C-contiguous
-    fields of h's shape and dtype) for g . v_hat and its terms, nothing is
-    allocated.
+    with b_perp = <v>^((gamma+2)/2), b_par = <v>^(gamma/2) and
+    u = v_hat (1 - b_par^2 / b_perp^2)^(1/2) = v/<v>.  ``sq`` is the bracket
+    |h|^2 + sum_j |g_j|^2 - |g . u|^2, or any sum of such brackets: the
+    density is linear in the squares, so ``sigma_norm_sq`` applies it per
+    point and ``diagnostics.SpectralSnapshot`` once to its mode-contracted
+    sums.  ``out`` (sq's shape) receives the density.
     """
-    if grad is None:
-        grad = [_apply_axis(tables.fd, h, j - 3) for j in range(3)]
-    if sq is None:
-        sq = [_abs2(h)] + [_abs2(g) for g in grad]
-    if brackets is None:
-        brackets = sigma_brackets(tables)
-    vhat = tables.vhat
-    if work is None:
-        work = np.empty((2,) + h.shape, np.result_type(grad[0], vhat[0]))
-    gpar, term = work
-    np.multiply(grad[0], vhat[0], out=gpar)
-    gpar += np.multiply(grad[1], vhat[1], out=term)
-    gpar += np.multiply(grad[2], vhat[2], out=term)
-    out = np.add(sq[0], sq[1], out=out)
-    out += sq[2]
-    out += sq[3]
-    out *= brackets[0]
-    # |g_par|^2 and, for complex h, its imaginary square in term's memory
-    par = term.reshape(-1).view(np.float64).reshape((-1,) + h.shape)
-    par = _abs2(gpar, par[0], par[-1])
-    par *= brackets[1]
-    out += par
-    return out
+    return np.multiply(sq, tables.bracket_perp ** 2, out=out)
 
 
 def sigma_norm_sq(f: np.ndarray, tables: CollisionTables,
@@ -573,7 +534,11 @@ def sigma_norm_sq(f: np.ndarray, tables: CollisionTables,
     quadrature-only tests.  The weighted norms of the functionals are the
     snapshot's (``diagnostics.SpectralSnapshot.weighted``).
     """
-    return tables.grid.integrate(sigma_density(tables, f, grad))
+    if grad is None:
+        grad = [_apply_axis(tables.fd, f, j - 3) for j in range(3)]
+    sq = _abs2(f) + sum(_abs2(g) for g in grad)
+    sq -= _abs2(sum(u * g for u, g in zip(tables.vpar, grad)))
+    return tables.grid.integrate(sigma_density(tables, sq, out=sq))
 
 
 def sigma_norm(f: np.ndarray, tables: CollisionTables,

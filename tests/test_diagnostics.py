@@ -213,7 +213,9 @@ class TestSpectralSnapshot:
         # block and a ragged one
         cfg, ctx = ctx8
         st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
-        mode_bytes = 2 * 16 * ctx.vgrid.n_v ** 3
+        # the scratch of one mode: a report's fields per mode, each the real
+        # and imaginary parts of both species
+        mode_bytes = sum(ctx.plans[True].caps) * 2 * 16 * ctx.vgrid.n_v ** 3
         monkeypatch.setattr(diag, "BLOCK_BYTES", 16 * mode_bytes)
         whole = snapshot(ctx, st)
         monkeypatch.setattr(diag, "BLOCK_BYTES", 5 * mode_bytes)
@@ -228,26 +230,33 @@ class TestSpectralSnapshot:
     def test_stencil_passes_per_mode_block(self, ctx8, monkeypatch, report, passes):
         # beta_max = 2: the tree forms each of the 9 d_beta f_hat (|beta| in
         # 1..2) and the 19 d_beta micro (|beta| in 1..3) once per block; a
-        # monitor snapshot forms only the 3 first-order micro fields.  The
-        # walk covers the n_x // 2 + 1 = 9 modes of the half spectrum, in
-        # blocks of 5 and 4
+        # monitor snapshot forms only the 3 first-order micro fields.  Each
+        # level's children are three stacked passes, one per axis: 15 calls
+        # per block for a report (f levels 1..2, micro levels 1..3) and 3 for
+        # a monitor.  The walk covers the n_x // 2 + 1 = 9 modes of the half
+        # spectrum, in blocks of 5 and 4
         cfg, ctx = ctx8
         assert cfg.beta_max == 2
         st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
-        monkeypatch.setattr(diag, "BLOCK_BYTES", 5 * 2 * 16 * ctx.vgrid.n_v ** 3)
+        mode_bytes = sum(ctx.plans[True].caps) * 2 * 16 * ctx.vgrid.n_v ** 3
+        monkeypatch.setattr(diag, "BLOCK_BYTES", 5 * mode_bytes)
         calls = []
         apply_axis = landau._apply_axis
 
         def counted(mat, arr, axis, out=None):
-            # the passes over spectra; L f applies its stencils to the real f
-            if np.iscomplexobj(arr):
-                calls.append(arr.shape[1])
+            # the tree's passes write into its levels, (fields, re/im,
+            # species, modes, v...); L f's stencils return new arrays
+            if out is not None:
+                calls.append((arr.shape[0], arr.shape[3]))
             return apply_axis(mat, arr, axis, out=out)
 
         monkeypatch.setattr(landau, "_apply_axis", counted)
         diag.SpectralSnapshot(ctx, st, report=report)
-        assert len(calls) == 2 * passes
-        assert sorted(set(calls)) == [4, 5]
+        per_block = {True: 15, False: 3}[report]
+        assert len(calls) == 2 * per_block
+        for modes in (5, 4):
+            block = [n for n, nb in calls if nb == modes]
+            assert (len(block), sum(block)) == (per_block, passes)
 
 
 class TestXFunctional:

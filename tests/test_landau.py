@@ -587,8 +587,8 @@ class TestSigmaNorm:
         assert landau.sigma_norm(f, tables8) > 0.0
 
     def test_density_identity_matches_vector_split(self, tables8, vgrid8):
-        # b_perp^2 (|h|^2 + |g|^2) + (b_par^2 - b_perp^2)|g.v_hat|^2 against
-        # the split g_perp = g - (g.v_hat) v_hat, on complex per-mode fields
+        # b_perp^2 (|h|^2 + |g|^2 - |g.u|^2) against the split
+        # g_perp = g - (g.v_hat) v_hat, on complex per-mode fields
         rng = np.random.default_rng(12)
         shape = (2, 3) + vgrid8.shape
         h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -600,11 +600,15 @@ class TestSigmaNorm:
         gperp_sq = sum(np.abs(g - gpar * u) ** 2 for g, u in zip(grad, vhat))
         ref = (tables8.bracket_perp ** 2 * (np.abs(h) ** 2 + gperp_sq)
                + tables8.bracket_par ** 2 * np.abs(gpar) ** 2)
-        got = landau.sigma_density(tables8, h)
+        # the bracket |h|^2 + |g|^2 - |g.u|^2 with u = v/<v>
+        vpar = [v / vgrid8.bracket() for v in vgrid8.axes()]
+        assert all(np.abs(u - w).max() <= 1e-15 for u, w in zip(tables8.vpar, vpar))
+        sq = landau._abs2(h) + sum(landau._abs2(g) for g in grad)
+        sq -= landau._abs2(sum(g * u for g, u in zip(grad, tables8.vpar)))
+        got = landau.sigma_density(tables8, sq)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        # fields and squares supplied by the caller give the same density
-        sq = [landau._abs2(a) for a in [h] + grad]
-        assert np.array_equal(landau.sigma_density(tables8, h, grad, sq), got)
+        # and the norm integrates that density
+        assert np.array_equal(landau.sigma_norm_sq(h, tables8), vgrid8.integrate(got))
 
 
 class TestCoercivity:
