@@ -23,15 +23,20 @@ equivalences are fixed to one.  Conventions:
   form on the stepper's symmetry blocks, with no L f formed
   (``evolve.CollisionStepper.quadratic_form``); otherwise it is the one
   matrix-free L f of the state.  The velocity densities come from a
-  derivative tree over blocks of half-spectrum modes: every d_beta field
-  is formed once per block, one stencil pass from its parent, and feeds
-  the sigma bracket of its parent (``landau.sigma_density``, the one sigma
-  split); the multipliers carry ``SpatialGrid.orbit_weight``, 2 on
-  interior modes and 1 at last index 0 and n_x / 2.  The fields of a
-  block are views of a scratch (``BlockFields``), kept for the run with a
-  direct stepper.  The constants every snapshot shares (alpha multipliers,
-  pair rows, moment weights) are built once per ``DiagContext``; the x
-  multipliers once per ``SpatialGrid``.
+  derivative tree over blocks of half-spectrum modes, walked a level at a
+  time: the d_beta fields of one order are one stacked real array, formed
+  by three stencil passes from the level above, squared in place and
+  contracted over species, modes and real and imaginary parts by a GEMM
+  against the alpha multipliers, which depend only on |beta|.  The sigma
+  density is linear in the squares, so its bracket weight
+  (``landau.sigma_density``, the one sigma split) multiplies the
+  mode-contracted sums once per snapshot.  The multipliers carry
+  ``SpatialGrid.orbit_weight``, 2 on interior modes and 1 at last index 0
+  and n_x / 2.  The fields of a block are views of a scratch
+  (``BlockFields``), kept for the run with a direct stepper.  The
+  constants every snapshot shares (alpha multipliers, the tree's plans,
+  moment weights) are built once per ``DiagContext``; the x multipliers
+  once per ``SpatialGrid``.
   The monitor row, the report and the macro snapshot all read that
   snapshot; each functional is a multiplier or weight dot product.  P and
   the moment functions are local in x, so the macro coefficients, the
@@ -78,12 +83,11 @@ import numpy as np
 from . import landau, macro_micro, maxwell
 from .phase_grid import SpatialGrid, VelocityGrid
 
-# bytes of the derivative tree's scratch for one block of xi-modes (its level
-# buffers and grad . u terms, ``BlockFields``): a block holds as many modes
-# as fit, at least one, so its fields stay in cache while the tree is walked
-# and a monitor row's small tree walks in larger blocks than a report's.  A
-# direct run keeps the scratch, which stays well below the other arrays of a
-# report
+# bytes of the derivative tree's scratch for one block of xi-modes (a
+# report's level buffers and grad . u terms, ``BlockFields``): a block holds
+# as many modes as fit, at least one, so its fields stay in cache while the
+# tree is walked.  A direct run keeps the scratch, which stays well below the
+# other arrays of a report
 BLOCK_BYTES = 2 * 1024 * 1024
 # the velocity axes in the order of the derivative tree: the last one takes
 # a stencil pass from every beta of a level, the first from the fewest
@@ -117,10 +121,10 @@ class DiagContext:
     The run constants every snapshot reads are built on first use and kept:
     the alpha multipliers, the (alpha, beta) plans of the derivative tree,
     the moment weights and L of the B weights (from the blocks with a
-    direct stepper, else matrix-free), the transport multipliers and the
-    squared sigma brackets.  With a direct stepper the derivative tree's
-    scratch is kept too (``block_fields``).  They follow the fields above,
-    which must not change afterwards.
+    direct stepper, else matrix-free) and the transport multipliers.  With
+    a direct stepper the derivative tree's scratch is kept too
+    (``block_fields``).  They follow the fields above, which must not change
+    afterwards.
     """
 
     sgrid: SpatialGrid
@@ -241,7 +245,9 @@ class SnapshotPlan:
     (first beta, last beta + 1, first child), the last axis of
     ``TREE_AXES``, one run over the whole level, first.  ``caps`` holds the
     fields per mode of the walk's scratch: the even and the odd levels'
-    buffer and the longest run of grad . u terms.
+    buffer and the longest run of grad . u terms; ``rows`` the most rows of
+    n^3 doubles that one contraction of a level, and one sum over children,
+    writes.
 
     The alpha multipliers of a pair depend only on |beta|: level k pairs
     every beta with the first ``n_rows[k]`` alphas (|alpha| + k <= max(n_max,
@@ -285,6 +291,10 @@ class SnapshotPlan:
                      max(b1 - b0 for runs in self.runs for _, rs in runs[1:] for b0, b1, _ in rs))
         self.n_rows = [sum(1 for a in alphas if sum(a) + k <= depth)
                        for k in range(self.top + 2)]
+        contracted = [(k, self.n_rows[k]) for k in range(self.top + 1)]
+        contracted += [(k + 1, self.n_rows[k]) for k in range(self.top + 1)]
+        self.rows = (max(sizes[k] * m for k, m in contracted),
+                     max(sizes[k] * m for k, m in contracted[:self.top + 1]))
         self.pairs, self.first = [], []
         for k, level in enumerate(self.levels[:self.top + 1]):
             self.first.append(len(self.pairs))
@@ -337,36 +347,124 @@ class BlockFields:
     ``views(plan, nb, vshape)`` gives the arrays of a block of nb modes: per
     level k of ``plan`` its n_k real fields (n_k, re/im, species, mode, v...),
     views of two buffers that alternate by level, so a level and its
-    grandchildren share one; and the fields of grad . u's terms.  ``rows``
-    gives the contracted rows of one level.  Each buffer grows to the
-    largest size asked for, and the views of a tree depth and block size are
-    kept.
+    grandchildren share one; the fields of grad . u's terms; and two flat
+    buffers for the contracted rows of a level and their sums over children.
+    Each buffer grows to the largest size asked for, and the views of a tree
+    depth and block size are kept.
     """
 
     def __init__(self):
         self._buffers: dict = {}
         self._views: dict = {}
 
-    def _take(self, name: str, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
-            self._views.clear()
-        return buf[:size].reshape(shape)
-
     def views(self, plan: SnapshotPlan, nb: int, vshape: tuple) -> tuple:
         key = (plan.top, nb)
         if key not in self._views:
-            field_shape = (2, 2, nb) + vshape
-            bufs = [self._take(name, (cap,) + field_shape)
-                    for name, cap in zip(("even", "odd", "term"), plan.caps)]
-            self._views[key] = ([bufs[k % 2][:len(level)] for k, level in enumerate(plan.levels)],
-                                bufs[2])
+            field = math.prod((2, 2, nb) + vshape)
+            sizes = dict(zip(("even", "odd", "term"), (cap * field for cap in plan.caps)))
+            sizes.update(zip(("rows", "kid_rows"), (r * math.prod(vshape) for r in plan.rows)))
+            for name, size in sizes.items():
+                if self._buffers.get(name, np.empty(0)).size < size:
+                    self._buffers[name] = np.empty(size)
+                    self._views.clear()
+            bufs = {name: self._buffers[name][:size] for name, size in sizes.items()}
+            shape = (-1, 2, 2, nb) + vshape
+            levels = [bufs[("even", "odd")[k % 2]].reshape(shape)[:len(level)]
+                      for k, level in enumerate(plan.levels)]
+            self._views[key] = (levels, bufs["term"].reshape(shape),
+                                bufs["rows"], bufs["kid_rows"])
         return self._views[key]
 
-    def rows(self, name: str, shape: tuple) -> np.ndarray:
-        return self._take(name, shape)
+
+def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
+                    micro: np.ndarray, report: bool) -> dict:
+    """The per-pair velocity densities of ``SpectralSnapshot``, from its derivative tree."""
+    sgrid, vgrid = ctx.sgrid, ctx.vgrid
+    apply_axis, fd, vpar, top = landau._apply_axis, ctx.tables.fd, ctx.tables.vpar, plan.top
+    sizes, n_rows, width = [len(c) for c in plan.levels], plan.n_rows, vgrid.n_v ** 3
+    # per pair, summed over blocks: |d f|^2, |d micro|^2 ("extra"; a monitor
+    # keeps it only until "sigma" is formed) and the rest of the sigma bracket
+    # of d micro, sum_j |d_j d micro|^2 - |grad d micro . u|^2
+    shape = (len(plan.pairs),) + vgrid.shape
+    dens = {name: np.zeros(shape) for name in (("f", "extra") if report else ("extra",))}
+    own, bracket = dens["extra"], np.zeros(shape)
+
+    def per_level(acc):
+        return [acc[lo:lo + n * m].reshape(n, m, width)
+                for lo, n, m in zip(plan.first, sizes, n_rows)]
+
+    f_acc = per_level(dens["f"]) if report else None
+    own_acc, bracket_acc = per_level(own), per_level(bracket)
+    n_modes = math.prod(sgrid.half_shape)
+    fv = f_spec.reshape((2, n_modes) + vgrid.shape)
+    mv = micro.reshape(fv.shape)
+    # blocks sized by a report's scratch, so that a monitor row sums its
+    # densities over the same blocks
+    block = max(1, BLOCK_BYTES // (sum(ctx.plans[True].caps) * fv[:, :1].nbytes))
+    fields = ctx.block_fields()
+    for start in range(0, n_modes, block):
+        nb = min(block, n_modes - start)
+        wts = plan.block_rows(start, start + nb)
+        levels, term, rows, kid_rows = fields.views(plan, nb, vgrid.shape)
+
+        def root(spec):
+            """Real and imaginary parts of the block's modes as level 0."""
+            modes = spec[:, start:start + nb]
+            np.copyto(levels[0][0, 0], modes.real)
+            np.copyto(levels[0][0, 1], modes.imag)
+
+        def children(k):
+            lvl, below = levels[k], levels[k + 1]
+            for j, p, o in plan.passes[k]:
+                apply_axis(fd, lvl[:p], j - 3, out=below[o:o + p])
+
+        def squares(k, m):
+            """Level k squared in place, against the first m alpha rows: (n_k, m, n^3)."""
+            lvl = levels[k]
+            np.multiply(lvl, lvl, out=lvl)
+            out = rows[:sizes[k] * m * width].reshape(sizes[k], m, width)
+            return np.matmul(wts[:m], lvl.reshape(sizes[k], 4 * nb, width), out=out)
+
+        def gradient_squares(k, terms):
+            """Each beta of level k summed over the rows of its three children."""
+            out = kid_rows[:sizes[k] * n_rows[k] * width].reshape(sizes[k], n_rows[k], width)
+            np.matmul(plan.kid_sum[k], terms.reshape(sizes[k + 1], -1),
+                      out=out.reshape(sizes[k], -1))
+            np.add(bracket_acc[k], out, out=bracket_acc[k])
+
+        if report:
+            root(fv)
+            for k in range(top + 1):
+                if k < top:
+                    children(k)
+                np.add(f_acc[k], squares(k, n_rows[k]), out=f_acc[k])
+        root(mv)
+        for k in range(top + 1):
+            children(k)
+            if k:
+                terms = squares(k, n_rows[k - 1])
+                np.add(own_acc[k], terms[:, :n_rows[k]], out=own_acc[k])
+                gradient_squares(k - 1, terms)
+            else:
+                np.add(own_acc[0], squares(0, n_rows[0]), out=own_acc[0])
+            # grad . u = sum_j u_j d_j from the children, into the spent level
+            below, gpar = levels[k + 1], levels[k]
+            (j, [(_, _, g0)]), *others = plan.runs[k]
+            np.multiply(below[g0:g0 + sizes[k]], vpar[j], out=gpar)
+            for j, runs in others:
+                for b0, b1, g0 in runs:
+                    t = term[:b1 - b0]
+                    np.multiply(below[g0:g0 + b1 - b0], vpar[j], out=t)
+                    np.add(gpar[b0:b1], t, out=gpar[b0:b1])
+            np.subtract(bracket_acc[k], squares(k, n_rows[k]), out=bracket_acc[k])
+        gradient_squares(top, squares(top + 1, n_rows[top]))
+    np.add(bracket, own, out=bracket)
+    dens["sigma"] = landau.sigma_density(ctx.tables, bracket, out=bracket)
+    if report:
+        own *= 1.0 + vgrid.vsq()
+    else:
+        del dens["extra"]
+    return dens
 
 
 class SpectralSnapshot:
@@ -402,16 +500,27 @@ class SpectralSnapshot:
     The densities come from a derivative tree walked over blocks of the half
     spectrum, with the grid's ``orbit_weight`` folded into the alpha
     multipliers, so each density is still the full-spectrum sum.  A block
-    holds ``BLOCK_BYTES`` per complex field, so its fields stay in cache.
-    Within a block each d_beta f_hat (|beta| up to the depth above) and
-    d_beta micro (one order deeper) is formed once, by one stencil pass
-    along its highest axis from its parent, and each |.|^2 once: the sigma
-    bracket of d_beta micro takes its gradient and squares from the
-    children d_(beta+e_j) micro.  At beta_max = 2 that is 28 passes per
-    block, 3 for a monitor snapshot.  Every field, square and temporary of
-    a block is written into a slot of ``ctx.block_fields``, which a direct
-    run keeps, so the walk allocates no per-block arrays.  The per-block
-    densities are summed into ``dens``.
+    holds as many modes as ``BLOCK_BYTES`` of a report's scratch fits, at
+    least one, so its fields stay in cache; a monitor walks the same blocks.
+    Within a block the tree goes a level at a time.  The d_beta f_hat of one
+    order (|beta| up to the depth above) are one real array of the real and
+    imaginary parts (``SnapshotPlan.levels``), as are the d_beta micro (one
+    order deeper): three stacked stencil passes form a level from the one
+    above, 28 fields in 15 calls per block at beta_max = 2, 3 in 3 for a
+    monitor snapshot.  Once its children are formed a level is squared in
+    place and contracted over species, modes and real and imaginary parts
+    by one GEMM per beta against the alpha rows of its parent level, whose
+    first rows are its own.  The sigma bracket of d_beta micro is
+    |d_beta micro|^2 + sum_j |d_(beta+e_j) micro|^2 - |grad d_beta micro . u|^2
+    (``landau.sigma_density``), linear in the squares: its own term is the
+    "extra" sum, its gradient terms sum the rows of its three children, and
+    grad . u is formed from the children into the spent parent's buffer and
+    contracted like a level.  The weights b_perp^2 and <v>^2 multiply the
+    contracted sums once per snapshot.  The walk's scratch
+    (``ctx.block_fields``, kept by a direct run) is ``SnapshotPlan.caps``
+    fields per mode of a block, each the real and imaginary parts of both
+    species (19 at beta_max = 2), and ``SnapshotPlan.rows`` rows of n^3
+    doubles; its accumulators are the three densities.
     """
 
     def __init__(self, ctx: DiagContext, state, report: bool):
@@ -431,12 +540,15 @@ class SpectralSnapshot:
                 b_source = sgrid.forward_half(_pair_moments(vgrid, src, w["B"]))
                 del src
         f_spec = sgrid.forward_half(state.f, ctx.x_axes)
+        # the collision power before the projector's GEMMs: in CG mode its
+        # matrix-free L runs on the convolution pool, which a threaded GEMM
+        # just before slows down
+        lf = self.vol * _collision_power(ctx, state.f, f_spec)
         coef = proj.coefficients(f_spec)
         micro = proj.assemble(coef)
         np.subtract(f_spec, micro, out=micro)
         per_mode = {"f": self.vol * np.sum(abs2(f_spec), axis=(0, -3, -2, -1)),
-                    "lf": self.vol * _collision_power(ctx, state.f, f_spec),
-                    "charge": abs2(coef[0] - coef[1]),
+                    "lf": lf, "charge": abs2(coef[0] - coef[1]),
                     "macro": np.sum(abs2(coef), axis=0),
                     "pf": np.einsum("ij,i...,j...->...", proj.gram,
                                     coef.conj(), coef).real}
@@ -459,103 +571,7 @@ class SpectralSnapshot:
 
         plan = ctx.plans[report]
         self.pairs, self.a_ord, self.b_ord = plan.pairs, plan.a_ord, plan.b_ord
-        shape = (len(self.pairs),) + vgrid.shape
-        # per pair, summed over blocks: |d f|^2, |d micro|^2 ("extra"; a
-        # monitor keeps it only until "sigma" is formed) and the rest of the
-        # sigma bracket of d micro, sum_j |d_j d micro|^2 - |grad d micro . u|^2
-        dens = {name: np.zeros(shape) for name in (("f", "extra") if report else ("extra",))}
-        own, bracket = dens["extra"], np.zeros(shape)
-
-        # the derivative tree, a level at a time within one block of xi-modes.
-        # A level of d_beta fields is one real array (n_k, re/im, species,
-        # mode, v...): its children are three stencil passes from prefixes
-        # of it, and once they are formed it is squared in place and
-        # contracted, one GEMM per beta, against the alpha rows of its parent
-        # level, whose first rows are its own.  A micro level's contracted
-        # squares are so its pairs' own |.|^2 and, summed over each parent's
-        # three children, the parents' gradient squares.  grad . u of a level
-        # is formed from its children into the level's buffer, and squared
-        # and contracted there
-        apply_axis, fd, vpar, top = landau._apply_axis, ctx.tables.fd, ctx.tables.vpar, plan.top
-        sizes, n_rows, width = [len(c) for c in plan.levels], plan.n_rows, vgrid.n_v ** 3
-        n_modes = math.prod(sgrid.half_shape)
-        fv = f_spec.reshape((2, n_modes) + vgrid.shape)
-        mv = micro.reshape(fv.shape)
-        # blocks sized by a report's scratch, so that a monitor row sums its
-        # densities over the same blocks
-        block = max(1, BLOCK_BYTES // (sum(ctx.plans[True].caps) * fv[:, :1].nbytes))
-        fields = ctx.block_fields()
-        accs = {id(acc): [acc[lo:lo + n * m].reshape(n, m, width)
-                          for lo, n, m in zip(plan.first, sizes, n_rows)]
-                for acc in [own, bracket] + ([dens["f"]] if report else [])}
-
-        def add(acc, k, terms, ufunc=np.add):
-            part = accs[id(acc)][k]
-            ufunc(part, terms, out=part)
-
-        for start in range(0, n_modes, block):
-            nb = min(block, n_modes - start)
-            wts = plan.block_rows(start, start + nb)
-            levels, term = fields.views(plan, nb, vgrid.shape)
-
-            def root(spec):
-                """Real and imaginary parts of the block's modes as level 0."""
-                re_im = spec[:, start:start + nb].view(np.float64)
-                np.copyto(levels[0][0], np.moveaxis(
-                    re_im.reshape((2, nb) + vgrid.shape + (2,)), -1, 0))
-
-            def children(k):
-                lvl, below = levels[k], levels[k + 1]
-                for j, p, o in plan.passes[k]:
-                    apply_axis(fd, lvl[:p], j - 3, out=below[o:o + p])
-
-            def squares(k, m):
-                """Level k squared in place, against the first m alpha rows: (n_k, m, n^3)."""
-                lvl = levels[k]
-                np.multiply(lvl, lvl, out=lvl)
-                out = fields.rows("rows", (sizes[k], m, width))
-                return np.matmul(wts[:m], lvl.reshape(sizes[k], 4 * nb, width), out=out)
-
-            def gradient_squares(k, terms):
-                """Sum each beta of level k over the rows of its three children."""
-                out = fields.rows("kid_rows", (sizes[k], n_rows[k], width))
-                np.matmul(plan.kid_sum[k], terms.reshape(sizes[k + 1], -1),
-                          out=out.reshape(sizes[k], -1))
-                add(bracket, k, out)
-
-            if report:
-                root(fv)
-                for k in range(top + 1):
-                    if k < top:
-                        children(k)
-                    add(dens["f"], k, squares(k, n_rows[k]))
-            root(mv)
-            for k in range(top + 1):
-                children(k)
-                if k:
-                    terms = squares(k, n_rows[k - 1])
-                    add(own, k, terms[:, :n_rows[k]])
-                    gradient_squares(k - 1, terms)
-                else:
-                    add(own, 0, squares(0, n_rows[0]))
-                # grad . u = sum_j u_j d_j, the three children of each beta
-                below, gpar = levels[k + 1], levels[k]
-                (j, [(_, _, g0)]), *others = plan.runs[k]
-                np.multiply(below[g0:g0 + sizes[k]], vpar[j], out=gpar)
-                for j, runs in others:
-                    for b0, b1, g0 in runs:
-                        t = term[:b1 - b0]
-                        np.multiply(below[g0:g0 + b1 - b0], vpar[j], out=t)
-                        np.add(gpar[b0:b1], t, out=gpar[b0:b1])
-                add(bracket, k, squares(k, n_rows[k]), np.subtract)
-            gradient_squares(top, squares(top + 1, n_rows[top]))
-        np.add(bracket, own, out=bracket)
-        dens["sigma"] = landau.sigma_density(ctx.tables, bracket, out=bracket)
-        if report:
-            own *= 1.0 + vgrid.vsq()
-        else:
-            del dens["extra"]
-        self.dens = dens
+        self.dens = _tree_densities(ctx, plan, f_spec, micro, report)
 
     def norm2(self, mult, *names: str) -> float:
         """sum over modes of ``mult`` times each named power."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,35 @@ class TestSpectralSnapshot:
         for modes in (5, 4):
             block = [n for n, nb in calls if nb == modes]
             assert (len(block), sum(block)) == (per_block, passes)
+
+
+    def test_cg_report_traced_memory(self, monkeypatch):
+        # a matrix-free context makes the tree's scratch per snapshot; at
+        # the CG solver's grids one mode fills a block.  Past the first
+        # snapshot (the context's constants), a report holds the walk's
+        # three accumulators of pairs x n^3 doubles, the scratch of one
+        # block, the plan's caps of fields per mode (6 + 10 + 3 at
+        # beta_max = 2, each the real and imaginary parts of both species),
+        # the plan's rows of n^3 doubles, and f_hat and its micro part: 2.86
+        # MB here, read 2.95 MB.  The bound allows one more spectrum
+        cfg = RunConfig(n_x=4, n_v=12, collision_solver="cg")
+        sg, vg = cfg.grids()
+        ctx = diag.DiagContext(sg, vg, landau.build_collision_tables(vg, cfg.gamma),
+                               MacroProjector(vg), cfg)
+        plan, width = ctx.plans[True], vg.n_v ** 3
+        mode = 2 * 2 * width * 8
+        monkeypatch.setattr(diag, "BLOCK_BYTES", sum(plan.caps) * mode)
+        st = initial_state(cfg, sg, vg)
+        diag.SpectralSnapshot(ctx, st, report=True)
+        tracemalloc.start()
+        try:
+            diag.SpectralSnapshot(ctx, st, report=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tree = (3 * len(plan.pairs) + sum(plan.rows)) * width * 8 + sum(plan.caps) * mode
+        spectrum = math.prod(sg.half_shape) * mode
+        assert peak <= tree + 3 * spectrum
 
 
 class TestXFunctional:
