@@ -89,6 +89,12 @@ from .phase_grid import SpatialGrid, VelocityGrid
 # tree is walked.  A direct run keeps the scratch, which stays well below the
 # other arrays of a report
 BLOCK_BYTES = 2 * 1024 * 1024
+# the velocity axes in the order of the derivative tree: the last one takes
+# a stencil pass from every beta of a level, the first from one.  v_3 comes
+# first: a pass along the last memory axis is one GEMM over all its lines,
+# whose operand a threaded OpenBLAS packs whole into a work buffer that stays
+# resident, so it gets the fewest lines
+TREE_AXES = (2, 1, 0)
 
 TORUS_CAVEAT = (
     "torus caveat: algebraic decay rates -(k+s) are whole-space statements; "
@@ -231,15 +237,16 @@ class SnapshotPlan:
 
     ``levels[k]`` holds the betas of order k (k up to ``top`` + 1, ``top``
     being min(max(n_max, n0), beta_max) for a report and 0 for a monitor
-    row) as sorted tuples of velocity axes, ordered so that, for each axis
-    j, the betas with no axis above j are a prefix of the level:
+    row) as tuples of velocity axes sorted by ``TREE_AXES``, ordered so
+    that, for each axis j, the betas with no axis after j are a prefix of
+    the level:
     ``passes[k]`` holds, per axis j, the length p of that prefix and the
     offset o in level k + 1 of its children beta + (j,), so level k + 1 is
     three stencil passes from level k.  ``kid_sum[k]`` (n_k, n_(k+1)) is the
     0/1 matrix that sums a beta's three children beta + e_j, and
     ``runs[k]`` holds the children along each axis as runs (first beta,
-    last beta + 1, first child), axis 2, one run over the whole level,
-    first.  ``caps`` holds the fields per mode of the walk's scratch: the
+    last beta + 1, first child), the last of ``TREE_AXES``, one run over
+    the whole level, first.  ``caps`` holds the fields per mode of the walk's scratch: the
     even and the odd levels' buffer and the longest run of grad . u terms;
     ``rows`` the most rows of n^3 doubles that one contraction of a level,
     and one sum over children, writes.
@@ -255,22 +262,23 @@ class SnapshotPlan:
     def __init__(self, cfg, alphas: list, mults: np.ndarray, report: bool):
         depth = max(cfg.n_max, cfg.n0)
         self.top = min(depth, cfg.beta_max) if report else 0
+        rank = {j: r for r, j in enumerate(TREE_AXES)}
         self.levels = [[()]]
         for _ in range(self.top + 1):
-            self.levels.append([c + (j,) for j in range(3) for c in self.levels[-1]
-                                if not c or c[-1] <= j])
+            self.levels.append([c + (j,) for j in TREE_AXES for c in self.levels[-1]
+                                if not c or rank[c[-1]] <= rank[j]])
         self.passes, self.kid_sum, self.runs = [], [], []
         for level, below in zip(self.levels, self.levels[1:]):
             place = {c: i for i, c in enumerate(below)}
-            kids = np.array([[place[tuple(sorted(c + (j,)))] for j in range(3)]
+            kids = np.array([[place[tuple(sorted(c + (j,), key=rank.get))] for j in range(3)]
                              for c in level])
             passes, offset = [], 0
-            for j in range(3):
-                p = sum(1 for c in level if not c or c[-1] <= j)
+            for j in TREE_AXES:
+                p = sum(1 for c in level if not c or rank[c[-1]] <= rank[j])
                 passes.append((j, p, offset))
                 offset += p
             runs = []
-            for j in (2, 1, 0):
+            for j in reversed(TREE_AXES):
                 cuts = [b for b in range(1, len(level)) if kids[b, j] != kids[b - 1, j] + 1]
                 bounds = [0] + cuts + [len(level)]
                 runs.append((j, [(b0, b1, kids[b0, j]) for b0, b1 in zip(bounds, bounds[1:])]))
