@@ -239,17 +239,17 @@ class SnapshotPlan:
     being min(max(n_max, n0), beta_max) for a report and 0 for a monitor
     row) as tuples of velocity axes sorted by ``TREE_AXES``, ordered so
     that, for each axis j, the betas with no axis after j are a prefix of
-    the level:
-    ``passes[k]`` holds, per axis j, the length p of that prefix and the
-    offset o in level k + 1 of its children beta + (j,), so level k + 1 is
-    three stencil passes from level k.  ``kid_sum[k]`` (n_k, n_(k+1)) is the
-    0/1 matrix that sums a beta's three children beta + e_j, and
-    ``runs[k]`` holds the children along each axis as runs (first beta,
-    last beta + 1, first child), the last of ``TREE_AXES``, one run over
-    the whole level, first.  ``caps`` holds the fields per mode of the walk's scratch: the
-    even and the odd levels' buffer and the longest run of grad . u terms;
-    ``rows`` the most rows of n^3 doubles that one contraction of a level,
-    and one sum over children, writes.
+    the level: ``passes[k]`` holds, per axis j, the length p of that prefix
+    and the offset o in level k + 1 of its children beta + (j,), so level
+    k + 1 is three stencil passes from level k.  ``kid_sum[k]``
+    (n_k, n_(k+1)) is the 0/1 matrix that sums a beta's three children
+    beta + e_j, and ``runs[k]`` holds the children along each axis as runs
+    (first beta, last beta + 1, first child), the last axis of
+    ``TREE_AXES``, one run over the whole level, first.  ``caps`` holds the
+    fields per mode of the walk's scratch: the even and the odd levels'
+    buffer and the longest run of grad . u terms; ``rows`` the most rows of
+    n^3 doubles that one contraction of a level, and one sum over children,
+    writes.
 
     The alpha multipliers of a pair depend only on |beta|: level k pairs
     every beta with the first ``n_rows[k]`` alphas (|alpha| + k <= max(n_max,

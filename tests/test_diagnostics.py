@@ -259,7 +259,6 @@ class TestSpectralSnapshot:
             block = [n for n, nb in calls if nb == modes]
             assert (len(block), sum(block)) == (per_block, passes)
 
-
     def test_cg_report_traced_memory(self, monkeypatch):
         # a matrix-free context makes the tree's scratch per snapshot; at
         # the CG solver's grids one mode fills a block.  Past the first

@@ -488,8 +488,8 @@ class TestConvolutionPool:
         bound = 2 * 3 * field + 2 * 4 * point
 
         def peak(convolve, count=3):
-            # the generator before the window, so that a first import of
-            # numpy.random is not counted; the inputs are
+            # the generator is made before the window, so that a first
+            # import of numpy.random is not counted; the inputs it draws are
             rng = np.random.default_rng(34)
             tracemalloc.start()
             try:
