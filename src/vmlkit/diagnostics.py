@@ -34,25 +34,20 @@ equivalences are fixed to one.  Conventions:
   ``SpatialGrid.orbit_weight``, 2 on interior modes and 1 at last index 0
   and n_x / 2.  The fields of a block are views of a scratch
   (``BlockFields``), kept for the run with a direct stepper.  The
-  constants every snapshot shares (alpha multipliers, the tree's plans,
-  moment weights) are built once per ``DiagContext``; the x multipliers
-  once per ``SpatialGrid``.
-  The monitor row, the report and the macro snapshot all read that
-  snapshot; each functional is a multiplier or weight dot product.  P and
-  the moment functions are local in x, so the macro coefficients, the
-  micro part and the moments behind the fluid residuals come from the half
-  spectrum too, and the macro snapshot inverts them with ``inverse_half``.
-  The report's B-moment of (L f)_+ + (L f)_- is <2 (A + K) w_B, f_+ + f_->
-  by the symmetry of L, with L applied to the three B weights once per
-  context: a block product with a direct stepper, else matrix-free.
+  constants every snapshot shares (alpha multipliers, the tree's plans)
+  are built once per ``DiagContext``; the x multipliers once per
+  ``SpatialGrid``.
+  The monitor row and the report read that snapshot; each functional is a
+  multiplier or weight dot product.
+* the macro snapshot behind the fluid residuals (``macro_snapshot``) is
+  not part of a run: it is formed in physical space from a state, with
+  P f, the moment functions, the matrix-free L and spectral x-derivatives.
 * the mixed-derivative terms ||w d^alpha_beta f||^2 measure the real field
   Re d^alpha f.  At a mode whose orders alpha_i, summed over the axes that
   sit at the Nyquist index, are odd, (i xi)^alpha f_hat has no Hermitian
   partner and the real part drops it: the multiplier is zero there and
-  xi^(2 alpha) elsewhere.  For the same reason the transport term
-  -i xi . B(v {I-P} f) of the B-moment source drops each axis's Nyquist
-  mode.  The unweighted bands |xi|^(2j) of E^k, D^k and the field terms
-  keep the Nyquist mode at every order.
+  xi^(2 alpha) elsewhere.  The unweighted bands |xi|^(2j) of E^k, D^k and
+  the field terms keep the Nyquist mode at every order.
 * every negative-order norm excludes the xi = 0 mode, whose content is
   reported separately (torus surrogate of the whole-space theory).
 * the smallness functional Y_0 of the initial data (``y0_functional``) is
@@ -121,11 +116,9 @@ class DiagContext:
     form (``quadratic_form``); in CG mode or without one, it comes from the
     matrix-free ``landau.apply_L``.
 
-    The run constants every snapshot reads are built on first use and kept:
-    the alpha multipliers, the (alpha, beta) plans of the derivative tree,
-    the moment weights and L of the B weights (from the blocks with a
-    direct stepper, else matrix-free) and the transport multipliers.  With
-    a direct stepper the derivative tree's scratch is kept too
+    The run constants every snapshot reads, the alpha multipliers and the
+    (alpha, beta) plans of the derivative tree, are built on first use and
+    kept.  With a direct stepper the derivative tree's scratch is kept too
     (``block_fields``).  They follow the fields above, which must not change
     afterwards.
     """
@@ -171,31 +164,6 @@ class DiagContext:
                 for c in combo:
                     alpha[c] += 1
                 yield tuple(alpha)
-
-    @cached_property
-    def transport_multipliers(self) -> list:
-        """i xi_i on the half spectrum per active axis, zero on the axis's Nyquist mode."""
-        return [1j * np.where(nyq, 0.0, xi) for xi, nyq in self.sgrid.half_mesh]
-
-    @cached_property
-    def moment_weights(self) -> dict:
-        """Velocity weights of the moment functions, one row per component.
-
-        "A": (v_m v_j - 1) mu^(1/2), row 3m + j; "B": 1/10 (|v|^2 - 5) v_j
-        mu^(1/2); "G": v_j mu^(1/2); "Bv": the B rows times v_axis, row
-        3i + j for the i-th active axis (the transport term's); "LB":
-        2 (A + K) of the B rows, the first species of L [w_B, w_B].
-        """
-        vgrid = self.vgrid
-        mu_half, vsq = vgrid.mu_half(), vgrid.vsq()
-        v = [c + 0 * vsq for c in vgrid.axes()]
-        b = np.stack([0.1 * (vsq - 5.0) * vj * mu_half for vj in v])
-        return {"A": np.stack([(v[m] * v[j] - 1.0) * mu_half
-                               for m in range(3) for j in range(3)]),
-                "B": b, "G": vgrid.v_mu_half,
-                "Bv": np.concatenate([b * v[axis] for axis in self.sgrid.active_axes]),
-                "LB": (landau.apply_L(self.tables, np.stack([b, b]))[0] if self.direct is None
-                       else 2.0 * self.direct.apply_a_plus_k(b))}
 
     @cached_property
     def plans(self) -> dict:
@@ -318,15 +286,6 @@ class SnapshotPlan:
             self._blocks[key] = np.broadcast_to(
                 rows, (len(rows), 2, 2, stop - start)).reshape(len(rows), -1)
         return self._blocks[key]
-
-
-def _pair_moments(vgrid: VelocityGrid, h: np.ndarray, wgt: np.ndarray,
-                  sign: float = 1.0) -> np.ndarray:
-    """int w_r (h_+ + sign h_-) dv for each row w_r of ``wgt``; shape (rows, *x)."""
-    rows = wgt.reshape(len(wgt), -1)
-    per = (h.reshape(-1, rows.shape[1]) @ rows.T).reshape((2, -1, len(wgt)))
-    out = vgrid.cell_volume * (per[0] + sign * per[1])
-    return out.T.reshape((len(wgt),) + h.shape[1:-3])
 
 
 def _collision_power(ctx: DiagContext, f: np.ndarray, spec: np.ndarray) -> np.ndarray:
@@ -469,7 +428,7 @@ def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
 
 
 class SpectralSnapshot:
-    """Per-mode powers, velocity densities and moment spectra of one state.
+    """Per-mode powers, velocity densities and macro coefficients of one state.
 
     Built from one ``forward_half`` f_hat of ``state.f`` (a second one of
     L f in CG mode or without a stepper); neither f_hat nor any per-beta
@@ -478,18 +437,15 @@ class SpectralSnapshot:
     volume), E ("e"), B ("b"), the charge a_+ - a_- ("charge"), the six
     macro coefficients ("macro"), P f in the Gram form of its coefficients
     ("pf") and the collision power vol Re sum conj(f_hat) (L f)^ ("lf"):
-    this is the one place the diagnostics apply L to a state.  All but
+    this is the one place a run's diagnostics apply L to a state
+    (``macro_snapshot``, which no run calls, applies its own).  All but
     "e" and "b" are formed on the half spectrum and expanded by
-    ``SpatialGrid.full_spectrum``.
+    ``SpatialGrid.full_spectrum``.  ``coef`` holds the half spectra of the
+    six macro coefficients, (6, *half_shape), from which the report takes
+    the charge of the Gauss residual.
 
     ``report`` selects what a report reads: velocity derivatives up to
-    ``beta_max`` and ``moments``, the half spectra of the (rows, *x) fields
-    of ``macro_snapshot``: the macro coefficients ("coef"), A and B of the
-    species sum ("A", 9 rows, and "Bv"), the micro current G ("G"), B of
-    the micro species sum ("b_micro") and the B-moment source
-    ("b_source"), -B((L f)_s) - B(v . grad_x {I-P} f_s), plus B of the
-    force and Gamma terms in nonlinear mode.  Without it (a monitor row)
-    only beta = 0 is formed.
+    ``beta_max``.  Without it (a monitor row) only beta = 0 is formed.
 
     ``pairs`` lists the (alpha, beta) of the context's plan
     (``SnapshotPlan``).  Per pair, ``dens[name]`` holds the x- and
@@ -525,27 +481,16 @@ class SpectralSnapshot:
     """
 
     def __init__(self, ctx: DiagContext, state, report: bool):
-        sgrid, vgrid, proj, cfg = ctx.sgrid, ctx.vgrid, ctx.projector, ctx.config
+        sgrid, vgrid, proj = ctx.sgrid, ctx.vgrid, ctx.projector
         abs2 = landau._abs2
         self.state = state
         self.vol = vgrid.cell_volume
-        if report:
-            w = ctx.moment_weights
-            b_source = 0.0
-            if cfg.mode == "nonlinear":
-                # physical-space terms first, while no spectrum is alive
-                f, em = state.f, state.em
-                src = maxwell.lorentz_force_terms(vgrid, f, em.e_phys(sgrid),
-                                                  em.b_phys(sgrid))
-                src += landau.apply_Gamma(ctx.tables, f, f)
-                b_source = sgrid.forward_half(_pair_moments(vgrid, src, w["B"]))
-                del src
         f_spec = sgrid.forward_half(state.f, ctx.x_axes)
         # the collision power before the projector's GEMMs: in CG mode its
         # matrix-free L runs on the convolution pool, which a threaded GEMM
         # just before slows down
         lf = self.vol * _collision_power(ctx, state.f, f_spec)
-        coef = proj.coefficients(f_spec)
+        self.coef = coef = proj.coefficients(f_spec)
         micro = proj.assemble(coef)
         np.subtract(f_spec, micro, out=micro)
         per_mode = {"f": self.vol * np.sum(abs2(f_spec), axis=(0, -3, -2, -1)),
@@ -556,19 +501,6 @@ class SpectralSnapshot:
         self.power = {name: sgrid.full_spectrum(p) for name, p in per_mode.items()}
         self.power["e"] = np.sum(abs2(state.em.e_spec), axis=0)
         self.power["b"] = np.sum(abs2(state.em.b_spec), axis=0)
-        if report:
-            # B((L f)_+ + (L f)_-) = <2 (A + K) w_B, f_+ + f_->, L symmetric
-            b_source = b_source - _pair_moments(vgrid, f_spec, w["LB"])
-            transport = _pair_moments(vgrid, micro, w["Bv"]).reshape(
-                (sgrid.n_active, 3) + sgrid.half_shape)
-            for ixi, mom in zip(ctx.transport_multipliers, transport):
-                b_source = b_source - ixi * mom
-            self.moments = {"coef": coef,
-                            "A": _pair_moments(vgrid, f_spec, w["A"]),
-                            "Bv": _pair_moments(vgrid, f_spec, w["B"]),
-                            "G": _pair_moments(vgrid, micro, w["G"], sign=-1.0),
-                            "b_micro": _pair_moments(vgrid, micro, w["B"]),
-                            "b_source": b_source}
 
         plan = ctx.plans[report]
         self.pairs, self.a_ord, self.b_ord = plan.pairs, plan.a_ord, plan.b_ord
@@ -759,7 +691,7 @@ def build_report(ctx: DiagContext, snap: SpectralSnapshot) -> FunctionalReport:
                                  for name in ("f", "e", "b"))
     # int mu^(1/2) (f_+ - f_-) dv: the Gram rows couple a_pm with c on the grid
     gram = ctx.projector.gram
-    rho_spec = sgrid.full_spectrum(np.tensordot(gram[0] - gram[1], snap.moments["coef"], 1))
+    rho_spec = sgrid.full_spectrum(np.tensordot(gram[0] - gram[1], snap.coef, 1))
 
     return FunctionalReport(
         t=t, norm_f_sq=snap.norm2(1.0, "f"), field_energy=maxwell.field_energy(em),
@@ -773,19 +705,35 @@ def build_report(ctx: DiagContext, snap: SpectralSnapshot) -> FunctionalReport:
     )
 
 
-def macro_snapshot(ctx: DiagContext, snap: SpectralSnapshot) -> macro_micro.MacroSnapshot:
-    """Macro fields, moments and the B-moment balance terms of a report snapshot.
+def macro_snapshot(ctx: DiagContext, state) -> macro_micro.MacroSnapshot:
+    """Macro fields, moments and the B-moment balance terms of a state, in physical space.
 
-    The inverse transforms (``inverse_half``) of the snapshot's (rows, *x)
-    moment half spectra.
+    P f (``MacroProjector.project``) and ``macro_micro.moments``; B of the
+    micro species sum; and the B-moment source -B((L f)_+ + (L f)_-) -
+    B(v . grad_x {I-P} f_s), with the matrix-free L and spectral
+    x-derivatives, plus B of the force and Gamma terms in nonlinear mode.
+    A history of these is what ``macro_micro.fluid_residuals`` checks; a
+    run does not build one.
     """
-    phys = {name: ctx.sgrid.inverse_half(spec) for name, spec in snap.moments.items()}
-    mom = macro_micro.MomentSet(A=phys["A"].reshape((3, 3) + ctx.sgrid.shape),
-                                Bv=phys["Bv"], G=phys["G"])
-    return macro_micro.MacroSnapshot(t=snap.state.t,
-                                     macro=ctx.projector.macro_fields(phys["coef"]),
-                                     mom=mom, b_micro=phys["b_micro"],
-                                     b_source=phys["b_source"])
+    f, sg, vg, proj = state.f, ctx.sgrid, ctx.vgrid, ctx.projector
+    pf, macro = proj.project(f)
+    micro_s = np.sum(f - pf, axis=0)
+    lf = landau.apply_L(ctx.tables, f)
+    source = -(lf[0] + lf[1])
+    if ctx.config.mode == "nonlinear":
+        force = maxwell.lorentz_force_terms(vg, f, state.em.e_phys(sg), state.em.b_phys(sg))
+        force += landau.apply_Gamma(ctx.tables, f, f)
+        source += force[0] + force[1]
+    v, x_axes = vg.axes(), tuple(range(sg.n_active))
+    transport = sum(v[axis] * sg.derivative(micro_s, axis, x_axes)
+                    for axis in sg.active_axes)
+    wgt = [0.1 * (vg.vsq() - 5.0) * vj * vg.mu_half() for vj in v]
+
+    def b_moment(h):
+        return np.stack([vg.integrate(h * w) for w in wgt])
+
+    return macro_micro.MacroSnapshot(t=state.t, macro=macro, mom=macro_micro.moments(f, proj),
+                                     b_micro=b_moment(micro_s), b_source=b_moment(source - transport))
 
 
 def y0_functional(ctx: DiagContext, snap: SpectralSnapshot) -> float:

@@ -67,9 +67,8 @@ permutations of v (``landau.PermutationBlocks``), 1.4 MB per operator at
 n_v = 10 and 22.6 MB at n_v = 16, never an n_v^3 x n_v^3 array.  ``run``
 hands the collision stepper to the diagnostics: with the direct solver a
 recorded state's collision power is a quadratic form on those blocks
-(``CollisionStepper.quadratic_form``), with no L f formed, and L of the
-report's B weights is a block product (``apply_a_plus_k``), so a direct
-run never applies the matrix-free operators.
+(``CollisionStepper.quadratic_form``), with no L f formed, so a direct run
+never applies the matrix-free operators.
 
 The species sum s = f_+ + f_- and difference d = f_+ - f_- diagonalize L
 (L s = 2(A+K)s, L d = 2A d), so the collision solve runs on two decoupled
@@ -441,8 +440,7 @@ class CollisionStepper:
     Re conj(f_hat) (L f)^ per mode from the blocks without forming L f:
     one forward basis change, one GEMM per block and the row dot products.
     Both work in the arrays of ``_workspace``, which the step and the
-    snapshots of a run share.  ``apply_a_plus_k`` gives (A + K) x from the
-    blocks.
+    snapshots of a run share.
 
     ``method="cg"`` solves the same trapezoid systems matrix-free; it has
     no ``quadratic_form``, so the diagnostics transform a matrix-free L f.
@@ -534,14 +532,6 @@ class CollisionStepper:
         prods = [np.matmul(c, b, out=p)
                  for c, b, p in zip(basis.forward(x, work), blocks, work["prod"])]
         return basis.inverse(prods, out=x, work=work)
-
-    def apply_a_plus_k(self, x: np.ndarray) -> np.ndarray:
-        """(A + K) x at every leading point of x (..., n, n, n), from the blocks.
-
-        Direct mode only; L [x, x] = 2 (A + K) x on each species.
-        """
-        rows = x.reshape(-1, self._basis.size).copy()
-        return self._blocked(self._a_plus_k, rows).reshape(x.shape)
 
     def _sum_difference(self, f: np.ndarray) -> tuple:
         """s = f_+ + f_- and d = f_+ - f_- as rows (m, n^3), in the kept arrays.
@@ -678,47 +668,6 @@ class CollisionStepper:
             np.subtract(s[p], d[p], out=half[1])
             half *= 0.5
         return out
-
-
-# ---------------------------------------------------------------------------
-# full right-hand side (unsplit; the term-level tests' reference)
-# ---------------------------------------------------------------------------
-
-
-def rhs_full(state: PhaseState, sgrid: SpatialGrid, vgrid: VelocityGrid,
-             tables: landau.CollisionTables, mode: str = LINEARIZED):
-    """Unsplit right-hand side (df/dt, dE/dt, dB/dt); diagnostic reference.
-
-    The production integrator applies the same pieces through Strang
-    splitting; this assembly is the wiring oracle for term-level tests.
-    """
-    f = state.f
-    x_axes = tuple(range(1, 1 + sgrid.n_active))
-    fspec = sgrid.forward(f, x_axes)
-    # transport -v . grad_x f
-    df_spec = np.zeros_like(fspec)
-    v = vgrid.axes()
-    for i, axis in enumerate(sgrid.active_axes):
-        xi = sgrid.xi_mesh()[i]
-        sh = [1] * fspec.ndim
-        sh[1 + i] = sgrid.n_x
-        mult = (1j * xi.ravel()).reshape(sh)
-        va = v[axis]
-        df_spec = df_spec - mult * fspec * va
-    df = sgrid.inverse(df_spec, x_axes).real
-
-    e_phys = state.em.e_phys(sgrid)
-    df += maxwell.field_source_on_f(vgrid, e_phys)
-    df -= landau.apply_L(tables, f)
-
-    if mode == NONLINEAR:
-        b_phys = state.em.b_phys(sgrid)
-        df += maxwell.lorentz_force_terms(vgrid, f, e_phys, b_phys)
-        df += landau.apply_Gamma(tables, f, f)
-
-    j_spec = sgrid.forward(maxwell.current_density(vgrid, f))
-    de, db = maxwell.field_rhs(sgrid, state.em, j_spec)
-    return df, de, db
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +906,6 @@ class RunResult:
     config: RunConfig
     reports: list
     monitor: MonitorSeries
-    macro_history: list
     final_state: PhaseState
     contraction_violations: int = 0
 
@@ -998,9 +946,12 @@ def run(config: RunConfig, initial: PhaseState | None = None,
         resume_step: int = 0, checkpoint_dir: str | None = None) -> RunResult:
     """Integrate to t_end, emitting functional reports at the configured cadence.
 
-    Deterministic for a fixed config: identical seeds and parameters give
-    bit-identical trajectories and reports.  A start that ``check_resume``
-    rejects raises StateError.
+    Deterministic for a fixed config at a fixed BLAS thread count:
+    identical seeds and parameters give bit-identical trajectories and
+    reports, and a resume from a checkpoint continues the run bit for bit.
+    Across thread counts they agree to round-off, because the propagator
+    blocks' products (and so the collision substep) depend on how BLAS
+    splits them.  A start that ``check_resume`` rejects raises StateError.
     Non-finite f, E or B aborts with NanAbort, and a collision CG that does
     not reach ``cg_tol`` with RunAbort; both carry the last good state, and
     with ``checkpoint_dir`` that state is also written there as
@@ -1033,7 +984,6 @@ def run(config: RunConfig, initial: PhaseState | None = None,
 
     reports: list = []
     monitor = MonitorSeries()
-    macro_history: list = []
     contraction_violations = 0
 
     check_contraction = (config.preset == "relaxation" and config.mode == LINEARIZED)
@@ -1058,7 +1008,6 @@ def run(config: RunConfig, initial: PhaseState | None = None,
                     monitor.t[-2:], np.transpose(monitor.e_k[-2:]),
                     np.transpose(monitor.d_proxy_k[-2:])).deltas[:, 0]
             reports.append(rep)
-            macro_history.append(diag.macro_snapshot(ctx, snap))
 
     record(state, bool(config.monitor_every), True)
 
@@ -1084,6 +1033,5 @@ def run(config: RunConfig, initial: PhaseState | None = None,
             save_checkpoint(os.path.join(checkpoint_dir, f"step{step_no:08d}.bin"),
                             state, step_no)
 
-    return RunResult(config=config, reports=reports, monitor=monitor,
-                     macro_history=macro_history, final_state=state,
+    return RunResult(config=config, reports=reports, monitor=monitor, final_state=state,
                      contraction_violations=contraction_violations)

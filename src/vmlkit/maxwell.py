@@ -18,11 +18,11 @@ enforces.
 All four coupling terms between f and (E, B) live here: on the field side
 the charge a_+ - a_- (``charge_density``) and the current (``current_density``);
 on the kinetic side, for q0 = diag(1, -1) and q1 = [1, -1], the source
-E . v mu^(1/2) q1 (``field_source_on_f``) and, in nonlinear mode, the force
--q0 (E + v x B) . grad_v f + (q0/2) E . v f (``lorentz_force_terms``).  The
-source and the current are linear and local in x, so each takes physical
-arrays or spectra alike: ``evolve.rhs_full`` calls them on physical E and
-f, the stepper on the Hermitian half spectra of E and f.  The Lorentz
+E . v mu^(1/2) q1, whose species are ``source_profile`` and its negative,
+and, in nonlinear mode, the force -q0 (E + v x B) . grad_v f + (q0/2)
+E . v f (``lorentz_force_terms``).  The source and the current are linear
+and local in x, so each takes physical arrays or spectra alike; the
+stepper calls them on the Hermitian half spectra of E and f.  The Lorentz
 force is a product in x and takes physical fields only.
 """
 
@@ -100,7 +100,7 @@ def current_density(vgrid: VelocityGrid, f: np.ndarray,
 
 def source_profile(vgrid: VelocityGrid, e: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """E . v mu^(1/2), shape (*x, n, n, n): the first species of ``field_source_on_f``.
+    """E . v mu^(1/2), shape (*x, n, n, n): the first species of the source E . v mu^(1/2) q1.
 
     Local in x, like the source.  E . v is a sum of rank-one products,
     formed by broadcasting (no BLAS call, as in ``current_density``); it
@@ -114,22 +114,8 @@ def source_profile(vgrid: VelocityGrid, e: np.ndarray,
     return ev
 
 
-def field_source_on_f(vgrid: VelocityGrid, e: np.ndarray) -> np.ndarray:
-    """E . v mu^(1/2) q1 term, shape (2, *x, n, n, n).
-
-    Local in x: ``e`` (3, *x) may be physical E or a spectrum of it, and
-    the source is then the same spectrum.  The species are
-    ``source_profile`` and its negative.
-    """
-    ev = source_profile(vgrid, e)
-    out = np.empty((2,) + ev.shape, dtype=ev.dtype)
-    out[0] = ev
-    np.negative(ev, out=out[1])
-    return out
-
-
 def source_current(vgrid: VelocityGrid, e: np.ndarray) -> np.ndarray:
-    """The current of the source: ``current_density`` of ``field_source_on_f``.
+    """The current of the source: ``current_density`` of E . v mu^(1/2) q1.
 
     The source is E . v mu^(1/2) q1, so its current is 2 h^3 G E with the
     3 x 3 Gram matrix G_ab = sum_v v_a v_b mu of the weight rows; the

@@ -253,13 +253,14 @@ class TestResumeFailsFast:
         assert "(2, 8, 8, 8, 8)" in err and "(2, 16, 8, 8, 8)" in err
 
 
-def test_nonfinite_field_aborts(tmp_path, monkeypatch, capsys):
-    # a step that keeps f finite but puts a NaN in E must still abort
+@pytest.mark.parametrize("field", ["e_spec", "b_spec"])
+def test_nonfinite_field_aborts(tmp_path, monkeypatch, capsys, field):
+    # a step that keeps f finite but puts a NaN in E or B must still abort
     good_step = evolve.Stepper.step
 
     def bad_step(self, state):
         new = good_step(self, state)
-        new.em.e_spec[0, 1] = np.nan
+        getattr(new.em, field)[0, 1] = np.nan
         return new
 
     monkeypatch.setattr(evolve.Stepper, "step", bad_step)
@@ -270,7 +271,26 @@ def test_nonfinite_field_aborts(tmp_path, monkeypatch, capsys):
     last_good, step = evolve.load_checkpoint(
         str(tmp_path / "checkpoints" / "last_good.bin"))
     assert step == 0
-    assert np.all(np.isfinite(last_good.em.e_spec))
+    assert np.all(np.isfinite(getattr(last_good.em, field)))
+
+
+def test_contraction_violations_counted_and_warned(tmp_path, monkeypatch, capsys):
+    # under pure relaxation the trapezoid substep never grows ||f||; a step
+    # made to grow it is counted at every step, and the run still ends
+    # normally with a warning line
+    good_step = evolve.Stepper.step
+
+    def growing_step(self, state):
+        new = good_step(self, state)
+        new.f *= 2.0
+        return new
+
+    monkeypatch.setattr(evolve.Stepper, "step", growing_step)
+    rc = run_cli("simulate", "--out", str(tmp_path), *FAST_OVERRIDES,
+                 "--set", "preset=relaxation")
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["warning: 3 contraction violations"]
 
 
 def test_nonfinite_resume_exits_3(tmp_path, capsys):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from vmlkit import diagnostics as diag
-from vmlkit import evolve, landau, macro_micro, maxwell
+from vmlkit import evolve, landau, maxwell
 from vmlkit.evolve import PhaseState, RunConfig, initial_state
 from vmlkit.macro_micro import MacroProjector
+
+from oracles import rhs_full
 
 
 @pytest.fixture(scope="module")
@@ -465,69 +467,53 @@ def test_stepper_L_matches_matrix_free_diagnostics(ctx8, method):
     full_s, full = snapshot(ctx_s, st), snapshot(ctx, st)
     assert close(diag.build_report(ctx_s, full_s).d_proxy,
                  diag.build_report(ctx, full).d_proxy)
-    assert close(diag.macro_snapshot(ctx_s, full_s).b_source,
-                 diag.macro_snapshot(ctx, full).b_source)
-
-
-def reference_macro_snapshot(ctx, st):
-    """The macro snapshot in physical space: P f, moments, v . grad_x, matrix-free L."""
-    f, sg, vg, proj = st.f, ctx.sgrid, ctx.vgrid, ctx.projector
-    pf, macro = proj.project(f)
-    micro_s = (f - pf)[0] + (f - pf)[1]
-    lf = landau.apply_L(ctx.tables, f)
-    source = -(lf[0] + lf[1])
-    if ctx.config.mode == "nonlinear":
-        force = maxwell.lorentz_force_terms(vg, f, st.em.e_phys(sg), st.em.b_phys(sg))
-        gam = landau.apply_Gamma(ctx.tables, f, f)
-        source = source + force[0] + force[1] + gam[0] + gam[1]
-    v, x_axes = vg.axes(), tuple(range(sg.n_active))
-    transport = sum(v[axis] * sg.derivative(micro_s, axis, x_axes)
-                    for axis in sg.active_axes)
-    wgt = [0.1 * (vg.vsq() - 5.0) * vj * vg.mu_half() for vj in v]
-
-    def b_moment(h):
-        return np.stack([vg.integrate(h * w) for w in wgt])
-
-    mom = macro_micro.moments(f, proj)
-    return {"a+": macro.a_plus, "a-": macro.a_minus, "b": macro.b, "c": macro.c,
-            "A": mom.A, "Bv": mom.Bv, "G": mom.G, "b_micro": b_moment(micro_s),
-            "b_source": b_moment(source) - b_moment(transport)}
 
 
 @pytest.mark.parametrize("mode", ["linearized", "nonlinear"])
 @pytest.mark.parametrize("axes,n_x", [((0,), 16), ((0, 2), 6), ((0,), 7),
                                       ((0, 1, 2), 4)])
 def test_macro_snapshot_matches_physical_space_reference(axes, n_x, mode):
-    # on the half spectrum the transport term of the B-moment source must
-    # drop each axis's Nyquist mode, which the full spectrum's real part
-    # dropped by itself: n_x = 7 has none, n_x = 4 on three axes has three
-    # Nyquist planes
+    # the B-moment source of the macro snapshot is the B-moment of the
+    # species sum of the unsplit right-hand side (``oracles.rhs_full``),
+    # less its transport term of P f: the source S(E) cancels in the sum,
+    # and -v . grad_x f = -v . grad_x P f - v . grad_x {I-P} f.  Noise fills
+    # every mode, the Nyquist ones included (n_x = 7 has none, n_x = 4 on
+    # three axes has three Nyquist planes)
     cfg = RunConfig(n_x=n_x, n_v=8, active_axes=axes, mode=mode)
     sg, vg = cfg.grids()
     tab = landau.build_collision_tables(vg, cfg.gamma)
     ctx = diag.DiagContext(sg, vg, tab, MacroProjector(vg), cfg)
     rng = np.random.default_rng(n_x + len(mode))
-    # noise in every mode, the Nyquist ones included, on top of the preset
     st = initial_state(cfg, sg, vg)
     f = st.f + 1e-3 * rng.standard_normal(st.f.shape) * vg.mu_half()
     e, b = (sg.forward(1e-3 * rng.standard_normal((3,) + sg.shape)) for _ in range(2))
     st = PhaseState(f, maxwell.EMField(e, b), 0.7)
-    got = diag.macro_snapshot(ctx, diag.SpectralSnapshot(ctx, st, report=True))
-    fields = {"a+": got.macro.a_plus, "a-": got.macro.a_minus, "b": got.macro.b,
-              "c": got.macro.c, "A": got.mom.A, "Bv": got.mom.Bv, "G": got.mom.G,
-              "b_micro": got.b_micro, "b_source": got.b_source}
+    got = diag.macro_snapshot(ctx, st)
     assert got.t == 0.7
-    for name, ref in reference_macro_snapshot(ctx, st).items():
-        assert fields[name].shape == ref.shape, name
-        err = np.abs(fields[name] - ref).max() / np.abs(ref).max()
+
+    v, x_axes = vg.axes(), tuple(range(sg.n_active))
+    wgt = [0.1 * (vg.vsq() - 5.0) * vj * vg.mu_half() for vj in v]
+
+    def b_moment(h):
+        return np.stack([vg.integrate((h[0] + h[1]) * w) for w in wgt])
+
+    df, _, _ = rhs_full(st, sg, vg, tab, mode=mode)
+    pf, _ = ctx.projector.project(f)
+    transport = np.stack([sum(v[axis] * sg.derivative(pf[s], axis, x_axes)
+                              for axis in sg.active_axes) for s in range(2)])
+    refs = {"b_source": b_moment(df) + b_moment(transport),
+            "b_micro": got.mom.Bv - b_moment(pf)}
+    for name, ref in refs.items():
+        val = getattr(got, name)
+        assert val.shape == ref.shape == (3,) + sg.shape, name
+        err = np.abs(val - ref).max() / np.abs(ref).max()
         assert err <= 1e-12, (name, err)
 
 
 def test_one_L_application_per_recorded_state(monkeypatch):
     # monitor rows at steps 0..4 and reports at 0, 2, 4: five recorded
     # states, so five matrix-free L f (eleven when each consumer applied its
-    # own), plus one L of the pair [w_B, w_B] of the three B-moment weights
-    # for the whole run
+    # own), and no other
     calls = []
     apply_L = landau.apply_L
 
@@ -540,10 +526,26 @@ def test_one_L_application_per_recorded_state(monkeypatch):
                     monitor_every=1, report_every=2)
     res = evolve.run(cfg)
     assert len(res.monitor.t) == 5 and len(res.reports) == 3
-    state = (2, 8, 8, 8, 8)
-    assert calls.count(state) == 5
-    assert calls.count((2, 3, 8, 8, 8)) == 1
-    assert len(calls) == 6
+    assert calls == [(2, 8, 8, 8, 8)] * 5
+
+
+def test_gamma_only_in_the_step(monkeypatch):
+    # a nonlinear step evaluates the force and Gamma at the start of each
+    # field/force half and at its midpoint: four Gamma calls per step.  The
+    # reports (at steps 0, 1 and 2) add none
+    calls = []
+    apply_gamma = landau.apply_Gamma
+
+    def counted(tables, f, g):
+        calls.append(f.shape)
+        return apply_gamma(tables, f, g)
+
+    monkeypatch.setattr(landau, "apply_Gamma", counted)
+    cfg = RunConfig(n_x=8, n_v=8, dt=0.1, t_end=0.2, mode="nonlinear",
+                    collision_solver="cg", monitor_every=1, report_every=1)
+    res = evolve.run(cfg)
+    assert len(res.reports) == 3
+    assert calls == [(2, 8, 8, 8, 8)] * 8
 
 
 @pytest.mark.parametrize("method,forward_half", [("direct", 1), ("cg", 2)])
@@ -558,7 +560,6 @@ def test_transforms_per_snapshot(ctx8, monkeypatch, method, forward_half, report
     ctx_s = diag.DiagContext(ctx.sgrid, ctx.vgrid, ctx.tables, ctx.projector, cfg,
                              collision=stepper)
     st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
-    ctx_s.moment_weights      # L of the B weights: once per context
     calls = []
     grid_cls = type(ctx.sgrid)
     for name in ("forward", "forward_half", "inverse", "inverse_half"):

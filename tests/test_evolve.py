@@ -16,10 +16,11 @@ from vmlkit.evolve import (
     config_from_mapping,
     initial_state,
     load_checkpoint,
-    rhs_full,
     save_checkpoint,
 )
 from vmlkit.macro_micro import MacroProjector
+
+from oracles import field_source_on_f, rhs_full
 
 SMALL = dict(n_x=16, n_v=8, collision_solver="direct", direct_max_nv=8,
              report_every=10 ** 9, monitor_every=0)
@@ -130,7 +131,7 @@ def physical_strang_step(stepper: Stepper, state: PhaseState) -> PhaseState:
 
     def rhs(f, e, b):
         e_phys, b_phys = sg.inverse(e).real, sg.inverse(b).real
-        df = maxwell.field_source_on_f(vg, e_phys)
+        df = field_source_on_f(vg, e_phys)
         if cfg.mode == "nonlinear":
             df = df + maxwell.lorentz_force_terms(vg, f, e_phys, b_phys)
             df = df + landau.apply_Gamma(stepper.tables, f, f)

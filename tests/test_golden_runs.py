@@ -2,9 +2,10 @@
 
 Each run in ``RUNS`` is integrated with ``evolve.run`` and compared with
 ``tests/data/golden_runs.json``: every ``diagnostics.csv`` column, the
-``MonitorSeries`` arrays and the ``fluid_residuals`` values of its macro
-history.  A change to the diagnostics or the stepper that moves any of them
-past round-off fails here.
+``MonitorSeries`` arrays and the ``fluid_residuals`` values of the macro
+snapshots at its report steps (``oracles.fluid_history``, whose final state
+must be the run's bit for bit).  A change to the diagnostics or the stepper
+that moves any of them past round-off fails here.
 
 Re-record (only when a change is meant to move the numbers, and say so):
 
@@ -21,6 +22,8 @@ import pytest
 from vmlkit import evolve
 from vmlkit.diagnostics import FunctionalReport
 from vmlkit.macro_micro import fluid_residuals
+
+from oracles import fluid_history
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_runs.json")
 
@@ -59,7 +62,11 @@ def outputs(name: str) -> dict:
     rows = np.array([rep.row(cfg.k_max) for rep in result.reports], dtype=float)
     t, e_k, d_k, d_proxy_k = result.monitor.as_arrays()
     sgrid = cfg.grids()[0]
-    history = result.macro_history
+    history, final = fluid_history(cfg)
+    assert np.array_equal(final.f, result.final_state.f)
+    assert np.array_equal(final.em.e_spec, result.final_state.em.e_spec)
+    assert np.array_equal(final.em.b_spec, result.final_state.em.b_spec)
+    assert final.t == result.final_state.t
     res = fluid_residuals(history, sgrid)
     out = {f"csv.{c}": rows[:, i].tolist() for i, c in enumerate(cols)}
     out.update({"monitor.t": t.tolist(), "monitor.e_k": e_k.tolist(),

@@ -61,8 +61,8 @@ def _fresh_run(script, *args) -> str:
 def test_direct_run_does_not_import_scipy_sparse(tmp_path):
     # the dense rows of the direct propagator are assembled with numpy alone,
     # so a direct run's set-up does not pay for importing scipy.sparse; and
-    # L of the report's B weights comes from the blocks, so the run never
-    # starts the matrix-free operators' convolution pool
+    # the collision power comes from the blocks, so the run never starts the
+    # matrix-free operators' convolution pool
     script = ("import sys\n"
               "from vmlkit import cli, landau\n"
               + _SIMULATE.format(solver="direct")
@@ -89,14 +89,11 @@ def test_diagnostics_does_not_import_evolve():
     assert "maxwell" in imported
 
 
-# Top-level definitions that only the tests call, each a reference the
-# tests check the production path against: the unsplit right-hand side
-# (the Strang stepper's wiring oracle), the physical-space moments (the
-# spectral moments' oracle; the benchmark also counts its calls) and the
-# fluid residuals and interpolation ratio (checks on recorded runs).
+# Top-level definitions that only the tests and demos call: the macro
+# snapshot of a state and the fluid residuals of a history of them, and the
+# interpolation ratio, checks on recorded runs that a run does not make.
 TEST_REFERENCES = {
-    ("evolve", "rhs_full"),
-    ("macro_micro", "moments"),
+    ("diagnostics", "macro_snapshot"),
     ("macro_micro", "fluid_residuals"),
     ("diagnostics", "interpolation_monitor"),
 }

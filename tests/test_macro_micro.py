@@ -8,6 +8,7 @@ from vmlkit.macro_micro import MacroProjector, MacroSnapshot, fluid_residuals, m
 from vmlkit.phase_grid import SpatialGrid, VelocityGrid
 
 from conftest import null_basis
+from oracles import fluid_history
 
 
 class TestProjection:
@@ -199,7 +200,6 @@ class TestFluidResiduals:
 
     def test_solver_history_residual_refines_with_dt(self):
         # residuals on actual solver output scale at the integrator order
-        from vmlkit import evolve
         from vmlkit.evolve import RunConfig
 
         def run_res(dt):
@@ -208,10 +208,8 @@ class TestFluidResiduals:
             cfg = RunConfig(n_x=16, n_v=8, dt=dt, t_end=0.64, preset="broadband",
                             collision_solver="direct", direct_max_nv=8,
                             report_every=2, monitor_every=0)
-            result = evolve.run(cfg)
             sgrid, _ = cfg.grids()
-            res = fluid_residuals(result.macro_history, sgrid)
-            return res
+            return fluid_residuals(fluid_history(cfg)[0], sgrid)
 
         r1 = run_res(0.08)
         r2 = run_res(0.04)

@@ -7,6 +7,8 @@ from vmlkit import evolve, landau, maxwell
 from vmlkit.evolve import RunConfig, Stepper, initial_state
 from vmlkit.phase_grid import SpatialGrid, VelocityGrid
 
+from oracles import field_source_on_f
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -56,7 +58,7 @@ class TestFieldRhs:
         rng = np.random.default_rng(3)
         for e in (rng.standard_normal((3,) + grid.shape),
                   rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))):
-            ref = maxwell.current_density(vgrid, maxwell.field_source_on_f(vgrid, e))
+            ref = maxwell.current_density(vgrid, field_source_on_f(vgrid, e))
             got = maxwell.source_current(vgrid, e)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -103,6 +105,23 @@ class TestGaussResidual:
         em = maxwell.EMField.zero(grid)
         rho = np.zeros(grid.shape, dtype=complex)
         assert maxwell.gauss_residual(grid, em, rho) == 0.0
+
+    def test_div_b_norm_reads_its_plancherel_value(self):
+        # B = (b0 cos(xi_k x_0), b1 sin(xi_m x_1), random in x), on the box
+        # [0, L)^2: div B = -b0 xi_k sin(xi_k x_0) + b1 xi_m cos(xi_m x_1),
+        # whose squared L2 norm is (b0^2 xi_k^2 + b1^2 xi_m^2) L^2 / 2; B_2
+        # varies along no derivative axis and adds nothing
+        g2 = SpatialGrid(box_length=2.0 * math.pi * 3.0, n_x=16, active_axes=(0, 1))
+        x0, x1 = g2.coords()
+        xi = g2.xi_1d()
+        b0, b1, k, m = 0.7, -1.3, 2, 5
+        b = np.stack([np.broadcast_to(b0 * np.cos(xi[k] * x0), g2.shape),
+                      np.broadcast_to(b1 * np.sin(xi[m] * x1), g2.shape),
+                      np.random.default_rng(6).standard_normal(g2.shape)])
+        em = maxwell.EMField(np.zeros(b.shape, dtype=complex), g2.forward(b))
+        want = math.sqrt((b0 ** 2 * xi[k] ** 2 + b1 ** 2 * xi[m] ** 2)
+                         * g2.box_length ** 2 / 2.0)
+        assert maxwell.div_b_norm(g2, em) == pytest.approx(want, rel=1e-12)
 
 
 class TestMakeCompatible:
