@@ -156,7 +156,7 @@ class RunConfig:
     # initial data
     preset: str = "broadband"
     amplitude: float = 1e-3
-    seed: int = 7
+    seed: int = 7             # own PCG64 stream = default_rng(seed).uniform
     n_modes: int = 20
     asym_fraction: float = 0.15  # species-asymmetric (charge/current) content
     micro_fraction: float = 0.2   # microscopic v-shape content
@@ -222,6 +222,8 @@ class RunConfig:
         # perturbative system has no meaning, and its squares overflow
         if abs(self.amplitude) > 1.0:
             raise ValueError(f"amplitude must lie in [-1, 1], got {self.amplitude}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for key in ("seed", "monitor_every", "checkpoint_every", "n_max", "k_max",
                     "beta_max"):
             if getattr(self, key) < 0:
@@ -302,12 +304,79 @@ def _v_profiles(vgrid: VelocityGrid):
     ]
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _PCG64:
+    """``np.random.default_rng(seed).uniform``, draw for draw, in Python ints.
+
+    numpy's SeedSequence hashes the seed's little-endian 32-bit words into
+    a pool of four and draws the PCG64 state and increment from it; each
+    draw steps the 128-bit LCG and scales the top 53 bits of its XSL-RR
+    output (O'Neill 2014, HMC-CS-2014-0905).  So a run never imports
+    numpy.random (nor the secrets and OpenSSL hashlib it loads), and the
+    initial data do not follow changes to numpy's Generator methods, which
+    NEP 19 leaves free to change.
+    """
+
+    def __init__(self, seed: int):
+        seed = int(seed)
+        entropy = [seed & _M32]
+        while seed >> 32:
+            seed >>= 32
+            entropy.append(seed & _M32)
+        const = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return value ^ value >> 16
+
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if dst != src:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight words cycled from the pool, paired
+        # low word first into initstate (w0, w1) and initseq (w2, w3)
+        const, words = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _M32
+            value = value * const & _M32
+            words.append(value ^ value >> 16)
+        w = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+        # from state 0: step, add initstate, step
+        self.inc = (w[2] << 64 | w[3]) << 1 | 1
+        self.state = ((self.inc + (w[0] << 64 | w[1])) * _PCG_MULT + self.inc) & _M128
+
+    def uniform(self, low: float, high: float) -> float:
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        x, rot = ((s >> 64) ^ s) & _M64, s >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        return low + (high - low) * ((x >> 11) * 2.0 ** -53)
+
+
 def initial_state(config: RunConfig, sgrid: SpatialGrid, vgrid: VelocityGrid) -> PhaseState:
-    """Construct preset initial data with compatible fields."""
+    """Construct preset initial data with compatible fields.
+
+    The broadband draws come from vmlkit's own PCG64 stream, equal to
+    ``np.random.default_rng(config.seed).uniform``; numpy.random is not loaded.
+    """
     shape = (2,) + sgrid.shape + vgrid.shape
     f = np.zeros(shape)
     em = maxwell.EMField.zero(sgrid)
-    rng = np.random.default_rng(config.seed)
+    rng = _PCG64(config.seed)
     amp = config.amplitude
 
     if config.preset == "zero":

@@ -62,7 +62,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,10 +329,13 @@ def _bilinear_kernel(tables: CollisionTables, w: list, out: np.ndarray) -> None:
 _POOLS: dict = {}
 
 
-def _pool() -> ThreadPoolExecutor:
+def _pool():
     """The convolution thread pool of ``_WORKERS`` threads, built on first use."""
     pool = _POOLS.get(_WORKERS)
     if pool is None:
+        # imported here: concurrent.futures also loads logging and queue
+        # (about 0.7 MB and 5 ms), and a direct run never builds the pool
+        from concurrent.futures import ThreadPoolExecutor
         pool = _POOLS[_WORKERS] = ThreadPoolExecutor(
             _WORKERS, thread_name_prefix="vmlkit-conv")
     return pool

@@ -61,6 +61,21 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             small_cfg(theta=0.4, s_exp=0.5).validate()  # theta bracket
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=1.5).validate()
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                      2 ** 160 + 9])
+    def test_initial_data_stream_is_default_rng_uniform(self, seed):
+        # draw for draw, alternating the two ranges initial_state draws from;
+        # the seeds past 2^32 take SeedSequence's multi-word entropy path, and
+        # the one past 2^128 mixes words beyond the pool's four
+        ours, ref = evolve._PCG64(seed), np.random.default_rng(seed)
+        for i in range(300):
+            low, high = ((0.5, 1.0), (0.0, 2.0 * math.pi))[i % 2]
+            assert ours.uniform(low, high) == ref.uniform(low, high), i
+
     def test_from_mapping_types_and_unknown_keys(self):
         cfg = config_from_mapping({"n_x": "16", "dt": "0.1", "mode": "nonlinear",
                                    "active_axes": "0", "n_v": "8"})

@@ -50,6 +50,11 @@ _SIMULATE = ("rc = cli.main(['simulate', '--out', sys.argv[1], '--set', 'n_x=4',
              "assert rc == 0, rc\n")
 
 
+# the initial data come from vmlkit's own PCG64 stream, so a run loads
+# neither numpy.random nor the OpenSSL hashlib that numpy.random imports
+_NO_RANDOM = "'numpy.random' in sys.modules, '_hashlib' in sys.modules"
+
+
 def _fresh_run(script, *args) -> str:
     """The last line a script prints in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
@@ -62,20 +67,21 @@ def test_direct_run_does_not_import_scipy_sparse(tmp_path):
     # the dense rows of the direct propagator are assembled with numpy alone,
     # so a direct run's set-up does not pay for importing scipy.sparse; and
     # the collision power comes from the blocks, so the run never starts the
-    # matrix-free operators' convolution pool
+    # matrix-free operators' convolution pool, nor imports concurrent.futures
     script = ("import sys\n"
               "from vmlkit import cli, landau\n"
               + _SIMULATE.format(solver="direct")
-              + f"print('scipy.sparse' in sys.modules, len(landau._POOLS), {_SCIPY_MODULES})\n")
-    assert _fresh_run(script, tmp_path) == "False 0 []"
+              + f"print('scipy.sparse' in sys.modules, len(landau._POOLS),"
+              f" 'concurrent.futures' in sys.modules, {_NO_RANDOM}, {_SCIPY_MODULES})\n")
+    assert _fresh_run(script, tmp_path) == "False 0 False False False []"
 
 
 def test_cg_run_does_not_import_scipy(tmp_path):
     script = ("import sys\n"
               "from vmlkit import cli\n"
               + _SIMULATE.format(solver="cg")
-              + f"print({_SCIPY_MODULES})\n")
-    assert _fresh_run(script, tmp_path) == "[]"
+              + f"print({_NO_RANDOM}, {_SCIPY_MODULES})\n")
+    assert _fresh_run(script, tmp_path) == "False False []"
 
 
 def test_import_does_not_load_scipy():
