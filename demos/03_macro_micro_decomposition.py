@@ -39,7 +39,8 @@ print(f"random pair: <Pg, (I-P)g> = {dot:.2e}; "
       f"{n2 - grid.cell_volume*float(np.sum(g**2)):.2e}")
 
 print("\n== moment functions ==")
-mset = moments(np.stack([mu_half, mu_half]), proj)
+pair = np.stack([mu_half, mu_half])
+mset = moments(pair, proj.micro_part(pair), grid)
 print(f"A matrix of [mu^1/2, mu^1/2] (diag 0, off-diag -2 from the Gaussian "
       f"second moments):\n{np.round(mset.A, 7)}")
 print(f"B moments: {np.round(mset.Bv, 9)} (odd integrand)")

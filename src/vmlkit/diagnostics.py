@@ -317,10 +317,10 @@ class BlockFields:
         self._buffers: dict = {}
         self._views: dict = {}
 
-    def views(self, plan: SnapshotPlan, nb: int, vshape: tuple) -> tuple:
-        key = (plan.top, nb)
+    def views(self, plan: SnapshotPlan, cols: int, vshape: tuple) -> tuple:
+        key = (plan.top, cols)
         if key not in self._views:
-            field = math.prod((2, 2, nb) + vshape)
+            field = math.prod((cols,) + vshape)
             sizes = dict(zip(("even", "odd", "term"), (cap * field for cap in plan.caps)))
             sizes.update(zip(("rows", "kid_rows"), (r * math.prod(vshape) for r in plan.rows)))
             for name, size in sizes.items():
@@ -328,12 +328,32 @@ class BlockFields:
                     self._buffers[name] = np.empty(size)
                     self._views.clear()
             bufs = {name: self._buffers[name][:size] for name, size in sizes.items()}
-            shape = (-1, 2, 2, nb) + vshape
+            shape = (-1, cols) + vshape
             levels = [bufs[("even", "odd")[k % 2]].reshape(shape)[:len(level)]
                       for k, level in enumerate(plan.levels)]
             self._views[key] = (levels, bufs["term"].reshape(shape),
                                 bufs["rows"], bufs["kid_rows"])
         return self._views[key]
+
+
+def _tree_blocks(n_modes: int, column_bytes: int, split: bool) -> list:
+    """The derivative tree's blocks, (first mode, modes nb, first column, end column).
+
+    A column is one species' real or imaginary part of one mode, and a
+    block's scratch is ``column_bytes`` per column.  Where a whole mode
+    fits ``BLOCK_BYTES``, a block is as many whole modes as fit, all their
+    4 nb columns.  Otherwise, with ``split``, a block is one mode's run of
+    columns, the mode's four split into the fewest equal runs that fit (at
+    least one column), and without it one whole mode.
+    """
+    fit = max(1, BLOCK_BYTES // column_bytes)
+    if fit >= 4 or not split:
+        nb = max(1, fit // 4)
+        return [(m, min(nb, n_modes - m), 0, 4 * min(nb, n_modes - m))
+                for m in range(0, n_modes, nb)]
+    runs = -(-4 // fit)
+    cuts = [4 * r // runs for r in range(runs + 1)]
+    return [(m, 1, c0, c1) for m in range(n_modes) for c0, c1 in zip(cuts, cuts[1:])]
 
 
 def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
@@ -358,20 +378,30 @@ def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
     n_modes = math.prod(sgrid.half_shape)
     fv = f_spec.reshape((2, n_modes) + vgrid.shape)
     mv = micro.reshape(fv.shape)
-    # blocks sized by a report's scratch, so that a monitor row sums its
-    # densities over the same blocks
-    block = max(1, BLOCK_BYTES // (sum(ctx.plans[True].caps) * fv[:, :1].nbytes))
     fields = ctx.block_fields()
-    for start in range(0, n_modes, block):
-        nb = min(block, n_modes - start)
-        wts = plan.block_rows(start, start + nb)
-        levels, term, rows, kid_rows = fields.views(plan, nb, vgrid.shape)
+    # blocks sized by a report's scratch, so that a monitor row sums its
+    # densities over the same blocks.  A direct run keeps the scratch (a
+    # fixed cost beside its propagator blocks) and whole modes: at n_v = 16
+    # a mode's scratch is 2.5 MB, and blocks of two columns made the report
+    # snapshot 6-30 % slower.  A matrix-free one makes it per snapshot,
+    # where it adds to the run's peak, so it splits a mode into columns
+    column = sum(ctx.plans[True].caps) * width * 8
+    for start, nb, c0, c1 in _tree_blocks(n_modes, column, ctx.direct is None):
+        wts = plan.block_rows(start, start + nb)[:, c0:c1]
+        levels, term, rows, kid_rows = fields.views(plan, c1 - c0, vgrid.shape)
 
         def root(spec):
-            """Real and imaginary parts of the block's modes as level 0."""
-            modes = spec[:, start:start + nb]
-            np.copyto(levels[0][0, 0], modes.real)
-            np.copyto(levels[0][0, 1], modes.imag)
+            """The block's columns of the real and imaginary parts as level 0.
+
+            The block's modes have 4 nb columns, (re/im, species, mode) in
+            C order: group g = 2 re/im + species holds g nb .. (g + 1) nb.
+            """
+            groups = (spec[0].real, spec[1].real, spec[0].imag, spec[1].imag)
+            for g, part in enumerate(groups):
+                lo, hi = max(c0, g * nb), min(c1, (g + 1) * nb)
+                if lo < hi:
+                    modes = part[start + lo - g * nb:start + hi - g * nb]
+                    np.copyto(levels[0][0, lo - c0:hi - c0], modes)
 
         def children(k):
             lvl, below = levels[k], levels[k + 1]
@@ -383,7 +413,7 @@ def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
             lvl = levels[k]
             np.multiply(lvl, lvl, out=lvl)
             out = rows[:sizes[k] * m * width].reshape(sizes[k], m, width)
-            return np.matmul(wts[:m], lvl.reshape(sizes[k], 4 * nb, width), out=out)
+            return np.matmul(wts[:m], lvl.reshape(sizes[k], c1 - c0, width), out=out)
 
         def gradient_squares(k, terms):
             """Each beta of level k summed over the rows of its three children."""
@@ -708,21 +738,22 @@ def build_report(ctx: DiagContext, snap: SpectralSnapshot) -> FunctionalReport:
 def macro_snapshot(ctx: DiagContext, state) -> macro_micro.MacroSnapshot:
     """Macro fields, moments and the B-moment balance terms of a state, in physical space.
 
-    P f (``MacroProjector.project``) and ``macro_micro.moments``; B of the
-    micro species sum; and the B-moment source -B((L f)_+ + (L f)_-) -
-    B(v . grad_x {I-P} f_s), with the matrix-free L and spectral
-    x-derivatives, plus B of the force and Gamma terms in nonlinear mode.
+    P f (``MacroProjector.project``, once) and ``macro_micro.moments`` of f
+    and its micro part; B of the micro species sum; and the B-moment source
+    -B((L f)_+ + (L f)_-) - B(v . grad_x {I-P} f_s), with the matrix-free L
+    and spectral x-derivatives, plus B of the force and Gamma terms
+    (``maxwell.nonlinear_terms``) in nonlinear mode.
     A history of these is what ``macro_micro.fluid_residuals`` checks; a
     run does not build one.
     """
-    f, sg, vg, proj = state.f, ctx.sgrid, ctx.vgrid, ctx.projector
-    pf, macro = proj.project(f)
-    micro_s = np.sum(f - pf, axis=0)
+    f, sg, vg = state.f, ctx.sgrid, ctx.vgrid
+    pf, macro = ctx.projector.project(f)
+    micro = f - pf
+    micro_s = np.sum(micro, axis=0)
     lf = landau.apply_L(ctx.tables, f)
     source = -(lf[0] + lf[1])
     if ctx.config.mode == "nonlinear":
-        force = maxwell.lorentz_force_terms(vg, f, state.em.e_phys(sg), state.em.b_phys(sg))
-        force += landau.apply_Gamma(ctx.tables, f, f)
+        force = maxwell.nonlinear_terms(ctx.tables, f, state.em.e_phys(sg), state.em.b_phys(sg))
         source += force[0] + force[1]
     v, x_axes = vg.axes(), tuple(range(sg.n_active))
     transport = sum(v[axis] * sg.derivative(micro_s, axis, x_axes)
@@ -732,7 +763,7 @@ def macro_snapshot(ctx: DiagContext, state) -> macro_micro.MacroSnapshot:
     def b_moment(h):
         return np.stack([vg.integrate(h * w) for w in wgt])
 
-    return macro_micro.MacroSnapshot(t=state.t, macro=macro, mom=macro_micro.moments(f, proj),
+    return macro_micro.MacroSnapshot(t=state.t, macro=macro, mom=macro_micro.moments(f, micro, vg),
                                      b_micro=b_moment(micro_s), b_source=b_moment(source - transport))
 
 

@@ -49,6 +49,15 @@ direct step allocates only the spectrum and the new f, and its speed does
 not depend on how the allocator returns freed memory.  The arithmetic is
 that of the allocating form, so the state is bit-identical to it.
 
+A nonlinear or matrix-free step keeps no buffers; it bounds its working
+set instead.  The force and Gamma(f, f) (``maxwell.nonlinear_terms``) run
+one x point per job of the convolution pool, each job writing its point's
+Lorentz force and Gamma into one force array, and K runs the same way in
+the CG.  The CG (``CollisionStepper._pcg``) updates its solution, residual
+and direction in place.  So no whole-batch intermediate of these exists
+beyond the CG's few vectors, and the arithmetic is again the allocating
+form's.
+
 The trapezoid system (I + dt/2 L) f' = (I - dt/2 L) f is solved either by
 flexible preconditioned conjugate gradients (matrix-free, any resolution;
 the sum system preconditioned by an inner solve of its diffusion part) or by a
@@ -145,7 +154,7 @@ class RunConfig:
     ell: float = 5.0          # weight order l of the big weighted family
     ell0: float = 2.0         # weight order l_0 of the top-index family
     lprime: float = 1.0       # free auxiliary order l'; l* = l' + (n0-1)/2
-    eps0: float = 0.1         # free exponent of the a priori functional
+    eps0: float = 0.1         # free exponent (> 0) of the a priori functional
     # integrator
     dt: float = 0.05
     t_end: float = 5.0
@@ -225,9 +234,12 @@ class RunConfig:
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for key in ("seed", "monitor_every", "checkpoint_every", "n_max", "k_max",
-                    "beta_max"):
+                    "beta_max", "asym_fraction", "micro_fraction", "b_fraction"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative, got {getattr(self, key)}")
+        # X(t) weighs E_{N,l} by (1+t)^(-(1+eps0)/2), with eps0 > 0
+        if self.eps0 <= 0:
+            raise ValueError(f"eps0 must be positive, got {self.eps0}")
         self.weight_params().validate_for_s(self.s_exp)
 
     def grids(self):
@@ -638,10 +650,19 @@ class CollisionStepper:
 
     # matrix-free operator applications ----------------------------------------
     def _op_s(self, x: np.ndarray) -> np.ndarray:
-        return x + self.dt * (landau.apply_A(self.tables, x) + landau.apply_K(self.tables, x))
+        """x + dt (A + K) x, the sum system's operator."""
+        y = landau.apply_A(self.tables, x)
+        y += landau.apply_K(self.tables, x)
+        y *= self.dt
+        y += x
+        return y
 
     def _op_d(self, x: np.ndarray) -> np.ndarray:
-        return x + self.dt * landau.apply_A(self.tables, x)
+        """x + dt A x, the difference system's operator."""
+        y = landau.apply_A(self.tables, x)
+        y *= self.dt
+        y += x
+        return y
 
     def _diagonal(self, r: np.ndarray) -> np.ndarray:
         """The diagonal preconditioner: 1 / (1 + dt 4 max(sigma) <v>^(gamma+2) / h^2)."""
@@ -657,53 +678,83 @@ class CollisionStepper:
 
         r is scaled by the power of 2 next above its largest entry, which is
         exact, so the squares of a late outer residual far below round-off
-        do not underflow in the inner solve.
+        do not underflow in the inner solve.  From 0 the residual is the
+        right-hand side itself.
         """
         scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(r))))[1])
-        zero = np.zeros_like(r)
-        z, _ = self._pcg(self._op_d, r / scale, zero, zero, self._diagonal,
-                         self.INNER_TOL, "the inner I + dt A solve's tolerance")
-        return scale * z
+        rhs = r / scale
+        z, _ = self._pcg(self._op_d, np.zeros_like(rhs), rhs, np.sqrt(np.sum(rhs * rhs)),
+                         self._diagonal, self.INNER_TOL,
+                         "the inner I + dt A solve's tolerance")
+        z *= scale
+        return z
 
-    def _pcg(self, op, rhs: np.ndarray, x0: np.ndarray, op_x0: np.ndarray,
+    def _pcg(self, op, x: np.ndarray, r: np.ndarray, rhs_norm: float,
              precond, tol: float, name: str = "cg_tol") -> tuple:
         """Batched flexible preconditioned CG over all leading axes at once.
 
-        ``op_x0`` is op(x0), which the caller already holds, and ``precond``
-        maps a residual to its preconditioned one.  The Polak-Ribiere form
+        ``x`` is the initial guess and ``r`` its residual rhs - op(x), whose
+        norm the relative residual divides by ``rhs_norm``; both are
+        updated in place, so x returns the solution.  ``precond`` maps a
+        residual to its preconditioned one.  The Polak-Ribiere form
         beta = <z+, r+ - r> / <z, r> keeps the iteration a conjugate
         gradient when ``precond`` is itself an inexact solve (Notay, SIAM
-        J. Sci. Comput. 22, 2000).  Returns the solution and the number of
+        J. Sci. Comput. 22, 2000).  Besides x and r it keeps the previous
+        residual, the direction p and one product buffer; z and op(p) live
+        only while they are read.  Returns the solution and the number of
         iterations taken; raises CGNotConverged when the relative residual
         stays above ``tol`` (``name`` in the message).
         """
-        def dots(a, b):
-            return np.sum(a * b, axis=(-3, -2, -1), keepdims=True)
+        tmp = np.empty_like(r)
 
-        x = x0.copy()
-        r = rhs - op_x0
-        z = precond(r)
-        p = z.copy()
-        rz = dots(r, z)
-        rhs_norm = np.sqrt(np.sum(rhs * rhs))
+        def dots(a, b):
+            np.multiply(a, b, out=tmp)
+            return np.sum(tmp, axis=(-3, -2, -1), keepdims=True)
+
+        r_old = np.empty_like(r)
+        p = precond(r)
+        rz = dots(r, p)
         tol2 = (tol * max(rhs_norm, 1e-300)) ** 2
         for it in range(500):
-            res2 = float(np.sum(r * r))
+            np.multiply(r, r, out=tmp)
+            res2 = float(np.sum(tmp))
             if res2 <= tol2:
                 return x, it
             ap = op(p)
             alpha = rz / np.maximum(dots(p, ap), 1e-300)
-            x = x + alpha * p
-            r_old = r
-            r = r - alpha * ap
+            x += np.multiply(alpha, p, out=tmp)
+            r, r_old = r_old, r
+            np.subtract(r_old, np.multiply(alpha, ap, out=tmp), out=r)
+            del ap
             z = precond(r)
             rz_new = dots(r, z)
             beta = (rz_new - dots(z, r_old)) / np.maximum(rz, 1e-300)
-            p = z + beta * p
+            p *= beta
+            p += z
+            del z
             rz = rz_new
         raise CGNotConverged(
             f"collision CG did not reach {name} = {tol:g} in 500 iterations "
             f"(relative residual {math.sqrt(res2) / max(rhs_norm, 1e-300):.3e})")
+
+    def _solve(self, x: np.ndarray, with_k: bool) -> tuple:
+        """(I + dt B) x' = (I - dt B) x by CG from x, B = A + K (sum) or A (difference).
+
+        The right-hand side and the initial residual (I - dt B) x -
+        (I + dt B) x share one B x.  x is overwritten by the solution.
+        """
+        bx = landau.apply_A(self.tables, x)
+        if with_k:
+            bx += landau.apply_K(self.tables, x)
+        bx *= self.dt
+        rhs = x - bx
+        r = np.add(x, bx, out=bx)
+        np.subtract(rhs, r, out=r)
+        rhs_norm = np.sqrt(np.sum(rhs * rhs))
+        del rhs
+        if with_k:
+            return self._pcg(self._op_s, x, r, rhs_norm, self._inner, self.cg_tol)
+        return self._pcg(self._op_d, x, r, rhs_norm, self._diagonal, self.cg_tol)
 
     def advance(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One trapezoid collision step on the species pair (batched over x).
@@ -717,16 +768,8 @@ class CollisionStepper:
             self._blocked(self._prop[0], s)
             self._blocked(self._prop[1], d)
         else:
-            s = f[0] + f[1]
-            d = f[0] - f[1]
-            # the right-hand side (I - dt B) x0 and the initial residual's
-            # (I + dt B) x0 share one B x0, with B = A + K or A
-            bs = landau.apply_A(self.tables, s) + landau.apply_K(self.tables, s)
-            ad = landau.apply_A(self.tables, d)
-            s, iters_s = self._pcg(self._op_s, s - self.dt * bs, s, s + self.dt * bs,
-                                   self._inner, self.cg_tol)
-            d, iters_d = self._pcg(self._op_d, d - self.dt * ad, d, d + self.dt * ad,
-                                   self._diagonal, self.cg_tol)
+            s, iters_s = self._solve(f[0] + f[1], True)
+            d, iters_d = self._solve(f[0] - f[1], False)
             self.last_iterations = (iters_s, iters_d)
         out = np.empty_like(f) if out is None else out
         halves = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
@@ -813,13 +856,14 @@ class Stepper:
         """The nonlinear force and Gamma(f, f) on the half spectrum.
 
         Both are products in x, so f, E and B go to physical space: one
-        inverse transform of f in, one forward transform back.
+        inverse transform of f in, one forward transform back.  In between,
+        ``maxwell.nonlinear_terms`` forms both one x point per job, into
+        one force array.
         """
         sg = self.sgrid
         f = sg.inverse_half(spec, self.x_axes)
-        force = maxwell.lorentz_force_terms(self.vgrid, f, sg.inverse(e_spec).real,
-                                            sg.inverse(b_spec).real)
-        force += landau.apply_Gamma(self.tables, f, f)
+        force = maxwell.nonlinear_terms(self.tables, f, sg.inverse(e_spec).real,
+                                        sg.inverse(b_spec).real)
         return sg.forward_half(force, self.x_axes)
 
     def field_force_half(self, spec, e_spec, b_spec):

@@ -37,15 +37,24 @@ with the singular self-cell replaced by the analytic ball average of
 |u|^(gamma+2) times the angular mean (2/3) I of the projector.  The
 transforms are pruned (``_forward``, ``_inverse``): the forward one never
 transforms a line that holds only padding, and the inverse one computes
-only the lines that the crop to n^3 keeps.  A batch of x points runs one
-point per job, each transformed, multiplied and transformed back on a pool
-of ``_WORKERS`` threads built on first use, so at most ``_WORKERS`` points
-are in flight and a job's transforms stay in cache; a single field (the
-sigma table) is one call in the caller instead.  The two convolutions of a
-bilinear term (Gamma, Q), Phi^ij * g and sum_j Phi^ij * d_j g, share one
-job per point and so one round of the pool.  numpy's pocketfft transforms
-every line the same way whatever the batch, so the jobs' results are
-bit-identical to one call over all points.
+only the lines that the crop to n^3 keeps.
+
+The matrix-free operators are local in x, and each runs one x point per
+job (``_on_points``) on a pool of ``_WORKERS`` threads built on first use:
+a job computes the whole operator at its point and writes it into the
+point's slice of the result, so at most ``_WORKERS`` points are in flight
+and no intermediate spans the batch.  A K job forms D_j, mu^(1/2), the
+contracted convolution, mu^(1/2) and D_i^T; a Gamma (or Q) job both
+convolutions of its background, Phi^ij * g and sum_j Phi^ij * d_j g, in
+one fused kernel, then the y_i products and D_i^T for both species, and
+may add further x-local terms in the same job (the stepper's Lorentz
+force).  ``apply_L`` runs K's jobs and adds the diffusion part A, which
+stays a whole-batch call in the caller: its stencils are small GEMMs, and
+split over the pool it was slower.  The stencil GEMMs of a point stay
+below OpenBLAS's threading size, and numpy's pocketfft transforms every
+line the same way whatever the batch, so the jobs' results are
+bit-identical to one call over all points.  A single point (the sigma
+table, a field with no x axes) is one call in the caller.
 
 The sigma norm here is the unweighted one; the weighted norms of the
 functionals integrate the same ``sigma_density`` in
@@ -76,7 +85,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# threads of the pool that runs a batched convolution's points (read at
+# threads of the pool that runs the matrix-free operators' x points (read at
 # call time, so it may be lowered)
 _WORKERS = min(4, _usable_cpus())
 
@@ -220,7 +229,8 @@ def build_collision_tables(grid: VelocityGrid, gamma: float) -> CollisionTables:
         pad=p,
     )
 
-    tables.sigma = _convolve_components(tables, grid.mu())
+    tables.sigma = np.empty((3, 3) + grid.shape)
+    _components_kernel(tables, [grid.mu()], tables.sigma)
 
     fd = fd_gradient_matrix(grid.nodes_1d)
     g1d = grid.mu_half_1d()
@@ -341,62 +351,36 @@ def _pool():
     return pool
 
 
-def _by_points(kernel, tables: CollisionTables, w: list, out: np.ndarray) -> np.ndarray:
-    """Run ``kernel`` over the leading (x) points of w, one point per job.
+def _on_points(job, m: int) -> None:
+    """Run ``job(a)`` for the x points a = 0..m-1, one point per job.
 
-    Each job runs the kernel on one point and writes its own slice of
-    ``out``: on the pool, so at most ``_WORKERS`` points are in flight and
-    the working set does not grow with the number of points, or in the
-    caller for one worker.  A single point (such as the sigma table,
-    lead ()) is one call in the caller.  numpy's pocketfft transforms every
-    line the same way whatever the batch, so the result is bit-identical to
-    one call over all points.
+    On the pool, so at most ``_WORKERS`` points are in flight and no
+    intermediate grows with the number of points; in the caller for one
+    point or one worker.  Each job writes only its own point's slice of the
+    result, and calls no public function or method of the package: the
+    benchmark's tracer (``benchmarks/worker.py``) wraps those with one span
+    stack, which a pool thread would corrupt.  numpy's pocketfft transforms
+    every line the same way whatever the batch, and a point's stencils are
+    the same small GEMMs as in a batch (none reaches OpenBLAS's threading
+    size), so the result is bit-identical to one call over all points.
     """
-    lead = w[0].shape[:-3]
-    m = math.prod(lead)
-    if m < 2:
-        kernel(tables, w, out)
-        return out
-    vshape = w[0].shape[-3:]
-    flat_w = [wj.reshape((m,) + vshape) for wj in w]
-    flat_out = out.reshape(out.shape[:out.ndim - len(lead) - 3] + (m,) + vshape)
-    jobs = [([wj[a:a + 1] for wj in flat_w], flat_out[..., a:a + 1, :, :, :])
-            for a in range(m)]
-    if _WORKERS < 2:
-        for wj, oj in jobs:
-            kernel(tables, wj, oj)
-        return out
+    if m < 2 or _WORKERS < 2:
+        for a in range(m):
+            job(a)
+        return
     pool = _pool()
-    for job in [pool.submit(kernel, tables, wj, oj) for wj, oj in jobs]:
-        job.result()
-    return out
+    for done in [pool.submit(job, a) for a in range(m)]:
+        done.result()
 
 
-def _convolve_components(tables: CollisionTables, w: np.ndarray) -> np.ndarray:
-    """All components Phi^ij * w for a scalar field w; returns (3, 3, ...)."""
-    return _by_points(_components_kernel, tables, [w], np.empty((3, 3) + w.shape))
-
-
-def _convolve_contracted(tables: CollisionTables, w: list) -> list:
-    """S_i = sum_j Phi^ij * w_j for a triple of fields of one shape."""
-    return list(_by_points(_contracted_kernel, tables, w,
-                           np.empty((3,) + w[0].shape)))
-
-
-def _convolve_bilinear(tables: CollisionTables, g: np.ndarray, dg: list) -> tuple:
-    """Phi^ij * g as (3, 3, ...) and S_i = sum_j Phi^ij * dg_j, in one pool round."""
-    out = _by_points(_bilinear_kernel, tables, [g, *dg], np.empty((12,) + g.shape))
-    return out[:9].reshape((3, 3) + g.shape), out[9:]
+def _by_point(arr: np.ndarray, head: int = 0) -> np.ndarray:
+    """arr (*head, *x, n, n, n) as (*head, points, n, n, n); a view of a C-contiguous arr."""
+    return arr.reshape(arr.shape[:head] + (-1,) + arr.shape[-3:])
 
 
 def apply_D(tables: CollisionTables, h: np.ndarray, j: int) -> np.ndarray:
     """Weighted derivative D_j h = mu^(1/2) d/dv_j (mu^(-1/2) h), folded stencil."""
     return _apply_axis(tables.dmat, h, j - 3)
-
-
-def apply_Dt(tables: CollisionTables, h: np.ndarray, j: int) -> np.ndarray:
-    """Adjoint-flavor derivative (d/dv_j - v_j/2) h = mu^(-1/2) d (mu^(1/2) h)."""
-    return _apply_axis(tables.dtmat, h, j - 3)
 
 
 def _apply_DT(tables: CollisionTables, h: np.ndarray, i: int) -> np.ndarray:
@@ -415,14 +399,25 @@ def apply_A(tables: CollisionTables, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_K(tables: CollisionTables, h: np.ndarray) -> np.ndarray:
-    """Convolution half: K h = -sum_ij D_i^T [mu^(1/2) Phi^ij * (mu^(1/2) D_j h)]."""
+def _k_point(tables: CollisionTables, h: np.ndarray, out: np.ndarray) -> None:
+    """out = K h for one x point: D_j, mu^(1/2), the contracted convolution, mu^(1/2), D_i^T."""
     m = tables.mu_half
-    w = [m * apply_D(tables, h, j) for j in range(3)]
-    s = _convolve_contracted(tables, w)
-    out = np.zeros_like(h)
+    w = [m * _apply_axis(tables.dmat, h, j - 3) for j in range(3)]
+    s = np.empty((3,) + h.shape)
+    _contracted_kernel(tables, w, s)
+    out[...] = 0.0
     for i in range(3):
         out -= _apply_DT(tables, m * s[i], i)
+
+
+def apply_K(tables: CollisionTables, h: np.ndarray) -> np.ndarray:
+    """Convolution half: K h = -sum_ij D_i^T [mu^(1/2) Phi^ij * (mu^(1/2) D_j h)].
+
+    One x point per job (``_on_points``), each the whole of K at its point.
+    """
+    out = np.empty(h.shape)
+    hp, op = _by_point(h), _by_point(out)
+    _on_points(lambda a: _k_point(tables, hp[a], op[a]), len(hp))
     return out
 
 
@@ -432,11 +427,37 @@ def apply_L(tables: CollisionTables, f: np.ndarray) -> np.ndarray:
     f has shape (2, ..., n, n, n); returns L f = [2 A f_+ + K s, 2 A f_- + K s]
     with s = f_+ + f_-.  Symmetric and positive semidefinite on pairs, with
     the six-dimensional collision-invariant null space annihilated exactly.
+    K s runs in ``apply_K``'s per-point jobs.
     """
-    s = f[0] + f[1]
-    ks = apply_K(tables, s)
-    return np.stack([2.0 * apply_A(tables, f[0]) + ks,
-                     2.0 * apply_A(tables, f[1]) + ks])
+    ks = apply_K(tables, f[0] + f[1])
+    out = np.empty(f.shape)
+    for sp in range(2):
+        np.multiply(apply_A(tables, f[sp]), 2.0, out=out[sp])
+        out[sp] += ks
+    return out
+
+
+def _flux_divergence(outer: np.ndarray, conv: np.ndarray, flux: np.ndarray,
+                     grads: list, h: np.ndarray, out: np.ndarray) -> None:
+    """out = -sum_i outer_i [sum_j conv^ij grads_j - flux_i h], outer_i along v_i.
+
+    The divergence form of a Landau bilinear term at one point, from its
+    two convolutions (``_bilinear_kernel``).
+    """
+    out[...] = 0.0
+    for i in range(3):
+        y_i = conv[i, 0] * grads[0]
+        y_i += conv[i, 1] * grads[1]
+        y_i += conv[i, 2] * grads[2]
+        y_i -= flux[i] * h
+        out -= _apply_axis(outer, y_i, i - 3)
+
+
+def _bilinear_point(tables: CollisionTables, g: np.ndarray, dg: list) -> tuple:
+    """Phi^ij * g as (3, 3, ...) and sum_j Phi^ij * dg_j at one point, one job."""
+    conv = np.empty((12,) + g.shape)
+    _bilinear_kernel(tables, [g, *dg], conv)
+    return conv[:9].reshape((3, 3) + g.shape), conv[9:]
 
 
 def apply_Q(F: np.ndarray, G: np.ndarray, tables: CollisionTables) -> np.ndarray:
@@ -446,21 +467,26 @@ def apply_Q(F: np.ndarray, G: np.ndarray, tables: CollisionTables) -> np.ndarray
     transpose of the gradient stencil, so the velocity integral of the
     output vanishes to round-off for any inputs.  Momentum and energy
     moments of the symmetrized pair Q(F, G) + Q(G, F) also vanish to
-    round-off thanks to the pointwise identity Phi(u) u = 0.
+    round-off thanks to the pointwise identity Phi(u) u = 0.  One x point
+    per job, as ``apply_Gamma``.
     """
-    dG = [_apply_axis(tables.fd, G, j - 3) for j in range(3)]
-    conv_g, w_i = _convolve_bilinear(tables, G, dG)
-    out = np.zeros(np.broadcast_shapes(F.shape, G.shape))
-    for i in range(3):
-        u_i = conv_g[i, 0] * _apply_axis(tables.fd, F, -3)
-        u_i += conv_g[i, 1] * _apply_axis(tables.fd, F, -2)
-        u_i += conv_g[i, 2] * _apply_axis(tables.fd, F, -1)
-        u_i -= w_i[i] * F
-        out -= _apply_axis(tables.fd.T, u_i, i - 3)
+    shape = np.broadcast_shapes(F.shape, G.shape)
+    out = np.empty(shape)
+    fp, gp = (_by_point(np.broadcast_to(x, shape)) for x in (F, G))
+    op, fd = _by_point(out), tables.fd
+
+    def job(a):
+        conv, flux = _bilinear_point(tables, gp[a], [_apply_axis(fd, gp[a], j - 3)
+                                                     for j in range(3)])
+        grads = [_apply_axis(fd, fp[a], j - 3) for j in range(3)]
+        _flux_divergence(fd.T, conv, flux, grads, fp[a], op[a])
+
+    _on_points(job, len(op))
     return out
 
 
-def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray,
+                extra=None) -> np.ndarray:
     """Nonlinear collision term Gamma(f, g) on species pairs.
 
     Gamma_pm(f, g) = mu^(-1/2) Q(mu^(1/2) f_pm, mu^(1/2)(g_+ + g_-)), with
@@ -468,21 +494,31 @@ def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray) -> np.nda
     result is algebraically identical to the unweighted conservative Q, so
     the species mass moments vanish to round-off and the momentum/energy
     moments of Gamma(f, f) do as well.
-    """
-    m = tables.mu_half
-    sg = g[0] + g[1]
-    dsg = [m * apply_Dt(tables, sg, j) for j in range(3)]
-    conv_sg, w_i = _convolve_bilinear(tables, m * sg, dsg)
 
-    out = np.zeros_like(f)
-    for sp in range(2):
-        dts = [apply_Dt(tables, f[sp], j) for j in range(3)]
-        for i in range(3):
-            y_i = conv_sg[i, 0] * dts[0]
-            y_i += conv_sg[i, 1] * dts[1]
-            y_i += conv_sg[i, 2] * dts[2]
-            y_i -= w_i[i] * f[sp]
-            out[sp] -= _apply_DT(tables, y_i, i)
+    One x point per job (``_on_points``): a job forms both convolutions of
+    g_+ + g_-, the y_i products and D_i^T for both species, written into
+    its point's slice of the result.  ``extra(a, out_a)``, if given, then
+    adds further x-local terms into point a's slice (a flat index over the
+    x axes) in the same job, through private functions only (see
+    ``_on_points``): the Lorentz force of ``maxwell.nonlinear_terms``.
+    """
+    out = np.empty(f.shape)
+    fp, gp, op = _by_point(f, 1), _by_point(g, 1), _by_point(out, 1)
+    m = tables.mu_half
+
+    def job(a):
+        sg = gp[0, a] + gp[1, a]
+        # D^t_j = (d/dv_j - v_j/2) = mu^(-1/2) d_j mu^(1/2), the folded stencil
+        conv, flux = _bilinear_point(tables, m * sg, [m * _apply_axis(tables.dtmat, sg, j - 3)
+                                                      for j in range(3)])
+        for sp in range(2):
+            h = fp[sp, a]
+            grads = [_apply_axis(tables.dtmat, h, j - 3) for j in range(3)]
+            _flux_divergence(tables.dmat.T, conv, flux, grads, h, op[sp, a])
+        if extra is not None:
+            extra(a, op[:, a])
+
+    _on_points(job, fp.shape[1])
     return out
 
 

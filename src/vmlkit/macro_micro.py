@@ -104,9 +104,8 @@ class MacroProjector:
         return f - pf
 
 
-def moments(f: np.ndarray, projector: MacroProjector) -> MomentSet:
-    """A, B moments of the species sum and the microscopic current G."""
-    grid = projector.grid
+def moments(f: np.ndarray, micro: np.ndarray, grid: VelocityGrid) -> MomentSet:
+    """A, B moments of the species sum of f and the current G of micro = {I-P} f."""
     v1, v2, v3 = grid.axes()
     mu_half = grid.mu_half()
     vsq = grid.vsq()
@@ -124,7 +123,6 @@ def moments(f: np.ndarray, projector: MacroProjector) -> MomentSet:
         wgt = (0.1 * (vsq - 5.0) * vcomp[m] * mu_half).reshape(n3)
         bv[m] = grid.cell_volume * (s @ wgt)
 
-    micro = projector.micro_part(f)
     diff = (micro[0] - micro[1]).reshape((-1, n3))
     g = np.empty((3,) + (diff.shape[0],))
     for j in range(3):

@@ -20,10 +20,11 @@ the charge a_+ - a_- (``charge_density``) and the current (``current_density``);
 on the kinetic side, for q0 = diag(1, -1) and q1 = [1, -1], the source
 E . v mu^(1/2) q1, whose species are ``source_profile`` and its negative,
 and, in nonlinear mode, the force -q0 (E + v x B) . grad_v f + (q0/2)
-E . v f (``lorentz_force_terms``).  The source and the current are linear
-and local in x, so each takes physical arrays or spectra alike; the
-stepper calls them on the Hermitian half spectra of E and f.  The Lorentz
-force is a product in x and takes physical fields only.
+E . v f, which ``nonlinear_terms`` adds to Gamma(f, f) point by point.
+The source and the current are linear and local in x, so each takes
+physical arrays or spectra alike; the stepper calls them on the Hermitian
+half spectra of E and f.  The Lorentz force is a product in x and takes
+physical fields only.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau
-from .phase_grid import SpatialGrid, VelocityGrid, fd_gradient_matrix_o4
+from .phase_grid import SpatialGrid, VelocityGrid
 
 
 @dataclass
@@ -126,15 +127,17 @@ def source_current(vgrid: VelocityGrid, e: np.ndarray) -> np.ndarray:
     return np.einsum("ab,a...->b...", gram, e)
 
 
-def lorentz_force_terms(vgrid: VelocityGrid, f: np.ndarray, e_phys: np.ndarray,
-                        b_phys: np.ndarray) -> np.ndarray:
-    """-q0 (E + v x B) . grad_v f + (q0/2) E . v f  (nonlinear mode only).
+def _lorentz_force(fd4: np.ndarray, v: tuple, f: np.ndarray, e_phys: np.ndarray,
+                   b_phys: np.ndarray, out: np.ndarray) -> None:
+    """out += -q0 (E + v x B) . grad_v f + (q0/2) E . v f  (nonlinear mode only).
 
-    grad_v is the fourth-order stencil ``fd_gradient_matrix_o4``, built here
-    (an n_v x n_v matrix) on every call.
+    grad_v is the fourth-order stencil ``fd4`` (the grid's kept
+    ``gradient_o4``) and v the grid's axes.  f is a pair (2, ..., n, n, n)
+    and E, B are (3, ...) on the same x points: one point, in a job of
+    ``nonlinear_terms``.  Private, as a pool job may call only private
+    functions (``landau._on_points``).
     """
-    v1, v2, v3 = vgrid.axes()
-    fd4 = fd_gradient_matrix_o4(vgrid.nodes_1d)
+    v1, v2, v3 = v
     grad = [landau._apply_axis(fd4, f, j - 3) for j in range(3)]
 
     def xavv(field_a):
@@ -148,7 +151,27 @@ def lorentz_force_terms(vgrid: VelocityGrid, f: np.ndarray, e_phys: np.ndarray,
     adv = wx[0] * grad[0] + wx[1] * grad[1] + wx[2] * grad[2]
     ev = xavv(e_phys[0]) * v1 + xavv(e_phys[1]) * v2 + xavv(e_phys[2]) * v3
     q0 = np.array([1.0, -1.0]).reshape((2,) + (1,) * (f.ndim - 1))
-    return -q0 * adv + 0.5 * q0 * ev * f
+    out += -q0 * adv + 0.5 * q0 * ev * f
+
+
+def nonlinear_terms(tables: landau.CollisionTables, f: np.ndarray, e_phys: np.ndarray,
+                    b_phys: np.ndarray) -> np.ndarray:
+    """The force -q0 (E + v x B) . grad_v f + (q0/2) E . v f plus Gamma(f, f).
+
+    On physical f, E and B (nonlinear mode only).  Both are local in x:
+    each x point's job of ``landau.apply_Gamma`` adds the point's Lorentz
+    force (``_lorentz_force``) into its Gamma, so neither term has a
+    whole-batch intermediate.
+    """
+    vgrid = tables.grid
+    fd4, v = vgrid.gradient_o4(), vgrid.axes()
+    e, b = (x.reshape(3, -1) for x in (e_phys, b_phys))
+    fp = f.reshape((2, -1) + vgrid.shape)
+
+    def force(a, out):
+        _lorentz_force(fd4, v, fp[:, a], e[:, a], b[:, a], out)
+
+    return landau.apply_Gamma(tables, f, f, extra=force)
 
 
 def field_rhs(grid: SpatialGrid, em: EMField, current_spec: np.ndarray):

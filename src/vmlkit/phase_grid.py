@@ -123,7 +123,7 @@ class VelocityGrid:
     def cell_volume(self) -> float:
         return self.spacing ** 3
 
-    # --- cached tensor fields -------------------------------------------------
+    # --- kept tensor fields (per grid and arguments, read-only) ----------------
     def axes(self):
         """Broadcastable per-axis coordinate arrays (v1, v2, v3)."""
         t = self.nodes_1d
@@ -133,6 +133,7 @@ class VelocityGrid:
             t[None, None, :],
         )
 
+    @_memoized
     def vsq(self) -> np.ndarray:
         v1, v2, v3 = self.axes()
         return v1 * v1 + v2 * v2 + v3 * v3
@@ -140,14 +141,17 @@ class VelocityGrid:
     def vnorm(self) -> np.ndarray:
         return np.sqrt(self.vsq())
 
+    @_memoized
     def bracket(self, power: float = 1.0) -> np.ndarray:
         """<v>^power on the grid."""
         return (1.0 + self.vsq()) ** (0.5 * power)
 
+    @_memoized
     def mu(self) -> np.ndarray:
         """The normalized global Maxwellian (2 pi)^(-3/2) exp(-|v|^2/2) on the grid."""
         return (TWO_PI) ** (-1.5) * np.exp(-0.5 * self.vsq())
 
+    @_memoized
     def mu_half(self) -> np.ndarray:
         return (TWO_PI) ** (-0.75) * np.exp(-0.25 * self.vsq())
 
@@ -159,6 +163,11 @@ class VelocityGrid:
         """
         mu_half = self.mu_half()
         return _read_only(np.stack([(v + 0 * mu_half) * mu_half for v in self.axes()]))
+
+    @_memoized
+    def gradient_o4(self) -> np.ndarray:
+        """``fd_gradient_matrix_o4`` on the grid's nodes: the Lorentz force's stencil."""
+        return fd_gradient_matrix_o4(self.nodes_1d)
 
     def mu_half_1d(self) -> np.ndarray:
         t = self.nodes_1d

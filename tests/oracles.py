@@ -54,8 +54,7 @@ def rhs_full(state, sgrid, vgrid, tables, mode=evolve.LINEARIZED):
 
     if mode == evolve.NONLINEAR:
         b_phys = state.em.b_phys(sgrid)
-        df += maxwell.lorentz_force_terms(vgrid, f, e_phys, b_phys)
-        df += landau.apply_Gamma(tables, f, f)
+        df += maxwell.nonlinear_terms(tables, f, e_phys, b_phys)
 
     j_spec = sgrid.forward(maxwell.current_density(vgrid, f))
     de, db = maxwell.field_rhs(sgrid, state.em, j_spec)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,9 +59,15 @@ class TestConfigHandling:
         (["collision_solver=cg", "cg_tol=0"], "cg_tol"),
         (["n_modes=0"], "n_modes"),
         (["seed=-1"], "seed"),
+        (["eps0=0"], "eps0"),
+        (["eps0=-1"], "eps0"),
+        (["asym_fraction=-1"], "asym_fraction"),
+        (["micro_fraction=-0.5"], "micro_fraction"),
+        (["b_fraction=-2"], "b_fraction"),
     ], ids=["coarse_n_v", "n_x", "v_max", "direct_past_limit", "report_every",
             "box_length", "amplitude", "amplitude_huge", "monitor_every",
-            "checkpoint_every", "beta_max", "cg_tol", "n_modes", "seed"])
+            "checkpoint_every", "beta_max", "cg_tol", "n_modes", "seed", "eps0_zero",
+            "eps0", "asym_fraction", "micro_fraction", "b_fraction"])
     def test_bad_grid_rejected(self, tmp_path, capsys, settings, key):
         argv = ["simulate", "--out", str(tmp_path)]
         for item in settings:
@@ -70,6 +78,20 @@ class TestConfigHandling:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert key in err
         assert not (tmp_path / "manifest.cfg").exists()
+
+    @pytest.mark.parametrize("setting", ["n_max=0", "direct_max_nv=2"])
+    def test_edge_values_accepted(self, tmp_path, capsys, setting):
+        # the smallest values that still mean something: an unweighted energy
+        # family of order 0, and a direct limit below every grid (the auto
+        # solver is then the CG).  Both run to the end and write their outputs
+        rc = run_cli("simulate", "--out", str(tmp_path), "--set", "n_x=4", "--set", "n_v=8",
+                     "--set", "dt=0.05", "--set", "t_end=0.1", "--set", setting)
+        assert rc == 0, capsys.readouterr().err
+        assert (tmp_path / "manifest.cfg").exists()
+        # the header and the reports at t = 0 and t = 0.1
+        with open(tmp_path / "diagnostics.csv") as fh:
+            assert len(fh.read().strip().splitlines()) == 3
+        assert (tmp_path / "checkpoints" / "final.bin").exists()
 
     @pytest.mark.parametrize("dt", ["0.3", "0.5", "0.15"])
     def test_t_end_not_a_whole_number_of_steps(self, tmp_path, capsys, dt):
@@ -434,3 +456,48 @@ class TestNormsAndTables:
         assert rc == 0
         assert built == [True]
         assert f"Y0 smallness functional   {254.44874349759544:.10e}" in out
+
+
+# columns that are round-off or a difference of nearly equal numbers (the
+# benchmark's property columns): their relative size says nothing
+ROUNDOFF_COLUMNS = ("gauss_residual", "div_b", "zmode_f", "zmode_e", "zmode_b")
+
+
+def test_determinism_scope(tmp_path):
+    # a run is bit-exact at a fixed BLAS thread count and equal to round-off
+    # across counts: the direct propagator's block products depend on how
+    # OpenBLAS splits them.  Each run is a fresh process with the thread
+    # count set in its own environment, on a grid (n_v = 10) whose blocks
+    # the threads do split
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+    def simulate(threads, name):
+        out = tmp_path / name
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        args = ["simulate", "--preset", "default-linearized", "--out", str(out)]
+        for item in ("n_x=32", "n_v=10", "dt=0.05", "t_end=0.25", "collision_solver=direct",
+                     "monitor_every=1", "report_every=5"):
+            args += ["--set", item]
+        subprocess.run([sys.executable, "-c", "import sys; from vmlkit.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", *args],
+                       env=env, check=True, capture_output=True, timeout=300)
+        with open(out / "diagnostics.csv", "rb") as fh:
+            csv_bytes = fh.read()
+        with open(out / "checkpoints" / "final.bin", "rb") as fh:
+            return csv_bytes, fh.read()
+
+    one, two, again = simulate(1, "one"), simulate(2, "two"), simulate(2, "again")
+    assert again == two
+    head, *rows = [line.split(",") for line in one[0].decode().splitlines()]
+    rows_two = [line.split(",") for line in two[0].decode().splitlines()[1:]]
+    assert len(rows) == len(rows_two) == 2
+    for j, name in enumerate(head):
+        if name in ROUNDOFF_COLUMNS:
+            continue
+        a = np.array([float(r[j]) for r in rows])
+        b = np.array([float(r[j]) for r in rows_two])
+        finite = np.isfinite(a)
+        assert np.array_equal(finite, np.isfinite(b)), name
+        scale = np.abs(a[finite]).max(initial=0.0)
+        assert np.abs(a[finite] - b[finite]).max(initial=0.0) <= 1e-14 * scale, name

@@ -229,6 +229,35 @@ class TestSpectralSnapshot:
             err = np.abs(ragged.dens[name] - ref).max() / np.abs(ref).max()
             assert err <= 1e-14, (name, err)
 
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_column_blocks_match_one_block(self, ctx8, monkeypatch, columns):
+        # where a whole mode does not fit BLOCK_BYTES, a block of a
+        # matrix-free context (no direct stepper, scratch made per snapshot)
+        # is a run of one mode's four (re/im, species) columns: 1 column a
+        # block, or 2 when 2 or 3 fit; a direct run keeps one whole mode.  Every column of the 9 modes lies in exactly one
+        # block, and the densities of a report and of a monitor agree with
+        # one block of all modes to round-off
+        cfg, ctx = ctx8
+        st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
+        column = sum(ctx.plans[True].caps) * 8 * ctx.vgrid.n_v ** 3
+        monkeypatch.setattr(diag, "BLOCK_BYTES", 16 * 4 * column)
+        whole = {report: diag.SpectralSnapshot(ctx, st, report=report)
+                 for report in (True, False)}
+        monkeypatch.setattr(diag, "BLOCK_BYTES", columns * column)
+        blocks = diag._tree_blocks(9, column, True)
+        assert diag._tree_blocks(9, column, False) == [(m, 1, 0, 4) for m in range(9)]
+        run = {1: 1, 2: 2, 3: 2}[columns]
+        assert [(m, nb) for m, nb, _, _ in blocks] == [(m, 1) for m in range(9)
+                                                        for _ in range(4 // run)]
+        assert all(c1 - c0 == run for _, _, c0, c1 in blocks)
+        covered = sorted((m, c) for m, _, c0, c1 in blocks for c in range(c0, c1))
+        assert covered == [(m, c) for m in range(9) for c in range(4)]
+        for report, ref in whole.items():
+            split = diag.SpectralSnapshot(ctx, st, report=report)
+            for name, dens in ref.dens.items():
+                err = np.abs(split.dens[name] - dens).max() / np.abs(dens).max()
+                assert err <= 1e-14, (report, name, err)
+
     @pytest.mark.parametrize("report,passes", [(True, 28), (False, 3)])
     def test_stencil_passes_per_mode_block(self, ctx8, monkeypatch, report, passes):
         # beta_max = 2: the tree forms each of the 9 d_beta f_hat (|beta| in
@@ -247,10 +276,11 @@ class TestSpectralSnapshot:
         apply_axis = landau._apply_axis
 
         def counted(mat, arr, axis, out=None):
-            # the tree's passes write into its levels, (fields, re/im,
-            # species, modes, v...); L f's stencils return new arrays
+            # the tree's passes write into its levels, (fields, columns,
+            # v...), four columns (re/im, species) per mode of a whole-mode
+            # block; L f's stencils return new arrays
             if out is not None:
-                calls.append((arr.shape[0], arr.shape[3]))
+                calls.append((arr.shape[0], arr.shape[1] // 4))
             return apply_axis(mat, arr, axis, out=out)
 
         monkeypatch.setattr(landau, "_apply_axis", counted)
@@ -263,20 +293,22 @@ class TestSpectralSnapshot:
 
     def test_cg_report_traced_memory(self, monkeypatch):
         # a matrix-free context makes the tree's scratch per snapshot; at
-        # the CG solver's grids one mode fills a block.  Past the first
+        # the CG solver's grids a block is a run of one mode's columns, here
+        # one column (one species' real or imaginary part).  Past the first
         # snapshot (the context's constants), a report holds the walk's
         # three accumulators of pairs x n^3 doubles, the scratch of one
-        # block, the plan's caps of fields per mode (6 + 10 + 3 at
-        # beta_max = 2, each the real and imaginary parts of both species),
-        # the plan's rows of n^3 doubles, and f_hat and its micro part: 2.86
-        # MB here, read 2.95 MB.  The bound allows one more spectrum
+        # block, the plan's caps of fields per column (6 + 10 + 3 at
+        # beta_max = 2), the plan's rows of n^3 doubles, and f_hat and its
+        # micro part: 2.07 MB here, read 2.16 MB (2.95 MB with a whole mode
+        # a block, whose scratch is four columns).  The bound allows one
+        # more spectrum
         cfg = RunConfig(n_x=4, n_v=12, collision_solver="cg")
         sg, vg = cfg.grids()
         ctx = diag.DiagContext(sg, vg, landau.build_collision_tables(vg, cfg.gamma),
                                MacroProjector(vg), cfg)
         plan, width = ctx.plans[True], vg.n_v ** 3
-        mode = 2 * 2 * width * 8
-        monkeypatch.setattr(diag, "BLOCK_BYTES", sum(plan.caps) * mode)
+        column = width * 8
+        monkeypatch.setattr(diag, "BLOCK_BYTES", sum(plan.caps) * column)
         st = initial_state(cfg, sg, vg)
         diag.SpectralSnapshot(ctx, st, report=True)
         tracemalloc.start()
@@ -285,8 +317,8 @@ class TestSpectralSnapshot:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tree = (3 * len(plan.pairs) + sum(plan.rows)) * width * 8 + sum(plan.caps) * mode
-        spectrum = math.prod(sg.half_shape) * mode
+        tree = (3 * len(plan.pairs) + sum(plan.rows)) * width * 8 + sum(plan.caps) * column
+        spectrum = math.prod(sg.half_shape) * 4 * column
         assert peak <= tree + 3 * spectrum
 
 
@@ -536,9 +568,9 @@ def test_gamma_only_in_the_step(monkeypatch):
     calls = []
     apply_gamma = landau.apply_Gamma
 
-    def counted(tables, f, g):
+    def counted(tables, f, g, extra=None):
         calls.append(f.shape)
-        return apply_gamma(tables, f, g)
+        return apply_gamma(tables, f, g, extra)
 
     monkeypatch.setattr(landau, "apply_Gamma", counted)
     cfg = RunConfig(n_x=8, n_v=8, dt=0.1, t_end=0.2, mode="nonlinear",

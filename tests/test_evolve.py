@@ -148,8 +148,7 @@ def physical_strang_step(stepper: Stepper, state: PhaseState) -> PhaseState:
         e_phys, b_phys = sg.inverse(e).real, sg.inverse(b).real
         df = field_source_on_f(vg, e_phys)
         if cfg.mode == "nonlinear":
-            df = df + maxwell.lorentz_force_terms(vg, f, e_phys, b_phys)
-            df = df + landau.apply_Gamma(stepper.tables, f, f)
+            df = df + maxwell.nonlinear_terms(stepper.tables, f, e_phys, b_phys)
         j_spec = sg.forward(maxwell.current_density(vg, f))
         return (df,) + maxwell.field_rhs(sg, maxwell.EMField(e, b), j_spec)
 
@@ -249,6 +248,31 @@ class TestHalfSpectrumStep:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * state.f.nbytes
+
+
+    def test_nonlinear_cg_step_traced_memory(self, monkeypatch):
+        # after the first step, a nonlinear CG step holds f-sized arrays
+        # (the state, its half spectrum, the CG's vectors, the operators'
+        # outputs) and the jobs in flight, each at most four padded boxes
+        # of the convolutions (``test_memory_bounded_by_jobs_in_flight``).
+        # With whole-batch Gamma, Lorentz force and K intermediates and an
+        # allocating CG the step read 10.2-10.4 f beyond two jobs' boxes;
+        # with the per-point jobs and the in-place CG it reads 3.2-3.8 f
+        monkeypatch.setattr(landau, "_WORKERS", 2)
+        cfg = small_cfg(n_x=8, n_v=12, mode="nonlinear", collision_solver="cg", dt=0.05)
+        sg, vg = cfg.grids()
+        tables = landau.build_collision_tables(vg, cfg.gamma)
+        stepper = Stepper(cfg, sg, vg, tables)
+        state = stepper.step(initial_state(cfg, sg, vg))
+        p = tables.pad
+        box = 8 * p ** 3 + 16 * p * p * (p // 2 + 1)
+        tracemalloc.start()
+        try:
+            stepper.step(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * state.f.nbytes + 2 * 4 * box
 
 
 class TestRhsFull:

@@ -11,7 +11,7 @@ from scipy import integrate
 from scipy import linalg as sla
 from scipy.special import erf
 
-from vmlkit import landau
+from vmlkit import landau, maxwell
 from vmlkit.diagnostics import DiagContext, SpectralSnapshot
 from vmlkit.evolve import PhaseState, RunConfig
 from vmlkit.macro_micro import MacroProjector
@@ -343,7 +343,7 @@ class TestPrunedTransforms:
 
 
 class TestConvolutionPool:
-    """The x-chunked convolutions against one call over all points."""
+    """The per-point jobs of the matrix-free operators against one worker."""
 
     @staticmethod
     def _ops(tables, lead):
@@ -352,12 +352,13 @@ class TestConvolutionPool:
         w = [rng.standard_normal(shape) for _ in range(3)]
         f = rng.standard_normal((2,) + shape)
         g = rng.standard_normal((2,) + shape)
+        e, b = 0.1 * rng.standard_normal((2, 3) + lead)
         return {
-            "contracted": np.stack(landau._convolve_contracted(tables, w)),
-            "components": landau._convolve_components(tables, w[0]),
             "K": landau.apply_K(tables, w[1]),
+            "L": landau.apply_L(tables, f),
             "Gamma": landau.apply_Gamma(tables, f, g),
             "Q": landau.apply_Q(w[1], w[2], tables),
+            "force": maxwell.nonlinear_terms(tables, f, e, b),
         }
 
     @pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
@@ -369,65 +370,86 @@ class TestConvolutionPool:
         for name, value in serial.items():
             assert np.array_equal(value, pooled[name]), name
 
-    KERNELS = ("_contracted_kernel", "_components_kernel")
-
     @staticmethod
     def _spectrum_bytes(tables):
         p = tables.pad
         return 16 * p * p * (p // 2 + 1)
 
-    @classmethod
-    def _record_calls(cls, monkeypatch, names=KERNELS):
-        """Wrap the named kernels; each call records its first entries and thread."""
+    @staticmethod
+    def _record_calls(monkeypatch, names):
+        """Wrap the named kernels; each call records its point count and thread."""
         calls = []
         for name in names:
             kernel = getattr(landau, name)
 
             def counted(tables, w, out, kernel=kernel, name=name):
-                first = w[0].reshape((-1,) + w[0].shape[-3:])[:, 0, 0, 0].copy()
-                calls.append((name, first, threading.current_thread().name))
+                points = math.prod(w[0].shape[:-3])
+                calls.append((name, points, threading.current_thread().name))
                 kernel(tables, w, out)
 
             monkeypatch.setattr(landau, name, counted)
         return calls
 
+    @staticmethod
+    def _record_rounds(monkeypatch):
+        """Wrap ``_on_points``: one list of (point, thread) per round of jobs."""
+        rounds = []
+        on_points = landau._on_points
+
+        def recorded(job, m):
+            jobs = []
+            rounds.append(jobs)
+
+            def traced(a):
+                jobs.append((a, threading.current_thread().name))
+                job(a)
+
+            on_points(traced, m)
+
+        monkeypatch.setattr(landau, "_on_points", recorded)
+        return rounds
+
     @pytest.mark.parametrize("lead", [(16,), (5,), (2, 3)])
     def test_one_point_per_job_covers_every_point(self, tables8, monkeypatch, lead):
+        # K and Gamma each run one round of jobs, one per x point, on the
+        # pool: every point in exactly one job, each job convolving its own
+        # point only
         monkeypatch.setattr(landau, "_WORKERS", 2)
-        kernels = {name: getattr(landau, name) for name in self.KERNELS}
-        calls = self._record_calls(monkeypatch)
+        rounds = self._record_rounds(monkeypatch)
+        calls = self._record_calls(monkeypatch, ("_contracted_kernel", "_bilinear_kernel"))
         rng = np.random.default_rng(32)
-        w = [rng.standard_normal(lead + tables8.grid.shape) for _ in range(3)]
-        pooled = {"_contracted_kernel": np.stack(landau._convolve_contracted(tables8, w)),
-                  "_components_kernel": landau._convolve_components(tables8, w[0])}
-        points = np.sort(w[0].reshape((-1,) + tables8.grid.shape)[:, 0, 0, 0])
-        for name, kernel in kernels.items():
-            jobs = [c for c in calls if c[0] == name]
-            for _, first, thread in jobs:
-                assert len(first) == 1
-                assert thread.startswith("vmlkit-conv")
-            # every point in exactly one job
-            assert np.array_equal(np.sort(np.concatenate([c[1] for c in jobs])), points)
-            # and the jobs give what one call over all points gives
-            whole = np.empty_like(pooled[name])
-            kernel(tables8, w, whole)
-            assert np.array_equal(pooled[name], whole), name
+        h = rng.standard_normal(lead + tables8.grid.shape)
+        f = rng.standard_normal((2,) + h.shape)
+        m = math.prod(lead)
+        for op, kernel in ((lambda: landau.apply_K(tables8, h), "_contracted_kernel"),
+                           (lambda: landau.apply_Gamma(tables8, f, f), "_bilinear_kernel")):
+            rounds.clear()
+            calls.clear()
+            op()
+            assert len(rounds) == 1
+            assert sorted(a for a, _ in rounds[0]) == list(range(m))
+            assert all(thread.startswith("vmlkit-conv") for _, thread in rounds[0])
+            # the fused kernel runs the contracted one inside it
+            jobs = [c for c in calls if c[0] == kernel]
+            assert len(jobs) == m
+            for _, points, thread in calls:
+                assert points == 1 and thread.startswith("vmlkit-conv")
 
     def test_bilinear_term_is_one_pool_round(self, tables8, monkeypatch):
         # apply_Gamma and apply_Q each run both of their convolutions,
         # Phi^ij * g and sum_j Phi^ij * dg_j, in a single round of the pool:
-        # the fused kernel once per x point
+        # the fused kernel once per x point, whose output holds both
+        # convolutions as run on their own
         monkeypatch.setattr(landau, "_WORKERS", 2)
+        rounds = self._record_rounds(monkeypatch)
         fused = landau._bilinear_kernel
-        rounds = []
-        by_points = landau._by_points
+        outputs = []
 
-        def one_round(kernel, tables, w, out):
-            rounds.append((w, by_points(kernel, tables, w, out)))
-            return out
+        def kept(tables, w, out):
+            fused(tables, w, out)
+            outputs.append(([x.copy() for x in w], out.copy()))
 
-        monkeypatch.setattr(landau, "_by_points", one_round)
-        calls = self._record_calls(monkeypatch, ("_bilinear_kernel",))
+        monkeypatch.setattr(landau, "_bilinear_kernel", kept)
         rng = np.random.default_rng(36)
         shape = (5,) + tables8.grid.shape
         f, g = rng.standard_normal((2, 2) + shape)
@@ -435,50 +457,51 @@ class TestConvolutionPool:
         for op in (lambda: landau.apply_Gamma(tables8, f, g),
                    lambda: landau.apply_Q(F, G, tables8)):
             rounds.clear()
-            calls.clear()
+            outputs.clear()
             op()
-            assert len(rounds) == 1
-            w, out = rounds[0]
-            assert len(calls) == 5
-            for name, first, thread in calls:
-                assert name == "_bilinear_kernel" and len(first) == 1
-                assert thread.startswith("vmlkit-conv")
-            assert np.array_equal(np.sort(np.concatenate([c[1] for c in calls])),
-                                  np.sort(w[0][:, 0, 0, 0]))
-            whole = np.empty_like(out)
-            fused(tables8, w, whole)
-            assert np.array_equal(out, whole)
-            # the fused output holds both convolutions, as run on their own
-            components = landau._convolve_components(tables8, w[0])
-            assert np.array_equal(out[:9].reshape(components.shape), components)
-            assert np.array_equal(out[9:], np.stack(landau._convolve_contracted(tables8, w[1:])))
+            assert len(rounds) == 1 and len(rounds[0]) == 5
+            assert len(outputs) == 5
+            for w, out in outputs:
+                assert w[0].shape == tables8.grid.shape
+                components = np.empty((3, 3) + w[0].shape)
+                landau._components_kernel(tables8, w[:1], components)
+                contracted = np.empty((3,) + w[0].shape)
+                landau._contracted_kernel(tables8, w[1:], contracted)
+                assert np.array_equal(out[:9].reshape(components.shape), components)
+                assert np.array_equal(out[9:], contracted)
 
     def test_one_point_is_one_call_in_the_caller(self, tables8, monkeypatch):
-        # a single field (the sigma table's lead ()) and a batch of one point
-        # run as one call in the caller
+        # a single field (lead ()) and a batch of one point run as one call
+        # in the caller, as does the sigma table of the collision tables
         monkeypatch.setattr(landau, "_WORKERS", 2)
-        calls = self._record_calls(monkeypatch)
+        calls = self._record_calls(monkeypatch, ("_contracted_kernel", "_components_kernel"))
         rng = np.random.default_rng(33)
         w = rng.standard_normal((1,) + tables8.grid.shape)
         caller = threading.current_thread().name
         for field in (w[0], w):
             calls.clear()
-            landau._convolve_components(tables8, field)
-            assert [(c[0], len(c[1]), c[2]) for c in calls] == \
-                [("_components_kernel", 1, caller)]
+            landau.apply_K(tables8, field)
+            assert calls == [("_contracted_kernel", 1, caller)]
+        calls.clear()
+        landau.build_collision_tables(tables8.grid, tables8.gamma)
+        assert calls == [("_components_kernel", 1, caller)]
 
     def test_memory_bounded_by_jobs_in_flight(self, monkeypatch):
         # 16 points at n_v = 10 on two workers, one point per job.  The pruned
         # transforms pad no field: a job's large buffers are half spectra of
-        # the padded box, S = 16 p^2 (p/2 + 1) bytes each.  A contracted job
-        # holds at most five at once: three input spectra, their running sum
-        # and one product.  While it transforms its third input it holds
-        # fewer (two spectra, the third and its n^2 rfft lines of S/4), and the
-        # inverse runs in place on the sum, adding only the n^2 output lines
-        # (8 n^2 p bytes).  tracemalloc reads about 5.4 S a job, under the
-        # allowance of four padded-field-and-spectrum pairs, 4 (8 p^3 + S),
-        # about 7.6 S.  At most two jobs are in flight, so the peak stays
-        # below inputs + output + 2 x 4 pairs: 1.84 MB, read 1.46-1.53 MB
+        # the padded box, S = 16 p^2 (p/2 + 1) bytes each.  A contracted
+        # convolution holds at most five at once: three input spectra, their
+        # running sum and one product.  While it transforms its third input
+        # it holds fewer (two spectra, the third and its n^2 rfft lines of
+        # S/4), and the inverse runs in place on the sum, adding only the
+        # n^2 output lines (8 n^2 p bytes).  tracemalloc reads about 5.4 S a
+        # job, under the allowance of four padded-field-and-spectrum pairs,
+        # 4 (8 p^3 + S), about 7.6 S.  A K job adds its point's fields (the
+        # three weighted gradients, the three convolutions, a stencil
+        # product), a few n^3 doubles.  At most two jobs are in flight, so
+        # apply_K's peak stays below three input and three output fields
+        # plus 2 x 4 pairs, 1.84 MB: it holds one field in and one out,
+        # read 0.76-0.88 MB (1.63 MB when the window starts the pool)
         vgrid10 = VelocityGrid(v_max=6.0, n_v=10)
         tables = landau.build_collision_tables(vgrid10, -3.0)
         monkeypatch.setattr(landau, "_WORKERS", 2)
@@ -487,30 +510,33 @@ class TestConvolutionPool:
         field = 16 * 10 ** 3 * 8
         bound = 2 * 3 * field + 2 * 4 * point
 
-        def peak(convolve, count=3):
+        def peak(op, count=1):
             # the generator is made before the window, so that a first
             # import of numpy.random is not counted; the inputs it draws are
             rng = np.random.default_rng(34)
             tracemalloc.start()
             try:
                 w = [rng.standard_normal((16,) + vgrid10.shape) for _ in range(count)]
-                convolve(w)
+                op(w)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(lambda w: landau._convolve_contracted(tables, w)) < bound
-        # a fused job runs the components kernel (one input spectrum, one
-        # product inverted in place: about 2 S) and then the contracted one,
-        # so it holds no more than a contracted job.  Its bound is the same
-        # 2 x 4 pairs over its own inputs and output, 4 + 12 fields: 3.12 MB,
-        # read 2.75-2.80 MB
+        assert peak(lambda w: landau.apply_K(tables, w[0])) < bound
+        # a Gamma job runs the components convolution (one input spectrum,
+        # one product inverted in place: about 2 S) and then the contracted
+        # one, so it holds no more spectra than a K job, plus its point's 12
+        # convolutions and stencil products.  Its bound is the same 2 x 4
+        # pairs over 4 + 12 fields, 3.12 MB: the four drawn fields, f and g
+        # stacked from them and the pair out read 2.11-2.22 MB, where Gamma
+        # on whole-batch convolutions and stencils read 4.23 MB
         fused = (4 + 12) * field + 2 * 4 * point
-        assert peak(lambda w: landau._convolve_bilinear(tables, w[0], w[1:]), 4) < fused
-        # the bound is one the old layout breaks: its two chunks of 8 points
-        # each peaked above one 8-point job alone, which reads 3.4 MB
+        assert peak(lambda w: landau.apply_Gamma(tables, np.stack(w[:2]), np.stack(w[2:])),
+                    4) < fused
+        # the bound is one the whole-batch layout breaks: a contracted
+        # convolution of 8 points in one call alone reads 3.4 MB
         one_chunk = peak(lambda w: landau._contracted_kernel(
-            tables, [wj[:8] for wj in w], np.empty((3, 8) + vgrid10.shape)))
+            tables, [wj[:8] for wj in w], np.empty((3, 8) + vgrid10.shape)), 3)
         assert one_chunk > 1.5 * bound
 
     def test_workers_follow_the_affinity_mask(self, monkeypatch):

@@ -87,7 +87,7 @@ class TestMoments:
     def test_maxwellian_pair_moments(self, vgrid12, proj12):
         mu_half = vgrid12.mu_half()
         f = np.stack([mu_half, mu_half])
-        mset = moments(f, proj12)
+        mset = moments(f, proj12.micro_part(f), proj12.grid)
         # species sum is 2 mu^(1/2): A_mj = 2(delta_mj - 1) by the Gaussian
         # second moments (diagonal zero, off-diagonal -2)
         for m in range(3):
@@ -101,20 +101,20 @@ class TestMoments:
     def test_A_symmetric(self, proj12):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((2, 12, 12, 12))
-        mset = moments(f, proj12)
+        mset = moments(f, proj12.micro_part(f), proj12.grid)
         assert np.array_equal(mset.A, np.swapaxes(mset.A, 0, 1))
 
     def test_G_vanishes_on_pure_macro(self, vgrid12, proj12):
         rng = np.random.default_rng(5)
         f = rng.standard_normal((2, 12, 12, 12))
         pf, _ = proj12.project(f)
-        mset = moments(pf, proj12)
+        mset = moments(pf, proj12.micro_part(pf), proj12.grid)
         assert np.abs(mset.G).max() < 1e-12 * np.abs(pf).max()
 
     def test_batched_shapes(self, proj12):
         rng = np.random.default_rng(6)
         f = rng.standard_normal((2, 5, 12, 12, 12))
-        mset = moments(f, proj12)
+        mset = moments(f, proj12.micro_part(f), proj12.grid)
         assert mset.A.shape == (3, 3, 5)
         assert mset.Bv.shape == (3, 5)
         assert mset.G.shape == (3, 5)
