@@ -49,14 +49,14 @@ direct step allocates only the spectrum and the new f, and its speed does
 not depend on how the allocator returns freed memory.  The arithmetic is
 that of the allocating form, so the state is bit-identical to it.
 
-A nonlinear or matrix-free step keeps no buffers; it bounds its working
-set instead.  The force and Gamma(f, f) (``maxwell.nonlinear_terms``) run
-one x point per job of the convolution pool, each job writing its point's
-Lorentz force and Gamma into one force array, and K runs the same way in
-the CG.  The CG (``CollisionStepper._pcg``) updates its solution, residual
-and direction in place.  So no whole-batch intermediate of these exists
-beyond the CG's few vectors, and the arithmetic is again the allocating
-form's.
+A matrix-free step keeps no buffers; it bounds its working set instead.
+The nonlinear force and Gamma(f, f) (``maxwell.nonlinear_terms``, with
+either solver) run one x point per job of the convolution pool, each job
+writing its point's Lorentz force and Gamma into one force array, and K
+runs the same way in the CG.  The CG (``CollisionStepper._pcg``) updates
+its solution, residual and direction in place.  So no whole-batch
+intermediate of these exists beyond the CG's few vectors, and the
+arithmetic is again the allocating form's.
 
 The trapezoid system (I + dt/2 L) f' = (I - dt/2 L) f is solved either by
 flexible preconditioned conjugate gradients (matrix-free, any resolution;
