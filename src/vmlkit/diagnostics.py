@@ -141,15 +141,28 @@ class DiagContext:
         coll = self.collision
         return coll if coll is not None and coll.method == "direct" else None
 
-    def block_fields(self) -> "BlockFields":
-        """The derivative tree's scratch.
+    @property
+    def keeps_tree_scratch(self) -> bool:
+        """Whether the derivative tree's scratch is kept across snapshots.
 
-        Kept for the run with a direct stepper, so that the loop's snapshots
-        allocate no per-block fields; made per snapshot otherwise, because
-        at the matrix-free solver's grids one mode alone fills a block and a
-        kept scratch would add to the run's peak memory.
+        Kept with a direct stepper, so that the loop's snapshots allocate no
+        per-block fields; the scratch is then a fixed cost beside the
+        propagator blocks, and a block holds whole modes (at n_v = 16 a
+        mode's scratch is 2.5 MB, and blocks of two columns made the two
+        n_v = 16 acceptance fixtures' report snapshot 6-30 % slower).  Made
+        per snapshot otherwise (a matrix-free stepper, or no stepper, as in
+        the ``norms`` command), where it adds to the peak, so a block is a
+        run of one mode's columns that fits ``BLOCK_BYTES`` (1.2 MB in place
+        of 4.9 MB a mode at n_v = 20).  The split costs where the scratch is
+        not what sets the peak: the ``norms`` snapshot of the default preset
+        (n_x = 64, n_v = 16) took 194 ms against 167 ms with whole modes, at
+        the same traced peak of 23.3 MB.
         """
-        if self.direct is None:
+        return self.direct is not None
+
+    def block_fields(self) -> "BlockFields":
+        """The derivative tree's scratch, kept or per snapshot (``keeps_tree_scratch``)."""
+        if not self.keeps_tree_scratch:
             return BlockFields()
         if self._fields is None:
             self._fields = BlockFields()
@@ -304,13 +317,14 @@ def _collision_power(ctx: DiagContext, f: np.ndarray, spec: np.ndarray) -> np.nd
 class BlockFields:
     """The derivative tree's scratch, in buffers kept across blocks (and snapshots).
 
-    ``views(plan, nb, vshape)`` gives the arrays of a block of nb modes: per
-    level k of ``plan`` its n_k real fields (n_k, re/im, species, mode, v...),
-    views of two buffers that alternate by level, so a level and its
-    grandchildren share one; the fields of grad . u's terms; and two flat
-    buffers for the contracted rows of a level and their sums over children.
-    Each buffer grows to the largest size asked for, and the views of a tree
-    depth and block size are kept.
+    ``views(plan, cols, vshape)`` gives the arrays of a block of ``cols``
+    columns (``_tree_blocks``; 4 nb for nb whole modes): per level k of
+    ``plan`` its n_k real fields (n_k, cols, v...), views of two buffers
+    that alternate by level, so a level and its grandchildren share one;
+    the fields of grad . u's terms; and two flat buffers for the contracted
+    rows of a level and their sums over children.  Each buffer grows to the
+    largest size asked for, and the views of a tree depth and column count
+    are kept.
     """
 
     def __init__(self):
@@ -380,13 +394,10 @@ def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
     mv = micro.reshape(fv.shape)
     fields = ctx.block_fields()
     # blocks sized by a report's scratch, so that a monitor row sums its
-    # densities over the same blocks.  A direct run keeps the scratch (a
-    # fixed cost beside its propagator blocks) and whole modes: at n_v = 16
-    # a mode's scratch is 2.5 MB, and blocks of two columns made the report
-    # snapshot 6-30 % slower.  A matrix-free one makes it per snapshot,
-    # where it adds to the run's peak, so it splits a mode into columns
+    # densities over the same blocks; a mode splits into columns only where
+    # the scratch is made per snapshot (``DiagContext.keeps_tree_scratch``)
     column = sum(ctx.plans[True].caps) * width * 8
-    for start, nb, c0, c1 in _tree_blocks(n_modes, column, ctx.direct is None):
+    for start, nb, c0, c1 in _tree_blocks(n_modes, column, not ctx.keeps_tree_scratch):
         wts = plan.block_rows(start, start + nb)[:, c0:c1]
         levels, term, rows, kid_rows = fields.views(plan, c1 - c0, vgrid.shape)
 

@@ -51,9 +51,9 @@ that of the allocating form, so the state is bit-identical to it.
 
 A matrix-free step keeps no buffers; it bounds its working set instead.
 The nonlinear force and Gamma(f, f) (``maxwell.nonlinear_terms``, with
-either solver) run one x point per job of the convolution pool, each job
-writing its point's Lorentz force and Gamma into one force array, and K
-runs the same way in the CG.  The CG (``CollisionStepper._pcg``) updates
+either solver) run one x point per job of the convolution pool: Gamma's
+jobs write it into one force array, and a second round adds each point's
+Lorentz force into it.  K runs one x point per job in the CG too.  The CG (``CollisionStepper._pcg``) updates
 its solution, residual and direction in place.  So no whole-batch
 intermediate of these exists beyond the CG's few vectors, and the
 arithmetic is again the allocating form's.

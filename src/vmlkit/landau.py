@@ -46,15 +46,15 @@ point's slice of the result, so at most ``_WORKERS`` points are in flight
 and no intermediate spans the batch.  A K job forms D_j, mu^(1/2), the
 contracted convolution, mu^(1/2) and D_i^T; a Gamma (or Q) job both
 convolutions of its background, Phi^ij * g and sum_j Phi^ij * d_j g, in
-one fused kernel, then the y_i products and D_i^T for both species, and
-may add further x-local terms in the same job (the stepper's Lorentz
-force).  ``apply_L`` runs K's jobs and adds the diffusion part A, which
-stays a whole-batch call in the caller: its stencils are small GEMMs, and
-split over the pool it was slower.  The stencil GEMMs of a point stay
-below OpenBLAS's threading size, and numpy's pocketfft transforms every
-line the same way whatever the batch, so the jobs' results are
-bit-identical to one call over all points.  A single point (the sigma
-table, a field with no x axes) is one call in the caller.
+one fused kernel, then the y_i products and D_i^T for both species
+(``maxwell.nonlinear_terms`` then adds the Lorentz force into Gamma in a
+second round of per-point jobs).  ``apply_L`` runs K's jobs and adds the
+diffusion part A, which stays a whole-batch call in the caller: its
+stencils are small GEMMs, and split over the pool it was slower.  The
+stencil GEMMs of a point stay below OpenBLAS's threading size, and numpy's
+pocketfft transforms every line the same way whatever the batch, so the
+jobs' results are bit-identical to one call over all points.  A single
+point (the sigma table, a field with no x axes) is one call in the caller.
 
 The sigma norm here is the unweighted one; the weighted norms of the
 functionals integrate the same ``sigma_density`` in
@@ -485,8 +485,7 @@ def apply_Q(F: np.ndarray, G: np.ndarray, tables: CollisionTables) -> np.ndarray
     return out
 
 
-def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray,
-                extra=None) -> np.ndarray:
+def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Nonlinear collision term Gamma(f, g) on species pairs.
 
     Gamma_pm(f, g) = mu^(-1/2) Q(mu^(1/2) f_pm, mu^(1/2)(g_+ + g_-)), with
@@ -497,10 +496,7 @@ def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray,
 
     One x point per job (``_on_points``): a job forms both convolutions of
     g_+ + g_-, the y_i products and D_i^T for both species, written into
-    its point's slice of the result.  ``extra(a, out_a)``, if given, then
-    adds further x-local terms into point a's slice (a flat index over the
-    x axes) in the same job, through private functions only (see
-    ``_on_points``): the Lorentz force of ``maxwell.nonlinear_terms``.
+    its point's slice of the result.
     """
     out = np.empty(f.shape)
     fp, gp, op = _by_point(f, 1), _by_point(g, 1), _by_point(out, 1)
@@ -515,8 +511,6 @@ def apply_Gamma(tables: CollisionTables, f: np.ndarray, g: np.ndarray,
             h = fp[sp, a]
             grads = [_apply_axis(tables.dtmat, h, j - 3) for j in range(3)]
             _flux_divergence(tables.dmat.T, conv, flux, grads, h, op[sp, a])
-        if extra is not None:
-            extra(a, op[:, a])
 
     _on_points(job, fp.shape[1])
     return out

@@ -158,20 +158,21 @@ def nonlinear_terms(tables: landau.CollisionTables, f: np.ndarray, e_phys: np.nd
                     b_phys: np.ndarray) -> np.ndarray:
     """The force -q0 (E + v x B) . grad_v f + (q0/2) E . v f plus Gamma(f, f).
 
-    On physical f, E and B (nonlinear mode only).  Both are local in x:
-    each x point's job of ``landau.apply_Gamma`` adds the point's Lorentz
-    force (``_lorentz_force``) into its Gamma, so neither term has a
-    whole-batch intermediate.
+    On physical f, E and B (nonlinear mode only).  Both are local in x and
+    run one x point per job of the convolution pool: ``landau.apply_Gamma``
+    writes Gamma into the force array, and a second round of jobs
+    (``landau._on_points``) adds each point's Lorentz force
+    (``_lorentz_force``) into it, so neither term has a whole-batch
+    intermediate.
     """
+    force = landau.apply_Gamma(tables, f, f)
     vgrid = tables.grid
     fd4, v = vgrid.gradient_o4(), vgrid.axes()
     e, b = (x.reshape(3, -1) for x in (e_phys, b_phys))
-    fp = f.reshape((2, -1) + vgrid.shape)
-
-    def force(a, out):
-        _lorentz_force(fd4, v, fp[:, a], e[:, a], b[:, a], out)
-
-    return landau.apply_Gamma(tables, f, f, extra=force)
+    fp, op = (x.reshape((2, -1) + vgrid.shape) for x in (f, force))
+    landau._on_points(lambda a: _lorentz_force(fd4, v, fp[:, a], e[:, a], b[:, a], op[:, a]),
+                      fp.shape[1])
+    return force
 
 
 def field_rhs(grid: SpatialGrid, em: EMField, current_spec: np.ndarray):

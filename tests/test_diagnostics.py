@@ -568,9 +568,9 @@ def test_gamma_only_in_the_step(monkeypatch):
     calls = []
     apply_gamma = landau.apply_Gamma
 
-    def counted(tables, f, g, extra=None):
+    def counted(tables, f, g):
         calls.append(f.shape)
-        return apply_gamma(tables, f, g, extra)
+        return apply_gamma(tables, f, g)
 
     monkeypatch.setattr(landau, "apply_Gamma", counted)
     cfg = RunConfig(n_x=8, n_v=8, dt=0.1, t_end=0.2, mode="nonlinear",

@@ -409,12 +409,26 @@ class TestConvolutionPool:
         monkeypatch.setattr(landau, "_on_points", recorded)
         return rounds
 
+    @staticmethod
+    def _whole_batch_K(tables, h, contracted):
+        """K h with each stencil and the contracted convolution one call over all points."""
+        m = tables.mu_half
+        w = [m * landau._apply_axis(tables.dmat, h, j - 3) for j in range(3)]
+        s = np.empty((3,) + h.shape)
+        contracted(tables, w, s)
+        out = np.zeros(h.shape)
+        for i in range(3):
+            out -= landau._apply_axis(tables.dmat.T, m * s[i], i - 3)
+        return out
+
     @pytest.mark.parametrize("lead", [(16,), (5,), (2, 3)])
     def test_one_point_per_job_covers_every_point(self, tables8, monkeypatch, lead):
         # K and Gamma each run one round of jobs, one per x point, on the
         # pool: every point in exactly one job, each job convolving its own
-        # point only
+        # point only.  K's jobs give what one call of each stencil and of
+        # the contracted convolution over all points gives
         monkeypatch.setattr(landau, "_WORKERS", 2)
+        contracted = landau._contracted_kernel
         rounds = self._record_rounds(monkeypatch)
         calls = self._record_calls(monkeypatch, ("_contracted_kernel", "_bilinear_kernel"))
         rng = np.random.default_rng(32)
@@ -434,12 +448,16 @@ class TestConvolutionPool:
             assert len(jobs) == m
             for _, points, thread in calls:
                 assert points == 1 and thread.startswith("vmlkit-conv")
+        assert np.array_equal(landau.apply_K(tables8, h),
+                              self._whole_batch_K(tables8, h, contracted))
 
     def test_bilinear_term_is_one_pool_round(self, tables8, monkeypatch):
         # apply_Gamma and apply_Q each run both of their convolutions,
         # Phi^ij * g and sum_j Phi^ij * dg_j, in a single round of the pool:
         # the fused kernel once per x point, whose output holds both
-        # convolutions as run on their own
+        # convolutions as run on their own.  The jobs' inputs and outputs,
+        # stacked by point, are those of one call over the whole batch
+        # [G, *dG], its stencils one call over all points too
         monkeypatch.setattr(landau, "_WORKERS", 2)
         rounds = self._record_rounds(monkeypatch)
         fused = landau._bilinear_kernel
@@ -454,8 +472,15 @@ class TestConvolutionPool:
         shape = (5,) + tables8.grid.shape
         f, g = rng.standard_normal((2, 2) + shape)
         F, G = rng.standard_normal((2,) + shape)
-        for op in (lambda: landau.apply_Gamma(tables8, f, g),
-                   lambda: landau.apply_Q(F, G, tables8)):
+        m = tables8.mu_half
+        sg = g[0] + g[1]
+        batches = {
+            "Gamma": [m * sg] + [m * landau._apply_axis(tables8.dtmat, sg, j - 3)
+                                 for j in range(3)],
+            "Q": [G] + [landau._apply_axis(tables8.fd, G, j - 3) for j in range(3)],
+        }
+        for name, op in (("Gamma", lambda: landau.apply_Gamma(tables8, f, g)),
+                         ("Q", lambda: landau.apply_Q(F, G, tables8))):
             rounds.clear()
             outputs.clear()
             op()
@@ -469,6 +494,18 @@ class TestConvolutionPool:
                 landau._contracted_kernel(tables8, w[1:], contracted)
                 assert np.array_equal(out[:9].reshape(components.shape), components)
                 assert np.array_equal(out[9:], contracted)
+            batch = batches[name]
+            whole = np.empty((12,) + shape)
+            fused(tables8, batch, whole)
+            # each job's point, by its background: every point exactly once
+            points = [[a for a in range(5) if np.array_equal(w[0], batch[0][a])]
+                      for w, _ in outputs]
+            assert [len(p) for p in points] == [1] * 5, name
+            assert sorted(p for p, in points) == list(range(5))
+            for (w, out), (a,) in zip(outputs, points):
+                for k in range(4):
+                    assert np.array_equal(w[k], batch[k][a]), (name, k)
+                assert np.array_equal(out, whole[:, a]), name
 
     def test_one_point_is_one_call_in_the_caller(self, tables8, monkeypatch):
         # a single field (lead ()) and a batch of one point run as one call
