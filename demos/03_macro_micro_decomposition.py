@@ -49,8 +49,7 @@ print(f"G (microscopic current): {mset.G} (pure-macro input)")
 print("\n== conservation laws on a solver history ==")
 for dt in (0.08, 0.04):
     cfg = RunConfig(n_x=16, n_v=8, dt=dt, t_end=0.64, preset="broadband",
-                    collision_solver="direct", direct_max_nv=8,
-                    report_every=2, monitor_every=0)
+                    collision_solver="direct", report_every=2, monitor_every=0)
     sgrid, vgrid = cfg.grids()
     tables = landau.build_collision_tables(vgrid, cfg.gamma)
     stepper = evolve.Stepper(cfg, sgrid, vgrid, tables)

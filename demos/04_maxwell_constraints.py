@@ -40,7 +40,7 @@ print("\n== vacuum propagation ==")
 period = 2 * math.pi / 0.2
 cfg = RunConfig(preset="vacuum-maxwell", couple_fields=False,
                 box_length=2 * math.pi * 10.0, n_x=16, n_v=8,
-                collision_solver="direct", direct_max_nv=8,
+                collision_solver="direct",
                 dt=period / 628, t_end=period, report_every=10**9,
                 monitor_every=0)
 res = evolve.run(cfg)
@@ -55,8 +55,7 @@ print(f"  energy drift {(enT-en0)/en0:.2e}, field return error {err:.2e}")
 print("\n== constraint drift along a coupled run ==")
 for dt in (0.1, 0.05):
     c = RunConfig(n_x=16, n_v=8, dt=dt, t_end=0.8, preset="broadband",
-                  collision_solver="direct", direct_max_nv=8,
-                  report_every=10**9, monitor_every=0)
+                  collision_solver="direct", report_every=10**9, monitor_every=0)
     r = evolve.run(c).reports[-1]
     print(f"dt = {dt}: Gauss residual {r.gauss_residual:.3e}, div B {r.div_b:.3e}")
 print("halving dt cuts the Gauss drift fourfold; div B never moves")

@@ -13,8 +13,7 @@ from vmlkit.evolve import RunConfig
 
 print("== pure relaxation ==")
 cfg = RunConfig(n_x=8, n_v=12, dt=0.1, t_end=3.0, preset="relaxation",
-                collision_solver="direct", direct_max_nv=12,
-                report_every=5, monitor_every=1)
+                collision_solver="direct", report_every=5, monitor_every=1)
 res = evolve.run(cfg)
 print(" t      ||f||^2")
 for rep in res.reports:
@@ -24,8 +23,7 @@ print(f"contraction violations: {res.contraction_violations} "
 
 print("\n== Lyapunov balance on a coupled linearized run ==")
 cfg2 = RunConfig(n_x=32, n_v=10, dt=0.05, t_end=2.0, preset="broadband",
-                 collision_solver="direct", direct_max_nv=12,
-                 report_every=10, monitor_every=1)
+                 collision_solver="direct", report_every=10, monitor_every=1)
 res2 = evolve.run(cfg2)
 t, ek, dk, dpk = res2.monitor.as_arrays()
 rep = diag.lyapunov_monitor(t, ek, dpk)

@@ -19,8 +19,7 @@ from vmlkit import diagnostics as diag, evolve
 from vmlkit.evolve import RunConfig
 
 cfg = RunConfig(n_x=64, n_v=10, dt=0.1, t_end=50.0, preset="broadband",
-                collision_solver="direct", direct_max_nv=12,
-                report_every=10, monitor_every=0, n_modes=21)
+                collision_solver="direct", report_every=10, monitor_every=0, n_modes=21)
 print(f"running the linearized broadband scenario "
       f"(n_x={cfg.n_x}, n_v={cfg.n_v}, L={cfg.box_length:.0f}, "
       f"t_end={cfg.t_end}) ...")

@@ -845,8 +845,12 @@ def decay_fit(times, values, window, target_k: int = 0,
                     late_exp_rate=late_exponential_rate(times, values))
 
 
-def auto_window(times, values, min_points: int = 8, min_stretch: float = 3.0):
-    """Window with minimal log-log fit residual (intermediate-time selector)."""
+def auto_window(times, values):
+    """Window with minimal log-log fit residual (intermediate-time selector).
+
+    A window holds at least 8 points and spans (1 + t1) / (1 + t0) >= 3.
+    """
+    min_points = 8
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     good = values > 0
@@ -863,7 +867,7 @@ def auto_window(times, values, min_points: int = 8, min_stretch: float = 3.0):
         for j in ends:
             if j - i + 1 < min_points:
                 continue
-            if (1.0 + times[j]) / (1.0 + times[i]) < min_stretch:
+            if (1.0 + times[j]) / (1.0 + times[i]) < 3.0:
                 continue
             x = np.log1p(times[i:j + 1])
             y = np.log(values[i:j + 1])
@@ -876,15 +880,15 @@ def auto_window(times, values, min_points: int = 8, min_stretch: float = 3.0):
     return best[1], best[2]
 
 
-def late_exponential_rate(times, values, frac: float = 0.25) -> float:
-    """Exponential rate fitted on the trailing fraction of the series."""
+def late_exponential_rate(times, values) -> float:
+    """Exponential rate fitted on the trailing quarter of the series."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     good = values > 0
     times, values = times[good], values[good]
     if len(times) < 4:
         return math.nan
-    k = max(4, int(len(times) * frac))
+    k = max(4, int(len(times) * 0.25))
     x = times[-k:]
     y = np.log(values[-k:])
     slope, _ = np.polyfit(x, y, 1)
@@ -898,9 +902,10 @@ class LyapunovReport:
     flags: int
 
 
-def lyapunov_monitor(times, e_series, d_series, allowance_factor: float = 10.0
-                     ) -> LyapunovReport:
+def lyapunov_monitor(times, e_series, d_series) -> LyapunovReport:
     """Per-step Delta E^k / Delta t + D^k with an integrator-error allowance.
+
+    The allowance is 10 dt^2 times the step's largest E^k or D^k.
 
     ``d_series`` is the dissipation paired with the energy drop; the default
     production pairing is the measured collisional quadratic form, for which
@@ -919,7 +924,7 @@ def lyapunov_monitor(times, e_series, d_series, allowance_factor: float = 10.0
     dmid = 0.5 * (d[..., 1:] + d[..., :-1])
     deltas = de + dmid
     scale = np.maximum(np.maximum(e[..., 1:], e[..., :-1]), dmid)
-    allowance = allowance_factor * dt ** 2 * np.max(scale, axis=0)
+    allowance = 10.0 * dt ** 2 * np.max(scale, axis=0)
     flags = int(np.sum(deltas > allowance[None, :]))
     return LyapunovReport(deltas=deltas, allowance=allowance, flags=flags)
 
@@ -964,20 +969,19 @@ def _grad_norm(grid: SpatialGrid, f: np.ndarray, order: int) -> float:
     return math.sqrt(grid.spec_weighted_norm2(spec, mult))
 
 
-def riesz_checks(s_exp: float, n_points: int = 64,
-                 box_length: float = 4.0 * math.pi * 10.0,
-                 slope_tol: float = 0.02, seed: int = 11) -> list:
+def riesz_checks(s_exp: float) -> list:
     """Dilation-scaling and mixed-norm checks of the inequality toolbox.
 
-    Runs on a fully 3-D spatial grid where the whole-space scaling
+    Runs on a fully 3-D 64^3 spatial grid where the whole-space scaling
     dimensions are honest: (a) the negative-order L^p-L^q pairing, (b) the
     interpolation identities combining ||Lambda^{-s} f|| with top
-    derivatives, via slope matching on a Gaussian dilation family, and
-    (c) the Minkowski mixed-norm ordering on random nonnegative samples.
+    derivatives, via slope matching to 0.02 on a Gaussian dilation family,
+    and (c) the Minkowski mixed-norm ordering on random nonnegative samples.
     """
     if not (0.0 < s_exp < 1.5):
         raise ValueError("s_exp must lie in (0, 3/2)")
-    grid = SpatialGrid(box_length=box_length, n_x=n_points, active_axes=(0, 1, 2))
+    box_length, slope_tol = 4.0 * math.pi * 10.0, 0.02
+    grid = SpatialGrid(box_length=box_length, n_x=64, active_axes=(0, 1, 2))
     x = grid.coords()
     center = 0.5 * box_length
     sigmas = np.geomspace(3.0, 7.5, 5)
@@ -1052,7 +1056,7 @@ def riesz_checks(s_exp: float, n_points: int = 64,
         detail="spectral Hoelder inequality, exact on the grid"))
 
     # (c) Minkowski mixed-norm ordering
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     xg = SpatialGrid(box_length=box_length, n_x=16, active_axes=(0,))
     nv = 6
     dv = 0.5

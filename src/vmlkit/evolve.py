@@ -61,7 +61,7 @@ arithmetic is again the allocating form's.
 The trapezoid system (I + dt/2 L) f' = (I - dt/2 L) f is solved either by
 flexible preconditioned conjugate gradients (matrix-free, any resolution;
 the sum system preconditioned by an inner solve of its diffusion part) or by a
-cached propagator (small velocity grids).  Since L is symmetric positive
+cached propagator (n_v <= ``DIRECT_MAX_NV``).  Since L is symmetric positive
 semidefinite, M = I + dt/2 L is symmetric positive definite: the
 propagator is P = M^-1 (I - dt/2 L) = 2 M^-1 - I, with M^-1 from block
 Schur complements over Cholesky-factored leaves (``_spd_inverse``), and
@@ -104,6 +104,10 @@ LINEARIZED = "linearized"
 NONLINEAR = "nonlinear"
 
 PRESETS = ("zero", "relaxation", "vacuum-maxwell", "broadband")
+
+# the largest n_v of the direct collision solver; at n_v = 20 its blocked
+# operators would hold about 86 MB, so past this the substep runs the CG
+DIRECT_MAX_NV = 16
 
 
 class StateError(ValueError):
@@ -161,7 +165,6 @@ class RunConfig:
     mode: str = LINEARIZED
     collision_solver: str = "auto"   # auto | direct | cg
     cg_tol: float = 1e-12
-    direct_max_nv: int = 16
     # initial data
     preset: str = "broadband"
     amplitude: float = 1e-3
@@ -201,8 +204,7 @@ class RunConfig:
         # a bad value is a configuration error, not a failure deep in set-up
         self.grids()
         landau.check_quadrature(self.n_v)
-        if self.collision_solver == "direct":
-            landau.check_dense_limit(self.n_v, self.direct_max_nv)
+        _collision_method(self.collision_solver, self.n_v)
         if self.mode not in (LINEARIZED, NONLINEAR):
             raise ValueError(f"mode must be linearized or nonlinear, got {self.mode!r}")
         if self.preset not in PRESETS:
@@ -215,12 +217,16 @@ class RunConfig:
                              f"of dt = {self.dt:g} (t_end / dt = {steps:.10g})")
         if not (0.5 <= self.s_exp < 1.5):
             raise ValueError(f"s_exp must lie in [1/2, 3/2), got {self.s_exp}")
+        # weight and derivative orders, step intervals, the seed and the fractions
+        for key in ("ell", "ell0", "lprime", "n0", "n_max", "k_max", "beta_max", "seed",
+                    "monitor_every", "checkpoint_every", "asym_fraction",
+                    "micro_fraction", "b_fraction"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be nonnegative, got {getattr(self, key)}")
         if self.k_max > max(self.n0 - 2, 0):
             raise ValueError(
                 f"k_max={self.k_max} exceeds n0-2={self.n0 - 2}; decay theory "
                 "indexes E^k only up to N0-2")
-        if self.collision_solver not in ("auto", "direct", "cg"):
-            raise ValueError(f"unknown collision solver {self.collision_solver!r}")
         if self.report_every < 1:
             raise ValueError(f"report_every must be at least 1, got {self.report_every}")
         if self.n_modes < 1:
@@ -233,10 +239,6 @@ class RunConfig:
             raise ValueError(f"amplitude must lie in [-1, 1], got {self.amplitude}")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for key in ("seed", "monitor_every", "checkpoint_every", "n_max", "k_max",
-                    "beta_max", "asym_fraction", "micro_fraction", "b_fraction"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be nonnegative, got {getattr(self, key)}")
         # X(t) weighs E_{N,l} by (1+t)^(-(1+eps0)/2), with eps0 > 0
         if self.eps0 <= 0:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
@@ -260,7 +262,7 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     kwargs = {}
     for key, raw in mapping.items():
         if key not in types:
-            raise KeyError(key)
+            raise ValueError(f"unknown config key {key!r}")
         kind = types[key]
         if isinstance(raw, str):
             try:
@@ -500,9 +502,23 @@ def _add_transpose(a: np.ndarray) -> None:
             a[j:j + t, i:i + t] = pair.T
 
 
+def _collision_method(solver: str, n_v: int) -> str:
+    """The solver, direct or cg, that ``solver`` (auto, direct or cg) names at n_v."""
+    if solver not in ("auto", "direct", "cg"):
+        raise ValueError(f"unknown collision_solver {solver!r}; choose auto, direct or cg")
+    if solver == "auto":
+        return "direct" if n_v <= DIRECT_MAX_NV else "cg"
+    if solver == "direct" and n_v > DIRECT_MAX_NV:
+        raise ValueError(f"the direct collision solver is limited to "
+                         f"n_v <= {DIRECT_MAX_NV} (got n_v = {n_v})")
+    return solver
+
+
 class CollisionStepper:
     """Implicit-trapezoid collision substep in species sum/difference form.
 
+    ``method="auto"`` is direct up to n_v = ``DIRECT_MAX_NV`` and cg past
+    it; an explicit direct past it raises ValueError.
     ``method="direct"`` works in the symmetry-adapted basis of
     ``landau.PermutationBlocks``, in which A and K are block diagonal: one
     trivial, one sign and one standard block, the last serving both rows
@@ -544,14 +560,11 @@ class CollisionStepper:
     INNER_TOL = 1e-2
 
     def __init__(self, tables: landau.CollisionTables, dt: float,
-                 method: str = "auto", cg_tol: float = 1e-12,
-                 direct_max_nv: int = 16):
+                 method: str = "auto", cg_tol: float = 1e-12):
         self.tables = tables
         self.dt = dt
         self.cg_tol = cg_tol
-        if method == "auto":
-            method = "direct" if tables.n <= direct_max_nv else "cg"
-        self.method = method
+        self.method = method = _collision_method(method, tables.n)
         self._basis = None
         self._prop = None
         self._a_plus_k = None
@@ -560,14 +573,13 @@ class CollisionStepper:
         self._precond = None
         self.last_iterations = (0, 0)
         if method == "direct":
-            self._build_propagators(direct_max_nv)
+            self._build_propagators()
 
     # blocked propagators ------------------------------------------------------
-    def _build_propagators(self, limit: int) -> None:
+    def _build_propagators(self) -> None:
         self._basis = basis = landau.PermutationBlocks(self.tables.n)
-        # dense_A applies the dense-size rule (``landau.check_dense_limit``)
-        a = landau.dense_A(self.tables, limit=limit, rows=basis.reps)
-        k = landau.dense_K(self.tables, limit=limit, rows=basis.reps)
+        a = landau.dense_A(self.tables, rows=basis.reps)
+        k = landau.dense_K(self.tables, rows=basis.reps)
         k += a
         self._a_plus_k = basis.block_matrices(k)
         self._a = basis.block_matrices(a)
@@ -806,8 +818,7 @@ class Stepper:
         self.vgrid = vgrid
         self.tables = tables
         self.collision = CollisionStepper(
-            tables, config.dt, method=config.collision_solver,
-            cg_tol=config.cg_tol, direct_max_nv=config.direct_max_nv)
+            tables, config.dt, method=config.collision_solver, cg_tol=config.cg_tol)
         self.x_axes = tuple(range(1, 1 + sgrid.n_active))
         self._phase = self._transport_phase(0.5 * config.dt)
         # one species of the half spectrum: the current's f_+ - f_- and the

@@ -58,10 +58,9 @@ point (the sigma table, a field with no x axes) is one call in the caller.
 
 The sigma norm here is the unweighted one; the weighted norms of the
 functionals integrate the same ``sigma_density`` in
-``diagnostics.SpectralSnapshot``.  The dense assemblies share one size
-rule, ``check_dense_limit``, and assemble any selection of rows with numpy
-alone: A from the stencil planes through each node, K from windows of the
-difference table filtered by the stencils.  The direct propagator takes
+``diagnostics.SpectralSnapshot``.  The dense assemblies build any
+selection of rows with numpy alone: A from the stencil planes through each
+node, K from windows of the difference table filtered by the stencils.  The direct propagator takes
 only the rows at the orbit representatives of the axis permutations, from
 which ``PermutationBlocks`` builds the operator's symmetry blocks.
 """
@@ -167,9 +166,7 @@ class CollisionTables:
     dtmat: np.ndarray
     fd: np.ndarray
     mu_half: np.ndarray = field(repr=False, default=None)
-    bracket_par: np.ndarray = field(repr=False, default=None)   # <v>^(gamma/2)
     bracket_perp: np.ndarray = field(repr=False, default=None)  # <v>^((gamma+2)/2)
-    vhat: tuple = field(repr=False, default=None)               # v/|v|, 0 at v = 0
     vpar: np.ndarray = field(repr=False, default=None)          # (3, n, n, n), v/<v>
     pad: int = 0
 
@@ -239,15 +236,14 @@ def build_collision_tables(grid: VelocityGrid, gamma: float) -> CollisionTables:
     tables.dmat = fd * ratio          # mu^(1/2) FD mu^(-1/2)
     tables.dtmat = fd / ratio         # mu^(-1/2) FD mu^(1/2)
     tables.mu_half = grid.mu_half()
-    tables.bracket_par = grid.bracket(0.5 * gamma)
+    bracket_par = grid.bracket(0.5 * gamma)
     tables.bracket_perp = grid.bracket(0.5 * (gamma + 2.0))
     vn = grid.vnorm()
-    tables.vhat = tuple(np.divide(v, vn, out=np.zeros_like(vn), where=vn > 0.0)
-                        for v in grid.axes())
+    vhat = [np.divide(v, vn, out=np.zeros_like(vn), where=vn > 0.0) for v in grid.axes()]
     # the direction of sigma_density's parallel square: v_hat scaled by
     # (1 - b_par^2 / b_perp^2)^(1/2), that is v/<v>
-    scale = np.sqrt(1.0 - tables.bracket_par ** 2 / tables.bracket_perp ** 2)
-    tables.vpar = np.stack([scale * u for u in tables.vhat])
+    scale = np.sqrt(1.0 - bracket_par ** 2 / tables.bracket_perp ** 2)
+    tables.vpar = np.stack([scale * u for u in vhat])
     return tables
 
 
@@ -554,29 +550,25 @@ def sigma_density(tables: CollisionTables, sq: np.ndarray,
     return np.multiply(sq, tables.bracket_perp ** 2, out=out)
 
 
-def sigma_norm_sq(f: np.ndarray, tables: CollisionTables,
-                  grad: list | None = None) -> np.ndarray:
+def sigma_norm_sq(f: np.ndarray, tables: CollisionTables) -> np.ndarray:
     """Squared unweighted anisotropic norm |f|_sigma^2 per leading batch element.
 
     |f|^2 = int [ <v>^(gamma+2) f^2 + <v>^gamma (par grad)^2
                   + <v>^(gamma+2) |perp grad|^2 ] dv
 
-    the integral of ``sigma_density``.  ``grad`` overrides the
-    finite-difference gradient with analytically supplied components for
-    quadrature-only tests.  The weighted norms of the functionals are the
-    snapshot's (``diagnostics.SpectralSnapshot.weighted``).
+    the integral of ``sigma_density``, with the finite-difference gradient.
+    The weighted norms of the functionals are the snapshot's
+    (``diagnostics.SpectralSnapshot.weighted``).
     """
-    if grad is None:
-        grad = [_apply_axis(tables.fd, f, j - 3) for j in range(3)]
+    grad = [_apply_axis(tables.fd, f, j - 3) for j in range(3)]
     sq = _abs2(f) + sum(_abs2(g) for g in grad)
     sq -= _abs2(sum(u * g for u, g in zip(tables.vpar, grad)))
     return tables.grid.integrate(sigma_density(tables, sq, out=sq))
 
 
-def sigma_norm(f: np.ndarray, tables: CollisionTables,
-               grad: list | None = None) -> float:
+def sigma_norm(f: np.ndarray, tables: CollisionTables) -> float:
     """Anisotropic norm of a v-field or species pair (summed over batch)."""
-    return float(np.sqrt(np.sum(sigma_norm_sq(f, tables, grad))))
+    return float(np.sqrt(np.sum(sigma_norm_sq(f, tables))))
 
 
 def pair_inner(tables: CollisionTables, f: np.ndarray, g: np.ndarray) -> float:
@@ -598,8 +590,8 @@ class CoercivityReport:
     offending: np.ndarray | None = None
 
 
-def smooth_sample_basis(grid: VelocityGrid, max_deg: int = 3) -> np.ndarray:
-    """Monomials of total degree <= max_deg times mu^(1/2); coercivity samples.
+def smooth_sample_basis(grid: VelocityGrid) -> np.ndarray:
+    """Monomials of total degree <= 3 times mu^(1/2); coercivity samples.
 
     Smooth resolved functions make the sampled spectral gap a grid-stable
     surrogate of the continuum constant; node-level white noise instead
@@ -608,15 +600,15 @@ def smooth_sample_basis(grid: VelocityGrid, max_deg: int = 3) -> np.ndarray:
     v1, v2, v3 = grid.axes()
     mu_half = grid.mu_half()
     out = []
-    for p in range(max_deg + 1):
-        for q in range(max_deg + 1 - p):
-            for r in range(max_deg + 1 - p - q):
+    for p in range(4):
+        for q in range(4 - p):
+            for r in range(4 - p - q):
                 out.append((v1 ** p * v2 ** q * v3 ** r + 0.0 * mu_half) * mu_half)
     return np.stack(out)
 
 
-def coercivity_gap(tables: CollisionTables, projector, n_samples: int = 100,
-                   seed: int = 2202, max_deg: int = 3) -> CoercivityReport:
+def coercivity_gap(tables: CollisionTables, projector,
+                   n_samples: int = 100) -> CoercivityReport:
     """Sampled spectral gap min <L f, f> / |{I-P} f|_sigma^2 over random micro f.
 
     ``projector`` maps a species pair to its microscopic part (see
@@ -626,8 +618,8 @@ def coercivity_gap(tables: CollisionTables, projector, n_samples: int = 100,
     recorded; a nonpositive minimum raises CoercivityFailure carrying the
     offending sample.
     """
-    rng = np.random.default_rng(seed)
-    basis = smooth_sample_basis(tables.grid, max_deg)
+    rng = np.random.default_rng(2202)
+    basis = smooth_sample_basis(tables.grid)
     nb = basis.shape[0]
     ratios = np.empty(n_samples)
     coeffs = rng.standard_normal((n_samples, 2, nb))
@@ -657,23 +649,7 @@ def coercivity_gap(tables: CollisionTables, projector, n_samples: int = 100,
 # dense assembly (small grids: oracle and eigenstudies)
 # ---------------------------------------------------------------------------
 
-DENSE_MAX_NV = 12
-
-
-def check_dense_limit(n_v: int, limit: int) -> None:
-    """Reject a dense n_v^3 x n_v^3 collision operator past its grid limit.
-
-    ``dense_A``/``dense_K`` (so ``dense_L`` and the direct propagator) check
-    it, and ``RunConfig.validate`` applies it to ``direct_max_nv``.
-    """
-    if n_v > limit:
-        raise ValueError(
-            f"dense collision operator limited to n_v <= {limit} (got n_v = {n_v})"
-        )
-
-
-def dense_A(tables: CollisionTables, limit: int = DENSE_MAX_NV,
-            rows: np.ndarray | None = None) -> np.ndarray:
+def dense_A(tables: CollisionTables, rows: np.ndarray | None = None) -> np.ndarray:
     """Rows of the dense A = sum_ij D_i^T sigma^ij D_j, from the stencil planes.
 
     ``rows`` selects flat velocity indices (all of them by default).  Row a
@@ -684,7 +660,6 @@ def dense_A(tables: CollisionTables, limit: int = DENSE_MAX_NV,
     (j, i) terms and the axis-i line (times e_(a_j)) are one rank-3 product,
     added to the zeroed rows in one scatter.
     """
-    check_dense_limit(tables.n, limit)
     n, dmat = tables.n, tables.dmat
     rows = np.arange(n ** 3) if rows is None else np.asarray(rows)
     a, t = np.unravel_index(rows, (n, n, n)), np.arange(n)
@@ -703,8 +678,7 @@ def dense_A(tables: CollisionTables, limit: int = DENSE_MAX_NV,
     return out.reshape(len(rows), n ** 3)
 
 
-def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV,
-            rows: np.ndarray | None = None) -> np.ndarray:
+def dense_K(tables: CollisionTables, rows: np.ndarray | None = None) -> np.ndarray:
     """Rows of the dense K = -sum_ij S_i^T C_ij S_j with S_j = mu^(1/2) D_j.
 
     ``rows`` selects flat velocity indices (all of them by default).  With
@@ -715,7 +689,6 @@ def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV,
     (j, i) and (i, i) terms are one filtered table P[a_i, c_i, a_j, c_j, o_k],
     and row a is the sum of three n^3 windows P[a_i, :, a_j, :, a_k - c_k].
     """
-    check_dense_limit(tables.n, limit)
     grid = tables.grid
     n, h, m = grid.n_v, grid.spacing, 2 * grid.n_v - 1
     rows = np.arange(n ** 3) if rows is None else np.asarray(rows)
@@ -762,10 +735,10 @@ def dense_K(tables: CollisionTables, limit: int = DENSE_MAX_NV,
     return out.reshape(len(rows), n ** 3)
 
 
-def dense_L(tables: CollisionTables, limit: int = DENSE_MAX_NV) -> np.ndarray:
-    """Full dense pair operator [[2A+K, K], [K, 2A+K]] (n_v <= ``limit``)."""
-    k = dense_K(tables, limit)
-    diag = 2.0 * dense_A(tables, limit) + k
+def dense_L(tables: CollisionTables) -> np.ndarray:
+    """Full dense pair operator [[2A+K, K], [K, 2A+K]], (2 n_v^3)^2 doubles."""
+    k = dense_K(tables)
+    diag = 2.0 * dense_A(tables) + k
     return np.block([[diag, k], [k, diag]])
 
 

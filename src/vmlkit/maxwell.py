@@ -194,19 +194,18 @@ def div_b_norm(grid: SpatialGrid, em: EMField) -> float:
     return float(np.sqrt(np.sum(np.abs(div_spec(grid, em.b_spec)) ** 2)))
 
 
-def make_compatible(grid: SpatialGrid, em_guess: EMField, rho_spec: np.ndarray,
-                    neutrality_tol: float = 1e-10) -> EMField:
+def make_compatible(grid: SpatialGrid, em_guess: EMField, rho_spec: np.ndarray) -> EMField:
     """Project a field guess onto the Gauss-law and div B = 0 constraints.
 
     The longitudinal part of E is replaced mode-by-mode by the Poisson
     solution -i xi rho / |xi|^2; B loses its longitudinal component.  A
-    nonzero charge zero mode is rejected: the torus requires global
-    neutrality.
+    charge zero mode above 1e-10 of the largest (or of 1) is rejected: the
+    torus requires global neutrality.
     """
     zero_idx = (0,) * grid.n_active
     rho0 = abs(rho_spec[zero_idx])
     scale = max(float(np.max(np.abs(rho_spec))), 1.0)
-    if rho0 > neutrality_tol * scale:
+    if rho0 > 1e-10 * scale:
         raise ValueError(
             f"net charge mode {rho0:.3e} violates torus neutrality; "
             "shift the species densities before initializing fields"

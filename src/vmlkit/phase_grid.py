@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Sequence
 
 import numpy as np
 
@@ -173,11 +172,9 @@ class VelocityGrid:
         t = self.nodes_1d
         return (TWO_PI) ** (-0.25) * np.exp(-0.25 * t * t)
 
-    def integrate(self, f: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
-        """Cell-measure quadrature over the last three axes (or ``axes``)."""
-        if axes is None:
-            axes = (-3, -2, -1)
-        return self.cell_volume * np.sum(f, axis=tuple(axes))
+    def integrate(self, f: np.ndarray) -> np.ndarray:
+        """Cell-measure quadrature over the last three axes."""
+        return self.cell_volume * np.sum(f, axis=(-3, -2, -1))
 
     def weight_field(self, params: WeightParams, t: float) -> np.ndarray:
         """Time-velocity weight w_ell(t, v) on the grid; t must be nonnegative."""
@@ -380,16 +377,16 @@ class SpatialGrid:
         out *= scale
         return out
 
-    def hermitian_half(self, spec: np.ndarray, x_axes=None) -> np.ndarray:
+    def hermitian_half(self, spec: np.ndarray) -> np.ndarray:
         """(spec(xi) + conj spec(-xi)) / 2 on the half spectrum.
 
         Equal to ``forward_half(inverse(spec).real)``, without a transform.
         """
-        axes = self._x_axes(spec, x_axes)
+        axes = self._x_axes(spec, None)
         both = spec + np.roll(np.flip(spec, axes), 1, axes).conj()
         return 0.5 * np.take(both, np.arange(self.n_x // 2 + 1), axis=axes[-1])
 
-    def full_spectrum(self, half: np.ndarray, x_axes=None) -> np.ndarray:
+    def full_spectrum(self, half: np.ndarray) -> np.ndarray:
         """The full spectrum of a half spectrum, the reverse of ``hermitian_half``.
 
         Equal to ``forward(inverse_half(half))``, without a transform: each
@@ -397,7 +394,7 @@ class SpatialGrid:
         the conjugate, so the self-conjugate planes keep their Hermitian
         part, as in ``inverse_half``.
         """
-        axes = self._x_axes(half, x_axes)
+        axes = self._x_axes(half, None)
         weight = self._mult_view(0.5 * self.orbit_weight, half.ndim, axes[-1:])
         shape = list(half.shape)
         shape[axes[-1]] = self.n_x

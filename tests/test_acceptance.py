@@ -71,8 +71,7 @@ def test_criterion_2_coercivity_stability(tables24):
         tab = tables24 if n_v == 24 else landau.build_collision_tables(
             VelocityGrid(6.0, 16), -3.0)
         proj = MacroProjector(tab.grid)
-        gaps[n_v] = landau.coercivity_gap(tab, proj.micro_part,
-                                          n_samples=100, seed=2202)
+        gaps[n_v] = landau.coercivity_gap(tab, proj.micro_part, n_samples=100)
     elapsed = time.time() - t0
     drift = abs(gaps[16].min_ratio - gaps[24].min_ratio) / gaps[24].min_ratio
     ok = gaps[16].min_ratio > 0 and gaps[24].min_ratio > 0 and drift <= 0.2 \
@@ -161,7 +160,7 @@ def test_criterion_5_conservation():
 def test_criterion_6_constraints():
     def run_once(dt):
         cfg = RunConfig(n_x=16, n_v=8, dt=dt, t_end=0.8, preset="broadband",
-                        collision_solver="direct", direct_max_nv=8,
+                        collision_solver="direct",
                         report_every=max(1, int(round(0.8 / dt))),
                         monitor_every=0)
         res = evolve.run(cfg)
@@ -229,7 +228,7 @@ def test_criterion_9_transform_layer():
 def test_criterion_10_quadratic_remainder():
     def diff(amp):
         base = dict(n_x=16, n_v=8, dt=0.05, t_end=0.5, preset="broadband",
-                    collision_solver="direct", direct_max_nv=8,
+                    collision_solver="direct",
                     report_every=10 ** 9, monitor_every=0, seed=3,
                     amplitude=amp)
         rl = evolve.run(RunConfig(mode="linearized", **base))
@@ -250,7 +249,7 @@ def test_criterion_11_reproducibility(tmp_path):
     elapsed = time.time() - t0
     args = ["simulate", "--set", "n_x=8", "--set", "n_v=8",
             "--set", "t_end=0.3", "--set", "dt=0.1",
-            "--set", "collision_solver=direct", "--set", "direct_max_nv=8",
+            "--set", "collision_solver=direct",
             "--set", "report_every=1", "--set", "monitor_every=0"]
     rc1 = cli.main(args + ["--out", str(tmp_path / "a")])
     rc2 = cli.main(args + ["--out", str(tmp_path / "b")])

@@ -14,13 +14,62 @@ from vmlkit import diagnostics as diag
 FAST_OVERRIDES = [
     "--set", "n_x=8", "--set", "n_v=8", "--set", "t_end=0.3",
     "--set", "dt=0.1", "--set", "collision_solver=direct",
-    "--set", "direct_max_nv=8", "--set", "report_every=1",
+    "--set", "report_every=1",
     "--set", "monitor_every=0",
 ]
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+# One or more bad values of every RunConfig field, as (test id, --set items):
+# each exits 2 with a one-line message that names the field
+BAD_VALUES = {
+    "n_x": [("n_x", ["n_x=0"])],
+    "box_length": [("box_length", ["box_length=-1"])],
+    "active_axes": [("active_axes", ["active_axes=3"])],
+    "n_v": [("coarse_n_v", ["n_v=6"]),
+            ("direct_past_limit", ["collision_solver=direct", "n_v=20"])],
+    "v_max": [("v_max", ["v_max=-1"])],
+    "gamma": [("gamma", ["gamma=-1"])],
+    "s_exp": [("s_exp", ["s_exp=2.0"])],
+    "q": [("q", ["q=-1"])],
+    "theta": [("theta", ["theta=-1"])],
+    "ell": [("ell", ["ell=-1"])],
+    "ell0": [("ell0", ["ell0=-1"])],
+    "lprime": [("lprime", ["lprime=-1"])],
+    "eps0": [("eps0_zero", ["eps0=0"]), ("eps0", ["eps0=-1"])],
+    "dt": [("dt", ["dt=0"])],
+    "t_end": [("t_end", ["t_end=-1"])],
+    "mode": [("mode", ["mode=banana"])],
+    "collision_solver": [("collision_solver", ["collision_solver=banana"])],
+    "cg_tol": [("cg_tol", ["collision_solver=cg", "cg_tol=0"])],
+    "preset": [("preset", ["preset=banana"])],
+    "amplitude": [("amplitude", ["amplitude=nan"]), ("amplitude_huge", ["amplitude=1e300"])],
+    "seed": [("seed", ["seed=-1"])],
+    "n_modes": [("n_modes", ["n_modes=0"])],
+    "asym_fraction": [("asym_fraction", ["asym_fraction=-1"])],
+    "micro_fraction": [("micro_fraction", ["micro_fraction=-0.5"])],
+    "b_fraction": [("b_fraction", ["b_fraction=-2"])],
+    "couple_fields": [("couple_fields", ["couple_fields=maybe"])],
+    "n_max": [("n_max", ["n_max=-1"])],
+    "n0": [("n0", ["n0=-1"])],
+    "k_max": [("k_max", ["k_max=-1"])],
+    "beta_max": [("beta_max", ["beta_max=-1"])],
+    "report_every": [("report_every", ["report_every=0"])],
+    "monitor_every": [("monitor_every", ["monitor_every=-1"])],
+    "checkpoint_every": [("checkpoint_every", ["checkpoint_every=-2"])],
+    # no longer a field (the direct solver's size is a constant): an unknown key
+    "direct_max_nv": [("unknown_direct_max_nv", ["direct_max_nv=8"])],
+}
+
+# the rows in field order, then the keys that are no field; a field without
+# a row is a failing row of its own
+FIELDS = [f.name for f in dataclasses.fields(evolve.RunConfig)]
+BAD_ROWS = [pytest.param(settings, key, id=test_id)
+            for key in FIELDS + [key for key in BAD_VALUES if key not in FIELDS]
+            for test_id, settings in BAD_VALUES.get(key, [(f"{key}_no_row", None)])]
 
 
 class TestConfigHandling:
@@ -33,6 +82,19 @@ class TestConfigHandling:
         assert "n_elephants" in err
         assert ":3:" in err  # line-precise message
 
+    def test_old_manifest_key_rejected_with_line(self, tmp_path, capsys):
+        # manifests written while the direct solver's size was a setting
+        # name it in [integrator]; it is now an unknown key like any other
+        cfg = tmp_path / "manifest.cfg"
+        cfg.write_text("[integrator]\ndt = 0.1\ncollision_solver = auto\ndirect_max_nv = 16\n")
+        out = tmp_path / "run"
+        rc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.strip().splitlines()) == 1
+        assert f"{cfg}:4: unknown config key 'direct_max_nv'" in err
+        assert not out.exists()
+
     def test_manifest_sections_cover_every_config_field(self):
         keys = [key for keys in cli.SECTIONS.values() for key in keys]
         assert sorted(keys) == sorted(f.name for f in dataclasses.fields(evolve.RunConfig))
@@ -44,31 +106,9 @@ class TestConfigHandling:
         assert "dt" in err
         assert "banana" in err
 
-    @pytest.mark.parametrize("settings, key", [
-        (["n_v=6"], "n_v"),
-        (["n_x=0"], "n_x"),
-        (["v_max=-1"], "v_max"),
-        (["collision_solver=direct", "n_v=20"], "n_v"),
-        (["report_every=0"], "report_every"),
-        (["box_length=-1"], "box_length"),
-        (["amplitude=nan"], "amplitude"),
-        (["amplitude=1e300"], "amplitude"),
-        (["monitor_every=-1"], "monitor_every"),
-        (["checkpoint_every=-2"], "checkpoint_every"),
-        (["beta_max=-1"], "beta_max"),
-        (["collision_solver=cg", "cg_tol=0"], "cg_tol"),
-        (["n_modes=0"], "n_modes"),
-        (["seed=-1"], "seed"),
-        (["eps0=0"], "eps0"),
-        (["eps0=-1"], "eps0"),
-        (["asym_fraction=-1"], "asym_fraction"),
-        (["micro_fraction=-0.5"], "micro_fraction"),
-        (["b_fraction=-2"], "b_fraction"),
-    ], ids=["coarse_n_v", "n_x", "v_max", "direct_past_limit", "report_every",
-            "box_length", "amplitude", "amplitude_huge", "monitor_every",
-            "checkpoint_every", "beta_max", "cg_tol", "n_modes", "seed", "eps0_zero",
-            "eps0", "asym_fraction", "micro_fraction", "b_fraction"])
+    @pytest.mark.parametrize("settings, key", BAD_ROWS)
     def test_bad_grid_rejected(self, tmp_path, capsys, settings, key):
+        assert settings is not None, f"RunConfig field {key} has no bad-value row"
         argv = ["simulate", "--out", str(tmp_path)]
         for item in settings:
             argv += ["--set", item]
@@ -79,11 +119,10 @@ class TestConfigHandling:
         assert key in err
         assert not (tmp_path / "manifest.cfg").exists()
 
-    @pytest.mark.parametrize("setting", ["n_max=0", "direct_max_nv=2"])
+    @pytest.mark.parametrize("setting", ["n_max=0"])
     def test_edge_values_accepted(self, tmp_path, capsys, setting):
-        # the smallest values that still mean something: an unweighted energy
-        # family of order 0, and a direct limit below every grid (the auto
-        # solver is then the CG).  Both run to the end and write their outputs
+        # the smallest value that still means something: an unweighted energy
+        # family of order 0.  It runs to the end and writes its outputs
         rc = run_cli("simulate", "--out", str(tmp_path), "--set", "n_x=4", "--set", "n_v=8",
                      "--set", "dt=0.05", "--set", "t_end=0.1", "--set", setting)
         assert rc == 0, capsys.readouterr().err
@@ -149,7 +188,7 @@ class TestSimulate:
         rc = run_cli("simulate", "--preset", "relaxation", "--out", str(out),
                      "--set", "n_v=8", "--set", "dt=0.1", "--set", "t_end=1.0",
                      "--set", "collision_solver=direct",
-                     "--set", "direct_max_nv=8", "--set", "report_every=2")
+                     "--set", "report_every=2")
         assert rc == 0
         header, data = cli.read_csv(str(out / "diagnostics.csv"))
         col = data[:, header.index("norm_f_sq")]
@@ -160,7 +199,7 @@ class TestSimulate:
         rc = run_cli("simulate", "--preset", "vacuum-maxwell", "--out", str(out),
                      "--set", "n_v=8", "--set", "dt=0.05", "--set", "t_end=2.0",
                      "--set", "collision_solver=direct",
-                     "--set", "direct_max_nv=8", "--set", "report_every=5",
+                     "--set", "report_every=5",
                      "--set", "monitor_every=0")
         assert rc == 0
         header, data = cli.read_csv(str(out / "diagnostics.csv"))

@@ -15,7 +15,7 @@ from oracles import rhs_full
 
 @pytest.fixture(scope="module")
 def ctx8():
-    cfg = RunConfig(n_x=16, n_v=8, collision_solver="direct", direct_max_nv=8)
+    cfg = RunConfig(n_x=16, n_v=8, collision_solver="direct")
     sg, vg = cfg.grids()
     tab = landau.build_collision_tables(vg, cfg.gamma)
     proj = MacroProjector(vg)
@@ -79,7 +79,7 @@ class TestEnergyFamilies:
         # weighted f energy equals the unweighted one exactly (the broadband
         # state has no Nyquist content, where the two conventions differ)
         cfg = RunConfig(n_x=16, n_v=8, collision_solver="direct",
-                        direct_max_nv=8, q=0.0, beta_max=0)
+                        q=0.0, beta_max=0)
         sg, vg = cfg.grids()
         tab = landau.build_collision_tables(vg, cfg.gamma)
         proj = MacroProjector(vg)
@@ -108,7 +108,7 @@ class TestEnergyFamilies:
         # q = 0 freezes the weight itself, so on a frozen state only the
         # literal (1+t)^(-1-theta) prefactor moves
         cfg = RunConfig(n_x=16, n_v=8, collision_solver="direct",
-                        direct_max_nv=8, q=0.0)
+                        q=0.0)
         sg, vg = cfg.grids()
         tab = landau.build_collision_tables(vg, cfg.gamma)
         ctx = diag.DiagContext(sg, vg, tab, MacroProjector(vg), cfg)
@@ -155,7 +155,8 @@ def reference_densities(ctx, f, alpha, beta):
                     (grad[0] * v1 + grad[1] * v2 + grad[2] * v3) / np.where(origin, 1.0, vn))
     gsq = grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2
     gperp = np.where(origin, gsq, np.maximum(gsq - gpar ** 2, 0.0))
-    sigma = tab.bracket_perp ** 2 * (mab ** 2 + gperp) + tab.bracket_par ** 2 * gpar ** 2
+    sigma = (tab.bracket_perp ** 2 * (mab ** 2 + gperp)
+             + vg.bracket(tab.gamma / 2) ** 2 * gpar ** 2)
     return reduce(dab ** 2), (1.0 + vg.vsq()) * reduce(mab ** 2), reduce(sigma)
 
 
@@ -330,8 +331,7 @@ class TestXFunctional:
         # the sup stays at its t = 0 value
         for preset, rises in (("broadband", True), ("relaxation", False)):
             cfg = RunConfig(n_x=8, n_v=8, dt=0.1, t_end=0.5, preset=preset,
-                            collision_solver="direct", direct_max_nv=8,
-                            report_every=1, monitor_every=0)
+                            collision_solver="direct", report_every=1, monitor_every=0)
             reps = evolve.run(cfg).reports
             inst = np.array([r.x_instant for r in reps])
             x = np.array([r.x_t for r in reps])
@@ -413,8 +413,7 @@ class TestLyapunovMonitor:
 
     def test_pure_relaxation_never_flags(self):
         cfg = RunConfig(n_x=8, n_v=8, dt=0.1, t_end=1.0, preset="relaxation",
-                        collision_solver="direct", direct_max_nv=8,
-                        report_every=10, monitor_every=1)
+                        collision_solver="direct", report_every=10, monitor_every=1)
         res = evolve.run(cfg)
         t, ek, dk, dpk = res.monitor.as_arrays()
         rep = diag.lyapunov_monitor(t, ek, dpk)
@@ -451,7 +450,7 @@ class TestInterpolationMonitor:
         vals = {}
         for n_v in (8, 10):
             cfg = RunConfig(n_x=16, n_v=n_v, dt=0.1, t_end=2.0,
-                            collision_solver="direct", direct_max_nv=12,
+                            collision_solver="direct",
                             report_every=2, monitor_every=0, amplitude=1e-3)
             res = evolve.run(cfg)
             reps = res.reports
@@ -483,8 +482,7 @@ def test_stepper_L_matches_matrix_free_diagnostics(ctx8, method):
     # a context carrying the run's collision stepper takes the collision
     # power (the block quadratic form in direct mode) from it
     cfg, ctx = ctx8
-    stepper = evolve.CollisionStepper(ctx.tables, cfg.dt, method=method,
-                                      direct_max_nv=8)
+    stepper = evolve.CollisionStepper(ctx.tables, cfg.dt, method=method)
     ctx_s = diag.DiagContext(ctx.sgrid, ctx.vgrid, ctx.tables, ctx.projector, cfg,
                              collision=stepper)
     st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
@@ -587,8 +585,7 @@ def test_transforms_per_snapshot(ctx8, monkeypatch, method, forward_half, report
     # reads its collision power off the blocks.  No complex fftn of a
     # phase-space array (the report's charge density is an x field)
     cfg, ctx = ctx8
-    stepper = evolve.CollisionStepper(ctx.tables, cfg.dt, method=method,
-                                      direct_max_nv=8)
+    stepper = evolve.CollisionStepper(ctx.tables, cfg.dt, method=method)
     ctx_s = diag.DiagContext(ctx.sgrid, ctx.vgrid, ctx.tables, ctx.projector, cfg,
                              collision=stepper)
     st = initial_state(RunConfig(n_x=16, n_v=8), ctx.sgrid, ctx.vgrid)
@@ -611,11 +608,11 @@ def test_report_step_monitor_row_is_the_beta_zero_row():
     # at a report step the monitor row comes from the report's snapshot;
     # it must equal the row of a beta = 0 snapshot of the same state
     cfg = RunConfig(n_x=8, n_v=8, dt=0.1, t_end=0.2, collision_solver="direct",
-                    direct_max_nv=8, monitor_every=1, report_every=2)
+                    monitor_every=1, report_every=2)
     res = evolve.run(cfg)
     sg, vg = cfg.grids()
     tab = landau.build_collision_tables(vg, cfg.gamma)
-    stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct", direct_max_nv=8)
+    stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct")
     ctx = diag.DiagContext(sg, vg, tab, MacroProjector(vg), cfg, collision=stepper)
     row = diag.monitor_row(ctx, diag.SpectralSnapshot(ctx, res.final_state, report=False))
     recorded = (res.monitor.e_k[-1], res.monitor.d_k[-1], res.monitor.d_proxy_k[-1])

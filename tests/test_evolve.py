@@ -22,7 +22,7 @@ from vmlkit.macro_micro import MacroProjector
 
 from oracles import field_source_on_f, rhs_full
 
-SMALL = dict(n_x=16, n_v=8, collision_solver="direct", direct_max_nv=8,
+SMALL = dict(n_x=16, n_v=8, collision_solver="direct",
              report_every=10 ** 9, monitor_every=0)
 
 
@@ -80,7 +80,7 @@ class TestRunConfig:
         cfg = config_from_mapping({"n_x": "16", "dt": "0.1", "mode": "nonlinear",
                                    "active_axes": "0", "n_v": "8"})
         assert cfg.n_x == 16 and cfg.dt == 0.1 and cfg.mode == "nonlinear"
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown config key 'n_q'"):
             config_from_mapping({"n_q": "3"})
 
 
@@ -237,7 +237,7 @@ class TestHalfSpectrumStep:
         # forward transform's spectrum and the new f, and nothing else that
         # scales with the grid: 6.5 and 6.0 f-sized arrays before its
         # stages worked in place, 2.4 and 2.0 after
-        cfg = small_cfg(n_x=n_x, n_v=n_v, direct_max_nv=n_v, dt=0.1)
+        cfg = small_cfg(n_x=n_x, n_v=n_v, dt=0.1)
         sg, vg = cfg.grids()
         stepper = Stepper(cfg, sg, vg, landau.build_collision_tables(vg, cfg.gamma))
         state = stepper.step(initial_state(cfg, sg, vg))
@@ -346,7 +346,7 @@ class TestStep:
     def test_quadratic_form_matches_matrix_free(self, setup8, x_shape):
         # Re sum conj(f) L f per point from the blocks, on complex rows
         cfg, sg, vg, tab = setup8
-        stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct", direct_max_nv=8)
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct")
         rng = np.random.default_rng(10)
         f = rng.standard_normal((2, 2) + x_shape + vg.shape)
         spec = f[0] + 1j * f[1]
@@ -368,7 +368,7 @@ class TestStep:
         # v1+v2+v3 momentum (trivial) and the two other momenta (standard);
         # the difference's one, the charge, is trivial
         cfg, sg, vg, tab = setup8
-        stepper = evolve.CollisionStepper(tab, dt, method="direct", direct_max_nv=8)
+        stepper = evolve.CollisionStepper(tab, dt, method="direct")
         for blocks, invariants, total in zip(stepper._prop, ((3, 0, 1), (1, 0, 0)), (5, 1)):
             counts = []
             for prop in blocks:
@@ -381,7 +381,7 @@ class TestStep:
 
     def test_cg_iterations_of_both_solves(self, setup8):
         cfg, sg, vg, tab = setup8
-        stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg", direct_max_nv=8)
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg")
         f = np.random.default_rng(5).standard_normal((2, 3) + vg.shape)
         stepper.advance(f)
         iters_s, iters_d = stepper.last_iterations
@@ -392,9 +392,8 @@ class TestStep:
         # outer iterations on this state where diagonal PCG takes 25
         cfg, sg, vg, tab = setup8
         f = np.random.default_rng(5).standard_normal((2, 3) + vg.shape)
-        direct = evolve.CollisionStepper(tab, cfg.dt, method="direct",
-                                         direct_max_nv=8).advance(f)
-        stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg", direct_max_nv=8)
+        direct = evolve.CollisionStepper(tab, cfg.dt, method="direct").advance(f)
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg")
         out = stepper.advance(f)
         assert np.abs(out - direct).max() <= 1e-10 * np.abs(direct).max()
         assert stepper.last_iterations[0] <= 8
@@ -402,7 +401,7 @@ class TestStep:
     def test_inner_solve_that_misses_its_tolerance_raises(self, setup8, monkeypatch):
         cfg, sg, vg, tab = setup8
         monkeypatch.setattr(evolve.CollisionStepper, "INNER_TOL", 1e-300)
-        stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg", direct_max_nv=8)
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="cg")
         f = np.random.default_rng(5).standard_normal((2, 1) + vg.shape)
         with pytest.raises(evolve.CGNotConverged, match="inner I \\+ dt A solve"):
             stepper.advance(f)
@@ -410,8 +409,7 @@ class TestStep:
     @pytest.mark.parametrize("method", ["cg", "direct"])
     def test_cg_trapezoid_residual_below_tolerance(self, setup8, method):
         cfg, sg, vg, tab = setup8
-        stepper = evolve.CollisionStepper(tab, cfg.dt, method=method, cg_tol=1e-12,
-                                          direct_max_nv=8)
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method=method, cg_tol=1e-12)
         rng = np.random.default_rng(4)
         f = rng.standard_normal((2, 4) + vg.shape)
         out = stepper.advance(f)
@@ -426,11 +424,9 @@ class TestStep:
 
     def test_direct_solver_guard(self, setup8):
         cfg, sg, vg, tab = setup8
-        with pytest.raises(ValueError):
-            evolve.CollisionStepper(tab, 0.05, method="direct", direct_max_nv=6)
         # a negative step makes I + dt/2 L indefinite: Cholesky must refuse it
         with pytest.raises(ValueError, match="n_v=8, gamma=-3.0, dt=-1.0"):
-            evolve.CollisionStepper(tab, -1.0, method="direct", direct_max_nv=8)
+            evolve.CollisionStepper(tab, -1.0, method="direct")
 
     def test_spd_inverse(self):
         # two levels of Schur complements over leaves of at most 64 rows
@@ -452,13 +448,13 @@ class TestPermutationBlocks:
     @pytest.fixture(scope="class")
     def blocked(self, setup8):
         cfg, sg, vg, tab = setup8
-        stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct", direct_max_nv=8)
+        stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct")
         n3 = vg.n_v ** 3
         triv, sign, std = stepper._basis.forward(np.eye(n3))
         # columns: the basis vectors, block after block
         q = np.hstack([triv, sign, std[0::2], std[1::2]])
-        a = landau.dense_A(tab, limit=8)
-        a_plus_k = a + landau.dense_K(tab, limit=8)
+        a = landau.dense_A(tab)
+        a_plus_k = a + landau.dense_K(tab)
         return cfg, stepper, q, {"a_plus_k": a_plus_k, "a": a}
 
     def test_basis_is_orthonormal(self, blocked):

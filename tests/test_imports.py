@@ -1,6 +1,7 @@
 """Module structure of the package: imports stay at module level, acyclic."""
 
 import ast
+import math
 import pathlib
 import subprocess
 import sys
@@ -46,7 +47,7 @@ _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 _SIMULATE = ("rc = cli.main(['simulate', '--out', sys.argv[1], '--set', 'n_x=4',"
              " '--set', 'n_v=8', '--set', 'dt=0.1', '--set', 't_end=0.1',"
-             " '--set', 'collision_solver={solver}', '--set', 'direct_max_nv=8'])\n"
+             " '--set', 'collision_solver={solver}'])\n"
              "assert rc == 0, rc\n")
 
 
@@ -181,3 +182,52 @@ def test_every_definition_is_used_by_the_package():
         if not any(a.attr == name and id(a) not in own for a in attrs):
             unread.add((cls, name))
     assert unread == TEST_METHOD_REFERENCES
+
+
+# Defaulted parameters that no call in the package passes: the command
+# line's argv, which the console script leaves to sys.argv.
+UNPASSED_PARAMETERS = {("cli", "main", "argv")}
+
+
+def test_every_optional_parameter_is_passed_by_the_package():
+    # every setting has a caller: a parameter with a default that no call in
+    # the package passes, by keyword or by position, is a constant the tests
+    # alone vary.  Calls are matched by name, through simple local aliases
+    # (``band = sgrid.band_multiplier``); a class's __init__ is called by the
+    # class's name, and a method's positions count after self
+    optional, calls, alias = [], [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        parent = {id(c): node for node in ast.walk(tree) for c in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                owner = parent[id(node)]
+                method = isinstance(owner, ast.ClassDef) and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                name = owner.name if method and node.name == "__init__" else node.name
+                a = node.args
+                pos = a.posonlyargs + a.args
+                optional += [(path.stem, name, arg.arg, i - method)
+                             for i, arg in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+                optional += [(path.stem, name, arg.arg, None)
+                             for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                         and isinstance(value, ast.Tuple) else [(target, value)])
+                alias.update({t.id: v.attr for t, v in pairs
+                              if isinstance(t, ast.Name) and isinstance(v, ast.Attribute)})
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+    keywords, positions = set(), {}
+    for call in calls:
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        name = alias.get(name, name)
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        positions[name] = max(positions.get(name, 0), math.inf if starred else len(call.args))
+        # a **mapping (keyword None) may pass any parameter
+        keywords.update((name, kw.arg) for kw in call.keywords)
+    unpassed = {(module, name, param) for module, name, param, i in optional
+                if not ({(name, param), (name, None)} & keywords
+                        or i is not None and positions.get(name, 0) > i)}
+    assert unpassed == UNPASSED_PARAMETERS

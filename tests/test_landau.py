@@ -11,7 +11,7 @@ from scipy import integrate
 from scipy import linalg as sla
 from scipy.special import erf
 
-from vmlkit import landau, maxwell
+from vmlkit import evolve, landau, maxwell
 from vmlkit.diagnostics import DiagContext, SpectralSnapshot
 from vmlkit.evolve import PhaseState, RunConfig
 from vmlkit.macro_micro import MacroProjector
@@ -260,9 +260,19 @@ class TestApplyL:
         assert ev[0] > -1e-10 * ev[-1]
         assert int(np.sum(np.abs(ev) < 1e-8 * ev[-1])) == 6
 
-    def test_dense_guard(self, tables12):
-        with pytest.raises(ValueError):
-            landau.dense_L(tables12, limit=8)
+    def test_dense_guard(self, monkeypatch):
+        # past DIRECT_MAX_NV an explicit direct solver is refused before any
+        # dense row is assembled
+        tables = landau.build_collision_tables(VelocityGrid(6.0, 17), -3.0)
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("dense rows assembled past the direct limit")
+
+        monkeypatch.setattr(landau, "dense_A", no_rows)
+        monkeypatch.setattr(landau, "dense_K", no_rows)
+        with pytest.raises(ValueError, match="n_v <= 16 \\(got n_v = 17\\)"):
+            evolve.CollisionStepper(tables, 0.05, method="direct")
+        assert evolve.CollisionStepper(tables, 0.05).method == "cg"
 
 
 class TestApplyGamma:
@@ -585,6 +595,13 @@ class TestConvolutionPool:
         assert landau._usable_cpus() == 3
 
 
+def sigma_density_of(tables, h, grad):
+    """sigma_density of h with the gradient ``grad``: the bracket |h|^2 + |g|^2 - |g.u|^2."""
+    sq = landau._abs2(h) + sum(landau._abs2(g) for g in grad)
+    sq -= landau._abs2(sum(g * u for g, u in zip(grad, tables.vpar)))
+    return landau.sigma_density(tables, sq)
+
+
 class TestSigmaNorm:
     def test_zero_field(self, tables8):
         assert landau.sigma_norm(np.zeros(tables8.grid.shape), tables8) == 0.0
@@ -597,13 +614,12 @@ class TestSigmaNorm:
         grad_scale = 0.6
         v1, v2, v3 = vgrid12.axes()
         grad = [-grad_scale * (v + 0 * vsq) * f for v in (v1, v2, v3)]
-        full = landau.sigma_norm_sq(f, tables12, grad=grad)
-        par_w = tables12.bracket_par ** 2
+        # the norm's integral with the analytic gradient in place of the stencil's
+        full = vgrid12.integrate(sigma_density_of(tables12, f, grad))
+        par_w = vgrid12.bracket(tables12.gamma / 2) ** 2
         perp_w = tables12.bracket_perp ** 2
         gpar_sq = grad_scale ** 2 * vsq * f ** 2
-        expect = vgrid12.grid.integrate(perp_w * f ** 2 + par_w * gpar_sq) \
-            if hasattr(vgrid12, "grid") else vgrid12.integrate(
-                perp_w * f ** 2 + par_w * gpar_sq)
+        expect = vgrid12.integrate(perp_w * f ** 2 + par_w * gpar_sq)
         assert full == pytest.approx(expect, rel=1e-10)
 
     def test_maxwellian_sqrt_value_against_radial_quadrature(self):
@@ -623,7 +639,7 @@ class TestSigmaNorm:
         mu_half = grid.mu_half()
         v1, v2, v3 = grid.axes()
         grad = [-0.5 * (v + 0 * mu_half) * mu_half for v in (v1, v2, v3)]
-        val = float(landau.sigma_norm_sq(mu_half, tab, grad=grad))
+        val = float(grid.integrate(sigma_density_of(tab, mu_half, grad)))
         assert val == pytest.approx(oracle, rel=1e-4)
 
     def test_weighted_norm_uses_weight(self, tables8, vgrid8, proj8):
@@ -664,13 +680,11 @@ class TestSigmaNorm:
         gpar = sum(g * u for g, u in zip(grad, vhat))
         gperp_sq = sum(np.abs(g - gpar * u) ** 2 for g, u in zip(grad, vhat))
         ref = (tables8.bracket_perp ** 2 * (np.abs(h) ** 2 + gperp_sq)
-               + tables8.bracket_par ** 2 * np.abs(gpar) ** 2)
+               + vgrid8.bracket(tables8.gamma / 2) ** 2 * np.abs(gpar) ** 2)
         # the bracket |h|^2 + |g|^2 - |g.u|^2 with u = v/<v>
         vpar = [v / vgrid8.bracket() for v in vgrid8.axes()]
         assert all(np.abs(u - w).max() <= 1e-15 for u, w in zip(tables8.vpar, vpar))
-        sq = landau._abs2(h) + sum(landau._abs2(g) for g in grad)
-        sq -= landau._abs2(sum(g * u for g, u in zip(grad, tables8.vpar)))
-        got = landau.sigma_density(tables8, sq)
+        got = sigma_density_of(tables8, h, grad)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         # and the norm integrates that density
         assert np.array_equal(landau.sigma_norm_sq(h, tables8), vgrid8.integrate(got))
@@ -684,7 +698,7 @@ class TestCoercivity:
             tab = landau.build_collision_tables(grid, -3.0)
             proj = MacroProjector(grid)
             reports[n] = landau.coercivity_gap(tab, proj.micro_part,
-                                               n_samples=100, seed=2202)
+                                               n_samples=100)
         assert reports[16].min_ratio > 0.0
         assert reports[24].min_ratio > 0.0
         drift = abs(reports[16].min_ratio - reports[24].min_ratio) \
@@ -710,8 +724,10 @@ class TestCoercivity:
         d = [landau._apply_axis(tables8.fd, eye, j - 3).reshape(n3, n3).T
              for j in range(3)]
         perp2 = (tables8.bracket_perp ** 2).ravel()
-        gap2 = (tables8.bracket_par ** 2).ravel() - perp2
-        par = sum(u.ravel()[:, None] * dj for u, dj in zip(tables8.vhat, d))
+        gap2 = (grid.bracket(tables8.gamma / 2) ** 2).ravel() - perp2
+        vn = grid.vnorm()
+        vhat = [np.divide(v, vn, out=np.zeros_like(vn), where=vn > 0.0) for v in grid.axes()]
+        par = sum(u.ravel()[:, None] * dj for u, dj in zip(vhat, d))
         one = (np.diag(perp2) + sum(dj.T @ (perp2[:, None] * dj) for dj in d)
                + par.T @ (gap2[:, None] * par)) * grid.cell_volume
         gram = np.kron(np.eye(2), one)

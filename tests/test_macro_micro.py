@@ -206,8 +206,7 @@ class TestFluidResiduals:
             # cadence tied to the step so both the integrator error and the
             # history differencing error scale together at order dt^2
             cfg = RunConfig(n_x=16, n_v=8, dt=dt, t_end=0.64, preset="broadband",
-                            collision_solver="direct", direct_max_nv=8,
-                            report_every=2, monitor_every=0)
+                            collision_solver="direct", report_every=2, monitor_every=0)
             sgrid, _ = cfg.grids()
             return fluid_residuals(fluid_history(cfg)[0], sgrid)
 

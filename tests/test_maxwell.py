@@ -73,7 +73,7 @@ class TestFieldRhs:
         # 1571 steps of 0.02 cover one period 2 pi / 0.2 = 31.416
         cfg = RunConfig(preset="vacuum-maxwell", couple_fields=False, n_x=16,
                         box_length=2.0 * math.pi * 10.0, n_v=8,
-                        collision_solver="direct", direct_max_nv=8, dt=0.02,
+                        collision_solver="direct", dt=0.02,
                         t_end=1571 * 0.02, report_every=10 ** 9,
                         monitor_every=0)
         cfg.validate()
@@ -162,7 +162,7 @@ class TestVacuumEnergy:
         for dt in (0.1, 0.05):
             cfg = RunConfig(preset="vacuum-maxwell", couple_fields=False,
                             n_x=16, box_length=2.0 * math.pi * 10.0, n_v=8,
-                            collision_solver="direct", direct_max_nv=8,
+                            collision_solver="direct",
                             dt=dt, t_end=8.0, report_every=10 ** 9,
                             monitor_every=0)
             res = evolve.run(cfg)
