@@ -78,7 +78,8 @@ def load_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        # configparser spreads its message over lines: one line, like every error
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
     flat = {}
     linenos = _key_line_numbers(path)
     for section in parser.sections():
@@ -199,7 +200,8 @@ def cmd_simulate(args) -> int:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     ckpt_dir = os.path.join(out, "checkpoints")
-    write_manifest(os.path.join(out, "manifest.cfg"), cfg)
+    manifest = os.path.join(out, "manifest.cfg")
+    write_manifest(manifest, cfg)
     try:
         result = evolve.run(cfg, initial=initial, resume_step=resume_step,
                             checkpoint_dir=ckpt_dir)
@@ -207,6 +209,12 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}; last good state (step {exc.good_step}) checkpointed "
               f"to {os.path.join(ckpt_dir, 'last_good.bin')}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # the one set-up failure the config's checks cannot foresee: a
+        # collision propagator I + dt/2 L too ill-conditioned to invert
+        os.remove(manifest)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     write_csv(os.path.join(out, "diagnostics.csv"), result.reports, cfg.k_max)
     os.makedirs(ckpt_dir, exist_ok=True)
     evolve.save_checkpoint(os.path.join(ckpt_dir, "final.bin"),

@@ -32,8 +32,8 @@ equivalences are fixed to one.  Conventions:
   (``landau.sigma_density``, the one sigma split) multiplies the
   mode-contracted sums once per snapshot.  The multipliers carry
   ``SpatialGrid.orbit_weight``, 2 on interior modes and 1 at last index 0
-  and n_x / 2.  The fields of a block are views of a scratch
-  (``BlockFields``), kept for the run with a direct stepper.  The
+  and n_x / 2.  The fields of a block are views of a ``Scratch``, the
+  direct stepper's in a direct run and one per snapshot otherwise.  The
   constants every snapshot shares (alpha multipliers, the tree's plans)
   are built once per ``DiagContext``; the x multipliers once per
   ``SpatialGrid``.
@@ -70,16 +70,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import landau, macro_micro, maxwell
-from .phase_grid import SpatialGrid, VelocityGrid
+from .phase_grid import Scratch, SpatialGrid, VelocityGrid
 
 # bytes of the derivative tree's scratch for one block of xi-modes (a
-# report's level buffers and grad . u terms, ``BlockFields``): a block holds
+# report's level buffers and grad . u terms, from a ``Scratch``): a block holds
 # as many modes as fit, at least one, so its fields stay in cache while the
 # tree is walked.  A direct run keeps the scratch, which stays well below the
 # other arrays of a report
@@ -118,9 +118,9 @@ class DiagContext:
 
     The run constants every snapshot reads, the alpha multipliers and the
     (alpha, beta) plans of the derivative tree, are built on first use and
-    kept.  With a direct stepper the derivative tree's scratch is kept too
-    (``block_fields``).  They follow the fields above, which must not change
-    afterwards.
+    kept.  With a direct stepper the derivative tree's scratch is kept too,
+    in the stepper's ``scratch`` (``keeps_tree_scratch``).  They follow the
+    fields above, which must not change afterwards.
     """
 
     sgrid: SpatialGrid
@@ -129,7 +129,6 @@ class DiagContext:
     projector: macro_micro.MacroProjector
     config: object
     collision: object = None
-    _fields: object = field(default=None, init=False, repr=False)
 
     @property
     def x_axes(self) -> tuple:
@@ -159,14 +158,6 @@ class DiagContext:
         the same traced peak of 23.3 MB.
         """
         return self.direct is not None
-
-    def block_fields(self) -> "BlockFields":
-        """The derivative tree's scratch, kept or per snapshot (``keeps_tree_scratch``)."""
-        if not self.keeps_tree_scratch:
-            return BlockFields()
-        if self._fields is None:
-            self._fields = BlockFields()
-        return self._fields
 
     def alphas(self, n_total: int):
         """Spatial multi-indices over active axes with |alpha| <= n_total."""
@@ -314,42 +305,6 @@ def _collision_power(ctx: DiagContext, f: np.ndarray, spec: np.ndarray) -> np.nd
     return np.sum(spec.real * lf.real + spec.imag * lf.imag, axis=(0, -3, -2, -1))
 
 
-class BlockFields:
-    """The derivative tree's scratch, in buffers kept across blocks (and snapshots).
-
-    ``views(plan, cols, vshape)`` gives the arrays of a block of ``cols``
-    columns (``_tree_blocks``; 4 nb for nb whole modes): per level k of
-    ``plan`` its n_k real fields (n_k, cols, v...), views of two buffers
-    that alternate by level, so a level and its grandchildren share one;
-    the fields of grad . u's terms; and two flat buffers for the contracted
-    rows of a level and their sums over children.  Each buffer grows to the
-    largest size asked for, and the views of a tree depth and column count
-    are kept.
-    """
-
-    def __init__(self):
-        self._buffers: dict = {}
-        self._views: dict = {}
-
-    def views(self, plan: SnapshotPlan, cols: int, vshape: tuple) -> tuple:
-        key = (plan.top, cols)
-        if key not in self._views:
-            field = math.prod((cols,) + vshape)
-            sizes = dict(zip(("even", "odd", "term"), (cap * field for cap in plan.caps)))
-            sizes.update(zip(("rows", "kid_rows"), (r * math.prod(vshape) for r in plan.rows)))
-            for name, size in sizes.items():
-                if self._buffers.get(name, np.empty(0)).size < size:
-                    self._buffers[name] = np.empty(size)
-                    self._views.clear()
-            bufs = {name: self._buffers[name][:size] for name, size in sizes.items()}
-            shape = (-1, cols) + vshape
-            levels = [bufs[("even", "odd")[k % 2]].reshape(shape)[:len(level)]
-                      for k, level in enumerate(plan.levels)]
-            self._views[key] = (levels, bufs["term"].reshape(shape),
-                                bufs["rows"], bufs["kid_rows"])
-        return self._views[key]
-
-
 def _tree_blocks(n_modes: int, column_bytes: int, split: bool) -> list:
     """The derivative tree's blocks, (first mode, modes nb, first column, end column).
 
@@ -392,14 +347,27 @@ def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
     n_modes = math.prod(sgrid.half_shape)
     fv = f_spec.reshape((2, n_modes) + vgrid.shape)
     mv = micro.reshape(fv.shape)
-    fields = ctx.block_fields()
+    # a direct run's scratch is its stepper's (``DiagContext.keeps_tree_scratch``)
+    scratch = ctx.direct.scratch if ctx.keeps_tree_scratch else Scratch()
     # blocks sized by a report's scratch, so that a monitor row sums its
     # densities over the same blocks; a mode splits into columns only where
-    # the scratch is made per snapshot (``DiagContext.keeps_tree_scratch``)
+    # the scratch is made per snapshot
     column = sum(ctx.plans[True].caps) * width * 8
+    rows, kid_rows = (scratch.array(name, (r * width,))
+                      for name, r in zip(("rows", "kid_rows"), plan.rows))
+    cols = 0
     for start, nb, c0, c1 in _tree_blocks(n_modes, column, not ctx.keeps_tree_scratch):
         wts = plan.block_rows(start, start + nb)[:, c0:c1]
-        levels, term, rows, kid_rows = fields.views(plan, c1 - c0, vgrid.shape)
+        if c1 - c0 != cols:
+            # per level its n_k real fields (n_k, cols, v...), in two buffers
+            # that alternate by level, so a level and its grandchildren share
+            # one; viewed again only where the width changes (the last block,
+            # a split mode's runs): views made per block slowed the tree of a
+            # monitor row at n_x = 64, n_v = 10 by 6 %
+            cols = c1 - c0
+            even, odd, term = (scratch.array(name, (cap, cols) + vgrid.shape)
+                               for name, cap in zip(("even", "odd", "term"), plan.caps))
+            levels = [(even, odd)[k % 2][:len(level)] for k, level in enumerate(plan.levels)]
 
         def root(spec):
             """The block's columns of the real and imaginary parts as level 0.
@@ -424,7 +392,7 @@ def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
             lvl = levels[k]
             np.multiply(lvl, lvl, out=lvl)
             out = rows[:sizes[k] * m * width].reshape(sizes[k], m, width)
-            return np.matmul(wts[:m], lvl.reshape(sizes[k], c1 - c0, width), out=out)
+            return np.matmul(wts[:m], lvl.reshape(sizes[k], cols, width), out=out)
 
         def gradient_squares(k, terms):
             """Each beta of level k summed over the rows of its three children."""
@@ -515,7 +483,7 @@ class SpectralSnapshot:
     grad . u is formed from the children into the spent parent's buffer and
     contracted like a level.  The weights b_perp^2 and <v>^2 multiply the
     contracted sums once per snapshot.  The walk's scratch
-    (``ctx.block_fields``, kept by a direct run) is ``SnapshotPlan.caps``
+    (a ``Scratch``, the direct stepper's in a direct run) is ``SnapshotPlan.caps``
     fields per mode of a block, each the real and imaginary parts of both
     species (19 at beta_max = 2), and ``SnapshotPlan.rows`` rows of n^3
     doubles; its accumulators are the three densities.

@@ -95,7 +95,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import landau, macro_micro, maxwell
-from .phase_grid import SpatialGrid, VelocityGrid, WeightParams
+from .phase_grid import Scratch, SpatialGrid, VelocityGrid, WeightParams
 
 CKPT_MAGIC = b"VMLCKPT1"
 CKPT_VERSION = 1
@@ -183,10 +183,6 @@ class RunConfig:
     monitor_every: int = 1    # steps between lightweight Lyapunov rows (0 = off)
     checkpoint_every: int = 0  # steps between checkpoints (0 = final only)
 
-    def __post_init__(self):
-        if isinstance(self.active_axes, list):
-            object.__setattr__(self, "active_axes", tuple(self.active_axes))
-
     @property
     def lstar(self) -> float:
         return self.lprime + 0.5 * (self.n0 - 1)
@@ -257,31 +253,29 @@ class RunConfig:
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
-    """Build a RunConfig from string-or-typed values, rejecting unknown keys."""
+    """Build a RunConfig from keys mapped to strings, rejecting unknown keys."""
     types = {f.name: f.type for f in fields(RunConfig)}
     kwargs = {}
     for key, raw in mapping.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
+        # the annotations are strings (``from __future__ import annotations``)
         kind = types[key]
-        if isinstance(raw, str):
-            try:
-                if key == "active_axes":
-                    val = tuple(int(tok) for tok in raw.replace(",", " ").split())
-                elif kind in ("bool", bool):
-                    val = {"true": True, "1": True, "yes": True, "on": True,
-                           "false": False, "0": False, "no": False,
-                           "off": False}[raw.strip().lower()]
-                elif kind in ("int", int):
-                    val = int(raw)
-                elif kind in ("float", float):
-                    val = float(raw)
-                else:
-                    val = raw
-            except (KeyError, ValueError):
-                raise ValueError(f"{key}: cannot read {raw!r} as {kind}") from None
-        else:
-            val = tuple(raw) if key == "active_axes" else raw
+        try:
+            if key == "active_axes":
+                val = tuple(int(tok) for tok in raw.replace(",", " ").split())
+            elif kind == "bool":
+                val = {"true": True, "1": True, "yes": True, "on": True,
+                       "false": False, "0": False, "no": False,
+                       "off": False}[raw.strip().lower()]
+            elif kind == "int":
+                val = int(raw)
+            elif kind == "float":
+                val = float(raw)
+            else:
+                val = raw
+        except (KeyError, ValueError):
+            raise ValueError(f"{key}: cannot read {raw!r} as {kind}") from None
         kwargs[key] = val
     cfg = RunConfig(**kwargs)
     cfg.validate()
@@ -536,8 +530,8 @@ class CollisionStepper:
     ``quadratic_form`` gives a recorded state's collision power
     Re conj(f_hat) (L f)^ per mode from the blocks without forming L f:
     one forward basis change, one GEMM per block and the row dot products.
-    Both work in the arrays of ``_workspace``, which the step and the
-    snapshots of a run share.
+    Both take their work arrays from ``scratch``, a ``phase_grid.Scratch``
+    that the step and the snapshots of a run share.
 
     ``method="cg"`` solves the same trapezoid systems matrix-free; it has
     no ``quadratic_form``, so the diagnostics transform a matrix-free L f.
@@ -569,7 +563,7 @@ class CollisionStepper:
         self._prop = None
         self._a_plus_k = None
         self._a = None
-        self._work = {}
+        self.scratch = Scratch()
         self._precond = None
         self.last_iterations = (0, 0)
         if method == "direct":
@@ -605,39 +599,29 @@ class CollisionStepper:
         inv.flat[:: n + 1] -= 1.0
         return inv
 
-    def _workspace(self, m: int) -> dict:
-        """The direct solver's arrays for m rows, made on first use and kept.
-
-        s and d, the basis change's arrays (``PermutationBlocks.workspace``)
-        and the block GEMM products ("prod").
-        """
-        work = self._work.get(m)
-        if work is None:
-            work = self._work[m] = self._basis.workspace(m)
-            work["s"], work["d"] = np.empty((2, m, self._basis.size))
-            work["prod"] = [np.empty((rows, len(b)))
-                            for rows, b in zip((m, m, 2 * m), self._a)]
-        return work
+    def _block_products(self, blocks: list, x: np.ndarray) -> list:
+        """(c, c B) per block of rows x (m, n^3): c its block coordinates, B symmetric."""
+        coords = self._basis.forward(x, self.scratch)
+        return [(c, np.matmul(c, b, out=self.scratch.array(f"prod{i}", c.shape)))
+                for i, (c, b) in enumerate(zip(coords, blocks))]
 
     def _blocked(self, blocks: list, x: np.ndarray) -> np.ndarray:
         """B x for rows x (m, n^3), B symmetric and blocked, written into x."""
-        basis, work = self._basis, self._workspace(len(x))
-        prods = [np.matmul(c, b, out=p)
-                 for c, b, p in zip(basis.forward(x, work), blocks, work["prod"])]
-        return basis.inverse(prods, out=x, work=work)
+        prods = [p for _, p in self._block_products(blocks, x)]
+        return self._basis.inverse(prods, x, self.scratch)
 
     def _sum_difference(self, f: np.ndarray) -> tuple:
-        """s = f_+ + f_- and d = f_+ - f_- as rows (m, n^3), in the kept arrays.
+        """s = f_+ + f_- and d = f_+ - f_- as rows (m, n^3), in ``scratch``.
 
         For a spectrum the rows are the real parts, then the imaginary ones.
         """
         parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
-        work = self._workspace(len(parts) * math.prod(f.shape[1:-3]))
         shape = (len(parts),) + f.shape[1:]
+        s, d = self.scratch.array("s", shape), self.scratch.array("d", shape)
         for p, part in enumerate(parts):
-            np.add(part[0], part[1], out=work["s"].reshape(shape)[p])
-            np.subtract(part[0], part[1], out=work["d"].reshape(shape)[p])
-        return work["s"], work["d"]
+            np.add(part[0], part[1], out=s[p])
+            np.subtract(part[0], part[1], out=d[p])
+        return s.reshape(-1, self._basis.size), d.reshape(-1, self._basis.size)
 
     def quadratic_form(self, spec: np.ndarray) -> np.ndarray:
         """Re sum conj(f) . L f over species and v at each leading point of a pair.
@@ -651,11 +635,10 @@ class CollisionStepper:
         ``advance`` keeps.  No L f is formed.
         """
         s, d = self._sum_difference(spec)
-        work = self._workspace(len(s))
         total = np.zeros(len(s))
         for x, blocks in ((s, self._a_plus_k), (d, self._a)):
-            for c, b, p in zip(self._basis.forward(x, work), blocks, work["prod"]):
-                dots = np.einsum("ij,ij->i", c, np.matmul(c, b, out=p))
+            for c, p in self._block_products(blocks, x):
+                dots = np.einsum("ij,ij->i", c, p)
                 # a standard block holds two rows per input row
                 total += dots.reshape(len(total), -1).sum(axis=1)
         return total.reshape((-1,) + spec.shape[1:-3]).sum(axis=0)

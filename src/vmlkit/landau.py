@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .phase_grid import VelocityGrid, fd_gradient_matrix
+from .phase_grid import Scratch, VelocityGrid, fd_gradient_matrix
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
@@ -87,17 +87,6 @@ def _usable_cpus() -> int:
 # threads of the pool that runs the matrix-free operators' x points (read at
 # call time, so it may be lowered)
 _WORKERS = min(4, _usable_cpus())
-
-
-class CoercivityFailure(RuntimeError):
-    """Raised when the sampled spectral gap is nonpositive; carries the report."""
-
-    def __init__(self, report):
-        super().__init__(
-            f"nonpositive coercivity ratio {report.min_ratio:.3e} at sample "
-            f"{report.argmin_sample}"
-        )
-        self.report = report
 
 
 def phi_kernel(u1, u2, u3, gamma: float) -> np.ndarray:
@@ -615,8 +604,8 @@ def coercivity_gap(tables: CollisionTables, projector,
     MacroProjector.micro_part).  Standard-normal coefficient vectors over the
     smooth polynomial-Maxwellian basis are drawn with a fixed seed,
     projected to the microscopic subspace, and the Rayleigh-type ratio is
-    recorded; a nonpositive minimum raises CoercivityFailure carrying the
-    offending sample.
+    recorded.  A nonpositive minimum also records the offending sample
+    (``offending``), for the caller that checks ``min_ratio > 0``.
     """
     rng = np.random.default_rng(2202)
     basis = smooth_sample_basis(tables.grid)
@@ -641,7 +630,6 @@ def coercivity_gap(tables: CollisionTables, projector,
     if report.min_ratio <= 0.0:
         report.offending = projector(
             np.einsum("sb,bxyz->sxyz", coeffs[imin], basis))
-        raise CoercivityFailure(report)
     return report
 
 
@@ -813,51 +801,41 @@ class PermutationBlocks:
         # unit u = sqrt(3/2) W[m]: the row of its representative's node m
         self._w_rep = _W[odd_at]
 
-    def workspace(self, m: int) -> dict:
-        """Arrays for ``forward`` and ``inverse`` of m rows, to be kept and reused.
-
-        The rows in orbit order ("y"), the 3- and 6-node orbit coordinates
-        ("c3", "c6"), and the trivial and standard block coordinates
-        ("triv", "std"); the sign block's are rows of "c6".
-        """
-        n1, n2, n6 = self.orbits
-        return {"y": np.empty((m, self.size)), "c3": np.empty((m, 3, n2)),
-                "c6": np.empty((m, 6, n6)), "triv": np.empty((m, n1 + n2 + n6)),
-                "std": np.empty((m, 2, n2 + 2 * n6))}
-
-    def forward(self, x: np.ndarray, work: dict | None = None) -> list:
+    def forward(self, x: np.ndarray, scratch: Scratch) -> list:
         """Block coordinates of the rows of x (m, n^3): [(m, n_t), (m, n_s), (2m, n_std)].
 
         The standard coordinates of row i are rows 2i and 2i + 1, one per
-        row of the representation.  They are views of ``work`` (a
-        ``workspace(m)``, made afresh if None).
+        row of the representation.  They are views of ``scratch``'s "triv",
+        "c6" and "std"; the rows in orbit order are its "y", the 3-node
+        orbit coordinates its "c3".
         """
         m = x.shape[0]
         n1, n2, n6 = self.orbits
-        w = self.workspace(m) if work is None else work
         # mode="wrap" writes straight into out; the indices are in range
-        y = np.take(x, self._order, axis=1, out=w["y"], mode="wrap")
-        c3 = np.matmul(self._t3, y[:, n1:n1 + 3 * n2].reshape(m, 3, n2), out=w["c3"])
-        c6 = np.matmul(self._t6, y[:, n1 + 3 * n2:].reshape(m, 6, n6), out=w["c6"])
-        std = w["std"]
+        y = np.take(x, self._order, axis=1, out=scratch.array("y", (m, self.size)), mode="wrap")
+        c3 = np.matmul(self._t3, y[:, n1:n1 + 3 * n2].reshape(m, 3, n2),
+                       out=scratch.array("c3", (m, 3, n2)))
+        c6 = np.matmul(self._t6, y[:, n1 + 3 * n2:].reshape(m, 6, n6),
+                       out=scratch.array("c6", (m, 6, n6)))
+        std = scratch.array("std", (m, 2, n2 + 2 * n6))
         std[:, :, :n2] = c3[:, 1:]
         std[:, :, n2:] = c6[:, 2:].reshape(m, 2, 2 * n6)
-        triv = np.concatenate([y[:, :n1], c3[:, 0], c6[:, 0]], axis=1, out=w["triv"])
+        triv = np.concatenate([y[:, :n1], c3[:, 0], c6[:, 0]], axis=1,
+                              out=scratch.array("triv", (m, n1 + n2 + n6)))
         return [triv, c6[:, 1], std.reshape(2 * m, -1)]
 
-    def inverse(self, blocks: list, out: np.ndarray | None = None,
-                work: dict | None = None) -> np.ndarray:
-        """The rows (m, n^3) whose ``forward`` is ``blocks``, into ``out`` if given.
+    def inverse(self, blocks: list, out: np.ndarray, scratch: Scratch) -> np.ndarray:
+        """The rows (m, n^3) whose ``forward`` is ``blocks``, written into ``out``.
 
-        ``work`` is a ``workspace(m)`` (made afresh if None); its
-        coordinates are overwritten, so ``blocks`` must not be views of it.
+        ``scratch``'s "c3", "c6" and "y" are overwritten, so ``blocks``
+        must not be views of them.
         """
         triv, sign, std = blocks
         m = triv.shape[0]
         n1, n2, n6 = self.orbits
-        w = self.workspace(m) if work is None else work
         std = std.reshape(m, 2, -1)
-        c3, c6, y = w["c3"], w["c6"], w["y"]
+        c3, c6 = scratch.array("c3", (m, 3, n2)), scratch.array("c6", (m, 6, n6))
+        y = scratch.array("y", (m, self.size))
         c3[:, 0] = triv[:, n1:n1 + n2]
         c3[:, 1:] = std[:, :, :n2]
         c6[:, 0] = triv[:, n1 + n2:]
@@ -879,7 +857,7 @@ class PermutationBlocks:
         """
         n1, n2, n6 = self.orbits
         n = n1 + n2 + n6
-        triv, sign, std = self.forward(rows)
+        triv, sign, std = self.forward(rows, Scratch())
         two, six = slice(n1, n1 + n2), slice(n1 + n2, n)
         size = np.repeat([1.0, 3.0, 6.0], self.orbits)
         rows0, rows1 = std[0::2], std[1::2]

@@ -29,6 +29,7 @@ the diagnostics layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -52,6 +53,25 @@ def _memoized(method):
             memo[key] = _read_only(method(self, *args, **kwargs))
         return memo[key]
     return table
+
+
+class Scratch:
+    """Work arrays kept by name: one float64 buffer each, grown to the largest size asked for.
+
+    ``array(name, shape)`` is a view of the buffer of ``name`` in ``shape``.
+    A view stays valid until its name is asked for again, which may return
+    the same memory, so a caller holds one live view per name.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True)

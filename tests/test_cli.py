@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from vmlkit import cli, evolve
+from vmlkit import cli, evolve, landau
 from vmlkit import diagnostics as diag
 
 FAST_OVERRIDES = [
@@ -23,12 +24,21 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def one_error_line(capsys) -> str:
+    """The one line a command printed to stderr, with no traceback."""
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert "Traceback" not in err and len(lines) == 1, err
+    return lines[0]
+
+
 # One or more bad values of every RunConfig field, as (test id, --set items):
 # each exits 2 with a one-line message that names the field
 BAD_VALUES = {
     "n_x": [("n_x", ["n_x=0"])],
     "box_length": [("box_length", ["box_length=-1"])],
-    "active_axes": [("active_axes", ["active_axes=3"])],
+    "active_axes": [("active_axes", ["active_axes=3"]),
+                    ("active_axes_repeated", ["active_axes=0,0"])],
     "n_v": [("coarse_n_v", ["n_v=6"]),
             ("direct_past_limit", ["collision_solver=direct", "n_v=20"])],
     "v_max": [("v_max", ["v_max=-1"])],
@@ -40,7 +50,10 @@ BAD_VALUES = {
     "ell0": [("ell0", ["ell0=-1"])],
     "lprime": [("lprime", ["lprime=-1"])],
     "eps0": [("eps0_zero", ["eps0=0"]), ("eps0", ["eps0=-1"])],
-    "dt": [("dt", ["dt=0"])],
+    # the last: valid to the config's checks, but I + dt/2 L is too
+    # ill-conditioned to invert, which only the propagator's set-up finds
+    "dt": [("dt", ["dt=0"]),
+           ("dt_propagator", ["n_x=4", "n_v=8", "dt=1e200", "t_end=1e200"])],
     "t_end": [("t_end", ["t_end=-1"])],
     "mode": [("mode", ["mode=banana"])],
     "collision_solver": [("collision_solver", ["collision_solver=banana"])],
@@ -94,6 +107,26 @@ class TestConfigHandling:
         assert len(err.strip().splitlines()) == 1
         assert f"{cfg}:4: unknown config key 'direct_max_nv'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("body, expect", [
+        (None, "cannot read config"),
+        ("n_x = 8\n", "no section headers"),
+        ("[grids]\nn_x = 8\n[physics]\nn_x = 16\n", ":2: duplicate key 'n_x'"),
+    ], ids=["missing", "unparsable", "key_in_two_sections"])
+    def test_unusable_config_file_exits_2(self, tmp_path, capsys, body, expect):
+        cfg = tmp_path / "run.cfg"
+        if body is not None:
+            cfg.write_text(body)
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+        line = one_error_line(capsys)
+        assert line.startswith(f"error: {cfg}") and expect in line
+        assert not out.exists()
+
+    def test_set_without_equals_exits_2(self, tmp_path, capsys):
+        assert run_cli("simulate", "--set", "n_x", "--out", str(tmp_path)) == 2
+        assert "--set expects key=value, got 'n_x'" in one_error_line(capsys)
+        assert not (tmp_path / "manifest.cfg").exists()
 
     def test_manifest_sections_cover_every_config_field(self):
         keys = [key for keys in cli.SECTIONS.values() for key in keys]
@@ -302,6 +335,18 @@ class TestResumeFailsFast:
         assert rc == 2
         assert str(ck) in err and "truncated" in err
 
+    def test_checkpoint_of_another_version(self, tmp_path, capsys):
+        # the version is read before the payload: a descriptor alone will do
+        ck = tmp_path / "future.bin"
+        ck.write_bytes(struct.pack("<8sIIIIQd", evolve.CKPT_MAGIC, evolve.CKPT_VERSION + 1,
+                                   1, 8, 8, 0, 0.0).ljust(64, b"\0"))
+        run = tmp_path / "run"
+        rc = run_cli("simulate", "--out", str(run), "--resume", str(ck), *FAST_OVERRIDES)
+        assert rc == 2
+        line = one_error_line(capsys)
+        assert str(ck) in line and f"checkpoint version {evolve.CKPT_VERSION + 1}" in line
+        assert not (run / "manifest.cfg").exists()
+
     def test_grid_mismatch(self, tmp_path, capsys):
         small = tmp_path / "small"
         assert run_cli("simulate", "--out", str(small), *FAST_OVERRIDES) == 0
@@ -408,6 +453,22 @@ class TestVerify:
         assert rc == 0
         assert "[PASS] operator/exact_null_space: value 6.000e+00" in out
 
+    def test_operator_suite_reports_a_coercivity_failure(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # with -L in place of L the sampled gap is negative: a FAIL line and
+        # exit 1, with the report written, not a traceback
+        apply_l = landau.apply_L
+        monkeypatch.setattr(landau, "apply_L", lambda tables, f: -apply_l(tables, f))
+        rc = run_cli("verify", "operator", "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "[FAIL] operator/coercivity_gap_positive" in captured.out
+        assert "Traceback" not in captured.err
+        payload = json.loads((tmp_path / "report.json").read_text())
+        gap = next(item for item in payload["suites"]["operator"]
+                   if item["name"] == "coercivity_gap_positive")
+        assert not gap["passed"] and gap["value"] < 0.0
+
     def test_unknown_suite(self, capsys):
         rc = run_cli("verify", "transforms")  # warm path first
         assert rc == 0
@@ -447,6 +508,23 @@ class TestFitDecay:
         assert "-1.50" in out
         assert "MISS" in out  # -0.5 series against the -1.5 target
 
+    def test_automatic_window(self, synthetic_csv, capsys):
+        rc = run_cli("fit-decay", str(synthetic_csv), "e_k_0")
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "MATCH" in out and "fitted exponent -0.5000" in out
+
+    @pytest.mark.parametrize("times, expect", [
+        (np.linspace(0.0, 40.0, 7), "series too short for window selection"),
+        (np.linspace(0.0, 1.0, 20), "no admissible window found"),
+    ], ids=["seven_points", "span_below_three"])
+    def test_automatic_window_errors_exit_2(self, tmp_path, capsys, times, expect):
+        path = tmp_path / "series.csv"
+        path.write_text("t,e_k_0\n" + "".join(f"{t:.16e},{(1.0 + t) ** -0.5:.16e}\n"
+                                                for t in times))
+        assert run_cli("fit-decay", str(path), "e_k_0") == 2
+        assert one_error_line(capsys).startswith(f"error: {expect}")
+
     def test_missing_column(self, synthetic_csv, capsys):
         rc = run_cli("fit-decay", str(synthetic_csv), "e_k_9")
         assert rc == 2
@@ -478,6 +556,10 @@ class TestNormsAndTables:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Y0" in out
+
+    def test_norms_bad_value_exits_2(self, capsys):
+        assert run_cli("norms", "--set", "n_x=1") == 2
+        assert "n_x must be at least 2" in one_error_line(capsys)
 
     def test_norms_reads_one_snapshot(self, capsys, monkeypatch):
         # Y0 and the report come from the same report snapshot; the Y0 line

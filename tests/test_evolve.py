@@ -19,6 +19,7 @@ from vmlkit.evolve import (
     save_checkpoint,
 )
 from vmlkit.macro_micro import MacroProjector
+from vmlkit.phase_grid import Scratch
 
 from oracles import field_source_on_f, rhs_full
 
@@ -450,7 +451,7 @@ class TestPermutationBlocks:
         cfg, sg, vg, tab = setup8
         stepper = evolve.CollisionStepper(tab, cfg.dt, method="direct")
         n3 = vg.n_v ** 3
-        triv, sign, std = stepper._basis.forward(np.eye(n3))
+        triv, sign, std = stepper._basis.forward(np.eye(n3), Scratch())
         # columns: the basis vectors, block after block
         q = np.hstack([triv, sign, std[0::2], std[1::2]])
         a = landau.dense_A(tab)
