@@ -198,6 +198,11 @@ def cmd_simulate(args) -> int:
     # the manifest describes a run that starts: written only once its
     # checkpoint has loaded and fits the config
     out = args.out or "."
+    # the directories made for the run, innermost first: a set-up failure removes them
+    made, parent = [], os.path.abspath(out)
+    while not os.path.isdir(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(out, exist_ok=True)
     ckpt_dir = os.path.join(out, "checkpoints")
     manifest = os.path.join(out, "manifest.cfg")
@@ -213,6 +218,8 @@ def cmd_simulate(args) -> int:
         # the one set-up failure the config's checks cannot foresee: a
         # collision propagator I + dt/2 L too ill-conditioned to invert
         os.remove(manifest)
+        for path in made:
+            os.rmdir(path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_csv(os.path.join(out, "diagnostics.csv"), result.reports, cfg.k_max)

@@ -119,7 +119,7 @@ class DiagContext:
     The run constants every snapshot reads, the alpha multipliers and the
     (alpha, beta) plans of the derivative tree, are built on first use and
     kept.  With a direct stepper the derivative tree's scratch is kept too,
-    in the stepper's ``scratch`` (``keeps_tree_scratch``).  They follow the
+    in the stepper's ``scratch`` (``_tree_blocks``).  They follow the
     fields above, which must not change afterwards.
     """
 
@@ -139,25 +139,6 @@ class DiagContext:
         """The run's collision stepper if it is direct (L from its blocks), else None."""
         coll = self.collision
         return coll if coll is not None and coll.method == "direct" else None
-
-    @property
-    def keeps_tree_scratch(self) -> bool:
-        """Whether the derivative tree's scratch is kept across snapshots.
-
-        Kept with a direct stepper, so that the loop's snapshots allocate no
-        per-block fields; the scratch is then a fixed cost beside the
-        propagator blocks, and a block holds whole modes (at n_v = 16 a
-        mode's scratch is 2.5 MB, and blocks of two columns made the two
-        n_v = 16 acceptance fixtures' report snapshot 6-30 % slower).  Made
-        per snapshot otherwise (a matrix-free stepper, or no stepper, as in
-        the ``norms`` command), where it adds to the peak, so a block is a
-        run of one mode's columns that fits ``BLOCK_BYTES`` (1.2 MB in place
-        of 4.9 MB a mode at n_v = 20).  The split costs where the scratch is
-        not what sets the peak: the ``norms`` snapshot of the default preset
-        (n_x = 64, n_v = 16) took 194 ms against 167 ms with whole modes, at
-        the same traced peak of 23.3 MB.
-        """
-        return self.direct is not None
 
     def alphas(self, n_total: int):
         """Spatial multi-indices over active axes with |alpha| <= n_total."""
@@ -314,6 +295,20 @@ def _tree_blocks(n_modes: int, column_bytes: int, split: bool) -> list:
     4 nb columns.  Otherwise, with ``split``, a block is one mode's run of
     columns, the mode's four split into the fewest equal runs that fit (at
     least one column), and without it one whole mode.
+
+    ``_tree_densities`` splits where the scratch is made per snapshot.  With
+    a direct stepper it is the stepper's, kept so that the loop's snapshots
+    allocate no per-block fields; the scratch is then a fixed cost beside
+    the propagator blocks, and a block holds whole modes (at n_v = 16 a
+    mode's scratch is 2.5 MB, and blocks of two columns made the two
+    n_v = 16 acceptance fixtures' report snapshot 6-30 % slower).  Made per
+    snapshot otherwise (a matrix-free stepper, or no stepper, as in the
+    ``norms`` command), it adds to the peak, so a block is a run of one
+    mode's columns that fits ``BLOCK_BYTES`` (1.2 MB in place of 4.9 MB a
+    mode at n_v = 20).  The split costs where the scratch is not what sets
+    the peak: the ``norms`` snapshot of the default preset (n_x = 64,
+    n_v = 16) took 194 ms against 167 ms with whole modes, at the same
+    traced peak of 23.3 MB.
     """
     fit = max(1, BLOCK_BYTES // column_bytes)
     if fit >= 4 or not split:
@@ -347,8 +342,8 @@ def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
     n_modes = math.prod(sgrid.half_shape)
     fv = f_spec.reshape((2, n_modes) + vgrid.shape)
     mv = micro.reshape(fv.shape)
-    # a direct run's scratch is its stepper's (``DiagContext.keeps_tree_scratch``)
-    scratch = ctx.direct.scratch if ctx.keeps_tree_scratch else Scratch()
+    # a direct run's scratch is its stepper's (``_tree_blocks``)
+    scratch = ctx.direct.scratch if ctx.direct is not None else Scratch()
     # blocks sized by a report's scratch, so that a monitor row sums its
     # densities over the same blocks; a mode splits into columns only where
     # the scratch is made per snapshot
@@ -356,7 +351,7 @@ def _tree_densities(ctx: DiagContext, plan: SnapshotPlan, f_spec: np.ndarray,
     rows, kid_rows = (scratch.array(name, (r * width,))
                       for name, r in zip(("rows", "kid_rows"), plan.rows))
     cols = 0
-    for start, nb, c0, c1 in _tree_blocks(n_modes, column, not ctx.keeps_tree_scratch):
+    for start, nb, c0, c1 in _tree_blocks(n_modes, column, ctx.direct is None):
         wts = plan.block_rows(start, start + nb)[:, c0:c1]
         if c1 - c0 != cols:
             # per level its n_k real fields (n_k, cols, v...), in two buffers
@@ -718,7 +713,8 @@ def macro_snapshot(ctx: DiagContext, state) -> macro_micro.MacroSnapshot:
     """Macro fields, moments and the B-moment balance terms of a state, in physical space.
 
     P f (``MacroProjector.project``, once) and ``macro_micro.moments`` of f
-    and its micro part; B of the micro species sum; and the B-moment source
+    and its micro part; B (``macro_micro.b_moment``) of the micro species
+    sum; and the B-moment source
     -B((L f)_+ + (L f)_-) - B(v . grad_x {I-P} f_s), with the matrix-free L
     and spectral x-derivatives, plus B of the force and Gamma terms
     (``maxwell.nonlinear_terms``) in nonlinear mode.
@@ -737,13 +733,10 @@ def macro_snapshot(ctx: DiagContext, state) -> macro_micro.MacroSnapshot:
     v, x_axes = vg.axes(), tuple(range(sg.n_active))
     transport = sum(v[axis] * sg.derivative(micro_s, axis, x_axes)
                     for axis in sg.active_axes)
-    wgt = [0.1 * (vg.vsq() - 5.0) * vj * vg.mu_half() for vj in v]
-
-    def b_moment(h):
-        return np.stack([vg.integrate(h * w) for w in wgt])
-
-    return macro_micro.MacroSnapshot(t=state.t, macro=macro, mom=macro_micro.moments(f, micro, vg),
-                                     b_micro=b_moment(micro_s), b_source=b_moment(source - transport))
+    return macro_micro.MacroSnapshot(
+        t=state.t, macro=macro, mom=macro_micro.moments(f, micro, vg),
+        b_micro=macro_micro.b_moment(vg, micro_s),
+        b_source=macro_micro.b_moment(vg, source - transport))
 
 
 def y0_functional(ctx: DiagContext, snap: SpectralSnapshot) -> float:
@@ -831,10 +824,10 @@ def auto_window(times, values):
     for i in starts:
         if times[i] <= 0:
             i = max(i, 1)
+        if n - i < min_points:
+            continue
         ends = np.unique(np.linspace(i + min_points - 1, n - 1, 10).astype(int))
         for j in ends:
-            if j - i + 1 < min_points:
-                continue
             if (1.0 + times[j]) / (1.0 + times[i]) < 3.0:
                 continue
             x = np.log1p(times[i:j + 1])

@@ -90,6 +90,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -522,10 +523,10 @@ class CollisionStepper:
     table.  Per species combination, each block of the propagator
     P = 2 (I + dt/2 L)^-1 - I, with L_s = 2(A + K) and L_d = 2A, is
     inverted by block Schur complements (``_spd_inverse``); both operators
-    are symmetric positive semidefinite, and a block that is not positive
-    definite raises ValueError.  The blocked P_s, P_d, A + K and A are
-    kept, 8 (n_t^2 + n_s^2 + n_std^2) bytes each (1.4 MB at n_v = 10,
-    22.6 MB at n_v = 16); no n_v^3 x n_v^3 array is held.  ``advance``
+    are symmetric positive semidefinite, and a block too ill-conditioned
+    for a Cholesky leaf raises ValueError.  The blocked P_s, P_d, A + K and
+    A are kept, 8 (n_t^2 + n_s^2 + n_std^2) bytes each (1.4 MB at
+    n_v = 10, 22.6 MB at n_v = 16); no n_v^3 x n_v^3 array is held.  ``advance``
     changes basis, runs one GEMM per block and changes back.
     ``quadratic_form`` gives a recorded state's collision power
     Re conj(f_hat) (L f)^ per mode from the blocks without forming L f:
@@ -564,7 +565,6 @@ class CollisionStepper:
         self._a_plus_k = None
         self._a = None
         self.scratch = Scratch()
-        self._precond = None
         self.last_iterations = (0, 0)
         if method == "direct":
             self._build_propagators()
@@ -590,7 +590,7 @@ class CollisionStepper:
             inv = _spd_inverse(m)
         except np.linalg.LinAlgError:
             raise ValueError(
-                f"collision propagator: I + dt/2 L is not positive definite "
+                f"collision propagator: I + dt/2 L is too ill-conditioned to invert "
                 f"(n_v={self.tables.n}, gamma={self.tables.gamma}, "
                 f"dt={self.dt})") from None
         # the products leave M^-1 symmetric only to round-off; 2 M^-1 as
@@ -644,28 +644,23 @@ class CollisionStepper:
         return total.reshape((-1,) + spec.shape[1:-3]).sum(axis=0)
 
     # matrix-free operator applications ----------------------------------------
-    def _op_s(self, x: np.ndarray) -> np.ndarray:
-        """x + dt (A + K) x, the sum system's operator."""
+    def _dt_b(self, x: np.ndarray, with_k: bool) -> np.ndarray:
+        """dt B x, B = A + K (the sum system, ``with_k``) or A (the difference system)."""
         y = landau.apply_A(self.tables, x)
-        y += landau.apply_K(self.tables, x)
+        if with_k:
+            y += landau.apply_K(self.tables, x)
         y *= self.dt
-        y += x
         return y
 
-    def _op_d(self, x: np.ndarray) -> np.ndarray:
-        """x + dt A x, the difference system's operator."""
-        y = landau.apply_A(self.tables, x)
-        y *= self.dt
-        y += x
-        return y
+    @cached_property
+    def _precond(self) -> np.ndarray:
+        """The diagonal preconditioner 1 / (1 + dt 4 max(sigma) <v>^(gamma+2) / h^2)."""
+        grid = self.tables.grid
+        scale = 4.0 * float(np.max(self.tables.sigma)) / grid.spacing ** 2
+        return 1.0 / (1.0 + self.dt * scale * grid.bracket(self.tables.gamma + 2.0))
 
     def _diagonal(self, r: np.ndarray) -> np.ndarray:
-        """The diagonal preconditioner: 1 / (1 + dt 4 max(sigma) <v>^(gamma+2) / h^2)."""
-        if self._precond is None:
-            grid = self.tables.grid
-            scale = 4.0 * float(np.max(self.tables.sigma)) / grid.spacing ** 2
-            self._precond = 1.0 / (1.0 + self.dt * scale *
-                                   grid.bracket(self.tables.gamma + 2.0))
+        """The diagonal preconditioner ``_precond`` applied to r."""
         return self._precond * r
 
     def _inner(self, r: np.ndarray) -> np.ndarray:
@@ -678,27 +673,28 @@ class CollisionStepper:
         """
         scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(r))))[1])
         rhs = r / scale
-        z, _ = self._pcg(self._op_d, np.zeros_like(rhs), rhs, np.sqrt(np.sum(rhs * rhs)),
+        z, _ = self._pcg(False, np.zeros_like(rhs), rhs, np.sqrt(np.sum(rhs * rhs)),
                          self._diagonal, self.INNER_TOL,
                          "the inner I + dt A solve's tolerance")
         z *= scale
         return z
 
-    def _pcg(self, op, x: np.ndarray, r: np.ndarray, rhs_norm: float,
+    def _pcg(self, with_k: bool, x: np.ndarray, r: np.ndarray, rhs_norm: float,
              precond, tol: float, name: str = "cg_tol") -> tuple:
-        """Batched flexible preconditioned CG over all leading axes at once.
+        """Batched flexible preconditioned CG for (I + dt B) x = rhs (``_dt_b``).
 
-        ``x`` is the initial guess and ``r`` its residual rhs - op(x), whose
-        norm the relative residual divides by ``rhs_norm``; both are
-        updated in place, so x returns the solution.  ``precond`` maps a
-        residual to its preconditioned one.  The Polak-Ribiere form
-        beta = <z+, r+ - r> / <z, r> keeps the iteration a conjugate
-        gradient when ``precond`` is itself an inexact solve (Notay, SIAM
-        J. Sci. Comput. 22, 2000).  Besides x and r it keeps the previous
-        residual, the direction p and one product buffer; z and op(p) live
-        only while they are read.  Returns the solution and the number of
-        iterations taken; raises CGNotConverged when the relative residual
-        stays above ``tol`` (``name`` in the message).
+        Over all leading axes at once.  ``x`` is the initial guess and ``r``
+        its residual rhs - (I + dt B) x, whose norm the relative residual
+        divides by ``rhs_norm``; both are updated in place, so x returns the
+        solution.  ``precond`` maps a residual to its preconditioned one.
+        The Polak-Ribiere form beta = <z+, r+ - r> / <z, r> keeps the
+        iteration a conjugate gradient when ``precond`` is itself an inexact
+        solve (Notay, SIAM J. Sci. Comput. 22, 2000).  Besides x and r it
+        keeps the previous residual, the direction p and one product buffer;
+        z and (I + dt B) p live only while they are read.  Returns the
+        solution and the number of iterations taken; raises CGNotConverged
+        when the relative residual stays above ``tol`` (``name`` in the
+        message).
         """
         tmp = np.empty_like(r)
 
@@ -715,7 +711,8 @@ class CollisionStepper:
             res2 = float(np.sum(tmp))
             if res2 <= tol2:
                 return x, it
-            ap = op(p)
+            ap = self._dt_b(p, with_k)
+            ap += p
             alpha = rz / np.maximum(dots(p, ap), 1e-300)
             x += np.multiply(alpha, p, out=tmp)
             r, r_old = r_old, r
@@ -738,18 +735,14 @@ class CollisionStepper:
         The right-hand side and the initial residual (I - dt B) x -
         (I + dt B) x share one B x.  x is overwritten by the solution.
         """
-        bx = landau.apply_A(self.tables, x)
-        if with_k:
-            bx += landau.apply_K(self.tables, x)
-        bx *= self.dt
+        bx = self._dt_b(x, with_k)
         rhs = x - bx
         r = np.add(x, bx, out=bx)
         np.subtract(rhs, r, out=r)
         rhs_norm = np.sqrt(np.sum(rhs * rhs))
         del rhs
-        if with_k:
-            return self._pcg(self._op_s, x, r, rhs_norm, self._inner, self.cg_tol)
-        return self._pcg(self._op_d, x, r, rhs_norm, self._diagonal, self.cg_tol)
+        return self._pcg(with_k, x, r, rhs_norm, self._inner if with_k else self._diagonal,
+                         self.cg_tol)
 
     def advance(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One trapezoid collision step on the species pair (batched over x).

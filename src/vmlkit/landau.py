@@ -154,10 +154,10 @@ class CollisionTables:
     dmat: np.ndarray
     dtmat: np.ndarray
     fd: np.ndarray
-    mu_half: np.ndarray = field(repr=False, default=None)
-    bracket_perp: np.ndarray = field(repr=False, default=None)  # <v>^((gamma+2)/2)
-    vpar: np.ndarray = field(repr=False, default=None)          # (3, n, n, n), v/<v>
-    pad: int = 0
+    mu_half: np.ndarray = field(repr=False)
+    bracket_perp: np.ndarray = field(repr=False)  # <v>^((gamma+2)/2)
+    vpar: np.ndarray = field(repr=False)          # (3, n, n, n), v/<v>
+    pad: int
 
     @property
     def n(self) -> int:
@@ -204,35 +204,23 @@ def build_collision_tables(grid: VelocityGrid, gamma: float) -> CollisionTables:
             kernel_hat[i][j] = khat
             kernel_hat[j][i] = khat
 
-    tables = CollisionTables(
-        grid=grid,
-        gamma=gamma,
-        sigma=None,
-        kernel_hat=kernel_hat,
-        dmat=None,
-        dtmat=None,
-        fd=None,
-        pad=p,
-    )
-
-    tables.sigma = np.empty((3, 3) + grid.shape)
-    _components_kernel(tables, [grid.mu()], tables.sigma)
-
     fd = fd_gradient_matrix(grid.nodes_1d)
     g1d = grid.mu_half_1d()
     ratio = g1d[:, None] / g1d[None, :]
-    tables.fd = fd
-    tables.dmat = fd * ratio          # mu^(1/2) FD mu^(-1/2)
-    tables.dtmat = fd / ratio         # mu^(-1/2) FD mu^(1/2)
-    tables.mu_half = grid.mu_half()
     bracket_par = grid.bracket(0.5 * gamma)
-    tables.bracket_perp = grid.bracket(0.5 * (gamma + 2.0))
+    bracket_perp = grid.bracket(0.5 * (gamma + 2.0))
     vn = grid.vnorm()
     vhat = [np.divide(v, vn, out=np.zeros_like(vn), where=vn > 0.0) for v in grid.axes()]
     # the direction of sigma_density's parallel square: v_hat scaled by
     # (1 - b_par^2 / b_perp^2)^(1/2), that is v/<v>
-    scale = np.sqrt(1.0 - bracket_par ** 2 / tables.bracket_perp ** 2)
-    tables.vpar = np.stack([scale * u for u in vhat])
+    scale = np.sqrt(1.0 - bracket_par ** 2 / bracket_perp ** 2)
+    tables = CollisionTables(
+        grid=grid, gamma=gamma, sigma=np.empty((3, 3) + grid.shape), kernel_hat=kernel_hat,
+        dmat=fd * ratio,          # mu^(1/2) FD mu^(-1/2)
+        dtmat=fd / ratio,         # mu^(-1/2) FD mu^(1/2)
+        fd=fd, mu_half=grid.mu_half(), bracket_perp=bracket_perp,
+        vpar=np.stack([scale * u for u in vhat]), pad=p)
+    _components_kernel(tables, [grid.mu()], tables.sigma)
     return tables
 
 
@@ -363,24 +351,15 @@ def _by_point(arr: np.ndarray, head: int = 0) -> np.ndarray:
     return arr.reshape(arr.shape[:head] + (-1,) + arr.shape[-3:])
 
 
-def apply_D(tables: CollisionTables, h: np.ndarray, j: int) -> np.ndarray:
-    """Weighted derivative D_j h = mu^(1/2) d/dv_j (mu^(-1/2) h), folded stencil."""
-    return _apply_axis(tables.dmat, h, j - 3)
-
-
-def _apply_DT(tables: CollisionTables, h: np.ndarray, i: int) -> np.ndarray:
-    return _apply_axis(tables.dmat.T, h, i - 3)
-
-
 def apply_A(tables: CollisionTables, h: np.ndarray) -> np.ndarray:
     """Diffusion half: A h = sum_ij D_i^T [sigma^ij D_j h]; symmetric PSD."""
-    xi = [apply_D(tables, h, j) for j in range(3)]
+    xi = [_apply_axis(tables.dmat, h, j - 3) for j in range(3)]
     out = np.zeros_like(h)
     for i in range(3):
         t_i = tables.sigma[i, 0] * xi[0]
         t_i += tables.sigma[i, 1] * xi[1]
         t_i += tables.sigma[i, 2] * xi[2]
-        out += _apply_DT(tables, t_i, i)
+        out += _apply_axis(tables.dmat.T, t_i, i - 3)
     return out
 
 
@@ -392,7 +371,7 @@ def _k_point(tables: CollisionTables, h: np.ndarray, out: np.ndarray) -> None:
     _contracted_kernel(tables, w, s)
     out[...] = 0.0
     for i in range(3):
-        out -= _apply_DT(tables, m * s[i], i)
+        out -= _apply_axis(tables.dmat.T, m * s[i], i - 3)
 
 
 def apply_K(tables: CollisionTables, h: np.ndarray) -> np.ndarray:

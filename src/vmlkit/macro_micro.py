@@ -23,7 +23,7 @@ Higher moment functions (applied to the species sum h = f_+ + f_-):
     B_j(h)  = 1/10 int (|v|^2 - 5) v_j mu^(1/2) h dv
 
 and G = <v mu^(1/2), {I-P}f . q1> with q1 = [1, -1] is the microscopic
-part of the current density.
+part of the current density (``maxwell.current_density`` of {I-P}f).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import maxwell
 from .phase_grid import SpatialGrid, VelocityGrid
 
 
@@ -104,36 +105,18 @@ class MacroProjector:
         return f - pf
 
 
+def b_moment(grid: VelocityGrid, h: np.ndarray) -> np.ndarray:
+    """B_j(h) of a species sum h, shape (*batch, n, n, n); returns (3, *batch)."""
+    wgt = 0.1 * (grid.vsq() - 5.0) * grid.v_mu_half
+    return grid.cell_volume * np.tensordot(wgt, h, axes=((1, 2, 3), (-3, -2, -1)))
+
+
 def moments(f: np.ndarray, micro: np.ndarray, grid: VelocityGrid) -> MomentSet:
     """A, B moments of the species sum of f and the current G of micro = {I-P} f."""
-    v1, v2, v3 = grid.axes()
-    mu_half = grid.mu_half()
-    vsq = grid.vsq()
-    vcomp = [v1 + 0 * vsq, v2 + 0 * vsq, v3 + 0 * vsq]
-    n3 = grid.n_v ** 3
-    batch_shape = f.shape[1:-3]
-
-    s = (f[0] + f[1]).reshape((-1, n3))
-    a = np.empty((3, 3) + (s.shape[0],))
-    bv = np.empty((3,) + (s.shape[0],))
-    for m in range(3):
-        for j in range(m, 3):
-            wgt = ((vcomp[m] * vcomp[j] - 1.0) * mu_half).reshape(n3)
-            a[m, j] = a[j, m] = grid.cell_volume * (s @ wgt)
-        wgt = (0.1 * (vsq - 5.0) * vcomp[m] * mu_half).reshape(n3)
-        bv[m] = grid.cell_volume * (s @ wgt)
-
-    diff = (micro[0] - micro[1]).reshape((-1, n3))
-    g = np.empty((3,) + (diff.shape[0],))
-    for j in range(3):
-        wgt = (vcomp[j] * mu_half).reshape(n3)
-        g[j] = grid.cell_volume * (diff @ wgt)
-
-    return MomentSet(
-        A=a.reshape((3, 3) + batch_shape),
-        Bv=bv.reshape((3,) + batch_shape),
-        G=g.reshape((3,) + batch_shape),
-    )
+    s, v, mu_half = f[0] + f[1], grid.axes(), grid.mu_half()
+    wgt = np.stack([[(vm * vj - 1.0) * mu_half for vj in v] for vm in v])
+    return MomentSet(A=grid.cell_volume * np.tensordot(wgt, s, axes=((2, 3, 4), (-3, -2, -1))),
+                     Bv=b_moment(grid, s), G=maxwell.current_density(grid, micro))
 
 
 # ---------------------------------------------------------------------------

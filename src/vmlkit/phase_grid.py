@@ -101,9 +101,7 @@ class WeightParams:
             raise ValueError(f"theta must be nonnegative, got {self.theta}")
 
     def validate_for_s(self, s_exp: float) -> None:
-        """Check the admissibility bracket tying theta to the regularity index s."""
-        if not (0.5 <= s_exp < 1.5):
-            raise ValueError(f"s must lie in [1/2, 3/2), got {s_exp}")
+        """Check the admissibility bracket tying theta to s, which must lie in [1/2, 3/2)."""
         if self.q == 0.0:
             return
         cap = 0.5 * s_exp if s_exp <= 1.0 else 0.5 * s_exp - 0.5

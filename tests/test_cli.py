@@ -152,6 +152,23 @@ class TestConfigHandling:
         assert key in err
         assert not (tmp_path / "manifest.cfg").exists()
 
+    @pytest.mark.parametrize("existing, out", [(None, "run"), (None, "new/run"),
+                                               ("kept", "kept"), ("kept", "kept/new/run")],
+                             ids=["fresh", "fresh_nested", "existing", "nested_in_existing"])
+    def test_setup_failure_removes_the_directories_it_made(self, tmp_path, capsys,
+                                                           existing, out):
+        # the propagator fails after --out is made: the run removes the
+        # directories it made, and keeps one that existed before
+        if existing:
+            (tmp_path / existing).mkdir()
+        argv = ["simulate", "--out", str(tmp_path / out)]
+        for item in dict(BAD_VALUES["dt"])["dt_propagator"]:
+            argv += ["--set", item]
+        assert run_cli(*argv) == 2
+        line = one_error_line(capsys)
+        assert "too ill-conditioned to invert" in line and "dt=1e+200" in line
+        assert [p.name for p in tmp_path.rglob("*")] == ([existing] if existing else [])
+
     @pytest.mark.parametrize("setting", ["n_max=0"])
     def test_edge_values_accepted(self, tmp_path, capsys, setting):
         # the smallest value that still means something: an unweighted energy
@@ -517,7 +534,9 @@ class TestFitDecay:
     @pytest.mark.parametrize("times, expect", [
         (np.linspace(0.0, 40.0, 7), "series too short for window selection"),
         (np.linspace(0.0, 1.0, 20), "no admissible window found"),
-    ], ids=["seven_points", "span_below_three"])
+        # the start moves off t = 0, which leaves seven points after it
+        (np.linspace(0.0, 40.0, 8), "no admissible window found"),
+    ], ids=["seven_points", "span_below_three", "eight_points_from_zero"])
     def test_automatic_window_errors_exit_2(self, tmp_path, capsys, times, expect):
         path = tmp_path / "series.csv"
         path.write_text("t,e_k_0\n" + "".join(f"{t:.16e},{(1.0 + t) ** -0.5:.16e}\n"

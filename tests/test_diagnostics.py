@@ -397,6 +397,10 @@ class TestDecayFit:
         fit = diag.decay_fit(t, v, w)
         assert fit.exponent == pytest.approx(-0.5, abs=0.05)
 
+    def test_late_rate_needs_four_positive_samples(self):
+        t = np.arange(6.0)
+        assert math.isnan(diag.late_exponential_rate(t, [1.0, -1.0, 0.0, 0.5, 0.0, 0.2]))
+
     def test_caveat_present(self):
         t = np.linspace(0.0, 20.0, 100)
         fit = diag.decay_fit(t, (1 + t) ** -0.5, (1.0, 19.0))

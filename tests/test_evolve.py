@@ -647,6 +647,17 @@ class TestCheckpoints:
         assert np.array_equal(resumed.final_state.em.e_spec,
                               full.final_state.em.e_spec)
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, setup8, monkeypatch):
+        cfg, sg, vg, _ = setup8
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(evolve.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            save_checkpoint(os.path.join(tmp_path, "snap.bin"), initial_state(cfg, sg, vg), 1)
+        assert os.listdir(tmp_path) == []
+
     def test_bad_magic_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "junk.bin")
         with open(path, "wb") as fh:

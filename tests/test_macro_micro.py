@@ -170,6 +170,15 @@ class TestFluidResiduals:
         with pytest.raises(ValueError):
             fluid_residuals(snaps, sgrid32)
 
+    def test_needs_uniform_time_steps(self, sgrid32):
+        shape = sgrid32.shape
+        snaps = [_snapshot(t, sgrid32, lambda t: np.ones(shape),
+                           lambda t: np.zeros((3,) + shape),
+                           lambda t: np.zeros((3,) + shape))
+                 for t in (0.0, 0.1, 0.3)]
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            fluid_residuals(snaps, sgrid32)
+
     def test_manufactured_advection_second_order(self, sgrid32):
         # rho(t,x) = cos(xi x - t), b_0 = sin/xi-scaled so continuity is exact;
         # the residual is then pure time-differencing error, order dt^2

@@ -113,6 +113,12 @@ class TestWeight:
         with pytest.raises(ValueError):
             WeightParams(q=0.05, theta=0.2).validate_for_s(1.25)  # > s/2 - 1/2
 
+    def test_weightless_limit_has_no_theta_bracket(self):
+        # q = 0 is the weightless limit: theta weighs nothing, so any theta passes
+        WeightParams(q=0.0, theta=5.0).validate_for_s(0.5)
+        with pytest.raises(ValueError):
+            WeightParams(q=0.01, theta=5.0).validate_for_s(0.5)
+
 
 class TestVelocityGrid:
     def test_spacing_and_offset_convention(self):
